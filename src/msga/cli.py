@@ -16,6 +16,7 @@ import time
 from dataclasses import replace
 
 from msga.config import ConfigError, RunConfig, build_config, config_as_text, config_field_types, parse_config_file
+from msga.data import _atomic_write
 from msga.memory import adapter_baseline, compare_strategies, render_json, render_text
 from msga.model import init_model, restore_checkpoint, save_checkpoint
 from msga.optim import MODES
@@ -32,10 +33,7 @@ from msga.train import (
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    _atomic_write(path, text.encode("utf-8"))
 
 
 def _format_cell(value) -> str:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from msga.optim import MODES
+
 
 class ConfigError(ValueError):
     """Invalid configuration; `field` names the offending key."""
@@ -68,8 +70,8 @@ class RunConfig:
     hd95_boundary: bool = True
 
     def validate(self) -> "RunConfig":
-        if self.mode not in ("medsaga", "v1", "v2", "full-adamw"):
-            raise ConfigError("mode", f"must be medsaga|v1|v2|full-adamw, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ConfigError("mode", f"must be {'|'.join(MODES)}, got {self.mode!r}")
         if self.sided not in ("one", "two"):
             raise ConfigError("sided", f"must be one|two, got {self.sided!r}")
         positives = (

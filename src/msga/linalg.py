@@ -7,14 +7,7 @@ last. All functions here are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-
-MAX_SWEEPS = 500
-ANGLE_TOL = 1e-10
-OVERSAMPLE = 6  # extra block columns so clusters at the rank cut stay resolvable
-_INIT_SEED = 20240531  # fixed subspace-init seed: same matrix in, same factors out
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -38,75 +31,15 @@ def softmax_last_dim(t: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _jacobi_eigh(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a small symmetric matrix by cyclic Jacobi rotations.
-
-    Returns eigenvalues in non-increasing order and the matching eigenvector
-    columns. Used for the Rayleigh-Ritz step inside truncated_svd, where the
-    matrix is at most (rank + oversample) square.
-    """
-    a = np.array(s, dtype=np.float64)
-    n = a.shape[0]
-    vecs = np.eye(n)
-    scale = max(np.abs(a).max(), 1.0)
-    for _ in range(100):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                sn = t * c
-                rows_p = c * a[p, :] - sn * a[q, :]
-                rows_q = sn * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rows_p, rows_q
-                cols_p = c * a[:, p] - sn * a[:, q]
-                cols_q = sn * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = cols_p, cols_q
-                vcols_p = c * vecs[:, p] - sn * vecs[:, q]
-                vcols_q = sn * vecs[:, p] + c * vecs[:, q]
-                vecs[:, p], vecs[:, q] = vcols_p, vcols_q
-    eigvals = np.diag(a).copy()
-    order = np.argsort(-eigvals, kind="stable")
-    return eigvals[order], vecs[:, order]
-
-
-def _orthonormal_completion(q: np.ndarray, col: int) -> np.ndarray:
-    """Deterministic unit vector orthogonal to the first `col` columns of q."""
-    n = q.shape[0]
-    for j in range(n):
-        cand = np.zeros(n)
-        cand[j] = 1.0
-        if col:
-            cand -= q[:, :col] @ (q[:, :col].T @ cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-6:
-            return cand / nrm
-    raise RuntimeError("no orthogonal completion found")  # unreachable for col < n
-
-
 def truncated_svd(g: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank-r SVD factors of g via block power iteration on g @ g.T.
+    """Rank-r SVD factors of g, taken from LAPACK's thin SVD.
 
-    The left subspace is found by simultaneous iteration with QR
-    re-orthonormalization each sweep, declared converged when the subspace
-    change drops below ANGLE_TOL; the block carries a few oversampling
-    columns so clustered singular values near the cut do not stall the
-    leading directions, and a Rayleigh-Ritz rotation then extracts the top r
-    ordered by singular value. Non-convergence after MAX_SWEEPS is reported
-    as a warning carrying the final residual, and the best iterate is used.
-
-    Returns (p, s, q) with p of shape (m, r), s the r singular values in
-    non-increasing order, q of shape (n, r). Columns of p and q are
+    Returns (p, s, q) with p of shape (m, r), s the r largest singular values
+    in non-increasing order, q of shape (n, r). Columns of p and q are
     orthonormal; the largest-magnitude entry of each p column is forced
-    non-negative so repeated calls are bit-identical.
+    non-negative, with q flipped alongside, so repeated calls are
+    bit-identical. An all-zero g has no singular directions and gets the
+    first r coordinate axes on both sides.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2:
@@ -120,48 +53,11 @@ def truncated_svd(g: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
         q = np.eye(n)[:, :r]
         return p, np.zeros(r), q
 
-    a = g @ g.T
-    # Tiny ridge keeps null-space columns stationary instead of letting QR
-    # renormalize numerical noise; eigenvectors are unchanged by the shift.
-    ridge = 1e-12 * np.linalg.norm(a)
-    block = min(m, r + OVERSAMPLE)
-
-    rng = np.random.default_rng(_INIT_SEED)
-    v, _ = np.linalg.qr(rng.standard_normal((m, block)))
-    residual = np.inf
-    for _ in range(MAX_SWEEPS):
-        w = a @ v + ridge * v
-        v_new, _ = np.linalg.qr(w)
-        # leakage of the leading-r columns out of the previous block span;
-        # rotation inside the span is resolved by the Ritz step and must not
-        # stall the iteration when singular values cluster
-        lead = v_new[:, :r]
-        residual = np.linalg.norm(lead - v @ (v.T @ lead))
-        v = v_new
-        if residual < ANGLE_TOL:
-            break
-    else:
-        warnings.warn(
-            f"truncated_svd: subspace iteration hit {MAX_SWEEPS} sweeps on a {m}x{n} "
-            f"matrix (rank {r}); residual subspace change {residual:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    ritz = v.T @ a @ v
-    ritz = 0.5 * (ritz + ritz.T)
-    eigvals, rot = _jacobi_eigh(ritz)
-    p = (v @ rot)[:, :r]
-    s = np.sqrt(np.clip(eigvals[:r], 0.0, None))
-
-    q = np.zeros((n, r))
-    cutoff = s[0] * 1e-13
-    for i in range(r):
-        if s[i] > cutoff:
-            q[:, i] = (g.T @ p[:, i]) / s[i]
-        else:
-            s[i] = 0.0
-            q[:, i] = _orthonormal_completion(q, i)
+    u, sigma, vt = np.linalg.svd(g, full_matrices=False)
+    # copies, so projectors kept across steps do not pin the full factors
+    p = u[:, :r].copy()
+    s = sigma[:r].copy()
+    q = vt[:r].T.copy()
 
     for i in range(r):
         j = int(np.argmax(np.abs(p[:, i])))

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from msga.linalg import softmax_last_dim
+
 DEFAULT_CE_WEIGHT = 0.2   # weight on cross-entropy; dice gets the complement
 DEFAULT_DICE_SMOOTH = 1e-5
 
@@ -39,16 +41,16 @@ def downsample_labels(labels: np.ndarray, factor: int) -> np.ndarray:
     h, w = labels.shape
     if factor < 1 or h % factor or w % factor:
         raise ValueError(f"label map {h}x{w} not divisible by factor {factor}")
+    if labels.min(initial=0) < 0:
+        raise ValueError("label values must be non-negative")
     if factor == 1:
         return labels.copy()
     gh, gw = h // factor, w // factor
     blocks = labels.reshape(gh, factor, gw, factor).transpose(0, 2, 1, 3)
-    out = np.empty((gh, gw), dtype=labels.dtype)
-    for i in range(gh):
-        for j in range(gw):
-            counts = np.bincount(blocks[i, j].ravel())
-            out[i, j] = np.argmax(counts)  # argmax breaks ties toward the lowest index
-    return out
+    classes = np.arange(labels.max(initial=0) + 1)
+    counts = (blocks.reshape(gh, gw, factor * factor, 1) == classes).sum(axis=2)
+    # argmax breaks ties toward the lowest class index
+    return np.argmax(counts, axis=-1).astype(labels.dtype)
 
 
 def _check_pair(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,10 +79,7 @@ def dice_loss(m: np.ndarray, y: np.ndarray, smooth: float = DEFAULT_DICE_SMOOTH)
     """One minus the mean per-class soft dice between softmax(m) and one-hot y."""
     m, y = _check_pair(m, y)
     k = m.shape[2]
-    z = m.reshape(-1, k)
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = softmax_last_dim(m.reshape(-1, k))
     onehot = np.zeros_like(p)
     onehot[np.arange(p.shape[0]), y.reshape(-1)] = 1.0
     inter = (p * onehot).sum(axis=0)

@@ -24,13 +24,12 @@ B = blocks, c = decoder channels, k = classes, MLP hidden = 4d):
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from msga.linalg import softmax_last_dim
+from msga.data import _atomic_write
 from msga.losses import LossConfig
 from msga.tape import Tape
 
@@ -54,7 +53,6 @@ class ModelConfig:
     blocks: int = 2
     classes: int = 3
     decoder_channels: int = 16
-    heads: int = 1  # fixed at desk scale; kept so the divisibility contract is checked
 
     def __post_init__(self) -> None:
         if self.image_h % self.patch_size or self.image_w % self.patch_size:
@@ -63,8 +61,6 @@ class ModelConfig:
             )
         if self.classes < 2:
             raise ValueError(f"need at least 2 classes (background + 1), got {self.classes}")
-        if self.heads < 1 or self.embed_dim % self.heads:
-            raise ValueError(f"embed dim {self.embed_dim} not divisible by {self.heads} heads")
         for name in ("patch_size", "embed_dim", "blocks", "decoder_channels"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -236,15 +232,14 @@ def build_loss_tape(
 
 
 def postprocess(m: np.ndarray) -> np.ndarray:
-    """Label map from mask logits: channel-wise argmax of the softmax.
+    """Label map from mask logits: channel-wise argmax, ties to the lowest class.
 
-    Softmax is monotone per fiber, so this equals a plain argmax; ties break
-    toward the lowest class index.
+    Softmax is monotone per fiber, so this is also the argmax of the softmax.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 3:
         raise ValueError(f"mask logits must be (h, w, k), got shape {m.shape}")
-    return np.argmax(softmax_last_dim(m), axis=-1)
+    return np.argmax(m, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +256,7 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         blob += struct.pack("<I", len(name)) + name
         blob += struct.pack("<II", rows, cols)
         blob += np.ascontiguousarray(g.values, dtype="<f8").tobytes()
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    _atomic_write(path, blob)
 
 
 def load_checkpoint(path: str) -> list[tuple[str, np.ndarray]]:

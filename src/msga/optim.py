@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from msga.linalg import truncated_svd
-from msga.model import ModelParams
+from msga.model import ROLE_ATTENTION, ModelParams
 
 DEFAULT_BETA1 = 0.9
 DEFAULT_BETA2 = 0.999
@@ -103,22 +103,20 @@ def adamw_step(
         raise ValueError(f"shape mismatch: w {w.shape}, g {g.shape}, state {state.m.shape}")
     if lr < 0.0:
         raise ValueError(f"lr must be non-negative, got {lr}")
+    m_hat, denom = _adamw_moments(state, g, beta1, beta2, eps)
+    return w - lr * m_hat / denom - lr * weight_decay * w
+
+
+def _adamw_moments(
+    state: AdamWState, g: np.ndarray, beta1, beta2, eps
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the moments in place; returns (m_hat, sqrt(v_hat) + eps)."""
     state.step += 1
     state.m = beta1 * state.m + (1.0 - beta1) * g
     state.v = beta2 * state.v + (1.0 - beta2) * g * g
     m_hat = state.m / (1.0 - beta1**state.step)
     v_hat = state.v / (1.0 - beta2**state.step)
-    return w - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * w
-
-
-def _adamw_direction(state: AdamWState, g: np.ndarray, beta1, beta2, eps) -> np.ndarray:
-    """The normalized AdamW step direction m_hat / (sqrt(v_hat) + eps)."""
-    state.step += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = state.m / (1.0 - beta1**state.step)
-    v_hat = state.v / (1.0 - beta2**state.step)
-    return m_hat / (np.sqrt(v_hat) + eps)
+    return m_hat, np.sqrt(v_hat) + eps
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +207,8 @@ def galore_step(
     if state.regularizer == "identity":
         update = core
     else:
-        update = _adamw_direction(state.inner, core, beta1, beta2, eps)
+        m_hat, denom = _adamw_moments(state.inner, core, beta1, beta2, eps)
+        update = m_hat / denom
 
     if state.sided == "two":
         g_tilde = state.p @ update @ state.q.T
@@ -304,10 +303,7 @@ def assign_strategies(
         elif mode == "medsaga":
             strategy = galore_for(g) if encoder else FullAdamW()
         elif mode == "v1":
-            strategy = galore_for(g) if g.role in (
-                "encoder-attention-q", "encoder-attention-k",
-                "encoder-attention-v", "encoder-attention-o",
-            ) else FullAdamW()
+            strategy = galore_for(g) if g.role in ROLE_ATTENTION else FullAdamW()
         else:  # v2
             strategy = galore_for(g) if encoder else Frozen()
         groups.append(replace(g, strategy=strategy))

@@ -18,6 +18,8 @@ from typing import Callable
 
 import numpy as np
 
+from msga.linalg import softmax_last_dim
+
 GELU_COEF = 0.044715
 LAYERNORM_EPS = 1e-5
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
@@ -197,9 +199,7 @@ def _fwd_layernorm(args, aux):
 def _fwd_softmax_rows(args, aux):
     x = args[0]
     _check_2d("softmax-rows", x)
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax_last_dim(x)
 
 
 def _check_labels(op: str, logits: np.ndarray, labels: np.ndarray) -> None:

@@ -138,6 +138,25 @@ def test_downsample_rejects_indivisible() -> None:
         downsample_labels(np.zeros((5, 4), dtype=int), 2)
 
 
+def test_downsample_rejects_negative_labels() -> None:
+    labels = np.zeros((4, 4), dtype=int)
+    labels[1, 2] = -1
+    with pytest.raises(ValueError, match="non-negative"):
+        downsample_labels(labels, 2)
+
+
+def test_downsample_matches_per_block_bincount_oracle() -> None:
+    rng = np.random.default_rng(23)
+    for factor, k in ((2, 2), (4, 3), (4, 5), (8, 3)):
+        labels = rng.integers(0, k, (16, 16))
+        expected = np.array([
+            [np.argmax(np.bincount(labels[i:i + factor, j:j + factor].ravel()))
+             for j in range(0, 16, factor)]
+            for i in range(0, 16, factor)
+        ])
+        assert np.array_equal(downsample_labels(labels, factor), expected)
+
+
 # ---------------------------------------------------------------------------
 # training losses
 
