@@ -6,7 +6,7 @@ gradient-projection optimizer wrapped around AdamW, and accounts optimizer
 memory analytically. Everything runs on float64 numpy at desk scale.
 """
 
-from msga.linalg import matmul, softmax_last_dim, truncated_svd
+from msga.linalg import softmax_last_dim, truncated_svd
 from msga.losses import (
     LossConfig,
     combined_loss,
@@ -54,7 +54,6 @@ __all__ = [
     "hd95",
     "init_model",
     "lr_at",
-    "matmul",
     "postprocess",
     "refresh_subspace",
     "softmax_last_dim",

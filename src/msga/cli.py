@@ -17,7 +17,9 @@ from dataclasses import replace
 
 from msga.config import ConfigError, RunConfig, build_config, config_as_text, config_field_types, parse_config_file
 from msga.data import _atomic_write
-from msga.memory import adapter_baseline, compare_strategies, render_json, render_text
+from msga.memory import (
+    adapter_baseline, compare_strategies, render_json, render_text, report_for_mode,
+)
 from msga.model import init_model, restore_checkpoint, save_checkpoint
 from msga.optim import MODES
 from msga.train import (
@@ -188,12 +190,11 @@ def cmd_ablate(cfg: RunConfig) -> int:
         mean_dice, mean_hd = mean_metrics(
             evaluate(result.params, test_ds, boundary=cfg.hd95_boundary)
         )
-        reports, _ = compare_strategies(
-            params0, [mode],
+        report = report_for_mode(
+            params0, mode,
             rank=cfg.rank, refresh_period=cfg.refresh_period,
             scale=cfg.galore_scale, sided=cfg.sided,
         )
-        report = reports[0]
         rows.append((mode, mean_dice, mean_hd, report.state_bytes(), report.grand_total_bytes()))
         out_mode = os.path.join(cfg.out, mode)
         os.makedirs(out_mode, exist_ok=True)

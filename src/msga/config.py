@@ -75,12 +75,14 @@ class RunConfig:
         if self.sided not in ("one", "two"):
             raise ConfigError("sided", f"must be one|two, got {self.sided!r}")
         positives = (
-            "patch_size", "embed_dim", "blocks", "classes", "decoder_channels",
+            "patch_size", "embed_dim", "blocks", "decoder_channels",
             "rank", "refresh_period", "warmup_steps", "batch_size", "synthetic_count",
         )
         for name in positives:
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be a positive integer")
+        if self.classes < 2:
+            raise ConfigError("classes", "need at least 2 (background + 1)")
         if self.total_steps < 0:
             raise ConfigError("total_steps", "must be non-negative")
         if self.image_h % self.patch_size or self.image_w % self.patch_size:

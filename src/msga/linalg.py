@@ -1,4 +1,4 @@
-"""Dense float64 matrix kernels: matmul, truncated SVD, stable softmax.
+"""Dense float64 matrix kernels: truncated SVD and stable softmax.
 
 Conventions used across the package: a "matrix" is a 2-D float64 ndarray in
 row-major order, a "tensor" is a 3-D float64 ndarray with the channel axis
@@ -8,19 +8,6 @@ last. All functions here are pure and never mutate their inputs.
 from __future__ import annotations
 
 import numpy as np
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul shape mismatch: ({a.shape[0]}x{a.shape[1]}) @ ({b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
 
 
 def softmax_last_dim(t: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from msga.linalg import softmax_last_dim
+from msga.tape import _fwd_soft_dice, _fwd_softmax_ce
 
 DEFAULT_CE_WEIGHT = 0.2   # weight on cross-entropy; dice gets the complement
 DEFAULT_DICE_SMOOTH = 1e-5
@@ -54,38 +54,26 @@ def downsample_labels(labels: np.ndarray, factor: int) -> np.ndarray:
 
 
 def _check_pair(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, w, k) logits and (h, w) labels flattened to the tape's (pixels, k) and (pixels,)."""
     m = np.asarray(m, dtype=np.float64)
     y = np.asarray(y)
     if m.ndim != 3:
         raise ValueError(f"mask logits must be (h, w, k), got shape {m.shape}")
     if y.shape != m.shape[:2]:
         raise ValueError(f"label map {y.shape} does not match logits grid {m.shape[:2]}")
-    if y.min() < 0 or y.max() >= m.shape[2]:
-        raise ValueError(f"labels must lie in 0..{m.shape[2] - 1}")
-    return m, y
+    return m.reshape(-1, m.shape[2]), y.reshape(-1)
 
 
 def cross_entropy(m: np.ndarray, y: np.ndarray) -> float:
-    """Mean over pixels of -log softmax(m)[y], computed via logsumexp."""
-    m, y = _check_pair(m, y)
-    z = m.reshape(-1, m.shape[2])
-    labels = y.reshape(-1)
-    zmax = z.max(axis=1)
-    logsumexp = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-    return float((logsumexp - z[np.arange(z.shape[0]), labels]).mean())
+    """Mean over pixels of -log softmax(m)[y]: the tape's softmax-ce forward."""
+    z, labels = _check_pair(m, y)
+    return float(_fwd_softmax_ce([z], {"labels": labels}))
 
 
 def dice_loss(m: np.ndarray, y: np.ndarray, smooth: float = DEFAULT_DICE_SMOOTH) -> float:
-    """One minus the mean per-class soft dice between softmax(m) and one-hot y."""
-    m, y = _check_pair(m, y)
-    k = m.shape[2]
-    p = softmax_last_dim(m.reshape(-1, k))
-    onehot = np.zeros_like(p)
-    onehot[np.arange(p.shape[0]), y.reshape(-1)] = 1.0
-    inter = (p * onehot).sum(axis=0)
-    sums = p.sum(axis=0) + onehot.sum(axis=0)
-    terms = (2.0 * inter + smooth) / (sums + smooth)
-    return float(1.0 - terms.mean())
+    """One minus the mean per-class soft dice: the tape's soft-dice forward."""
+    z, labels = _check_pair(m, y)
+    return float(_fwd_soft_dice([z], {"labels": labels, "smooth": smooth}))
 
 
 def combined_loss(m: np.ndarray, y: np.ndarray, config: LossConfig) -> float:

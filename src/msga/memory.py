@@ -162,12 +162,11 @@ def hypothetical_adapter_footprint(m: int, n: int, r: int) -> AdapterFootprint:
 
 
 def adapter_baseline(params: ModelParams, r: int) -> AdapterFootprint:
-    """Adapter footprints summed over every projectable encoder matrix."""
+    """Adapter footprints summed over the encoder matrices medsaga projects."""
     w = g = s = 0
-    for group in params.groups:
-        rows, cols = group.values.shape
-        if group.role.startswith("encoder") and min(rows, cols) >= 2:
-            fp = hypothetical_adapter_footprint(rows, cols, min(r, rows, cols))
+    for group in assign_strategies(params, "medsaga", rank=r).groups:
+        if isinstance(group.strategy, GaLore):
+            fp = hypothetical_adapter_footprint(*group.values.shape, group.strategy.rank)
             w += fp.weight_bytes
             g += fp.grad_bytes
             s += fp.state_bytes

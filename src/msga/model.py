@@ -91,9 +91,6 @@ class ModelParams:
     config: ModelConfig
     groups: list[ParamGroup] = field(default_factory=list)
 
-    def by_name(self) -> dict[str, ParamGroup]:
-        return {g.name: g for g in self.groups}
-
     def group(self, name: str) -> ParamGroup:
         for g in self.groups:
             if g.name == name:
@@ -187,8 +184,11 @@ def build_forward(tape: Tape, config: ModelConfig, ids: dict[str, int], image_id
     return tape.add(tape.matmul(h, ids["decoder/fc2/weight"]), ids["decoder/fc2/bias"])
 
 
-def _leaf_ids(tape: Tape, params: ModelParams) -> dict[str, int]:
-    return {g.name: tape.leaf(g.values) for g in params.groups}
+def _record_forward(params: ModelParams, image: np.ndarray) -> tuple[Tape, dict[str, int], int]:
+    """Fresh tape with every parameter group, then the image, then the forward pass."""
+    tape = Tape()
+    ids = {g.name: tape.leaf(g.values) for g in params.groups}
+    return tape, ids, build_forward(tape, params.config, ids, tape.leaf(image))
 
 
 def forward(params: ModelParams, image: np.ndarray) -> np.ndarray:
@@ -198,9 +198,7 @@ def forward(params: ModelParams, image: np.ndarray) -> np.ndarray:
     if image.shape != (cfg.image_h, cfg.image_w):
         raise ValueError(f"image shape {image.shape} does not match config "
                          f"({cfg.image_h}, {cfg.image_w})")
-    tape = Tape()
-    ids = _leaf_ids(tape, params)
-    out = build_forward(tape, cfg, ids, tape.leaf(image))
+    tape, _, out = _record_forward(params, image)
     logits = tape.value(out).reshape(cfg.grid_h, cfg.grid_w, cfg.classes)
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("forward produced non-finite logits")
@@ -219,10 +217,7 @@ def build_loss_tape(
     (tape, name->leaf id, ce id, dice id, loss id) so the caller can read the
     logged loss components straight off the tape.
     """
-    cfg = params.config
-    tape = Tape()
-    ids = _leaf_ids(tape, params)
-    logits = build_forward(tape, cfg, ids, tape.leaf(np.asarray(image, dtype=np.float64)))
+    tape, ids, logits = _record_forward(params, image)
     flat_labels = np.asarray(labels_grid, dtype=np.int64).reshape(-1)
     ce = tape.softmax_ce(logits, flat_labels)
     dice = tape.soft_dice(logits, flat_labels, loss_config.dice_smooth)
@@ -260,30 +255,34 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> list[tuple[str, np.ndarray]]:
+    """Groups in file order; rejects truncation, bad UTF-8 and duplicate names."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {data[:5]!r}")
     pos = len(CHECKPOINT_MAGIC)
-    out: list[tuple[str, np.ndarray]] = []
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise ValueError(f"{path}: truncated at byte {pos}")
-        (nlen,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        name = data[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        if pos + 8 > len(data):
-            raise ValueError(f"{path}: truncated at byte {pos}")
-        rows, cols = struct.unpack_from("<II", data, pos)
-        pos += 8
-        nbytes = rows * cols * 8
+
+    def take(nbytes: int) -> bytes:
+        nonlocal pos
         if pos + nbytes > len(data):
             raise ValueError(f"{path}: truncated at byte {pos}")
-        values = np.frombuffer(data[pos : pos + nbytes], dtype="<f8").reshape(rows, cols)
         pos += nbytes
-        out.append((name, values.astype(np.float64)))
-    return out
+        return data[pos - nbytes : pos]
+
+    out: dict[str, np.ndarray] = {}
+    while pos < len(data):
+        (nlen,) = struct.unpack("<I", take(4))
+        start = pos
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: group name at byte {start} is not valid UTF-8") from None
+        if name in out:
+            raise ValueError(f"{path}: duplicate group {name!r} at byte {start}")
+        rows, cols = struct.unpack("<II", take(8))
+        values = np.frombuffer(take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
+        out[name] = values.astype(np.float64)
+    return list(out.items())
 
 
 def restore_checkpoint(params: ModelParams, path: str) -> ModelParams:

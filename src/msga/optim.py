@@ -160,13 +160,10 @@ def refresh_subspace(
     basis on the shorter dimension: (p, None) when rows <= cols, (None, q)
     otherwise.
     """
-    m, n = g.shape
-    if r > min(m, n):
-        raise ValueError(f"rank {r} exceeds min dimension of {m}x{n} gradient")
     p, _, q = truncated_svd(g, r)
     if sided == "two":
         return p, q
-    if m <= n:
+    if g.shape[0] <= g.shape[1]:
         return p, None
     return None, q
 
@@ -193,16 +190,14 @@ def galore_step(
     if state.step % state.refresh_period == 0:
         state.p, state.q = refresh_subspace(g, state.rank, state.sided)
         state.refresh_steps.append(state.step)
-        if state.inner is None or state.reset_moments_on_refresh:
-            state.inner = AdamWState.zeros(_projected_shape(w.shape, state))
+        if state.reset_moments_on_refresh:
+            state.inner = None
     state.step += 1
 
-    if state.sided == "two":
-        core = state.p.T @ g @ state.q
-    elif state.p is not None:
-        core = state.p.T @ g
-    else:
-        core = g @ state.q
+    core = g if state.p is None else state.p.T @ g
+    core = core if state.q is None else core @ state.q
+    if state.inner is None:
+        state.inner = AdamWState.zeros(core.shape)
 
     if state.regularizer == "identity":
         update = core
@@ -210,22 +205,9 @@ def galore_step(
         m_hat, denom = _adamw_moments(state.inner, core, beta1, beta2, eps)
         update = m_hat / denom
 
-    if state.sided == "two":
-        g_tilde = state.p @ update @ state.q.T
-    elif state.p is not None:
-        g_tilde = state.p @ update
-    else:
-        g_tilde = update @ state.q.T
+    g_tilde = update if state.p is None else state.p @ update
+    g_tilde = g_tilde if state.q is None else g_tilde @ state.q.T
     return w - lr * state.scale * g_tilde
-
-
-def _projected_shape(shape: tuple[int, int], state: GaLoreState) -> tuple[int, int]:
-    m, n = shape
-    if state.sided == "two":
-        return (state.rank, state.rank)
-    if m <= n:
-        return (state.rank, n)
-    return (m, state.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -51,14 +51,14 @@ class Tape:
 
     def record(self, op: str, inputs: tuple[int, ...] | list[int], **aux) -> int:
         """Apply `op` to already-recorded values, store the result, return its id."""
-        if op not in _FORWARD:
+        if op not in _OPS:
             raise ValueError(f"unknown op kind {op!r}")
         ids = tuple(int(i) for i in inputs)
         for i in ids:
             if not 0 <= i < len(self.nodes):
                 raise ValueError(f"{op}: input id {i} not on this tape")
         args = [self.values[i] for i in ids]
-        out = _FORWARD[op](args, aux)
+        out = _OPS[op][0](args, aux)
         self.nodes.append(TapeNode(op, ids, aux, out.shape))
         self.values.append(out)
         return len(self.nodes) - 1
@@ -125,7 +125,7 @@ class Tape:
                 continue
             grad_out = adjoints.pop(nid)
             args = [self.values[i] for i in node.inputs]
-            grads_in = _BACKWARD[node.op](grad_out, args, self.values[nid], node.aux)
+            grads_in = _OPS[node.op][1](grad_out, args, self.values[nid], node.aux)
             for iid, g in zip(node.inputs, grads_in):
                 if iid in adjoints:
                     adjoints[iid] = adjoints[iid] + g
@@ -190,10 +190,14 @@ def _fwd_layernorm(args, aux):
         raise ValueError(
             f"layernorm: gain/bias must be (1, {x.shape[1]}), got {gain.shape} and {bias.shape}"
         )
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + LAYERNORM_EPS)
+    xhat, _ = _normalize_rows(x)
     return xhat * gain + bias
+
+
+def _normalize_rows(x):
+    """Each row shifted to zero mean and divided by its std; returns (xhat, std)."""
+    std = np.sqrt(x.var(axis=1, keepdims=True) + LAYERNORM_EPS)
+    return (x - x.mean(axis=1, keepdims=True)) / std, std
 
 
 def _fwd_softmax_rows(args, aux):
@@ -206,6 +210,8 @@ def _check_labels(op: str, logits: np.ndarray, labels: np.ndarray) -> None:
     _check_2d(op, logits)
     if labels.shape != (logits.shape[0],):
         raise ValueError(f"{op}: labels shape {labels.shape} does not match {logits.shape[0]} rows")
+    if logits.shape[0] == 0:
+        raise ValueError(f"{op}: no rows to average over")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[1]:
         raise ValueError(f"{op}: label values outside 0..{logits.shape[1] - 1}")
 
@@ -309,10 +315,7 @@ def _bwd_gelu(g, args, out, aux):
 
 def _bwd_layernorm(g, args, out, aux):
     x, gain, bias = args
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    std = np.sqrt(var + LAYERNORM_EPS)
-    xhat = (x - mu) / std
+    xhat, std = _normalize_rows(x)
     dgain = (g * xhat).sum(axis=0, keepdims=True)
     dbias = g.sum(axis=0, keepdims=True)
     dxhat = g * gain
@@ -372,37 +375,23 @@ def _bwd_embed_lookup(g, args, out, aux):
     return (dtable,)
 
 
-_FORWARD: dict[str, Callable] = {
-    "matmul": _fwd_matmul,
-    "add": _fwd_add,
-    "scale": _fwd_scale,
-    "gelu": _fwd_gelu,
-    "layernorm": _fwd_layernorm,
-    "softmax-rows": _fwd_softmax_rows,
-    "softmax-ce": _fwd_softmax_ce,
-    "soft-dice": _fwd_soft_dice,
-    "reshape": _fwd_reshape,
-    "patchify": _fwd_patchify,
-    "mean": _fwd_mean,
-    "embed-lookup": _fwd_embed_lookup,
+# op kind -> (forward rule, backward rule)
+_OPS: dict[str, tuple[Callable, Callable]] = {
+    "matmul": (_fwd_matmul, _bwd_matmul),
+    "add": (_fwd_add, _bwd_add),
+    "scale": (_fwd_scale, _bwd_scale),
+    "gelu": (_fwd_gelu, _bwd_gelu),
+    "layernorm": (_fwd_layernorm, _bwd_layernorm),
+    "softmax-rows": (_fwd_softmax_rows, _bwd_softmax_rows),
+    "softmax-ce": (_fwd_softmax_ce, _bwd_softmax_ce),
+    "soft-dice": (_fwd_soft_dice, _bwd_soft_dice),
+    "reshape": (_fwd_reshape, _bwd_reshape),
+    "patchify": (_fwd_patchify, _bwd_patchify),
+    "mean": (_fwd_mean, _bwd_mean),
+    "embed-lookup": (_fwd_embed_lookup, _bwd_embed_lookup),
 }
 
-_BACKWARD: dict[str, Callable] = {
-    "matmul": _bwd_matmul,
-    "add": _bwd_add,
-    "scale": _bwd_scale,
-    "gelu": _bwd_gelu,
-    "layernorm": _bwd_layernorm,
-    "softmax-rows": _bwd_softmax_rows,
-    "softmax-ce": _bwd_softmax_ce,
-    "soft-dice": _bwd_soft_dice,
-    "reshape": _bwd_reshape,
-    "patchify": _bwd_patchify,
-    "mean": _bwd_mean,
-    "embed-lookup": _bwd_embed_lookup,
-}
-
-OP_KINDS = tuple(_FORWARD)
+OP_KINDS = tuple(_OPS)
 
 
 def finite_diff_check(

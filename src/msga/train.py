@@ -2,7 +2,7 @@
 
 Batches are averaged single-sample gradients; sample order reshuffles every
 epoch with a seed derived from (global seed, epoch index) so runs are
-reproducible and resumable. Fully fine-tuned groups follow the 0.005-peak
+reproducible. Fully fine-tuned groups follow the 0.005-peak
 warmup schedule with decoupled weight decay; projected groups follow the
 same ramp normalized to the 1e-3 projection base lr and take no decay.
 
@@ -13,7 +13,7 @@ runs of one config are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,15 +54,7 @@ class TrainResult:
 
 
 def model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        image_h=cfg.image_h,
-        image_w=cfg.image_w,
-        patch_size=cfg.patch_size,
-        embed_dim=cfg.embed_dim,
-        blocks=cfg.blocks,
-        classes=cfg.classes,
-        decoder_channels=cfg.decoder_channels,
-    )
+    return ModelConfig(**{f.name: getattr(cfg, f.name) for f in fields(ModelConfig)})
 
 
 def load_base_dataset(cfg: RunConfig) -> Dataset:
@@ -109,10 +101,9 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
     adamw_states, galore_states = _init_states(params, cfg)
 
     loss_cfg = LossConfig(ce_weight=cfg.ce_weight, dice_smooth=cfg.dice_smooth)
-    full_sched = WarmupSchedule(cfg.full_lr, cfg.warmup_steps, max(cfg.total_steps, cfg.warmup_steps),
-                                cfg.decay_exponent)
-    galore_sched = WarmupSchedule(cfg.galore_lr, cfg.warmup_steps,
-                                  max(cfg.total_steps, cfg.warmup_steps), cfg.decay_exponent)
+    horizon = max(cfg.total_steps, cfg.warmup_steps)
+    full_sched = WarmupSchedule(cfg.full_lr, cfg.warmup_steps, horizon, cfg.decay_exponent)
+    galore_sched = WarmupSchedule(cfg.galore_lr, cfg.warmup_steps, horizon, cfg.decay_exponent)
 
     images = [s.image for s in train_ds.samples]
     labels = [downsample_labels(s.mask, cfg.patch_size) for s in train_ds.samples]

@@ -48,6 +48,8 @@ def test_config_validation_names_field() -> None:
         RunConfig(test_fraction=1.5).validate()
     with pytest.raises(ConfigError, match="budgets"):
         RunConfig(budgets=(50, 25)).validate()
+    with pytest.raises(ConfigError, match="classes"):
+        RunConfig(classes=1).validate()
 
 
 def test_cli_exit_code_2_on_bad_config(tmp_path) -> None:

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from msga.linalg import matmul, softmax_last_dim, truncated_svd
+from msga.linalg import softmax_last_dim, truncated_svd
+from msga.tape import Tape
 
 
 def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,35 +54,17 @@ def jacobi_svd_oracle(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(eigvals[order]), vecs[:, order]
 
 
-def test_matmul_identity() -> None:
-    a = np.random.default_rng(0).standard_normal((3, 3))
-    assert np.array_equal(matmul(np.eye(3), a), a)
-
-
-def test_matmul_hand_case() -> None:
-    result = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0], [1.0]]))
-    assert np.array_equal(result, np.array([[2.0], [4.0]]))
-
-
-def test_matmul_matches_triple_loop_oracle() -> None:
+def test_tape_matmul_matches_triple_loop_oracle() -> None:
     rng = np.random.default_rng(42)
     a = rng.standard_normal((5, 7))
     b = rng.standard_normal((7, 3))
-    assert np.abs(matmul(a, b) - triple_loop_matmul(a, b)).max() < 1e-12
-
-
-def test_matmul_rejects_mismatched_shapes() -> None:
-    with pytest.raises(ValueError, match="shape mismatch"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_matmul_associative_on_random_triples() -> None:
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        a, b, c = (rng.standard_normal((8, 8)) for _ in range(3))
-        lhs = matmul(matmul(a, b), c)
-        rhs = matmul(a, matmul(b, c))
-        assert np.abs(lhs - rhs).max() < 1e-10
+    for transpose_a in (False, True):
+        for transpose_b in (False, True):
+            tape = Tape()
+            stored_a = a.T.copy() if transpose_a else a
+            stored_b = b.T.copy() if transpose_b else b
+            out = tape.matmul(tape.leaf(stored_a), tape.leaf(stored_b), transpose_a, transpose_b)
+            assert np.abs(tape.value(out) - triple_loop_matmul(a, b)).max() < 1e-12
 
 
 def test_truncated_svd_diagonal_case() -> None:

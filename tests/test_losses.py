@@ -186,6 +186,16 @@ def test_cross_entropy_rejects_shape_mismatch() -> None:
         cross_entropy(np.zeros((2, 2, 3)), np.zeros((3, 2), dtype=int))
 
 
+def test_losses_reject_out_of_range_labels_and_empty_grid() -> None:
+    for loss, op in ((cross_entropy, "softmax-ce"), (dice_loss, "soft-dice")):
+        with pytest.raises(ValueError, match=f"{op}: label values outside 0..2"):
+            loss(np.zeros((2, 2, 3)), np.full((2, 2), 3))
+        with pytest.raises(ValueError, match=f"{op}: label values outside 0..2"):
+            loss(np.zeros((2, 2, 3)), np.full((2, 2), -1))
+        with pytest.raises(ValueError, match=f"{op}: no rows"):
+            loss(np.zeros((0, 2, 3)), np.zeros((0, 2), dtype=int))
+
+
 def test_dice_loss_perfect_prediction_near_zero() -> None:
     y = np.array([[0, 1], [1, 0]])
     m = np.zeros((2, 2, 2))

@@ -162,6 +162,15 @@ def test_accounting_matches_buffers_allocated_by_training() -> None:
             held = state.m.size + state.v.size
             assert held * BYTES_PER_ELEMENT == accounted[name].state_bytes, (name, sided)
 
+    # shipped default geometry, one-sided: the figure the benchmark also pins
+    cfg = RunConfig(total_steps=1, synthetic_count=20).validate()
+    result = train_model(cfg, prepare_splits(cfg)[0])
+    live = sum(st.m.nbytes + st.v.nbytes for st in result.adamw_states.values())
+    for state in result.galore_states.values():
+        live += sum(a.nbytes for a in (state.p, state.q) if a is not None)
+        live += state.inner.m.nbytes + state.inner.v.nbytes
+    assert live == 47_152
+
 
 def test_json_rendering_has_fixed_keys() -> None:
     params = init_model(ModelConfig(), seed=7)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,38 @@ def test_load_checkpoint_rejects_bad_magic(tmp_path) -> None:
     path = tmp_path / "bogus.msga"
     path.write_bytes(b"NOPE!" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
+        load_checkpoint(str(path))
+
+
+def _group_record(name: bytes, values: np.ndarray) -> bytes:
+    rows, cols = values.shape
+    return struct.pack("<I", len(name)) + name + struct.pack("<II", rows, cols) + values.tobytes()
+
+
+def test_load_checkpoint_rejects_duplicate_group(tmp_path) -> None:
+    path = tmp_path / "model.msga"
+    params = init_model(SMALL, seed=17)
+    save_checkpoint(params, str(path))
+    shape = params.group("encoder/patch_embed/weight").values.shape
+    with open(path, "ab") as fh:
+        fh.write(_group_record(b"encoder/patch_embed/weight", np.ones(shape)))
+    with pytest.raises(ValueError, match="duplicate group 'encoder/patch_embed/weight'"):
+        load_checkpoint(str(path))
+    with pytest.raises(ValueError, match="duplicate"):
+        restore_checkpoint(init_model(SMALL, seed=17), str(path))
+
+
+def test_load_checkpoint_rejects_oversize_name_length(tmp_path) -> None:
+    path = tmp_path / "model.msga"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", 10**6) + b"encoder" + b"\x00" * 8)
+    with pytest.raises(ValueError, match="model.msga: truncated at byte 9"):
+        load_checkpoint(str(path))
+
+
+def test_load_checkpoint_reports_bad_utf8_name_with_offset(tmp_path) -> None:
+    path = tmp_path / "model.msga"
+    path.write_bytes(CHECKPOINT_MAGIC + _group_record(b"\xff\xfe", np.zeros((1, 1))))
+    with pytest.raises(ValueError, match="model.msga: group name at byte 9 is not valid UTF-8"):
         load_checkpoint(str(path))
 
 
