@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from msga.tape import _fwd_soft_dice, _fwd_softmax_ce
 
@@ -117,7 +116,9 @@ def hd95(pred: np.ndarray, gt: np.ndarray, c: int, boundary: bool = True) -> flo
     with linear interpolation between order statistics. With boundary=True
     (default) the sets are boundary pixels, otherwise full masks. Conventions:
     0.0 when both masks are empty, the image diagonal hypot(h, w) when exactly
-    one is.
+    one is. Nearest neighbours come from the exact all-pairs distance matrix:
+    each set holds at most T = h*w points, so it has at most T^2 entries, one
+    attention score matrix's worth for the token-grid maps evaluation passes.
     """
     pred = np.asarray(pred)
     gt = np.asarray(gt)
@@ -134,9 +135,8 @@ def hd95(pred: np.ndarray, gt: np.ndarray, c: int, boundary: bool = True) -> flo
         gm = _boundary_pixels(gm)
     a = np.argwhere(pm).astype(np.float64)
     b = np.argwhere(gm).astype(np.float64)
-    d_ab, _ = cKDTree(b).query(a)
-    d_ba, _ = cKDTree(a).query(b)
-    pooled = np.sort(np.concatenate([np.atleast_1d(d_ab), np.atleast_1d(d_ba)]))
+    d = np.sqrt(((a[:, None] - b[None]) ** 2).sum(-1))
+    pooled = np.sort(np.concatenate([d.min(axis=1), d.min(axis=0)]))
     # linear interpolation between order statistics, written out so the exact
     # arithmetic is pinned: value = d[lo] + frac * (d[hi] - d[lo])
     pos = 0.95 * (pooled.size - 1)

@@ -137,19 +137,6 @@ class GaLoreState:
     step: int = 0
     refresh_steps: list[int] = field(default_factory=list)
 
-    @classmethod
-    def for_shape(cls, shape: tuple[int, int], strategy: GaLore, **kwargs) -> "GaLoreState":
-        m, n = shape
-        if strategy.rank > min(m, n):
-            raise ValueError(f"rank {strategy.rank} exceeds the dims of a {m}x{n} parameter")
-        return cls(
-            rank=strategy.rank,
-            refresh_period=strategy.refresh_period,
-            scale=strategy.scale,
-            sided=strategy.sided,
-            **kwargs,
-        )
-
 
 def refresh_subspace(
     g: np.ndarray, r: int, sided: str = "one"

@@ -13,11 +13,13 @@ runs of one config are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections.abc import Iterator
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from msga.config import RunConfig
+from msga.config import ConfigError, RunConfig
 from msga.data import Dataset, few_shot_subset, generate_synthetic, load_manifest, split_by_patient
 from msga.losses import LossConfig, dice_score, downsample_labels, hd95
 from msga.model import (
@@ -57,17 +59,30 @@ def model_config(cfg: RunConfig) -> ModelConfig:
     return ModelConfig(**{f.name: getattr(cfg, f.name) for f in fields(ModelConfig)})
 
 
+@contextmanager
+def _config_key(name: str) -> Iterator[None]:
+    """Re-raise a data-layer ValueError as a ConfigError naming the key behind it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(name, str(exc)) from exc
+
+
 def load_base_dataset(cfg: RunConfig) -> Dataset:
     if cfg.manifest:
         return load_manifest(cfg.manifest, cfg.classes)
-    return generate_synthetic(cfg.data_seed, cfg.synthetic_count, cfg.image_h, cfg.image_w,
-                              cfg.classes)
+    with _config_key("image_h/image_w"):
+        return generate_synthetic(cfg.data_seed, cfg.synthetic_count, cfg.image_h, cfg.image_w,
+                                  cfg.classes)
 
 
 def prepare_splits(cfg: RunConfig) -> tuple[Dataset, Dataset]:
-    train, test = split_by_patient(load_base_dataset(cfg), cfg.test_fraction, cfg.seed)
+    base = load_base_dataset(cfg)
+    with _config_key("manifest" if cfg.manifest else "synthetic_count"):
+        train, test = split_by_patient(base, cfg.test_fraction, cfg.seed)
     if cfg.budget:
-        train = few_shot_subset(train, cfg.budget, cfg.seed)
+        with _config_key("budget"):
+            train = few_shot_subset(train, cfg.budget, cfg.seed)
     return train, test
 
 
@@ -80,10 +95,8 @@ def _init_states(
         if isinstance(g.strategy, FullAdamW):
             adamw_states[g.name] = AdamWState.zeros(g.values.shape)
         elif isinstance(g.strategy, GaLore):
-            galore_states[g.name] = GaLoreState.for_shape(
-                g.values.shape, g.strategy,
-                reset_moments_on_refresh=cfg.refresh_resets_moments,
-            )
+            galore_states[g.name] = GaLoreState(
+                **asdict(g.strategy), reset_moments_on_refresh=cfg.refresh_resets_moments)
     return adamw_states, galore_states
 
 

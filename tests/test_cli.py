@@ -57,6 +57,17 @@ def test_cli_exit_code_2_on_bad_config(tmp_path) -> None:
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("flags, key", [
+    (["--image-h", "8", "--image-w", "8"], "image_h"),
+    (["--synthetic-count", "5"], "synthetic_count"),
+    (["--budget", "500"], "budget"),
+])
+def test_cli_data_layer_errors_name_config_key(tmp_path, capsys, flags, key) -> None:
+    assert main(["train", *flags, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{key}" in err, err
+
+
 def test_cli_exit_code_2_on_unknown_config_key(tmp_path) -> None:
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense=1\n")

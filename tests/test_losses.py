@@ -335,13 +335,23 @@ def test_hd95_symmetric() -> None:
 
 def test_hd95_matches_all_pairs_oracle() -> None:
     rng = np.random.default_rng(29)
-    for _ in range(50):
-        pred = (rng.random((8, 8)) < rng.uniform(0.0, 0.6)).astype(int)
-        gt = (rng.random((8, 8)) < rng.uniform(0.0, 0.6)).astype(int)
-        assert hd95(pred, gt, 1) == hd95_all_pairs_oracle(pred, gt, 1)
-        assert hd95(pred, gt, 1, boundary=False) == hd95_all_pairs_oracle(
-            pred, gt, 1, boundary_mode=False
-        )
+    cases = []
+    for shape in ((8, 8), (5, 13), (24, 9), (16, 16)):
+        for _ in range(50):
+            pred = (rng.random(shape) < rng.uniform(0.0, 0.6)).astype(int)
+            gt = (rng.random(shape) < rng.uniform(0.0, 0.6)).astype(int)
+            cases.append((pred, gt))
+    for shape in ((1, 1), (8, 8), (5, 13)):  # single-pixel pred and gt sets
+        for _ in range(10):
+            pred, gt = np.zeros(shape, dtype=int), np.zeros(shape, dtype=int)
+            pred[rng.integers(shape[0]), rng.integers(shape[1])] = 1
+            gt[rng.integers(shape[0]), rng.integers(shape[1])] = 1
+            cases += [(pred, gt), (pred, (rng.random(shape) < 0.5).astype(int))]
+    for pred, gt in cases:
+        for boundary in (True, False):
+            assert hd95(pred, gt, 1, boundary=boundary) == hd95_all_pairs_oracle(
+                pred, gt, 1, boundary_mode=boundary
+            )
 
 
 def test_hd95_full_mask_flag() -> None:

@@ -216,8 +216,9 @@ def test_moments_can_persist_across_refresh() -> None:
 
 
 def test_galore_state_rejects_rank_over_dims() -> None:
-    with pytest.raises(ValueError, match="rank"):
-        GaLoreState.for_shape((1, 8), GaLore(rank=4))
+    state = GaLoreState(rank=4, refresh_period=10)
+    with pytest.raises(ValueError, match="rank 4 out of range for a 1x8 matrix"):
+        galore_step(np.zeros((1, 8)), np.ones((1, 8)), state, lr=1e-3)
 
 
 def test_scale_multiplier_scales_identity_update() -> None:
