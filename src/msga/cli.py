@@ -165,11 +165,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_memreport(cfg: RunConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     params = init_model(model_config(cfg), cfg.seed)
-    reports, deltas = compare_strategies(
-        params, list(MODES),
-        rank=cfg.rank, refresh_period=cfg.refresh_period,
-        scale=cfg.galore_scale, sided=cfg.sided,
-    )
+    reports, deltas = compare_strategies(params, list(MODES), **cfg.galore_settings())
     adapter = adapter_baseline(params, cfg.rank)
     _atomic_write_text(os.path.join(cfg.out, "memory.json"),
                        render_json(reports, deltas, adapter, cfg.rank))
@@ -190,11 +186,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
         mean_dice, mean_hd = mean_metrics(
             evaluate(result.params, test_ds, boundary=cfg.hd95_boundary)
         )
-        report = report_for_mode(
-            params0, mode,
-            rank=cfg.rank, refresh_period=cfg.refresh_period,
-            scale=cfg.galore_scale, sided=cfg.sided,
-        )
+        report = report_for_mode(params0, mode, **cfg.galore_settings())
         rows.append((mode, mean_dice, mean_hd, report.state_bytes(), report.grand_total_bytes()))
         out_mode = os.path.join(cfg.out, mode)
         os.makedirs(out_mode, exist_ok=True)

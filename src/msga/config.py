@@ -1,6 +1,13 @@
 """Run configuration: one flat record, mirrored 1:1 between a key=value file
 and command-line flags (flag wins when both are given).
 
+`RunConfig` extends `ModelConfig` and `LossConfig`, whose keys keep their
+defaults and rules in those two classes. The projection keys are checked by
+the `GaLore` strategy they configure, and the optimizer defaults are read
+from `msga.optim`. A `RunConfig` is checked when it is constructed: an
+invalid value raises `ConfigError` naming its key, and every float key must
+be finite.
+
 Defaults follow the reference training recipe: peak lr 0.005 with a 250-step
 warmup for fully fine-tuned groups, base lr 1e-3 for projected groups,
 betas 0.9/0.999, decoupled weight decay 0.1, loss weights 0.2 (cross-entropy)
@@ -9,59 +16,57 @@ and 0.8 (dice), projection rank 4 with a refresh period of 200 steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
-from msga.optim import MODES
+from msga.data import ConfigError, check_fields
+from msga.losses import LossConfig
+from msga.model import ModelConfig
+from msga.optim import (
+    DEFAULT_BETA1,
+    DEFAULT_BETA2,
+    DEFAULT_EPS,
+    DEFAULT_RANK,
+    DEFAULT_WEIGHT_DECAY,
+    MODES,
+    GaLore,
+    WarmupSchedule,
+)
+
+# RunConfig key -> keyword of GaLore and assign_strategies
+_GALORE_KEYS = {"rank": "rank", "refresh_period": "refresh_period",
+                "galore_scale": "scale", "sided": "sided"}
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; `field` names the offending key."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"config field {field_name!r}: {message}")
-        self.field = field_name
-
-
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(LossConfig, ModelConfig):   # fields: ModelConfig's, LossConfig's, then these
     mode: str = "medsaga"
     seed: int = 7
     out: str = "out"
 
-    # model
-    image_h: int = 32
-    image_w: int = 32
-    patch_size: int = 4
-    embed_dim: int = 16
-    blocks: int = 2
-    classes: int = 3
-    decoder_channels: int = 16
-
     # optimizer
     full_lr: float = 0.005
     galore_lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 0.1
-    eps: float = 1e-8
-    ce_weight: float = 0.2
-    dice_smooth: float = 1e-5
-    rank: int = 4
-    refresh_period: int = 200
-    galore_scale: float = 1.0
-    sided: str = "one"
+    beta1: float = DEFAULT_BETA1
+    beta2: float = DEFAULT_BETA2
+    weight_decay: float = DEFAULT_WEIGHT_DECAY
+    eps: float = DEFAULT_EPS
+    rank: int = DEFAULT_RANK
+    refresh_period: int = GaLore.refresh_period
+    galore_scale: float = GaLore.scale
+    sided: str = GaLore.sided
     refresh_resets_moments: bool = True
 
     # schedule
     warmup_steps: int = 250
     total_steps: int = 500
-    decay_exponent: float = 0.9
+    decay_exponent: float = WarmupSchedule.decay_exponent
     batch_size: int = 4
 
     # data
     manifest: str = ""          # empty: generate synthetic data
     synthetic_count: int = 120
-    synthetic_seed: int = -1    # -1: derive from the global seed
+    synthetic_seed: int = -1    # negative: derive from the global seed
     test_fraction: float = 0.2
     budget: int = 0             # images for training; 0 means the whole train split
     budgets: tuple[int, ...] = ()  # few-shot sweep budgets, ascending
@@ -69,43 +74,34 @@ class RunConfig:
     # metrics
     hd95_boundary: bool = True
 
+    def __post_init__(self) -> None:
+        ModelConfig.__post_init__(self)
+        LossConfig.__post_init__(self)
+        try:
+            GaLore(**self.galore_settings())
+        except ConfigError as exc:
+            key = next(k for k, arg in _GALORE_KEYS.items() if arg == exc.field)
+            raise ConfigError(key, exc.detail) from None
+        check_fields(self, ("mode",), lambda v: v in MODES, f"be {'|'.join(MODES)}")
+        check_fields(self, ("seed", "total_steps", "budget"), lambda v: v >= 0, "be non-negative")
+        check_fields(self, ("warmup_steps", "batch_size", "synthetic_count"), lambda v: v >= 1,
+                     "be a positive integer")
+        check_fields(self, ("full_lr", "galore_lr", "weight_decay", "decay_exponent"),
+                     lambda v: 0.0 <= v < math.inf, "be non-negative and finite")
+        # eps = 0 divides 0 by 0 wherever a gradient is exactly zero
+        check_fields(self, ("eps",), lambda v: 0.0 < v < math.inf, "be positive and finite")
+        check_fields(self, ("beta1", "beta2"), lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+        check_fields(self, ("test_fraction",), lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+        check_fields(self, ("budgets",), lambda v: all(b >= 1 for b in v) and list(v) == sorted(v),
+                     "be positive and ascending")
+
     def validate(self) -> "RunConfig":
-        if self.mode not in MODES:
-            raise ConfigError("mode", f"must be {'|'.join(MODES)}, got {self.mode!r}")
-        if self.sided not in ("one", "two"):
-            raise ConfigError("sided", f"must be one|two, got {self.sided!r}")
-        positives = (
-            "patch_size", "embed_dim", "blocks", "decoder_channels",
-            "rank", "refresh_period", "warmup_steps", "batch_size", "synthetic_count",
-        )
-        for name in positives:
-            if getattr(self, name) < 1:
-                raise ConfigError(name, "must be a positive integer")
-        if self.classes < 2:
-            raise ConfigError("classes", "need at least 2 (background + 1)")
-        if self.total_steps < 0:
-            raise ConfigError("total_steps", "must be non-negative")
-        if self.image_h % self.patch_size or self.image_w % self.patch_size:
-            raise ConfigError("patch_size", "must divide image_h and image_w")
-        for name in ("full_lr", "galore_lr", "weight_decay", "eps", "galore_scale"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(name, "must be non-negative")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(name, "must lie in [0, 1)")
-        if not 0.0 <= self.ce_weight <= 1.0:
-            raise ConfigError("ce_weight", "must lie in [0, 1]")
-        if self.dice_smooth <= 0.0:
-            raise ConfigError("dice_smooth", "must be positive")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction", "must lie in (0, 1)")
-        if self.budget < 0:
-            raise ConfigError("budget", "must be non-negative")
-        if any(b < 1 for b in self.budgets):
-            raise ConfigError("budgets", "every budget must be positive")
-        if list(self.budgets) != sorted(self.budgets):
-            raise ConfigError("budgets", "budgets must be ascending")
+        """A RunConfig is checked when constructed; kept for callers that chain it."""
         return self
+
+    def galore_settings(self) -> dict[str, object]:
+        """Keyword arguments for `GaLore` and `assign_strategies`."""
+        return {arg: getattr(self, key) for key, arg in _GALORE_KEYS.items()}
 
     @property
     def data_seed(self) -> int:
@@ -161,10 +157,7 @@ def parse_config_file(path: str) -> dict[str, object]:
 
 
 def build_config(file_values: dict[str, object], overrides: dict[str, object]) -> RunConfig:
-    merged = dict(file_values)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = RunConfig(**merged)
-    return cfg.validate()
+    return RunConfig(**{**file_values, **overrides})
 
 
 def config_as_text(cfg: RunConfig) -> str:

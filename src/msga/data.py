@@ -130,6 +130,23 @@ def few_shot_subset(train: Dataset, n_images: int, seed: int) -> Dataset:
     return Dataset(picked, train.classes, f"{train.provenance}/few-shot({n_images})")
 
 
+class ConfigError(ValueError):
+    """Invalid configuration; `field` names the offending key, `detail` the rule it broke."""
+
+    def __init__(self, field_name: str, detail: str):
+        super().__init__(f"config field {field_name!r}: {detail}")
+        self.field = field_name
+        self.detail = detail
+
+
+def check_fields(owner, names: tuple[str, ...], ok, rule: str) -> None:
+    """Raise ConfigError for the first field of `owner` in `names` whose value fails `ok`."""
+    for name in names:
+        value = getattr(owner, name)
+        if not ok(value):
+            raise ConfigError(name, f"must {rule}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # binary PGM
 

@@ -10,10 +10,12 @@ foreground classes only by callers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from msga.data import check_fields
 from msga.tape import _fwd_soft_dice, _fwd_softmax_ce
 
 DEFAULT_CE_WEIGHT = 0.2   # weight on cross-entropy; dice gets the complement
@@ -26,10 +28,8 @@ class LossConfig:
     dice_smooth: float = DEFAULT_DICE_SMOOTH
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.ce_weight <= 1.0:
-            raise ValueError(f"ce_weight must be in [0, 1], got {self.ce_weight}")
-        if self.dice_smooth <= 0.0:
-            raise ValueError(f"dice_smooth must be positive, got {self.dice_smooth}")
+        check_fields(self, ("ce_weight",), lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+        check_fields(self, ("dice_smooth",), lambda v: 0.0 < v < math.inf, "be positive and finite")
 
 
 def downsample_labels(labels: np.ndarray, factor: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from msga.data import _atomic_write
+from msga.data import ConfigError, _atomic_write, check_fields
 from msga.losses import LossConfig
 from msga.tape import Tape
 
@@ -55,15 +55,12 @@ class ModelConfig:
     decoder_channels: int = 16
 
     def __post_init__(self) -> None:
+        check_fields(self, ("image_h", "image_w", "patch_size", "embed_dim", "blocks",
+                            "decoder_channels"), lambda v: v >= 1, "be a positive integer")
         if self.image_h % self.patch_size or self.image_w % self.patch_size:
-            raise ValueError(
-                f"image {self.image_h}x{self.image_w} not divisible by patch {self.patch_size}"
-            )
-        if self.classes < 2:
-            raise ValueError(f"need at least 2 classes (background + 1), got {self.classes}")
-        for name in ("patch_size", "embed_dim", "blocks", "decoder_channels"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            raise ConfigError("patch_size", f"image {self.image_h}x{self.image_w} not divisible "
+                                            f"by patch {self.patch_size}")
+        check_fields(self, ("classes",), lambda v: v >= 2, "be at least 2 (background + 1)")
 
     @property
     def grid_h(self) -> int:

@@ -19,10 +19,12 @@ basis (set reset_moments_on_refresh=False to carry them across instead).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from msga.data import check_fields
 from msga.linalg import truncated_svd
 from msga.model import ROLE_ATTENTION, ModelParams
 
@@ -58,12 +60,9 @@ class GaLore:
     sided: str = "one"
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
-        if self.refresh_period < 1:
-            raise ValueError(f"refresh_period must be positive, got {self.refresh_period}")
-        if self.sided not in ("one", "two"):
-            raise ValueError(f"sided must be 'one' or 'two', got {self.sided!r}")
+        check_fields(self, ("rank", "refresh_period"), lambda v: v >= 1, "be a positive integer")
+        check_fields(self, ("scale",), lambda v: 0.0 <= v < math.inf, "be non-negative and finite")
+        check_fields(self, ("sided",), lambda v: v in ("one", "two"), "be one|two")
 
 
 Strategy = FullAdamW | GaLore | Frozen
@@ -136,6 +135,11 @@ class GaLoreState:
     inner: AdamWState | None = None
     step: int = 0
     refresh_steps: list[int] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        GaLore(self.rank, self.refresh_period, self.scale, self.sided)  # the strategy's rules
+        check_fields(self, ("regularizer",), lambda v: v in ("adamw", "identity"),
+                     "be adamw|identity")
 
 
 def refresh_subspace(
@@ -236,14 +240,8 @@ def lr_at(schedule: WarmupSchedule, step: int) -> float:
 # strategy assignment
 
 
-def assign_strategies(
-    params: ModelParams,
-    mode: str,
-    rank: int = DEFAULT_RANK,
-    refresh_period: int = DEFAULT_REFRESH_PERIOD,
-    scale: float = 1.0,
-    sided: str = "one",
-) -> ModelParams:
+def assign_strategies(params: ModelParams, mode: str, rank: int = DEFAULT_RANK,
+                      **galore) -> ModelParams:
     """Tag every parameter group with its fine-tuning strategy for `mode`.
 
     medsaga    projection on every encoder group, plain AdamW on prompt+decoder
@@ -253,7 +251,8 @@ def assign_strategies(
 
     1-row / 1-column encoder parameters (biases, layernorm gains) cannot be
     rank-projected and always fall back to plain AdamW; the projection rank
-    is clamped to each group's smaller dimension.
+    is clamped to each group's smaller dimension. The other `GaLore` settings
+    (refresh_period, scale, sided) pass through as keywords.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
@@ -262,7 +261,7 @@ def assign_strategies(
         m, n = g.values.shape
         if min(m, n) < 2:
             return FullAdamW()
-        return GaLore(min(rank, m, n), refresh_period, scale, sided)
+        return GaLore(min(rank, m, n), **galore)
 
     groups = []
     for g in params.groups:

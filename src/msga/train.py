@@ -21,7 +21,7 @@ import numpy as np
 
 from msga.config import ConfigError, RunConfig
 from msga.data import Dataset, few_shot_subset, generate_synthetic, load_manifest, split_by_patient
-from msga.losses import LossConfig, dice_score, downsample_labels, hd95
+from msga.losses import dice_score, downsample_labels, hd95
 from msga.model import (
     ModelConfig,
     ModelParams,
@@ -106,14 +106,9 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
         raise ValueError("training dataset is empty")
     if params is None:
         params = init_model(model_config(cfg), cfg.seed)
-    params = assign_strategies(
-        clone_params(params), cfg.mode,
-        rank=cfg.rank, refresh_period=cfg.refresh_period,
-        scale=cfg.galore_scale, sided=cfg.sided,
-    )
+    params = assign_strategies(clone_params(params), cfg.mode, **cfg.galore_settings())
     adamw_states, galore_states = _init_states(params, cfg)
 
-    loss_cfg = LossConfig(ce_weight=cfg.ce_weight, dice_smooth=cfg.dice_smooth)
     horizon = max(cfg.total_steps, cfg.warmup_steps)
     full_sched = WarmupSchedule(cfg.full_lr, cfg.warmup_steps, horizon, cfg.decay_exponent)
     galore_sched = WarmupSchedule(cfg.galore_lr, cfg.warmup_steps, horizon, cfg.decay_exponent)
@@ -137,7 +132,7 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
             loss_sum = 0.0
             for idx in batch:
                 tape, ids, ce_id, dice_id, loss_id = build_loss_tape(
-                    params, images[idx], labels[idx], loss_cfg
+                    params, images[idx], labels[idx], cfg
                 )
                 sample_grads = tape.backward(loss_id)
                 for name, vid in ids.items():

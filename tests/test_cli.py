@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 from msga.cli import main
-from msga.config import ConfigError, RunConfig, build_config, parse_config_file
+from msga.config import ConfigError, RunConfig, build_config, config_field_types, parse_config_file
 from msga.model import init_model, load_checkpoint
 from msga.train import model_config
 
@@ -52,6 +53,32 @@ def test_config_validation_names_field() -> None:
         RunConfig(classes=1).validate()
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("mode", "sgd"), ("seed", -3),
+    ("image_h", 0), ("image_w", 0), ("patch_size", 0), ("patch_size", 5), ("embed_dim", 0),
+    ("blocks", 0), ("classes", 1), ("decoder_channels", 0),
+    ("ce_weight", 1.5), ("dice_smooth", 0.0),
+    ("rank", 0), ("refresh_period", 0), ("sided", "three"),
+    ("warmup_steps", 0), ("batch_size", 0), ("total_steps", -1),
+    ("full_lr", -0.1), ("galore_lr", -0.1), ("weight_decay", -0.1), ("eps", 0.0),
+    ("galore_scale", -1.0), ("decay_exponent", -1.0), ("beta1", 1.0), ("beta2", -0.1),
+    ("test_fraction", 1.5), ("synthetic_count", 0), ("budget", -1),
+    ("budgets", (0, 25)), ("budgets", (50, 25)),
+])
+def test_config_rule_names_exact_key(key, bad) -> None:
+    with pytest.raises(ConfigError) as info:
+        RunConfig(**{key: bad})
+    assert info.value.field == key
+
+
+@pytest.mark.parametrize("key", [k for k, kind in config_field_types().items() if kind is float])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_rejects_non_finite_float(key, value) -> None:
+    with pytest.raises(ConfigError) as info:
+        build_config({}, {key: value})
+    assert info.value.field == key
+
+
 def test_cli_exit_code_2_on_bad_config(tmp_path) -> None:
     assert main(["train", "--mode", "medsaga", "--total-steps", "-4",
                  "--out", str(tmp_path)]) == 2
@@ -61,6 +88,8 @@ def test_cli_exit_code_2_on_bad_config(tmp_path) -> None:
     (["--image-h", "8", "--image-w", "8"], "image_h"),
     (["--synthetic-count", "5"], "synthetic_count"),
     (["--budget", "500"], "budget"),
+    (["--seed", "-3"], "seed"),
+    (["--full-lr", "nan"], "full_lr"),
 ])
 def test_cli_data_layer_errors_name_config_key(tmp_path, capsys, flags, key) -> None:
     assert main(["train", *flags, "--out", str(tmp_path)]) == 2

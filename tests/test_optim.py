@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from msga.config import RunConfig
+from msga.config import ConfigError, RunConfig
 from msga.model import ModelConfig, init_model
 from msga.optim import (
     AdamWState,
@@ -219,6 +219,19 @@ def test_galore_state_rejects_rank_over_dims() -> None:
     state = GaLoreState(rank=4, refresh_period=10)
     with pytest.raises(ValueError, match="rank 4 out of range for a 1x8 matrix"):
         galore_step(np.zeros((1, 8)), np.ones((1, 8)), state, lr=1e-3)
+
+
+@pytest.mark.parametrize("setting, key", [
+    ({"refresh_period": 0}, "refresh_period"),
+    ({"sided": "three"}, "sided"),
+    ({"regularizer": "sgd"}, "regularizer"),
+    ({"rank": 0}, "rank"),
+    ({"scale": float("nan")}, "scale"),
+])
+def test_galore_state_applies_strategy_rules(setting, key) -> None:
+    with pytest.raises(ConfigError) as info:
+        GaLoreState(**{"rank": 2, "refresh_period": 10, **setting})
+    assert info.value.field == key
 
 
 def test_scale_multiplier_scales_identity_update() -> None:
