@@ -3,7 +3,8 @@
 Every RunConfig key is mirrored by a flag of the same name (dashes for
 underscores); a --config file supplies defaults and flags override it.
 Output files are written atomically (temp then rename). Exit codes: 0 on
-success, 2 for configuration/validation problems, 3 for I/O failures.
+success, 2 for configuration/validation problems, 3 for I/O failures, 4 when
+training diverges or a model produces non-finite outputs.
 """
 
 from __future__ import annotations
@@ -220,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 def console_main() -> None:

@@ -175,7 +175,7 @@ def _fwd_scale(args, aux):
 
 
 def _gelu_inner(x):
-    return _SQRT_2_OVER_PI * (x + GELU_COEF * x**3)
+    return _SQRT_2_OVER_PI * (x + GELU_COEF * (x * x * x))
 
 
 def _fwd_gelu(args, aux):
@@ -309,8 +309,8 @@ def _bwd_scale(g, args, out, aux):
 def _bwd_gelu(g, args, out, aux):
     x = args[0]
     t = np.tanh(_gelu_inner(x))
-    dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * x**2)
-    return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner),)
+    dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * (x * x))
+    return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
 
 
 def _bwd_layernorm(g, args, out, aux):

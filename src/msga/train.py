@@ -101,7 +101,11 @@ def _init_states(
 
 
 def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = None) -> TrainResult:
-    """Run cfg.total_steps of batched training on train_ds."""
+    """Run cfg.total_steps of batched training on train_ds.
+
+    Raises FloatingPointError at the first loss, or gradient of a trained
+    group, that is not finite; the message names the step and the group.
+    """
     if len(train_ds) == 0:
         raise ValueError("training dataset is empty")
     if params is None:
@@ -142,6 +146,8 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
                 ce_sum += float(tape.value(ce_id))
                 dice_sum += float(tape.value(dice_id))
                 loss_sum += float(tape.value(loss_id))
+            if not np.isfinite(loss_sum):
+                raise FloatingPointError(f"training diverged at step {step}: loss is {loss_sum}")
             inv = 1.0 / len(batch)
             lr_full = lr_at(full_sched, step)
             lr_galore = lr_at(galore_sched, step)
@@ -149,6 +155,9 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
                 if isinstance(g.strategy, Frozen):
                     continue
                 grad = grads[g.name] * inv
+                if not np.isfinite(grad).all():
+                    raise FloatingPointError(
+                        f"training diverged at step {step}: gradient of {g.name} is not finite")
                 if isinstance(g.strategy, FullAdamW):
                     g.values = adamw_step(
                         g.values, grad, adamw_states[g.name], lr_full,

@@ -3,13 +3,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import msga
 from msga.cli import main
 from msga.config import ConfigError, RunConfig, build_config, config_field_types, parse_config_file
-from msga.model import init_model, load_checkpoint
+from msga.model import init_model, load_checkpoint, save_checkpoint
 from msga.train import model_config
 
 FAST = [
@@ -22,6 +25,13 @@ FAST = [
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _run_cli(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """`msga` in a fresh interpreter, so numpy warnings stay out of this process."""
+    src = os.path.dirname(os.path.dirname(msga.__file__))
+    return subprocess.run([sys.executable, "-m", "msga.cli", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src, **env})
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +162,31 @@ def test_train_writes_resumable_config_echo(tmp_path) -> None:
     assert restored == expected  # every field round-trips through the echo
 
 
+def test_train_divergence_exits_4_naming_step_and_writes_no_checkpoint(tmp_path) -> None:
+    out = str(tmp_path / "run")
+    run = _run_cli("train", "--full-lr", "1e6", "--galore-lr", "1e6", "--total-steps", "30",
+                   "--warmup-steps", "5", "--synthetic-count", "20", "--out", out)
+    assert run.returncode == 4, run.stderr
+    errors = [line for line in run.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "training diverged at step " in errors[0]
+    assert "Traceback" not in run.stderr
+    assert not os.path.exists(os.path.join(out, "model.msga"))
+    assert not os.path.exists(os.path.join(out, "train_log.csv"))
+
+
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path) -> None:
+    outputs = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"threads{threads}")
+        run = _run_cli("train", "--total-steps", "40", "--out", out,
+                       OPENBLAS_NUM_THREADS=threads)
+        assert run.returncode == 0, run.stderr
+        for name in ("train_log.csv", "model.msga"):
+            with open(os.path.join(out, name), "rb") as fh:
+                outputs.append(fh.read())
+    assert outputs[:2] == outputs[2:]
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -180,6 +215,20 @@ def test_eval_untrained_model_far_below_trained(tmp_path) -> None:
     rows = _read(os.path.join(out, "metrics.csv")).strip().splitlines()[1:]
     mean_dice = float(rows[-1].split(",")[1])
     assert mean_dice == 0.0
+
+
+def test_eval_of_non_finite_checkpoint_exits_4(tmp_path) -> None:
+    cfg = RunConfig(image_h=16, image_w=16, embed_dim=8, blocks=1, decoder_channels=8)
+    params = init_model(model_config(cfg), cfg.seed)
+    params.groups[0].values = np.full_like(params.groups[0].values, np.nan)
+    checkpoint = str(tmp_path / "nan.msga")
+    save_checkpoint(params, checkpoint)
+    out = str(tmp_path / "run")
+    run = _run_cli("eval", *FAST, "--checkpoint", checkpoint, "--out", out)
+    assert run.returncode == 4, run.stderr
+    assert run.stderr.splitlines()[-1] == "error: forward produced non-finite logits"
+    assert "Traceback" not in run.stderr
+    assert not os.path.exists(os.path.join(out, "metrics.csv"))
 
 
 def test_eval_requires_checkpoint_or_oracle(tmp_path) -> None:

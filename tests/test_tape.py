@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from msga.tape import OP_KINDS, Tape, finite_diff_check
+from msga.tape import GELU_COEF, OP_KINDS, Tape, finite_diff_check
 
 
 def test_record_add_identity() -> None:
@@ -17,6 +17,27 @@ def test_record_gelu_at_zero() -> None:
     tape = Tape()
     out = tape.gelu(tape.leaf(np.zeros((2, 2))))
     assert np.array_equal(tape.value(out), np.zeros((2, 2)))
+
+
+def test_gelu_matches_pow_reference() -> None:
+    # the tape cubes and squares with products; numpy's x**3 goes to libm pow
+    rng = np.random.default_rng(5)
+    x_val = np.concatenate([rng.normal(0.0, 3.0, 50_000), np.linspace(-40.0, 40.0, 50_001),
+                            [0.0]])[:, None]
+    tape = Tape()
+    x = tape.leaf(x_val)
+    h = tape.gelu(x)
+    # d(ones^T h)/dh is exactly ones, so the adjoint of x is gelu'(x) itself
+    grads = tape.backward(tape.matmul(tape.leaf(np.ones((1, x_val.shape[0]))), h))
+
+    s = np.sqrt(2.0 / np.pi)
+    t = np.tanh(s * (x_val + GELU_COEF * np.power(x_val, 3)))
+    fwd_ref = 0.5 * x_val * (1.0 + t)
+    dinner = s * (1.0 + 3.0 * GELU_COEF * np.power(x_val, 2))
+    bwd_ref = 0.5 * (1.0 + t) + 0.5 * x_val * (1.0 - np.power(t, 2)) * dinner
+    bound = 4.0 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(x_val))
+    assert np.all(np.abs(tape.value(h) - fwd_ref) <= bound)
+    assert np.all(np.abs(grads[x] - bwd_ref) <= bound)
 
 
 def test_record_matmul_matches_linalg() -> None:
