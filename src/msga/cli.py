@@ -4,7 +4,9 @@ Every RunConfig key is mirrored by a flag of the same name (dashes for
 underscores); a --config file supplies defaults and flags override it.
 Output files are written atomically (temp then rename). Exit codes: 0 on
 success, 2 for configuration/validation problems, 3 for I/O failures, 4 when
-training diverges or a model produces non-finite outputs.
+training diverges or a model produces non-finite outputs. Commands run with
+numpy's overflow, invalid-value and divide warnings off: the non-finite guards
+in training and `forward` report divergence as one `error:` line instead.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import sys
 import time
 
 from dataclasses import replace
+
+import numpy as np
 
 from msga.config import ConfigError, RunConfig, build_config, config_as_text, config_field_types, parse_config_file
 from msga.data import _atomic_write
@@ -206,15 +210,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.checkpoint, args.oracle)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "memreport":
-            return cmd_memreport(cfg)
-        return cmd_ablate(cfg)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if args.command == "train":
+                return cmd_train(cfg)
+            if args.command == "eval":
+                return cmd_eval(cfg, args.checkpoint, args.oracle)
+            if args.command == "sweep":
+                return cmd_sweep(cfg)
+            if args.command == "memreport":
+                return cmd_memreport(cfg)
+            return cmd_ablate(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

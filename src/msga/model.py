@@ -3,11 +3,11 @@
 Architecture: patchify + linear embedding + learned positional embedding,
 B pre-norm transformer blocks (single-head attention with separate q/k/v/o
 projections, then a 2-layer gelu MLP, residual connections around both), a
-learned default prompt embedding added to every token, and a 2-layer
-per-token classifier head emitting k channels on the token grid. Mask
-logits therefore live at (h/p, w/p, k); ground truth is downsampled to
-match rather than logits being upsampled, and all metrics are computed at
-token resolution.
+learned default prompt embedding added to every token as one broadcast row,
+and a 2-layer per-token classifier head emitting k channels on the token
+grid. Mask logits therefore live at (h/p, w/p, k); ground truth is
+downsampled to match rather than logits being upsampled, and all metrics
+are computed at token resolution.
 
 Every parameter is stored as a 2-D float64 matrix (vectors as 1-row
 matrices) under a path-like name and a role tag that the optimizer's
@@ -159,8 +159,7 @@ def build_forward(tape: Tape, config: ModelConfig, ids: dict[str, int], image_id
     """Record the forward pass on `tape`; returns the id of (tokens, k) logits."""
     d = config.embed_dim
     patches = tape.patchify(image_id, config.patch_size)
-    x = tape.matmul(patches, ids["encoder/patch_embed/weight"])
-    x = tape.add(x, ids["encoder/patch_embed/bias"])
+    x = tape.linear(patches, ids["encoder/patch_embed/weight"], ids["encoder/patch_embed/bias"])
     x = tape.add(x, ids["encoder/pos_embed"])
     for b in range(config.blocks):
         base = f"encoder/block{b}"
@@ -168,17 +167,14 @@ def build_forward(tape: Tape, config: ModelConfig, ids: dict[str, int], image_id
         q = tape.matmul(h, ids[f"{base}/attn/q"])
         k = tape.matmul(h, ids[f"{base}/attn/k"])
         v = tape.matmul(h, ids[f"{base}/attn/v"])
-        scores = tape.scale(tape.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(d))
-        ctx = tape.matmul(tape.softmax_rows(scores), v)
+        ctx = tape.attention(q, k, v, 1.0 / np.sqrt(d))
         x = tape.add(x, tape.matmul(ctx, ids[f"{base}/attn/o"]))
         h = tape.layernorm(x, ids[f"{base}/ln2/gain"], ids[f"{base}/ln2/bias"])
-        h = tape.gelu(tape.add(tape.matmul(h, ids[f"{base}/mlp/w1"]), ids[f"{base}/mlp/b1"]))
-        h = tape.add(tape.matmul(h, ids[f"{base}/mlp/w2"]), ids[f"{base}/mlp/b2"])
-        x = tape.add(x, h)
-    prompt = tape.embed_lookup(ids["prompt/embedding"], np.zeros(config.tokens, dtype=np.int64))
-    x = tape.add(x, prompt)
-    h = tape.gelu(tape.add(tape.matmul(x, ids["decoder/fc1/weight"]), ids["decoder/fc1/bias"]))
-    return tape.add(tape.matmul(h, ids["decoder/fc2/weight"]), ids["decoder/fc2/bias"])
+        h = tape.gelu(tape.linear(h, ids[f"{base}/mlp/w1"], ids[f"{base}/mlp/b1"]))
+        x = tape.add(x, tape.linear(h, ids[f"{base}/mlp/w2"], ids[f"{base}/mlp/b2"]))
+    x = tape.add(x, ids["prompt/embedding"])
+    h = tape.gelu(tape.linear(x, ids["decoder/fc1/weight"], ids["decoder/fc1/bias"]))
+    return tape.linear(h, ids["decoder/fc2/weight"], ids["decoder/fc2/bias"])
 
 
 def _record_forward(params: ModelParams, image: np.ndarray) -> tuple[Tape, dict[str, int], int]:

@@ -1,11 +1,21 @@
 """Tape-based reverse-mode differentiation over a fixed op set.
 
 A Tape records forward values as ops are applied and replays the chain rule
-backwards from a scalar loss. Ops cover exactly what the segmentation model
-and its training loss need: matmul (with BLAS-style transpose flags), add
-(same shape or a broadcast row), scalar scale, tanh-gelu, layernorm, row
-softmax, fused softmax cross-entropy, fused soft dice, reshape, patchify,
-mean, and embedding lookup. Values are float64 ndarrays; losses are 0-d.
+backwards from a scalar loss. The segmentation model and its training loss
+record matmul, add (same shape or a broadcast row), linear (`x @ w + b`),
+single-head attention (`softmax(q k^T c) v`), tanh-gelu, layernorm, fused
+softmax cross-entropy, fused soft dice, scalar scale and patchify. The fused
+linear and attention rules are compositions of the matmul, add, scale and
+row-softmax rules, so they share those rules' shape checks and derivatives
+and give the same bytes as the elementary chain. Row softmax, reshape, mean,
+embedding lookup and matmul's transpose flags remain only because the
+gradient-correctness acceptance check (C3) pins them. Values are float64
+ndarrays; losses are 0-d.
+
+A forward rule may keep intermediates for its backward in the node's `aux`:
+attention keeps its probabilities, layernorm its normalized rows and row
+std, and gelu its tanh. Their backward rules read these instead of
+recomputing them.
 
 A tape is owned by whoever built it; gradients returned by backward() are
 fresh arrays and safe to hand elsewhere.
@@ -73,6 +83,12 @@ class Tape:
 
     def scale(self, a: int, c: float) -> int:
         return self.record("scale", (a,), c=float(c))
+
+    def linear(self, x: int, w: int, b: int) -> int:
+        return self.record("linear", (x, w, b))
+
+    def attention(self, q: int, k: int, v: int, c: float) -> int:
+        return self.record("attention", (q, k, v), c=float(c))
 
     def gelu(self, a: int) -> int:
         return self.record("gelu", (a,))
@@ -161,6 +177,10 @@ def _fwd_matmul(args, aux):
     return a_eff @ b_eff
 
 
+_NN = {"transpose_a": False, "transpose_b": False}
+_NT = {"transpose_a": False, "transpose_b": True}
+
+
 def _fwd_add(args, aux):
     a, b = args
     if a.shape == b.shape:
@@ -170,8 +190,20 @@ def _fwd_add(args, aux):
     raise ValueError(f"add: shapes {a.shape} and {b.shape} are neither equal nor row-broadcast")
 
 
+def _fwd_linear(args, aux):
+    x, w, b = args
+    return _fwd_add([_fwd_matmul([x, w], _NN), b], aux)
+
+
 def _fwd_scale(args, aux):
     return args[0] * aux["c"]
+
+
+def _fwd_attention(args, aux):
+    q, k, v = args
+    scores = _fwd_scale([_fwd_matmul([q, k], _NT)], aux)
+    aux["probs"] = probs = _fwd_softmax_rows([scores], {})
+    return _fwd_matmul([probs, v], _NN)
 
 
 def _gelu_inner(x):
@@ -180,7 +212,8 @@ def _gelu_inner(x):
 
 def _fwd_gelu(args, aux):
     x = args[0]
-    return 0.5 * x * (1.0 + np.tanh(_gelu_inner(x)))
+    aux["tanh"] = t = np.tanh(_gelu_inner(x))
+    return 0.5 * x * (1.0 + t)
 
 
 def _fwd_layernorm(args, aux):
@@ -190,14 +223,21 @@ def _fwd_layernorm(args, aux):
         raise ValueError(
             f"layernorm: gain/bias must be (1, {x.shape[1]}), got {gain.shape} and {bias.shape}"
         )
-    xhat, _ = _normalize_rows(x)
+    xhat, std = _normalize_rows(x)
+    aux["xhat"], aux["std"] = xhat, std
     return xhat * gain + bias
 
 
 def _normalize_rows(x):
-    """Each row shifted to zero mean and divided by its std; returns (xhat, std)."""
-    std = np.sqrt(x.var(axis=1, keepdims=True) + LAYERNORM_EPS)
-    return (x - x.mean(axis=1, keepdims=True)) / std, std
+    """Each row shifted to zero mean and divided by its std; returns (xhat, std).
+
+    Row means are `sum / n`, which is bitwise what np.mean and np.var compute,
+    without their per-call dispatch.
+    """
+    n = x.shape[1]
+    centered = x - x.sum(axis=1, keepdims=True) / n
+    std = np.sqrt((centered * centered).sum(axis=1, keepdims=True) / n + LAYERNORM_EPS)
+    return centered / std, std
 
 
 def _fwd_softmax_rows(args, aux):
@@ -302,25 +342,43 @@ def _bwd_add(g, args, out, aux):
     return g, g.sum(axis=0, keepdims=True)
 
 
+def _bwd_linear(g, args, out, aux):
+    x, w, b = args
+    # out has the shape of x @ w, which is all the add rule reads of it
+    g_xw, gb = _bwd_add(g, [out, b], out, aux)
+    return (*_bwd_matmul(g_xw, [x, w], None, _NN), gb)
+
+
 def _bwd_scale(g, args, out, aux):
     return (g * aux["c"],)
 
 
+def _bwd_attention(g, args, out, aux):
+    q, k, v = args
+    probs = aux["probs"]
+    gp, gv = _bwd_matmul(g, [probs, v], out, _NN)
+    (gs,) = _bwd_softmax_rows(gp, None, probs, {})
+    (graw,) = _bwd_scale(gs, None, None, aux)
+    gq, gk = _bwd_matmul(graw, [q, k], None, _NT)
+    return gq, gk, gv
+
+
 def _bwd_gelu(g, args, out, aux):
     x = args[0]
-    t = np.tanh(_gelu_inner(x))
+    t = aux["tanh"]
     dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * (x * x))
     return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
 
 
 def _bwd_layernorm(g, args, out, aux):
     x, gain, bias = args
-    xhat, std = _normalize_rows(x)
+    xhat, std = aux["xhat"], aux["std"]
+    n = x.shape[1]
     dgain = (g * xhat).sum(axis=0, keepdims=True)
     dbias = g.sum(axis=0, keepdims=True)
     dxhat = g * gain
-    dx = (dxhat - dxhat.mean(axis=1, keepdims=True)
-          - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)) / std
+    dx = (dxhat - dxhat.sum(axis=1, keepdims=True) / n
+          - xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / n)) / std
     return dx, dgain, dbias
 
 
@@ -379,7 +437,9 @@ def _bwd_embed_lookup(g, args, out, aux):
 _OPS: dict[str, tuple[Callable, Callable]] = {
     "matmul": (_fwd_matmul, _bwd_matmul),
     "add": (_fwd_add, _bwd_add),
+    "linear": (_fwd_linear, _bwd_linear),
     "scale": (_fwd_scale, _bwd_scale),
+    "attention": (_fwd_attention, _bwd_attention),
     "gelu": (_fwd_gelu, _bwd_gelu),
     "layernorm": (_fwd_layernorm, _bwd_layernorm),
     "softmax-rows": (_fwd_softmax_rows, _bwd_softmax_rows),

@@ -146,6 +146,8 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
                 ce_sum += float(tape.value(ce_id))
                 dice_sum += float(tape.value(dice_id))
                 loss_sum += float(tape.value(loss_id))
+                # one tape alive at a time: the next sample's is recorded after this is freed
+                del tape, sample_grads
             if not np.isfinite(loss_sum):
                 raise FloatingPointError(f"training diverged at step {step}: loss is {loss_sum}")
             inv = 1.0 / len(batch)

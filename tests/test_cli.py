@@ -174,6 +174,15 @@ def test_train_divergence_exits_4_naming_step_and_writes_no_checkpoint(tmp_path)
     assert not os.path.exists(os.path.join(out, "train_log.csv"))
 
 
+def test_train_divergence_prints_only_its_error_line(tmp_path) -> None:
+    # numpy's overflow and invalid-value warnings would come before the guard's line
+    run = _run_cli("train", "--full-lr", "1e6", "--galore-lr", "1e6", "--total-steps", "30",
+                   "--warmup-steps", "5", "--synthetic-count", "20", "--out", str(tmp_path))
+    assert run.returncode == 4, run.stderr
+    assert len(run.stderr.splitlines()) == 1, run.stderr
+    assert run.stderr.startswith("error: training diverged at step ")
+
+
 def test_train_bytes_do_not_depend_on_blas_threads(tmp_path) -> None:
     outputs = []
     for threads in ("1", "2"):

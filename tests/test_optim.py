@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from msga.optim import (
     lr_at,
     refresh_subspace,
 )
+import msga.train
 from msga.train import prepare_splits, train_model
 
 
@@ -385,6 +388,27 @@ def test_full_adamw_runs_are_bitwise_reproducible() -> None:
     r2 = train_model(cfg, train_ds)
     for a, b in zip(r1.params.groups, r2.params.groups):
         assert np.array_equal(a.values, b.values), a.name
+
+
+def test_training_frees_each_sample_tape_before_recording_the_next(monkeypatch) -> None:
+    # one live per-sample tape at a time bounds the training peak to one tape
+    cfg = RunConfig(mode="medsaga", total_steps=3, synthetic_count=20,
+                    image_h=16, image_w=16, embed_dim=8, blocks=1,
+                    decoder_channels=8, batch_size=2).validate()
+    train_ds, _ = prepare_splits(cfg)
+    tapes: list[weakref.ref] = []
+    original = msga.train.build_loss_tape
+
+    def recording(*args, **kwargs):
+        alive = [i for i, ref in enumerate(tapes) if ref() is not None]
+        assert not alive, f"tapes {alive} still alive when tape {len(tapes)} is recorded"
+        built = original(*args, **kwargs)
+        tapes.append(weakref.ref(built[0]))
+        return built
+
+    monkeypatch.setattr(msga.train, "build_loss_tape", recording)
+    train_model(cfg, train_ds)
+    assert len(tapes) == cfg.total_steps * cfg.batch_size
 
 
 def test_galore_state_strictly_smaller_than_full_adamw_for_default_config() -> None:

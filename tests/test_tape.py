@@ -3,7 +3,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from msga.tape import GELU_COEF, OP_KINDS, Tape, finite_diff_check
+from msga.tape import (
+    GELU_COEF,
+    LAYERNORM_EPS,
+    OP_KINDS,
+    Tape,
+    _bwd_gelu,
+    _bwd_layernorm,
+    _fwd_gelu,
+    _fwd_layernorm,
+    _gelu_inner,
+    _normalize_rows,
+    finite_diff_check,
+)
 
 
 def test_record_add_identity() -> None:
@@ -176,6 +188,8 @@ def test_finite_differences_per_op(op: str) -> None:
     builders = {
         "matmul": lambda t, ids: t.mean(t.matmul(ids[0], ids[1], transpose_b=True)),
         "add": lambda t, ids: t.mean(t.add(ids[0], ids[2])),
+        "linear": lambda t, ids: t.mean(t.gelu(t.linear(ids[0], ids[1], ids[2]))),
+        "attention": lambda t, ids: t.mean(t.gelu(t.attention(ids[0], ids[1], ids[0], 0.7))),
         "scale": lambda t, ids: t.mean(t.scale(ids[0], -2.5)),
         "gelu": lambda t, ids: t.mean(t.gelu(ids[0])),
         "layernorm": lambda t, ids: t.mean(t.layernorm(ids[0], ids[3], ids[4])),
@@ -217,3 +231,133 @@ def test_finite_diff_check_exact_for_linear_loss() -> None:
 def test_finite_diff_check_rejects_bad_epsilon() -> None:
     with pytest.raises(ValueError, match="epsilon"):
         finite_diff_check(lambda t, ids: t.mean(ids[0]), [np.ones((2, 2))], epsilon=0.0)
+
+
+# ---------------------------------------------------------------------------
+# fused ops give the bytes of the elementary chains they replace
+
+
+def _value_and_adjoints(build, arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Value of build's op and the adjoints of every input under a non-uniform upstream."""
+    tape = Tape()
+    ids = [tape.leaf(a) for a in arrays]
+    out = build(tape, ids)
+    grads = tape.backward(tape.mean(tape.gelu(out)))
+    return tape.value(out), [grads[i] for i in ids]
+
+
+def _assert_same_bytes(fused, elementary, arrays: list[np.ndarray]) -> None:
+    value_f, grads_f = _value_and_adjoints(fused, arrays)
+    value_e, grads_e = _value_and_adjoints(elementary, arrays)
+    assert np.array_equal(value_f, value_e)
+    for gf, ge in zip(grads_f, grads_e):
+        assert np.array_equal(gf, ge)
+
+
+@pytest.mark.parametrize("n,m,p,bias_rows", [
+    (64, 16, 64, 1),   # patch embed / mlp w1 / decoder fc1 at default geometry
+    (64, 64, 16, 1),   # mlp w2
+    (5, 3, 7, 1),
+    (1, 9, 2, 1),
+    (4, 2, 3, 4),      # full-shape bias
+])
+def test_linear_matches_matmul_then_add_bitwise(n: int, m: int, p: int, bias_rows: int) -> None:
+    rng = np.random.default_rng(n * 1000 + m * 10 + p)
+    arrays = [rng.standard_normal((n, m)), rng.standard_normal((m, p)),
+              rng.standard_normal((bias_rows, p))]
+    _assert_same_bytes(
+        lambda t, ids: t.linear(ids[0], ids[1], ids[2]),
+        lambda t, ids: t.add(t.matmul(ids[0], ids[1]), ids[2]),
+        arrays,
+    )
+
+
+@pytest.mark.parametrize("n,n_kv,d,d_v", [
+    (64, 64, 16, 16),  # default geometry
+    (64, 64, 64, 64),
+    (5, 7, 3, 2),
+    (1, 1, 1, 1),
+])
+def test_attention_matches_elementary_chain_bitwise(n: int, n_kv: int, d: int, d_v: int) -> None:
+    rng = np.random.default_rng(n * 1000 + n_kv * 100 + d * 10 + d_v)
+    arrays = [rng.standard_normal((n, d)), rng.standard_normal((n_kv, d)),
+              rng.standard_normal((n_kv, d_v))]
+    c = 1.0 / np.sqrt(d)
+    _assert_same_bytes(
+        lambda t, ids: t.attention(ids[0], ids[1], ids[2], c),
+        lambda t, ids: t.matmul(
+            t.softmax_rows(t.scale(t.matmul(ids[0], ids[1], transpose_b=True), c)), ids[2]),
+        arrays,
+    )
+
+
+def test_fused_ops_keep_the_elementary_shape_errors() -> None:
+    tape = Tape()
+
+    def leaf(rows: int, cols: int) -> int:
+        return tape.leaf(np.zeros((rows, cols)))
+
+    with pytest.raises(ValueError, match="^matmul: inner dimensions disagree"):
+        tape.linear(leaf(2, 3), leaf(2, 3), leaf(1, 3))
+    with pytest.raises(ValueError, match="^add: shapes"):
+        tape.linear(leaf(2, 3), leaf(3, 4), leaf(1, 5))
+    with pytest.raises(ValueError, match="^matmul: expected 2-D"):
+        tape.linear(tape.leaf(np.zeros(3)), leaf(3, 4), leaf(1, 4))
+    with pytest.raises(ValueError, match="^matmul: inner dimensions disagree"):
+        tape.attention(leaf(2, 3), leaf(2, 4), leaf(2, 4), 1.0)
+    with pytest.raises(ValueError, match="^matmul: inner dimensions disagree"):
+        tape.attention(leaf(2, 3), leaf(5, 3), leaf(4, 2), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# layernorm statistics and the intermediates kept on the node
+
+
+def test_normalize_rows_matches_numpy_mean_and_var_bitwise() -> None:
+    rng = np.random.default_rng(17)
+    for width in range(1, 65):
+        for scale in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3):
+            x = rng.normal(rng.normal(0.0, 3.0 * scale), scale, size=(7, width))
+            std_ref = np.sqrt(x.var(axis=1, keepdims=True) + LAYERNORM_EPS)
+            xhat_ref = (x - x.mean(axis=1, keepdims=True)) / std_ref
+            xhat, std = _normalize_rows(x)
+            assert np.array_equal(std, std_ref), (width, scale)
+            assert np.array_equal(xhat, xhat_ref), (width, scale)
+
+
+@pytest.mark.parametrize("rows,width", [(64, 16), (5, 3), (3, 1)])
+def test_layernorm_adjoint_from_kept_intermediates_matches_recomputation(rows: int, width: int) -> None:
+    rng = np.random.default_rng(rows + width)
+    x = rng.normal(0.5, 2.0, (rows, width))
+    gain = rng.uniform(0.5, 1.5, (1, width))
+    bias = rng.standard_normal((1, width))
+    g = rng.standard_normal((rows, width))
+    aux: dict = {}
+    out = _fwd_layernorm([x, gain, bias], aux)
+    assert set(aux) == {"xhat", "std"}
+    dx, dgain, dbias = _bwd_layernorm(g, [x, gain, bias], out, aux)
+
+    # the backward as written before the intermediates were kept: all recomputed
+    std = np.sqrt(x.var(axis=1, keepdims=True) + LAYERNORM_EPS)
+    xhat = (x - x.mean(axis=1, keepdims=True)) / std
+    dxhat = g * gain
+    dx_ref = (dxhat - dxhat.mean(axis=1, keepdims=True)
+              - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)) / std
+    assert np.array_equal(out, xhat * gain + bias)
+    assert np.array_equal(dx, dx_ref)
+    assert np.array_equal(dgain, (g * xhat).sum(axis=0, keepdims=True))
+    assert np.array_equal(dbias, g.sum(axis=0, keepdims=True))
+
+
+def test_gelu_adjoint_from_kept_tanh_matches_recomputation() -> None:
+    rng = np.random.default_rng(23)
+    x = np.concatenate([rng.normal(0.0, 3.0, 4096), np.linspace(-40.0, 40.0, 801), [0.0]])[None, :]
+    g = rng.standard_normal(x.shape)
+    aux: dict = {}
+    out = _fwd_gelu([x], aux)
+    assert set(aux) == {"tanh"}
+    (dx,) = _bwd_gelu(g, [x], out, aux)
+
+    t = np.tanh(_gelu_inner(x))
+    dinner = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * GELU_COEF * (x * x))
+    assert np.array_equal(dx, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
