@@ -185,7 +185,8 @@ def cmd_ablate(cfg: RunConfig) -> int:
     train_ds, test_ds = prepare_splits(cfg)
     params0 = init_model(model_config(cfg), cfg.seed)
     rows = []
-    for mode in ("medsaga", "v1", "v2"):
+    # full-adamw is the memory baseline, not an ablation arm
+    for mode in (m for m in MODES if m != "full-adamw"):
         mode_cfg = replace(cfg, mode=mode)
         result = train_model(mode_cfg, train_ds, params=params0)
         mean_dice, mean_hd = mean_metrics(

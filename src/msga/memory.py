@@ -11,20 +11,26 @@ Optimizer-state element counts per strategy for an m x n parameter of rank r:
     frozen            0
     one-sided         r min(m,n) + 2 r max(m,n)   (projector + both moments)
     two-sided         m r + n r + 2 r^2
+    rank-r adapter    2(m·r + r·n)                 (both moments of A: m x r, B: r x n)
 
 The one-sided projector sits on the shorter dimension, so for m <= n the
-count is the familiar m r + 2 r n.
+count is the familiar m r + 2 r n. Frozen groups hold no gradient; every
+other group holds one gradient element per weight element, and an adapter
+holds weights and gradients for its two factors only.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from msga.model import ModelParams, ParamGroup
 from msga.optim import Frozen, FullAdamW, GaLore, assign_strategies
 
 BYTES_PER_ELEMENT = 8
+
+# the byte kinds of every record, with their labels in the text report
+BYTE_KINDS = {"weight_bytes": "weights", "grad_bytes": "grads", "state_bytes": "state"}
 
 
 @dataclass(frozen=True)
@@ -41,21 +47,18 @@ class GroupMemory:
         return self.weight_bytes + self.grad_bytes + self.state_bytes
 
 
+def _sum_bytes(rows: list[GroupMemory]) -> dict[str, int]:
+    return {kind: sum(getattr(r, kind) for r in rows) for kind in BYTE_KINDS}
+
+
 @dataclass(frozen=True)
 class MemoryReport:
     mode: str
     groups: tuple[GroupMemory, ...]
 
     def component_totals(self) -> dict[str, dict[str, int]]:
-        totals: dict[str, dict[str, int]] = {}
-        for g in self.groups:
-            t = totals.setdefault(
-                g.component, {"weight_bytes": 0, "grad_bytes": 0, "state_bytes": 0}
-            )
-            t["weight_bytes"] += g.weight_bytes
-            t["grad_bytes"] += g.grad_bytes
-            t["state_bytes"] += g.state_bytes
-        return totals
+        components = dict.fromkeys(g.component for g in self.groups)
+        return {c: _sum_bytes([g for g in self.groups if g.component == c]) for c in components}
 
     def state_bytes(self, component: str | None = None) -> int:
         return sum(g.state_bytes for g in self.groups
@@ -63,14 +66,6 @@ class MemoryReport:
 
     def grand_total_bytes(self) -> int:
         return sum(g.total_bytes for g in self.groups)
-
-
-def _strategy_label(strategy) -> str:
-    if isinstance(strategy, FullAdamW):
-        return "full-adamw"
-    if isinstance(strategy, Frozen):
-        return "frozen"
-    return f"galore(r={strategy.rank},{strategy.sided}-sided)"
 
 
 def galore_state_elements(m: int, n: int, r: int, sided: str) -> int:
@@ -87,24 +82,17 @@ def account_group(group: ParamGroup) -> GroupMemory:
     elements = m * n
     strategy = group.strategy
     if isinstance(strategy, Frozen):
-        grad_elements = 0
-        state_elements = 0
+        label, grads, state = "frozen", 0, 0
     elif isinstance(strategy, FullAdamW):
-        grad_elements = elements
-        state_elements = 2 * elements
+        label, grads, state = "full-adamw", elements, 2 * elements
     elif isinstance(strategy, GaLore):
-        grad_elements = elements
-        state_elements = galore_state_elements(m, n, min(strategy.rank, m, n), strategy.sided)
+        label = f"galore(r={strategy.rank},{strategy.sided}-sided)"
+        grads = elements
+        state = galore_state_elements(m, n, min(strategy.rank, m, n), strategy.sided)
     else:
         raise TypeError(f"unknown strategy {strategy!r}")
-    return GroupMemory(
-        name=group.name,
-        component=group.role.split("-")[0],
-        strategy=_strategy_label(strategy),
-        weight_bytes=elements * BYTES_PER_ELEMENT,
-        grad_bytes=grad_elements * BYTES_PER_ELEMENT,
-        state_bytes=state_elements * BYTES_PER_ELEMENT,
-    )
+    return GroupMemory(group.name, group.role.split("-")[0], label,
+                       *(e * BYTES_PER_ELEMENT for e in (elements, grads, state)))
 
 
 def report_for_mode(params: ModelParams, mode: str, **strategy_kwargs) -> MemoryReport:
@@ -137,95 +125,68 @@ def compare_strategies(
     return reports, deltas
 
 
-@dataclass(frozen=True)
-class AdapterFootprint:
-    """Analytic footprint of a rank-r additive low-rank adapter on an m x n layer.
+def hypothetical_adapter_footprint(m: int, n: int, r: int) -> GroupMemory:
+    """A rank-r additive adapter (A: m x r, B: r x n) on an m x n encoder layer.
 
-    Adapter weights are the two factor matrices; their gradients match them;
-    AdamW keeps two moments per adapter weight.
+    Its weights are the two factors; their gradients match them; AdamW keeps
+    two moments per adapter weight.
     """
-
-    weight_bytes: int
-    grad_bytes: int
-    state_bytes: int
-
-    @property
-    def total_bytes(self) -> int:
-        return self.weight_bytes + self.grad_bytes + self.state_bytes
-
-
-def hypothetical_adapter_footprint(m: int, n: int, r: int) -> AdapterFootprint:
     if r < 1:
         raise ValueError(f"adapter rank must be positive, got {r}")
     weights = (m * r + r * n) * BYTES_PER_ELEMENT
-    return AdapterFootprint(weight_bytes=weights, grad_bytes=weights, state_bytes=2 * weights)
+    return GroupMemory("adapter", "encoder", f"adapter(r={r})", weights, weights, 2 * weights)
 
 
-def adapter_baseline(params: ModelParams, r: int) -> AdapterFootprint:
+def adapter_baseline(params: ModelParams, r: int) -> GroupMemory:
     """Adapter footprints summed over the encoder matrices medsaga projects."""
-    w = g = s = 0
-    for group in assign_strategies(params, "medsaga", rank=r).groups:
-        if isinstance(group.strategy, GaLore):
-            fp = hypothetical_adapter_footprint(*group.values.shape, group.strategy.rank)
-            w += fp.weight_bytes
-            g += fp.grad_bytes
-            s += fp.state_bytes
-    return AdapterFootprint(w, g, s)
+    parts = [hypothetical_adapter_footprint(*g.values.shape, g.strategy.rank)
+             for g in assign_strategies(params, "medsaga", rank=r).groups
+             if isinstance(g.strategy, GaLore)]
+    return GroupMemory("adapter", "encoder", f"adapter(r={r})", **_sum_bytes(parts))
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 
-def report_as_dict(report: MemoryReport) -> dict:
-    return {
-        "mode": report.mode,
-        "bytes_per_element": BYTES_PER_ELEMENT,
-        "groups": [
-            {
-                "name": g.name,
-                "component": g.component,
-                "strategy": g.strategy,
-                "weight_bytes": g.weight_bytes,
-                "grad_bytes": g.grad_bytes,
-                "state_bytes": g.state_bytes,
-            }
-            for g in report.groups
-        ],
-        "totals": report.component_totals(),
-        "grand_total_bytes": report.grand_total_bytes(),
-    }
-
-
 def render_json(
     reports: list[MemoryReport],
     deltas: dict[str, float],
-    adapter: AdapterFootprint | None = None,
+    adapter: GroupMemory | None = None,
     adapter_rank: int | None = None,
 ) -> str:
     doc: dict = {
         "bytes_per_element": BYTES_PER_ELEMENT,
-        "reports": [report_as_dict(r) for r in reports],
+        "reports": [
+            {
+                "mode": r.mode,
+                "bytes_per_element": BYTES_PER_ELEMENT,
+                "groups": [asdict(g) for g in r.groups],
+                "totals": r.component_totals(),
+                "grand_total_bytes": r.grand_total_bytes(),
+            }
+            for r in reports
+        ],
         "deltas": deltas,
     }
     if adapter is not None:
-        doc["adapter_baseline"] = {
-            "rank": adapter_rank,
-            "weight_bytes": adapter.weight_bytes,
-            "grad_bytes": adapter.grad_bytes,
-            "state_bytes": adapter.state_bytes,
-            "total_bytes": adapter.total_bytes,
-        }
+        doc["adapter_baseline"] = {"rank": adapter_rank, "total_bytes": adapter.total_bytes,
+                                   **{kind: getattr(adapter, kind) for kind in BYTE_KINDS}}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _byte_fields(counts: dict[str, int]) -> str:
+    return " ".join(f"{label}={counts[kind]}" for kind, label in BYTE_KINDS.items())
 
 
 def render_text(
     reports: list[MemoryReport],
     deltas: dict[str, float],
-    adapter: AdapterFootprint | None = None,
+    adapter: GroupMemory | None = None,
     adapter_rank: int | None = None,
 ) -> str:
-    lines = [f"memory accounting (8 bytes per element, analytic; activations excluded)", ""]
+    lines = [f"memory accounting ({BYTES_PER_ELEMENT} bytes per element, analytic; "
+             "activations excluded)", ""]
     for report in reports:
         lines.append(f"mode: {report.mode}")
         header = f"  {'group':<34} {'strategy':<26} {'weights':>10} {'grads':>10} {'state':>12}"
@@ -236,10 +197,7 @@ def render_text(
                 f"{g.grad_bytes:>10} {g.state_bytes:>12}"
             )
         for component, t in sorted(report.component_totals().items()):
-            lines.append(
-                f"  total[{component:<8}] weights={t['weight_bytes']} "
-                f"grads={t['grad_bytes']} state={t['state_bytes']}"
-            )
+            lines.append(f"  total[{component:<8}] {_byte_fields(t)}")
         lines.append(f"  grand total: {report.grand_total_bytes()} bytes")
         lines.append("")
     if deltas:
@@ -250,8 +208,7 @@ def render_text(
     if adapter is not None:
         lines.append(
             f"additive low-rank adapter baseline (rank {adapter_rank}): "
-            f"weights={adapter.weight_bytes} grads={adapter.grad_bytes} "
-            f"state={adapter.state_bytes} total={adapter.total_bytes}"
+            f"{_byte_fields(asdict(adapter))} total={adapter.total_bytes}"
         )
         lines.append("")
     return "\n".join(lines)

@@ -70,7 +70,14 @@ def _config_key(name: str) -> Iterator[None]:
 
 def load_base_dataset(cfg: RunConfig) -> Dataset:
     if cfg.manifest:
-        return load_manifest(cfg.manifest, cfg.classes)
+        with _config_key("manifest"):
+            ds = load_manifest(cfg.manifest, cfg.classes)
+        for i, s in enumerate(ds.samples, start=1):
+            if s.image.shape != (cfg.image_h, cfg.image_w):
+                h, w = s.image.shape
+                raise ConfigError("image_h/image_w", f"manifest sample {i} is {h}x{w}, "
+                                  f"the config expects {cfg.image_h}x{cfg.image_w}")
+        return ds
     with _config_key("image_h/image_w"):
         return generate_synthetic(cfg.data_seed, cfg.synthetic_count, cfg.image_h, cfg.image_w,
                                   cfg.classes)
@@ -112,6 +119,7 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
         params = init_model(model_config(cfg), cfg.seed)
     params = assign_strategies(clone_params(params), cfg.mode, **cfg.galore_settings())
     adamw_states, galore_states = _init_states(params, cfg)
+    trained = [g for g in params.groups if not isinstance(g.strategy, Frozen)]
 
     horizon = max(cfg.total_steps, cfg.warmup_steps)
     full_sched = WarmupSchedule(cfg.full_lr, cfg.warmup_steps, horizon, cfg.decay_exponent)
@@ -139,10 +147,10 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
                     params, images[idx], labels[idx], cfg
                 )
                 sample_grads = tape.backward(loss_id)
-                for name, vid in ids.items():
+                for g in trained:
                     # fresh arrays only: backward may hand one object to two
                     # consumers, so in-place accumulation is off the table
-                    grads[name] = grads.get(name, 0.0) + sample_grads[vid]
+                    grads[g.name] = grads.get(g.name, 0.0) + sample_grads[ids[g.name]]
                 ce_sum += float(tape.value(ce_id))
                 dice_sum += float(tape.value(dice_id))
                 loss_sum += float(tape.value(loss_id))
@@ -153,9 +161,7 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
             inv = 1.0 / len(batch)
             lr_full = lr_at(full_sched, step)
             lr_galore = lr_at(galore_sched, step)
-            for g in params.groups:
-                if isinstance(g.strategy, Frozen):
-                    continue
+            for g in trained:
                 grad = grads[g.name] * inv
                 if not np.isfinite(grad).all():
                     raise FloatingPointError(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -86,6 +87,15 @@ def test_config_rule_names_exact_key(key, bad) -> None:
 def test_config_rejects_non_finite_float(key, value) -> None:
     with pytest.raises(ConfigError) as info:
         build_config({}, {key: value})
+    assert info.value.field == key
+
+
+@pytest.mark.parametrize("key", ["out", "manifest"])
+@pytest.mark.parametrize("value", ["runs #1", "runs\n1", "runs\r1"])
+def test_config_rejects_strings_the_echo_cannot_round_trip(key, value) -> None:
+    # '#' starts a comment and a line break ends the key=value line
+    with pytest.raises(ConfigError) as info:
+        RunConfig(**{key: value})
     assert info.value.field == key
 
 
@@ -266,8 +276,43 @@ def test_train_from_manifest_and_eval_via_echo(tmp_path) -> None:
     assert lines[0] == "class,dice,hd95" and lines[-1].startswith("mean,")
 
 
+def test_manifest_errors_name_config_key(tmp_path, capsys) -> None:
+    from msga.data import generate_synthetic, save_dataset
+
+    # 32x32 images against FAST's 16x16 config
+    wide = save_dataset(generate_synthetic(3, 30, 32, 32, 3), str(tmp_path / "wide"))
+    for command in (["train"], ["eval", "--oracle"]):
+        assert main([*command, *FAST, "--manifest", wide, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'image_h/image_w'" in err and "32x32" in err, err
+    # masks labelled 0..3 against the default 3 classes
+    four = save_dataset(generate_synthetic(3, 30, 16, 16, 4), str(tmp_path / "four"))
+    assert main(["train", *FAST, "--manifest", four, "--out", str(tmp_path / "run")]) == 2
+    assert "config field 'manifest'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # memreport
+
+# sha256 of (memory.json, memory.txt); an output change updates these and says so
+MEMREPORT_SHA256 = {
+    (): ("58e0893431e9d7c57c3f0fc8517b14f5a17c26738b4399484731df796366ec8e",
+         "5432bbeb8413bdab6ddc73727fc25619845dd6bd86bb87e18486aa0bf846c753"),
+    ("--rank", "2", "--sided", "two"): (
+        "c767493676f753856053fcb7da50af1da48ae5cca11d81eafddbad1ce6fd2451",
+        "1f834fb1fda22d7c6831b14933d728ff7e09b4525e9441c24ea2c9036798d391"),
+}
+
+
+@pytest.mark.parametrize("flags", list(MEMREPORT_SHA256), ids=["defaults", "rank2-two-sided"])
+def test_memreport_bytes_are_pinned(tmp_path, flags) -> None:
+    out = str(tmp_path / "mem")
+    assert main(["memreport", *flags, "--out", out]) == 0
+    digests = []
+    for name in ("memory.json", "memory.txt"):
+        with open(os.path.join(out, name), "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+    assert tuple(digests) == MEMREPORT_SHA256[flags]
 
 
 def test_memreport_outputs_and_totals(tmp_path) -> None:

@@ -131,6 +131,16 @@ def test_adapter_rank_zero_disallowed() -> None:
         hypothetical_adapter_footprint(8, 8, 0)
 
 
+def test_adapter_baseline_is_one_encoder_row_summing_its_layers() -> None:
+    params = init_model(ModelConfig(), seed=6)
+    row = adapter_baseline(params, 4)
+    assert (row.name, row.component, row.strategy) == ("adapter", "encoder", "adapter(r=4)")
+    layers = [hypothetical_adapter_footprint(*g.values.shape, 4) for g in params.groups
+              if g.role.startswith("encoder") and min(g.values.shape) >= 2]
+    assert row.total_bytes == sum(fp.total_bytes for fp in layers)
+    assert row.state_bytes == 2 * row.weight_bytes == 2 * row.grad_bytes
+
+
 def test_adapter_baseline_covers_projectable_encoder_groups() -> None:
     params = init_model(ModelConfig(), seed=6)
     fp = adapter_baseline(params, 4)
