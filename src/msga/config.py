@@ -94,9 +94,11 @@ class RunConfig(LossConfig, ModelConfig):   # fields: ModelConfig's, LossConfig'
         check_fields(self, ("test_fraction",), lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
         check_fields(self, ("budgets",), lambda v: all(b >= 1 for b in v) and list(v) == sorted(v),
                      "be positive and ascending")
-        # the config echo writes one key=value line per key, and '#' starts a comment
-        check_fields(self, ("out", "manifest"), lambda v: not set(v) & set("#\r\n"),
-                     "contain no '#' or line break")
+        # the config echo writes one key=value line per key, '#' starts a comment,
+        # and the parser strips each value
+        check_fields(self, ("out", "manifest"),
+                     lambda v: not set(v) & set("#\r\n") and v == v.strip(),
+                     "contain no '#' or line break, and no leading or trailing whitespace")
 
     def validate(self) -> "RunConfig":
         """A RunConfig is checked when constructed; kept for callers that chain it."""

@@ -14,17 +14,21 @@ ndarrays; losses are 0-d.
 
 A forward rule may keep intermediates for its backward in the node's `aux`:
 attention keeps its probabilities, layernorm its normalized rows and row
-std, and gelu its tanh. Their backward rules read these instead of
-recomputing them.
+std, gelu its tanh, and soft dice its softmax, one-hot and class sums.
+Their backward rules read these instead of recomputing them.
 
-A tape is owned by whoever built it; gradients returned by backward() are
-fresh arrays and safe to hand elsewhere.
+A Plan compiles a recorded tape to replay it on new leaves and labels, with
+a backward pruned to the nodes between the wanted leaves and the loss that
+drops each value after its last reader. Training records one tape per run
+and replays its plan per sample; Tape.backward runs a plan that wants every
+leaf, so there is one backward loop. Gradients it returns are fresh arrays
+and safe to hand elsewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -33,14 +37,16 @@ from msga.linalg import softmax_last_dim
 GELU_COEF = 0.044715
 LAYERNORM_EPS = 1e-5
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
+_F64 = np.dtype(np.float64)
 
 
 @dataclass
 class TapeNode:
     op: str
     inputs: tuple[int, ...]
-    aux: dict
+    aux: dict                # the op's arguments, then what its forward rule kept
     shape: tuple[int, ...]
+    args: tuple[str, ...]    # the keys of aux that are the op's arguments
 
 
 class Tape:
@@ -55,7 +61,7 @@ class Tape:
     def leaf(self, value: np.ndarray) -> int:
         """Register an input (parameter or data) and return its value id."""
         arr = np.asarray(value, dtype=np.float64)
-        self.nodes.append(TapeNode("leaf", (), {}, arr.shape))
+        self.nodes.append(TapeNode("leaf", (), {}, arr.shape, ()))
         self.values.append(arr)
         return len(self.nodes) - 1
 
@@ -68,8 +74,9 @@ class Tape:
             if not 0 <= i < len(self.nodes):
                 raise ValueError(f"{op}: input id {i} not on this tape")
         args = [self.values[i] for i in ids]
+        keys = tuple(aux)
         out = _OPS[op][0](args, aux)
-        self.nodes.append(TapeNode(op, ids, aux, out.shape))
+        self.nodes.append(TapeNode(op, ids, aux, out.shape, keys))
         self.values.append(out)
         return len(self.nodes) - 1
 
@@ -131,27 +138,81 @@ class Tape:
         own shape. Identical tapes produce bitwise-identical results: the
         traversal order and accumulation order are fixed by node order.
         """
-        loss = self.values[loss_id]
-        if loss.size != 1:
-            raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-        adjoints: dict[int, np.ndarray] = {loss_id: np.ones_like(loss)}
+        return Plan(self, loss_id).backward(list(self.values), [n.aux for n in self.nodes])
+
+
+class Plan:
+    """A recorded tape compiled for replay: a forward list of each op's rule,
+    input slots and arguments (labels excepted), and a backward list of the
+    nodes on a path from a wanted leaf to the loss in reverse node order, so
+    adjoints accumulate as over the whole tape."""
+
+    def __init__(self, tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
+                 reads: tuple[int, ...] = (), names: list[str] | None = None) -> None:
+        nodes = tape.nodes
+        self.loss_id, self.loss_shape, self.reads = loss_id, nodes[loss_id].shape, tuple(reads)
+        if int(np.prod(self.loss_shape)) != 1:
+            raise ValueError(f"backward needs a scalar loss, got shape {self.loss_shape}")
+        leaves = [nid for nid, n in enumerate(nodes) if n.op == "leaf"]
+        wanted = set(leaves if wanted is None else wanted)
+        self.leaves = [(nid, nodes[nid].shape, name)
+                       for nid, name in zip(leaves, names or leaves, strict=True)]
+        self.wanted = [(nid, nodes[nid].shape) for nid in sorted(wanted)]
+        self.forward = [(nid, _OPS[n.op][0], n.inputs, "labels" in n.args,
+                         {k: n.aux[k] for k in n.args if k != "labels"})
+                        for nid, n in enumerate(nodes) if n.op != "leaf"]
+        reaches: list[bool] = []
+        for nid, n in enumerate(nodes):
+            reaches.append(nid in wanted if n.op == "leaf" else any(reaches[i] for i in n.inputs))
+        live = {loss_id} if reaches[loss_id] else set()
+        self.steps: list[tuple] = []
+        last = {s: -1 for s in range(len(nodes))}   # slot -> last step reading it; -1: none
         for nid in range(loss_id, -1, -1):
-            node = self.nodes[nid]
-            if node.op == "leaf" or nid not in adjoints:
-                continue
-            grad_out = adjoints.pop(nid)
-            args = [self.values[i] for i in node.inputs]
-            grads_in = _OPS[node.op][1](grad_out, args, self.values[nid], node.aux)
-            for iid, g in zip(node.inputs, grads_in):
-                if iid in adjoints:
-                    adjoints[iid] = adjoints[iid] + g
-                else:
-                    adjoints[iid] = g
-        out: dict[int, np.ndarray] = {}
-        for nid, node in enumerate(self.nodes):
-            if node.op == "leaf":
-                out[nid] = adjoints.get(nid, np.zeros(node.shape))
-        return out
+            n = nodes[nid]
+            if nid in live and n.op != "leaf":
+                targets = tuple(i if reaches[i] else None for i in n.inputs)
+                live.update(i for i in targets if i is not None)
+                last.update((s, len(self.steps)) for s in (*n.inputs, nid))
+                self.steps.append((nid, _OPS[n.op][1], n.inputs, targets, []))
+        self.unread: list[int] = []
+        for s, k in last.items():
+            (self.steps[k][4] if k >= 0 else self.unread).append(s)
+
+    def run(
+        self, leaves: list[np.ndarray], labels: np.ndarray | tuple = ()
+    ) -> tuple[list[float], dict[int, np.ndarray]]:
+        """Replay on `leaves` (float64, in tape order) and flat `labels`;
+        returns the `reads` values as floats and the wanted leaves' adjoints."""
+        values: list = [None] * (len(self.leaves) + len(self.forward))
+        auxes: list = [None] * len(values)
+        for (nid, shape, name), v in zip(self.leaves, leaves, strict=True):
+            if not isinstance(v, np.ndarray) or v.dtype != _F64 or v.shape != shape:
+                raise ValueError(f"replay leaf {name!r}: expected float64 {shape}, "
+                                 f"got {np.asarray(v).dtype} {np.shape(v)}")
+            values[nid] = v
+        labels = np.asarray(labels, dtype=np.int64)
+        for nid, rule, inputs, takes_labels, static in self.forward:
+            auxes[nid] = aux = dict(static)
+            if takes_labels:
+                aux["labels"] = labels
+            values[nid] = rule([values[i] for i in inputs], aux)
+        return [float(values[i]) for i in self.reads], self.backward(values, auxes)
+
+    def backward(self, values: list, auxes: list) -> dict[int, np.ndarray]:
+        """Wanted leaves' adjoints from one forward pass's values and auxes, which
+        it clears. Leaves the loss does not reach get exact zeros of their shape."""
+        for s in self.unread:
+            values[s] = auxes[s] = None
+        adjoints = {self.loss_id: np.ones(self.loss_shape)}
+        for nid, rule, inputs, targets, frees in self.steps:
+            grads_in = rule(adjoints.pop(nid), [values[i] for i in inputs], values[nid], auxes[nid])
+            for iid, g in zip(targets, grads_in):
+                if iid is not None:
+                    adjoints[iid] = adjoints[iid] + g if iid in adjoints else g
+            for s in frees:
+                values[s] = auxes[s] = None
+        return {nid: adjoints[nid] if nid in adjoints else np.zeros(shape)
+                for nid, shape in self.wanted}
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +342,8 @@ def _fwd_soft_dice(args, aux):
     z = args[0]
     y = aux["labels"]
     _check_labels("soft-dice", z, y)
-    _, _, _, _, terms = _dice_pieces(z, y, aux["smooth"])
-    return np.asarray(1.0 - terms.mean())
+    aux["dice"] = pieces = _dice_pieces(z, y, aux["smooth"])
+    return np.asarray(1.0 - pieces[-1].mean())
 
 
 def _fwd_reshape(args, aux):
@@ -398,9 +459,8 @@ def _bwd_softmax_ce(g, args, out, aux):
 
 def _bwd_soft_dice(g, args, out, aux):
     z = args[0]
-    y = aux["labels"]
     smooth = aux["smooth"]
-    p, onehot, inter, sums, _ = _dice_pieces(z, y, smooth)
+    p, onehot, inter, sums, _ = aux["dice"]
     k = z.shape[1]
     denom = sums + smooth
     # d(loss)/d(p_jc) for the mean-over-classes soft dice

@@ -43,6 +43,7 @@ from msga.optim import (
     galore_step,
     lr_at,
 )
+from msga.tape import Plan
 
 LOG_COLUMNS = ("step", "lr_full", "lr_galore", "ce", "dice", "loss")
 
@@ -107,6 +108,16 @@ def _init_states(
     return adamw_states, galore_states
 
 
+def compile_loss_plan(
+    params: ModelParams, image: np.ndarray, labels_grid: np.ndarray, cfg: RunConfig
+) -> tuple[Plan, dict[str, int]]:
+    """One sample's loss tape compiled to replay on any sample. It reads ce, dice
+    and loss, and gives adjoints for the groups that are not frozen."""
+    tape, ids, ce, dice, loss = build_loss_tape(params, image, labels_grid, cfg)
+    trained = [ids[g.name] for g in params.groups if not isinstance(g.strategy, Frozen)]
+    return Plan(tape, loss, trained, (ce, dice, loss), [*ids, "image"]), ids
+
+
 def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = None) -> TrainResult:
     """Run cfg.total_steps of batched training on train_ds.
 
@@ -126,7 +137,9 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
     galore_sched = WarmupSchedule(cfg.galore_lr, cfg.warmup_steps, horizon, cfg.decay_exponent)
 
     images = [s.image for s in train_ds.samples]
-    labels = [downsample_labels(s.mask, cfg.patch_size) for s in train_ds.samples]
+    labels = [downsample_labels(s.mask, cfg.patch_size).reshape(-1) for s in train_ds.samples]
+    # one recorded tape per run; every sample replays its plan
+    plan, ids = compile_loss_plan(params, images[0], labels[0], cfg)
 
     log_rows: list[dict] = []
     step = 0
@@ -143,19 +156,17 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
             dice_sum = 0.0
             loss_sum = 0.0
             for idx in batch:
-                tape, ids, ce_id, dice_id, loss_id = build_loss_tape(
-                    params, images[idx], labels[idx], cfg
-                )
-                sample_grads = tape.backward(loss_id)
+                (ce, dice, loss), sample_grads = plan.run(
+                    [*(g.values for g in params.groups), images[idx]], labels[idx])
                 for g in trained:
                     # fresh arrays only: backward may hand one object to two
                     # consumers, so in-place accumulation is off the table
                     grads[g.name] = grads.get(g.name, 0.0) + sample_grads[ids[g.name]]
-                ce_sum += float(tape.value(ce_id))
-                dice_sum += float(tape.value(dice_id))
-                loss_sum += float(tape.value(loss_id))
-                # one tape alive at a time: the next sample's is recorded after this is freed
-                del tape, sample_grads
+                ce_sum += ce
+                dice_sum += dice
+                loss_sum += loss
+                # a sample's adjoints go before the next replay, so one sample bounds the peak
+                del sample_grads
             if not np.isfinite(loss_sum):
                 raise FloatingPointError(f"training diverged at step {step}: loss is {loss_sum}")
             inv = 1.0 / len(batch)

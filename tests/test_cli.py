@@ -12,7 +12,14 @@ import pytest
 
 import msga
 from msga.cli import main
-from msga.config import ConfigError, RunConfig, build_config, config_field_types, parse_config_file
+from msga.config import (
+    ConfigError,
+    RunConfig,
+    build_config,
+    config_as_text,
+    config_field_types,
+    parse_config_file,
+)
 from msga.model import init_model, load_checkpoint, save_checkpoint
 from msga.train import model_config
 
@@ -97,6 +104,22 @@ def test_config_rejects_strings_the_echo_cannot_round_trip(key, value) -> None:
     with pytest.raises(ConfigError) as info:
         RunConfig(**{key: value})
     assert info.value.field == key
+
+
+@pytest.mark.parametrize("key", ["out", "manifest"])
+@pytest.mark.parametrize("value", [" runs", "runs ", "runs\t", "\truns"])
+def test_config_rejects_strings_with_surrounding_whitespace(key, value) -> None:
+    # the parser strips each value, so the echo would read back without it
+    with pytest.raises(ConfigError) as info:
+        RunConfig(**{key: value})
+    assert info.value.field == key
+
+
+def test_config_echo_round_trips_inner_whitespace(tmp_path) -> None:
+    cfg = RunConfig(out="my runs/a b")
+    echo = tmp_path / "config_echo.cfg"
+    echo.write_text(config_as_text(cfg))
+    assert build_config(parse_config_file(str(echo)), {}) == cfg
 
 
 def test_cli_exit_code_2_on_bad_config(tmp_path) -> None:

@@ -21,6 +21,7 @@ from msga.optim import (
     refresh_subspace,
 )
 import msga.train
+from msga.tape import Plan
 from msga.train import prepare_splits, train_model
 
 
@@ -390,25 +391,55 @@ def test_full_adamw_runs_are_bitwise_reproducible() -> None:
         assert np.array_equal(a.values, b.values), a.name
 
 
-def test_training_frees_each_sample_tape_before_recording_the_next(monkeypatch) -> None:
-    # one live per-sample tape at a time bounds the training peak to one tape
+def _replay_arrays(values: list, auxes: list, leaf_ids: set[int]) -> list[np.ndarray]:
+    """Every array a replay computed: non-leaf values and kept intermediates, not labels."""
+    out = [v for i, v in enumerate(values) if i not in leaf_ids and isinstance(v, np.ndarray)]
+    for aux in filter(None, auxes):
+        for key, kept in aux.items():
+            if key != "labels":
+                out += [a for a in (kept if isinstance(kept, tuple) else (kept,))
+                        if isinstance(a, np.ndarray)]
+    return out
+
+
+def test_training_records_one_tape_and_frees_each_sample_replay_before_the_next(
+        monkeypatch) -> None:
+    # one recorded tape per run; a sample's replayed values, kept intermediates
+    # and adjoints are all gone when the next sample starts
     cfg = RunConfig(mode="medsaga", total_steps=3, synthetic_count=20,
                     image_h=16, image_w=16, embed_dim=8, blocks=1,
                     decoder_channels=8, batch_size=2).validate()
     train_ds, _ = prepare_splits(cfg)
-    tapes: list[weakref.ref] = []
-    original = msga.train.build_loss_tape
+    tapes: list[int] = []
+    runs: list[int] = []
+    live: list[weakref.ref] = []
+    original_build, original_run, original_backward = (
+        msga.train.build_loss_tape, Plan.run, Plan.backward)
 
     def recording(*args, **kwargs):
-        alive = [i for i, ref in enumerate(tapes) if ref() is not None]
-        assert not alive, f"tapes {alive} still alive when tape {len(tapes)} is recorded"
-        built = original(*args, **kwargs)
-        tapes.append(weakref.ref(built[0]))
-        return built
+        tapes.append(1)
+        return original_build(*args, **kwargs)
+
+    def watched_run(self, leaves, labels=()):
+        alive = sum(ref() is not None for ref in live)
+        assert not alive, f"{alive} arrays of an earlier sample alive at sample {len(runs)}"
+        runs.append(1)
+        scalars, grads = original_run(self, leaves, labels)
+        live.extend(weakref.ref(g) for g in grads.values())
+        return scalars, grads
+
+    def watched_backward(self, values, auxes):
+        leaf_ids = {nid for nid, _, _ in self.leaves}
+        live.extend(weakref.ref(a) for a in _replay_arrays(values, auxes, leaf_ids))
+        return original_backward(self, values, auxes)
 
     monkeypatch.setattr(msga.train, "build_loss_tape", recording)
+    monkeypatch.setattr(Plan, "run", watched_run)
+    monkeypatch.setattr(Plan, "backward", watched_backward)
     train_model(cfg, train_ds)
-    assert len(tapes) == cfg.total_steps * cfg.batch_size
+    assert len(tapes) == 1
+    assert len(runs) == cfg.total_steps * cfg.batch_size
+    assert len(live) > len(runs) * 30   # values, intermediates and adjoints were all watched
 
 
 def test_galore_state_strictly_smaller_than_full_adamw_for_default_config() -> None:

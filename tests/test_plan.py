@@ -1,0 +1,148 @@
+"""The compiled training plan against the recorded tape it was compiled from."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from msga.config import RunConfig
+from msga.losses import downsample_labels
+from msga.model import build_loss_tape, init_model
+from msga.optim import Frozen, assign_strategies
+from msga.tape import Plan, Tape
+from msga.train import compile_loss_plan, model_config, prepare_splits
+
+SMALL = dict(synthetic_count=20, image_h=16, image_w=16, embed_dim=8, blocks=1,
+             decoder_channels=8)
+
+
+def _setup(cfg: RunConfig):
+    """Strategy-tagged params with a non-zero head, and (image, flat labels) samples."""
+    train_ds, _ = prepare_splits(cfg)
+    params = assign_strategies(init_model(model_config(cfg), cfg.seed), cfg.mode,
+                               **cfg.galore_settings())
+    head = params.group("decoder/fc2/weight")
+    head.values = np.random.default_rng(3).normal(size=head.values.shape)
+    samples = [(s.image, downsample_labels(s.mask, cfg.patch_size).reshape(-1))
+               for s in train_ds.samples[:3]]
+    return params, samples
+
+
+def _leaves(params, image) -> list[np.ndarray]:
+    return [*(g.values for g in params.groups), image]
+
+
+CONFIGS = {
+    "medsaga": RunConfig(mode="medsaga", **SMALL),
+    "v1": RunConfig(mode="v1", **SMALL),
+    "v2": RunConfig(mode="v2", **SMALL),
+    "full-adamw": RunConfig(mode="full-adamw", **SMALL),
+    "two-sided-refresh-every-step": RunConfig(mode="medsaga", sided="two", refresh_period=1,
+                                              **SMALL),
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_plan_replay_equals_tape_backward(name) -> None:
+    cfg = CONFIGS[name]
+    params, samples = _setup(cfg)
+    plan, ids = compile_loss_plan(params, *samples[0], cfg)
+    trained = [g for g in params.groups if not isinstance(g.strategy, Frozen)]
+    for image, labels in samples:
+        tape, tape_ids, ce, dice, loss = build_loss_tape(params, image, labels, cfg)
+        assert tape_ids == ids
+        want = tape.backward(loss)
+        scalars, got = plan.run(_leaves(params, image), labels)
+        assert scalars == [float(tape.value(i)) for i in (ce, dice, loss)]
+        assert sorted(got) == sorted(ids[g.name] for g in trained)
+        for g in trained:
+            assert np.array_equal(got[ids[g.name]], want[ids[g.name]]), g.name
+        assert any(np.any(got[ids[g.name]]) for g in trained if g.role.startswith("encoder"))
+
+
+def test_training_plan_never_runs_the_patchify_adjoint() -> None:
+    cfg = CONFIGS["medsaga"]
+    params, samples = _setup(cfg)
+    plan, _ = compile_loss_plan(params, *samples[0], cfg)
+    tape = build_loss_tape(params, *samples[0], cfg)[0]
+    ops = [tape.nodes[step[0]].op for step in plan.steps]
+    assert "patchify" in {n.op for n in tape.nodes}
+    assert "patchify" not in ops and "linear" in ops
+
+
+def test_v2_plan_gives_frozen_leaves_no_adjoint() -> None:
+    cfg = CONFIGS["v2"]
+    params, samples = _setup(cfg)
+    plan, ids = compile_loss_plan(params, *samples[0], cfg)
+    frozen = {ids[g.name] for g in params.groups if isinstance(g.strategy, Frozen)}
+    assert frozen
+    _, grads = plan.run(_leaves(params, samples[0][0]), samples[0][1])
+    assert not frozen & set(grads)
+    assert not any(i in frozen for step in plan.steps for i in step[3])
+
+
+@pytest.mark.parametrize("bad", ["shape", "float32", "list"])
+def test_replay_rejects_a_leaf_unlike_the_compiled_one(bad) -> None:
+    cfg = CONFIGS["medsaga"]
+    params, samples = _setup(cfg)
+    plan, _ = compile_loss_plan(params, *samples[0], cfg)
+    leaves = _leaves(params, samples[0][0])
+    w = params.group("encoder/block0/attn/q").values
+    i = [g.name for g in params.groups].index("encoder/block0/attn/q")
+    leaves[i] = {"shape": w[:, :-1], "float32": w.astype(np.float32), "list": w.tolist()}[bad]
+    with pytest.raises(ValueError, match="encoder/block0/attn/q"):
+        plan.run(leaves, samples[0][1])
+
+
+def test_replay_rejects_an_image_of_another_shape() -> None:
+    cfg = CONFIGS["medsaga"]
+    params, samples = _setup(cfg)
+    plan, _ = compile_loss_plan(params, *samples[0], cfg)
+    with pytest.raises(ValueError, match="image"):
+        plan.run(_leaves(params, np.zeros((8, 8))), samples[0][1])
+
+
+def test_replay_runs_the_label_range_check() -> None:
+    cfg = CONFIGS["medsaga"]
+    params, samples = _setup(cfg)
+    plan, _ = compile_loss_plan(params, *samples[0], cfg)
+    labels = samples[0][1].copy()
+    labels[5] = cfg.classes
+    with pytest.raises(ValueError, match="softmax-ce: label values outside"):
+        plan.run(_leaves(params, samples[0][0]), labels)
+
+
+def test_tape_backward_leaves_the_tape_intact() -> None:
+    # backward frees values in its own copy of the lists, not on the tape
+    cfg = CONFIGS["medsaga"]
+    params, samples = _setup(cfg)
+    tape, _, _, _, loss = build_loss_tape(params, *samples[0], cfg)
+    first = tape.backward(loss)
+    assert all(v is not None for v in tape.values)
+    second = tape.backward(loss)
+    assert all(np.array_equal(first[i], second[i]) for i in first)
+
+
+def test_backward_frees_each_value_and_its_aux_after_the_last_reader() -> None:
+    cfg = CONFIGS["medsaga"]
+    params, samples = _setup(cfg)
+    tape, _, _, _, loss = build_loss_tape(params, *samples[0], cfg)
+    plan = Plan(tape, loss)
+    values, auxes = list(tape.values), [n.aux for n in tape.nodes]
+    seen: list[tuple[set[int], set[int]]] = []
+
+    def watched(rule):
+        def rule_seeing_what_is_alive(g, args, out, aux):
+            seen.append(({i for i, v in enumerate(values) if v is not None},
+                         {i for i, a in enumerate(auxes) if a is not None}))
+            return rule(g, args, out, aux)
+        return rule_seeing_what_is_alive
+
+    plan.steps = [(nid, watched(rule), *rest) for nid, rule, *rest in plan.steps]
+    plan.backward(values, auxes)
+    assert len(seen) == len(plan.steps)
+    for k, (alive_values, alive_auxes) in enumerate(seen):
+        later = plan.steps[k:]
+        assert alive_values == {s for nid, _, inputs, *_ in later for s in (*inputs, nid)}, k
+        assert alive_auxes == alive_values, k
+    assert values == [None] * len(values) and auxes == [None] * len(auxes)
