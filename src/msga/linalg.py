@@ -36,9 +36,7 @@ def truncated_svd(g: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
         raise ValueError(f"rank {r} out of range for a {m}x{n} matrix (valid: 1..{min(m, n)})")
 
     if not np.any(g):
-        p = np.eye(m)[:, :r]
-        q = np.eye(n)[:, :r]
-        return p, np.zeros(r), q
+        return np.eye(m, r), np.zeros(r), np.eye(n, r)
 
     u, sigma, vt = np.linalg.svd(g, full_matrices=False)
     # copies, so projectors kept across steps do not pin the full factors

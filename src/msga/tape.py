@@ -18,8 +18,10 @@ std, gelu its tanh, and soft dice its softmax, one-hot and class sums.
 Their backward rules read these instead of recomputing them.
 
 A Plan compiles a recorded tape to replay it on new leaves and labels, with
-a backward pruned to the nodes between the wanted leaves and the loss that
-drops each value after its last reader. Training records one tape per run
+a backward pruned to the nodes between the wanted leaves and the loss. Each
+op kind declares the values its backward reads (others reach it as None), so
+a replay drops each value after its last reader, forward or backward, and
+each aux after its own node's backward rule. Training records one tape per run
 and replays its plan per sample; Tape.backward runs a plan that wants every
 leaf, so there is one backward loop. Gradients it returns are fresh arrays
 and safe to hand elsewhere.
@@ -143,9 +145,10 @@ class Tape:
 
 class Plan:
     """A recorded tape compiled for replay: a forward list of each op's rule,
-    input slots and arguments (labels excepted), and a backward list of the
-    nodes on a path from a wanted leaf to the loss in reverse node order, so
-    adjoints accumulate as over the whole tape."""
+    input slots, arguments (labels excepted) and the values no rule reads
+    after it, and a backward list of the nodes on a path from a wanted leaf
+    to the loss in reverse node order, so adjoints accumulate as over the
+    whole tape."""
 
     def __init__(self, tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
                  reads: tuple[int, ...] = (), names: list[str] | None = None) -> None:
@@ -159,7 +162,7 @@ class Plan:
                        for nid, name in zip(leaves, names or leaves, strict=True)]
         self.wanted = [(nid, nodes[nid].shape) for nid in sorted(wanted)]
         self.forward = [(nid, _OPS[n.op][0], n.inputs, "labels" in n.args,
-                         {k: n.aux[k] for k in n.args if k != "labels"})
+                         {k: n.aux[k] for k in n.args if k != "labels"}, [])
                         for nid, n in enumerate(nodes) if n.op != "leaf"]
         reaches: list[bool] = []
         for nid, n in enumerate(nodes):
@@ -170,13 +173,23 @@ class Plan:
         for nid in range(loss_id, -1, -1):
             n = nodes[nid]
             if nid in live and n.op != "leaf":
+                _, rule, reads_in, reads_out = _OPS[n.op]
                 targets = tuple(i if reaches[i] else None for i in n.inputs)
                 live.update(i for i in targets if i is not None)
-                last.update((s, len(self.steps)) for s in (*n.inputs, nid))
-                self.steps.append((nid, _OPS[n.op][1], n.inputs, targets, []))
+                # the value slots the rule reads, its output last; None: not read
+                slots = (*(i if k in reads_in else None for k, i in enumerate(n.inputs)),
+                         nid if reads_out else None)
+                last.update((s, len(self.steps)) for s in slots if s is not None)
+                self.steps.append((nid, rule, slots, targets, []))
         self.unread: list[int] = []
         for s, k in last.items():
             (self.steps[k][4] if k >= 0 else self.unread).append(s)
+        done = {}   # slot -> the last forward op making or reading it
+        for k, (nid, _, inputs, *_) in enumerate(self.forward):
+            done.update((s, k) for s in (nid, *inputs))
+        for s in (done.keys() & self.unread) - set(self.reads):
+            self.forward[done[s]][5].append(s)
+        self.idle = set(range(len(nodes))) - {step[0] for step in self.steps}   # unread auxes
 
     def run(
         self, leaves: list[np.ndarray], labels: np.ndarray | tuple = ()
@@ -191,26 +204,32 @@ class Plan:
                                  f"got {np.asarray(v).dtype} {np.shape(v)}")
             values[nid] = v
         labels = np.asarray(labels, dtype=np.int64)
-        for nid, rule, inputs, takes_labels, static in self.forward:
+        for nid, rule, inputs, takes_labels, static, frees in self.forward:
             auxes[nid] = aux = dict(static)
             if takes_labels:
                 aux["labels"] = labels
             values[nid] = rule([values[i] for i in inputs], aux)
+            for s in frees:
+                values[s] = None
         return [float(values[i]) for i in self.reads], self.backward(values, auxes)
 
     def backward(self, values: list, auxes: list) -> dict[int, np.ndarray]:
         """Wanted leaves' adjoints from one forward pass's values and auxes, which
         it clears. Leaves the loss does not reach get exact zeros of their shape."""
         for s in self.unread:
-            values[s] = auxes[s] = None
+            values[s] = None
+        for s in self.idle:
+            auxes[s] = None
         adjoints = {self.loss_id: np.ones(self.loss_shape)}
-        for nid, rule, inputs, targets, frees in self.steps:
-            grads_in = rule(adjoints.pop(nid), [values[i] for i in inputs], values[nid], auxes[nid])
+        for nid, rule, slots, targets, frees in self.steps:
+            *args, out = [None if s is None else values[s] for s in slots]
+            grads_in = rule(adjoints.pop(nid), args, out, auxes[nid])
+            auxes[nid] = None
             for iid, g in zip(targets, grads_in):
                 if iid is not None:
                     adjoints[iid] = adjoints[iid] + g if iid in adjoints else g
             for s in frees:
-                values[s] = auxes[s] = None
+                values[s] = None
         return {nid: adjoints[nid] if nid in adjoints else np.zeros(shape)
                 for nid, shape in self.wanted}
 
@@ -244,9 +263,8 @@ _NT = {"transpose_a": False, "transpose_b": True}
 
 def _fwd_add(args, aux):
     a, b = args
-    if a.shape == b.shape:
-        return a + b
-    if a.ndim == 2 and b.shape == (1, a.shape[1]):
+    aux["row"] = a.shape != b.shape   # whether b is a broadcast row; the backward reads no shape
+    if a.shape == b.shape or a.ndim == 2 and b.shape == (1, a.shape[1]):
         return a + b
     raise ValueError(f"add: shapes {a.shape} and {b.shape} are neither equal nor row-broadcast")
 
@@ -397,16 +415,12 @@ def _bwd_matmul(g, args, out, aux):
 
 
 def _bwd_add(g, args, out, aux):
-    a, b = args
-    if a.shape == b.shape:
-        return g, g
-    return g, g.sum(axis=0, keepdims=True)
+    return g, g.sum(axis=0, keepdims=True) if aux["row"] else g
 
 
 def _bwd_linear(g, args, out, aux):
-    x, w, b = args
-    # out has the shape of x @ w, which is all the add rule reads of it
-    g_xw, gb = _bwd_add(g, [out, b], out, aux)
+    x, w, _ = args
+    g_xw, gb = _bwd_add(g, None, None, aux)
     return (*_bwd_matmul(g_xw, [x, w], None, _NN), gb)
 
 
@@ -417,7 +431,7 @@ def _bwd_scale(g, args, out, aux):
 def _bwd_attention(g, args, out, aux):
     q, k, v = args
     probs = aux["probs"]
-    gp, gv = _bwd_matmul(g, [probs, v], out, _NN)
+    gp, gv = _bwd_matmul(g, [probs, v], None, _NN)
     (gs,) = _bwd_softmax_rows(gp, None, probs, {})
     (graw,) = _bwd_scale(gs, None, None, aux)
     gq, gk = _bwd_matmul(graw, [q, k], None, _NT)
@@ -425,16 +439,28 @@ def _bwd_attention(g, args, out, aux):
 
 
 def _bwd_gelu(g, args, out, aux):
-    x = args[0]
-    t = aux["tanh"]
-    dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * (x * x))
-    return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
+    # g * (0.5 (1 + t) + 0.5 x (1 - t t) dinner), dinner = sqrt(2/pi) (1 + 3 c x x),
+    # in that operation order but in two buffers: the same bits, no temporaries
+    x, t = args[0], aux["tanh"]
+    h = x * 0.5
+    d = t * t
+    h *= np.subtract(1.0, d, out=d)   # 0.5 x (1 - t t)
+    np.multiply(x, x, out=d)
+    d *= 3.0 * GELU_COEF
+    d += 1.0
+    d *= _SQRT_2_OVER_PI              # dinner
+    h *= d
+    np.add(1.0, t, out=d)
+    d *= 0.5
+    d += h
+    d *= g
+    return (d,)
 
 
 def _bwd_layernorm(g, args, out, aux):
-    x, gain, bias = args
+    gain = args[1]
     xhat, std = aux["xhat"], aux["std"]
-    n = x.shape[1]
+    n = xhat.shape[1]
     dgain = (g * xhat).sum(axis=0, keepdims=True)
     dbias = g.sum(axis=0, keepdims=True)
     dxhat = g * gain
@@ -458,10 +484,9 @@ def _bwd_softmax_ce(g, args, out, aux):
 
 
 def _bwd_soft_dice(g, args, out, aux):
-    z = args[0]
     smooth = aux["smooth"]
     p, onehot, inter, sums, _ = aux["dice"]
-    k = z.shape[1]
+    k = p.shape[1]
     denom = sums + smooth
     # d(loss)/d(p_jc) for the mean-over-classes soft dice
     dp = -(2.0 * onehot * denom - (2.0 * inter + smooth)) / (k * denom**2)
@@ -493,22 +518,23 @@ def _bwd_embed_lookup(g, args, out, aux):
     return (dtable,)
 
 
-# op kind -> (forward rule, backward rule)
-_OPS: dict[str, tuple[Callable, Callable]] = {
-    "matmul": (_fwd_matmul, _bwd_matmul),
-    "add": (_fwd_add, _bwd_add),
-    "linear": (_fwd_linear, _bwd_linear),
-    "scale": (_fwd_scale, _bwd_scale),
-    "attention": (_fwd_attention, _bwd_attention),
-    "gelu": (_fwd_gelu, _bwd_gelu),
-    "layernorm": (_fwd_layernorm, _bwd_layernorm),
-    "softmax-rows": (_fwd_softmax_rows, _bwd_softmax_rows),
-    "softmax-ce": (_fwd_softmax_ce, _bwd_softmax_ce),
-    "soft-dice": (_fwd_soft_dice, _bwd_soft_dice),
-    "reshape": (_fwd_reshape, _bwd_reshape),
-    "patchify": (_fwd_patchify, _bwd_patchify),
-    "mean": (_fwd_mean, _bwd_mean),
-    "embed-lookup": (_fwd_embed_lookup, _bwd_embed_lookup),
+# op kind -> (forward rule, backward rule, positions of the inputs its backward
+# reads by value, whether it reads the op's output); other slots get None
+_OPS: dict[str, tuple[Callable, Callable, tuple[int, ...], bool]] = {
+    "matmul": (_fwd_matmul, _bwd_matmul, (0, 1), False),
+    "add": (_fwd_add, _bwd_add, (), False),
+    "linear": (_fwd_linear, _bwd_linear, (0, 1), False),
+    "scale": (_fwd_scale, _bwd_scale, (), False),
+    "attention": (_fwd_attention, _bwd_attention, (0, 1, 2), False),
+    "gelu": (_fwd_gelu, _bwd_gelu, (0,), False),
+    "layernorm": (_fwd_layernorm, _bwd_layernorm, (1,), False),
+    "softmax-rows": (_fwd_softmax_rows, _bwd_softmax_rows, (), True),
+    "softmax-ce": (_fwd_softmax_ce, _bwd_softmax_ce, (0,), False),
+    "soft-dice": (_fwd_soft_dice, _bwd_soft_dice, (), False),
+    "reshape": (_fwd_reshape, _bwd_reshape, (0,), False),
+    "patchify": (_fwd_patchify, _bwd_patchify, (0,), False),
+    "mean": (_fwd_mean, _bwd_mean, (0,), False),
+    "embed-lookup": (_fwd_embed_lookup, _bwd_embed_lookup, (0,), False),
 }
 
 OP_KINDS = tuple(_OPS)

@@ -137,7 +137,13 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
     galore_sched = WarmupSchedule(cfg.galore_lr, cfg.warmup_steps, horizon, cfg.decay_exponent)
 
     images = [s.image for s in train_ds.samples]
-    labels = [downsample_labels(s.mask, cfg.patch_size).reshape(-1) for s in train_ds.samples]
+    # one (samples, tokens) array, range-checked before the cast could wrap a label
+    labels = np.stack([downsample_labels(s.mask, cfg.patch_size).reshape(-1)
+                       for s in train_ds.samples])
+    bad = np.flatnonzero(((labels < 0) | (labels >= cfg.classes)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"training sample {bad[0]}: label values outside 0..{cfg.classes - 1}")
+    labels = labels.astype(np.min_scalar_type(cfg.classes - 1))
     # one recorded tape per run; every sample replays its plan
     plan, ids = compile_loss_plan(params, images[0], labels[0], cfg)
 

@@ -122,6 +122,17 @@ def test_truncated_svd_near_optimal_projection_small_matrices() -> None:
             assert np.linalg.norm(g - projected) <= best + 1e-8
 
 
+@pytest.mark.parametrize("scale", [0.0, 1.0])
+def test_truncated_svd_projectors_own_their_memory(scale) -> None:
+    # a view of an m x m identity or of the full factors would pin them for
+    # as long as a projected group keeps its projector
+    g = scale * np.random.default_rng(4).standard_normal((9, 6))
+    p, _, q = truncated_svd(g, 2)
+    assert p.shape == (9, 2) and q.shape == (6, 2)
+    assert p.flags.owndata and q.flags.owndata
+    assert np.array_equal(p, np.eye(9)[:, :2]) == (scale == 0.0)
+
+
 def test_truncated_svd_deterministic() -> None:
     g = np.random.default_rng(3).standard_normal((7, 5))
     p1, s1, q1 = truncated_svd(g, 3)

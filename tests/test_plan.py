@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from msga.losses import downsample_labels
 from msga.model import build_loss_tape, init_model
 from msga.optim import Frozen, assign_strategies
 from msga.tape import Plan, Tape
-from msga.train import compile_loss_plan, model_config, prepare_splits
+from msga.train import compile_loss_plan, model_config, prepare_splits, train_model
 
 SMALL = dict(synthetic_count=20, image_h=16, image_w=16, embed_dim=8, blocks=1,
              decoder_channels=8)
@@ -124,6 +126,7 @@ def test_tape_backward_leaves_the_tape_intact() -> None:
 
 
 def test_backward_frees_each_value_and_its_aux_after_the_last_reader() -> None:
+    # a value lives while a later rule reads it by value; an aux until its own rule
     cfg = CONFIGS["medsaga"]
     params, samples = _setup(cfg)
     tape, _, _, _, loss = build_loss_tape(params, *samples[0], cfg)
@@ -143,6 +146,58 @@ def test_backward_frees_each_value_and_its_aux_after_the_last_reader() -> None:
     assert len(seen) == len(plan.steps)
     for k, (alive_values, alive_auxes) in enumerate(seen):
         later = plan.steps[k:]
-        assert alive_values == {s for nid, _, inputs, *_ in later for s in (*inputs, nid)}, k
-        assert alive_auxes == alive_values, k
+        assert alive_values == {s for _, _, slots, *_ in later for s in slots if s is not None}, k
+        assert alive_auxes == {nid for nid, *_ in later}, k
     assert values == [None] * len(values) and auxes == [None] * len(auxes)
+    # the training graph's residual adds and layernorm inputs are read by shape only
+    read = {s for _, _, slots, *_ in plan.steps for s in slots}
+    assert any(n.op == "add" and nid not in read for nid, n in enumerate(tape.nodes))
+
+
+def test_replay_forward_keeps_only_what_the_backward_and_the_scalars_read(monkeypatch) -> None:
+    cfg = CONFIGS["medsaga"]
+    params, samples = _setup(cfg)
+    plan, _ = compile_loss_plan(params, *samples[0], cfg)
+    alive: list[set[int]] = []
+    original = Plan.backward
+
+    def watched(self, values, auxes):
+        alive.append({i for i, v in enumerate(values) if v is not None})
+        return original(self, values, auxes)
+
+    monkeypatch.setattr(Plan, "backward", watched)
+    plan.run(_leaves(params, samples[0][0]), samples[0][1])
+    read = {s for _, _, slots, *_ in plan.steps for s in slots if s is not None}
+    assert alive == [read | set(plan.reads)]
+
+
+def test_a_rule_handed_none_for_a_slot_it_reads_raises() -> None:
+    cfg = CONFIGS["medsaga"]
+    params, samples = _setup(cfg)
+    tape, _, _, _, loss = build_loss_tape(params, *samples[0], cfg)
+    plan = Plan(tape, loss)
+    steps = list(plan.steps)
+    checked = set()
+    for k, (nid, rule, slots, *rest) in enumerate(steps):
+        for j, s in enumerate(slots):
+            if s is None:
+                continue
+            blanked = (*slots[:j], None, *slots[j + 1:])
+            plan.steps = [*steps[:k], (nid, rule, blanked, *rest), *steps[k + 1:]]
+            with pytest.raises((TypeError, AttributeError, ValueError)):
+                plan.backward(list(tape.values), [n.aux for n in tape.nodes])
+            checked.add(tape.nodes[nid].op)
+    assert {"matmul", "linear", "attention", "gelu", "layernorm", "softmax-ce"} <= checked
+
+
+@pytest.mark.parametrize("label", [3, 256])
+def test_training_rejects_a_label_outside_the_classes_before_packing(label) -> None:
+    # packed labels are uint8 for three classes: 256 would wrap to 0 if cast first
+    cfg = RunConfig(mode="medsaga", classes=3, total_steps=1, **SMALL)
+    train_ds, _ = prepare_splits(cfg)
+    mask = train_ds.samples[1].mask.astype(np.int64)
+    mask[:, :] = label
+    samples = list(train_ds.samples)
+    samples[1] = replace(samples[1], mask=mask)
+    with pytest.raises(ValueError, match="training sample 1: label values outside 0..2"):
+        train_model(cfg, replace(train_ds, samples=tuple(samples)))
