@@ -41,6 +41,7 @@ class Dataset:
 
 
 SLICES_PER_PATIENT = 10
+LAYOUT_ATTEMPTS = 1000   # per synthetic sample; classes <= 8 at 16x16 and 32x32 took <= 80
 
 
 def _disc(h: int, w: int, cy: int, cx: int, radius: int) -> np.ndarray:
@@ -78,7 +79,8 @@ def _place_shapes(rng: np.random.Generator, h: int, w: int, k: int) -> np.ndarra
 
 
 def generate_synthetic(seed: int, count: int, h: int, w: int, k: int) -> Dataset:
-    """Deterministic synthetic dataset; every foreground class appears in every mask."""
+    """Deterministic synthetic dataset; every foreground class appears in every mask.
+    Raises ConfigError naming `classes` when a sample's shapes find no room."""
     if k < 2:
         raise ValueError(f"need k >= 2 classes, got {k}")
     if h < 16 or w < 16:
@@ -88,9 +90,13 @@ def generate_synthetic(seed: int, count: int, h: int, w: int, k: int) -> Dataset
     rng = np.random.default_rng(seed)
     samples = []
     for idx in range(count):
-        mask = None
-        while mask is None:  # failed placements just draw a fresh layout
+        for _ in range(LAYOUT_ATTEMPTS):  # a failed placement draws a fresh layout
             mask = _place_shapes(rng, h, w, k)
+            if mask is not None:
+                break
+        else:
+            raise ConfigError("classes", f"{k - 1} disjoint shapes found no room in a {h}x{w} "
+                              f"image in {LAYOUT_ATTEMPTS} layouts (sample {idx})")
         image = rng.uniform(0.0, 0.2, size=(h, w))
         for c in range(1, k):
             level = 0.35 + 0.55 * (c - 1) / max(1, k - 2)

@@ -8,7 +8,7 @@ softmax cross-entropy, fused soft dice, scalar scale and patchify. The fused
 linear and attention rules are compositions of the matmul, add, scale and
 row-softmax rules, so they share those rules' shape checks and derivatives
 and give the same bytes as the elementary chain. Row softmax, reshape, mean,
-embedding lookup and matmul's transpose flags remain only because the
+embedding lookup and matmul's transpose_b flag remain only because the
 gradient-correctness acceptance check (C3) pins them. Values are float64
 ndarrays; losses are 0-d.
 
@@ -17,14 +17,15 @@ attention keeps its probabilities, layernorm its normalized rows and row
 std, gelu its tanh, and soft dice its softmax, one-hot and class sums.
 Their backward rules read these instead of recomputing them.
 
-A Plan compiles a recorded tape to replay it on new leaves and labels, with
-a backward pruned to the nodes between the wanted leaves and the loss. Each
-op kind declares the values its backward reads (others reach it as None), so
-a replay drops each value after its last reader, forward or backward, and
-each aux after its own node's backward rule. Training records one tape per run
-and replays its plan per sample; Tape.backward runs a plan that wants every
-leaf, so there is one backward loop. Gradients it returns are fresh arrays
-and safe to hand elsewhere.
+A Plan compiles a recorded tape to replay it on a batch of new leaves and
+labels, with a backward pruned to the nodes between the wanted leaves and the
+loss. Each op kind declares the values its backward reads (others reach it as
+None). A node on the backward path keeps those values and its aux from its
+forward op until its own backward step; the replay drops every other value
+after its last forward reader. Training records one tape per run and replays
+its plan once per step; Tape.backward runs a plan that wants every leaf on
+the tape's recorded values, so there is one backward loop. Gradients it
+returns are fresh arrays and safe to hand elsewhere.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class Tape:
 
     # typed wrappers, one per op kind
 
-    def matmul(self, a: int, b: int, transpose_a: bool = False, transpose_b: bool = False) -> int:
-        return self.record("matmul", (a, b), transpose_a=transpose_a, transpose_b=transpose_b)
+    def matmul(self, a: int, b: int, transpose_b: bool = False) -> int:
+        return self.record("matmul", (a, b), transpose_b=transpose_b)
 
     def add(self, a: int, b: int) -> int:
         return self.record("add", (a, b))
@@ -140,15 +141,17 @@ class Tape:
         own shape. Identical tapes produce bitwise-identical results: the
         traversal order and accumulation order are fixed by node order.
         """
-        return Plan(self, loss_id).backward(list(self.values), [n.aux for n in self.nodes])
+        plan = Plan(self, loss_id)
+        return plan.backward({nid: _kept(slots, self.values, self.nodes[nid].aux)
+                              for nid, _, slots, _ in plan.steps})
 
 
 class Plan:
     """A recorded tape compiled for replay: a forward list of each op's rule,
-    input slots, arguments (labels excepted) and the values no rule reads
-    after it, and a backward list of the nodes on a path from a wanted leaf
-    to the loss in reverse node order, so adjoints accumulate as over the
-    whole tape."""
+    input slots, arguments (labels excepted), the values no later op reads and,
+    for a node on the backward path, the value slots its backward rule reads;
+    and a backward list of those nodes, on a path from a wanted leaf to the
+    loss, in reverse node order, so adjoints accumulate as over the whole tape."""
 
     def __init__(self, tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
                  reads: tuple[int, ...] = (), names: list[str] | None = None) -> None:
@@ -161,15 +164,11 @@ class Plan:
         self.leaves = [(nid, nodes[nid].shape, name)
                        for nid, name in zip(leaves, names or leaves, strict=True)]
         self.wanted = [(nid, nodes[nid].shape) for nid in sorted(wanted)]
-        self.forward = [(nid, _OPS[n.op][0], n.inputs, "labels" in n.args,
-                         {k: n.aux[k] for k in n.args if k != "labels"}, [])
-                        for nid, n in enumerate(nodes) if n.op != "leaf"]
         reaches: list[bool] = []
         for nid, n in enumerate(nodes):
             reaches.append(nid in wanted if n.op == "leaf" else any(reaches[i] for i in n.inputs))
         live = {loss_id} if reaches[loss_id] else set()
         self.steps: list[tuple] = []
-        last = {s: -1 for s in range(len(nodes))}   # slot -> last step reading it; -1: none
         for nid in range(loss_id, -1, -1):
             n = nodes[nid]
             if nid in live and n.op != "leaf":
@@ -179,59 +178,70 @@ class Plan:
                 # the value slots the rule reads, its output last; None: not read
                 slots = (*(i if k in reads_in else None for k, i in enumerate(n.inputs)),
                          nid if reads_out else None)
-                last.update((s, len(self.steps)) for s in slots if s is not None)
-                self.steps.append((nid, rule, slots, targets, []))
-        self.unread: list[int] = []
-        for s, k in last.items():
-            (self.steps[k][4] if k >= 0 else self.unread).append(s)
+                self.steps.append((nid, rule, slots, targets))
+        read_slots = {nid: slots for nid, _, slots, _ in self.steps}
+        self.forward = [(nid, _OPS[n.op][0], n.inputs, "labels" in n.args,
+                         {k: n.aux[k] for k in n.args if k != "labels"}, [], read_slots.get(nid))
+                        for nid, n in enumerate(nodes) if n.op != "leaf"]
         done = {}   # slot -> the last forward op making or reading it
         for k, (nid, _, inputs, *_) in enumerate(self.forward):
             done.update((s, k) for s in (nid, *inputs))
-        for s in (done.keys() & self.unread) - set(self.reads):
+        for s in done.keys() - set(self.reads):
             self.forward[done[s]][5].append(s)
-        self.idle = set(range(len(nodes))) - {step[0] for step in self.steps}   # unread auxes
 
-    def run(
-        self, leaves: list[np.ndarray], labels: np.ndarray | tuple = ()
-    ) -> tuple[list[float], dict[int, np.ndarray]]:
-        """Replay on `leaves` (float64, in tape order) and flat `labels`;
-        returns the `reads` values as floats and the wanted leaves' adjoints."""
+    def run(self, samples: Iterable[tuple]) -> tuple[list[float], dict[int, np.ndarray]]:
+        """Replay each `(leaves, labels)` sample in order, `leaves` float64 in tape
+        order and `labels` flat; returns the `reads` values as floats and the wanted
+        leaves' adjoints, each summed over the samples. One adjoint may serve two
+        inputs, so the first sample's enter fresh as `0.0 + g`; later ones add in place."""
+        reads, sums = [0.0] * len(self.reads), {}
+        for leaves, labels in samples:
+            scalars, kept = self._replay(leaves, labels)
+            reads = [r + x for r, x in zip(reads, scalars)]
+            sums = {nid: np.add(sums[nid], g, out=sums[nid]) if nid in sums else 0.0 + g
+                    for nid, g in self.backward(kept).items()}
+        return reads, sums
+
+    def _replay(self, leaves: list, labels: np.ndarray) -> tuple[list[float], dict[int, tuple]]:
+        """One forward pass: the `reads` values and each backward node's kept entry,
+        which holds what its rule reads; all else goes after its last forward reader."""
         values: list = [None] * (len(self.leaves) + len(self.forward))
-        auxes: list = [None] * len(values)
         for (nid, shape, name), v in zip(self.leaves, leaves, strict=True):
             if not isinstance(v, np.ndarray) or v.dtype != _F64 or v.shape != shape:
                 raise ValueError(f"replay leaf {name!r}: expected float64 {shape}, "
                                  f"got {np.asarray(v).dtype} {np.shape(v)}")
             values[nid] = v
         labels = np.asarray(labels, dtype=np.int64)
-        for nid, rule, inputs, takes_labels, static, frees in self.forward:
-            auxes[nid] = aux = dict(static)
+        kept = {}
+        for nid, rule, inputs, takes_labels, static, frees, slots in self.forward:
+            aux = dict(static)
             if takes_labels:
                 aux["labels"] = labels
             values[nid] = rule([values[i] for i in inputs], aux)
+            if slots is not None:
+                kept[nid] = _kept(slots, values, aux)
             for s in frees:
                 values[s] = None
-        return [float(values[i]) for i in self.reads], self.backward(values, auxes)
+        return [float(values[i]) for i in self.reads], kept
 
-    def backward(self, values: list, auxes: list) -> dict[int, np.ndarray]:
-        """Wanted leaves' adjoints from one forward pass's values and auxes, which
-        it clears. Leaves the loss does not reach get exact zeros of their shape."""
-        for s in self.unread:
-            values[s] = None
-        for s in self.idle:
-            auxes[s] = None
+    def backward(self, kept: dict[int, tuple]) -> dict[int, np.ndarray]:
+        """Wanted leaves' adjoints from one forward pass's kept entries, each popped
+        at its node's step. Leaves the loss does not reach get exact zeros of their shape."""
         adjoints = {self.loss_id: np.ones(self.loss_shape)}
-        for nid, rule, slots, targets, frees in self.steps:
-            *args, out = [None if s is None else values[s] for s in slots]
-            grads_in = rule(adjoints.pop(nid), args, out, auxes[nid])
-            auxes[nid] = None
+        for nid, rule, _, targets in self.steps:
+            grads_in = rule(adjoints.pop(nid), *kept.pop(nid))
             for iid, g in zip(targets, grads_in):
                 if iid is not None:
                     adjoints[iid] = adjoints[iid] + g if iid in adjoints else g
-            for s in frees:
-                values[s] = None
         return {nid: adjoints[nid] if nid in adjoints else np.zeros(shape)
                 for nid, shape in self.wanted}
+
+
+def _kept(slots: tuple, values: list, aux: dict) -> tuple[list, np.ndarray | None, dict]:
+    """What a node's backward rule takes after its adjoint: the inputs it reads by
+    value and its output if read (None elsewhere), then its aux."""
+    *args, out = [None if s is None else values[s] for s in slots]
+    return args, out, aux
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +257,15 @@ def _check_2d(op: str, *arrays: np.ndarray) -> None:
 def _fwd_matmul(args, aux):
     a, b = args
     _check_2d("matmul", a, b)
-    a_eff = a.T if aux["transpose_a"] else a
     b_eff = b.T if aux["transpose_b"] else b
-    if a_eff.shape[1] != b_eff.shape[0]:
-        raise ValueError(
-            f"matmul: inner dimensions disagree, {a_eff.shape} @ {b_eff.shape} "
-            f"(transpose_a={aux['transpose_a']}, transpose_b={aux['transpose_b']})"
-        )
-    return a_eff @ b_eff
+    if a.shape[1] != b_eff.shape[0]:
+        raise ValueError(f"matmul: inner dimensions disagree, {a.shape} @ {b_eff.shape} "
+                         f"(transpose_b={aux['transpose_b']})")
+    return a @ b_eff
 
 
-_NN = {"transpose_a": False, "transpose_b": False}
-_NT = {"transpose_a": False, "transpose_b": True}
+_NN = {"transpose_b": False}
+_NT = {"transpose_b": True}
 
 
 def _fwd_add(args, aux):
@@ -404,14 +411,9 @@ def _fwd_embed_lookup(args, aux):
 
 def _bwd_matmul(g, args, out, aux):
     a, b = args
-    ta, tb = aux["transpose_a"], aux["transpose_b"]
-    if not ta and not tb:
-        return g @ b.T, a.T @ g
-    if ta and not tb:
-        return b @ g.T, a @ g
-    if not ta and tb:
+    if aux["transpose_b"]:
         return g @ b, g.T @ a
-    return b.T @ g.T, g.T @ a.T
+    return g @ b.T, a.T @ g
 
 
 def _bwd_add(g, args, out, aux):

@@ -13,6 +13,7 @@ runs of one config are byte-identical.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -62,9 +63,12 @@ def model_config(cfg: RunConfig) -> ModelConfig:
 
 @contextmanager
 def _config_key(name: str) -> Iterator[None]:
-    """Re-raise a data-layer ValueError as a ConfigError naming the key behind it."""
+    """Re-raise a data-layer ValueError as a ConfigError naming the key behind it;
+    a ConfigError already names its own."""
     try:
         yield
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(name, str(exc)) from exc
 
@@ -118,6 +122,15 @@ def compile_loss_plan(
     return Plan(tape, loss, trained, (ce, dice, loss), [*ids, "image"]), ids
 
 
+def _batches(seed: int, n: int, batch_size: int) -> Iterator[np.ndarray]:
+    """Each step's sample indices, without end: every epoch one (seed, epoch)
+    permutation of the n samples, cut into batches; an epoch's last may be short."""
+    for epoch in itertools.count():
+        order = np.random.default_rng([seed, epoch]).permutation(n)
+        for start in range(0, n, batch_size):
+            yield order[start : start + batch_size]
+
+
 def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = None) -> TrainResult:
     """Run cfg.total_steps of batched training on train_ds.
 
@@ -144,65 +157,37 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
     if bad.size:
         raise ValueError(f"training sample {bad[0]}: label values outside 0..{cfg.classes - 1}")
     labels = labels.astype(np.min_scalar_type(cfg.classes - 1))
-    # one recorded tape per run; every sample replays its plan
+    # one recorded tape per run; each step replays its plan over the batch
     plan, ids = compile_loss_plan(params, images[0], labels[0], cfg)
 
     log_rows: list[dict] = []
-    step = 0
-    epoch = 0
-    n = len(train_ds)
-    while step < cfg.total_steps:
-        order = np.random.default_rng([cfg.seed, epoch]).permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            if step >= cfg.total_steps:
-                break
-            batch = order[start : start + cfg.batch_size]
-            grads: dict[str, np.ndarray] = {}
-            ce_sum = 0.0
-            dice_sum = 0.0
-            loss_sum = 0.0
-            for idx in batch:
-                (ce, dice, loss), sample_grads = plan.run(
-                    [*(g.values for g in params.groups), images[idx]], labels[idx])
-                for g in trained:
-                    # fresh arrays only: backward may hand one object to two
-                    # consumers, so in-place accumulation is off the table
-                    grads[g.name] = grads.get(g.name, 0.0) + sample_grads[ids[g.name]]
-                ce_sum += ce
-                dice_sum += dice
-                loss_sum += loss
-                # a sample's adjoints go before the next replay, so one sample bounds the peak
-                del sample_grads
-            if not np.isfinite(loss_sum):
-                raise FloatingPointError(f"training diverged at step {step}: loss is {loss_sum}")
-            inv = 1.0 / len(batch)
-            lr_full = lr_at(full_sched, step)
-            lr_galore = lr_at(galore_sched, step)
-            for g in trained:
-                grad = grads[g.name] * inv
-                if not np.isfinite(grad).all():
-                    raise FloatingPointError(
-                        f"training diverged at step {step}: gradient of {g.name} is not finite")
-                if isinstance(g.strategy, FullAdamW):
-                    g.values = adamw_step(
-                        g.values, grad, adamw_states[g.name], lr_full,
-                        cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay,
-                    )
-                else:
-                    g.values = galore_step(
-                        g.values, grad, galore_states[g.name], lr_galore,
-                        cfg.beta1, cfg.beta2, cfg.eps,
-                    )
-            log_rows.append({
-                "step": step,
-                "lr_full": lr_full,
-                "lr_galore": lr_galore,
-                "ce": ce_sum * inv,
-                "dice": dice_sum * inv,
-                "loss": loss_sum * inv,
-            })
-            step += 1
-        epoch += 1
+    batches = _batches(cfg.seed, len(train_ds), cfg.batch_size)
+    for step, batch in zip(range(cfg.total_steps), batches):
+        (ce, dice, loss), grads = plan.run(
+            [([*(g.values for g in params.groups), images[i]], labels[i]) for i in batch])
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"training diverged at step {step}: loss is {loss}")
+        inv = 1.0 / len(batch)
+        lr_full = lr_at(full_sched, step)
+        lr_galore = lr_at(galore_sched, step)
+        for g in trained:
+            # each sum goes as it is used: none may outlive the step into the next replay
+            grad = grads.pop(ids[g.name]) * inv
+            if not np.isfinite(grad).all():
+                raise FloatingPointError(
+                    f"training diverged at step {step}: gradient of {g.name} is not finite")
+            if isinstance(g.strategy, FullAdamW):
+                g.values = adamw_step(
+                    g.values, grad, adamw_states[g.name], lr_full,
+                    cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay,
+                )
+            else:
+                g.values = galore_step(
+                    g.values, grad, galore_states[g.name], lr_galore,
+                    cfg.beta1, cfg.beta2, cfg.eps,
+                )
+        log_rows.append({"step": step, "lr_full": lr_full, "lr_galore": lr_galore,
+                         "ce": ce * inv, "dice": dice * inv, "loss": loss * inv})
     return TrainResult(params, adamw_states, galore_states, log_rows)
 
 

@@ -35,11 +35,12 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _run_cli(*args: str, **env: str) -> subprocess.CompletedProcess:
+def _run_cli(*args: str, timeout: float | None = None, **env: str) -> subprocess.CompletedProcess:
     """`msga` in a fresh interpreter, so numpy warnings stay out of this process."""
     src = os.path.dirname(os.path.dirname(msga.__file__))
     return subprocess.run([sys.executable, "-m", "msga.cli", *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src, **env})
+                          text=True, env={**os.environ, "PYTHONPATH": src, **env},
+                          timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +139,14 @@ def test_cli_data_layer_errors_name_config_key(tmp_path, capsys, flags, key) -> 
     assert main(["train", *flags, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert f"config field '{key}" in err, err
+
+
+def test_cli_classes_that_find_no_room_exit_2_instead_of_looping(tmp_path) -> None:
+    # eleven disjoint shapes never fit a 16x16 image; generation gives up in seconds
+    run = _run_cli("train", "--classes", "12", "--image-h", "16", "--image-w", "16",
+                   "--out", str(tmp_path), timeout=60)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error: config field 'classes': 11 disjoint shapes"), run.stderr
 
 
 def test_cli_exit_code_2_on_unknown_config_key(tmp_path) -> None:

@@ -58,13 +58,11 @@ def test_tape_matmul_matches_triple_loop_oracle() -> None:
     rng = np.random.default_rng(42)
     a = rng.standard_normal((5, 7))
     b = rng.standard_normal((7, 3))
-    for transpose_a in (False, True):
-        for transpose_b in (False, True):
-            tape = Tape()
-            stored_a = a.T.copy() if transpose_a else a
-            stored_b = b.T.copy() if transpose_b else b
-            out = tape.matmul(tape.leaf(stored_a), tape.leaf(stored_b), transpose_a, transpose_b)
-            assert np.abs(tape.value(out) - triple_loop_matmul(a, b)).max() < 1e-12
+    for transpose_b in (False, True):
+        tape = Tape()
+        stored_b = b.T.copy() if transpose_b else b
+        out = tape.matmul(tape.leaf(a), tape.leaf(stored_b), transpose_b)
+        assert np.abs(tape.value(out) - triple_loop_matmul(a, b)).max() < 1e-12
 
 
 def test_truncated_svd_diagonal_case() -> None:

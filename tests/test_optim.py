@@ -20,6 +20,7 @@ from msga.optim import (
     lr_at,
     refresh_subspace,
 )
+import msga.tape
 import msga.train
 from msga.tape import Plan
 from msga.train import prepare_splits, train_model
@@ -391,28 +392,26 @@ def test_full_adamw_runs_are_bitwise_reproducible() -> None:
         assert np.array_equal(a.values, b.values), a.name
 
 
-def _replay_arrays(values: list, auxes: list, leaf_ids: set[int]) -> list[np.ndarray]:
-    """Every array a replay computed: non-leaf values and kept intermediates, not labels."""
-    out = [v for i, v in enumerate(values) if i not in leaf_ids and isinstance(v, np.ndarray)]
-    for aux in filter(None, auxes):
-        for key, kept in aux.items():
-            if key != "labels":
-                out += [a for a in (kept if isinstance(kept, tuple) else (kept,))
-                        if isinstance(a, np.ndarray)]
-    return out
+def _aux_arrays(aux: dict) -> list[np.ndarray]:
+    """The arrays a forward rule kept in its aux, not the labels it was given."""
+    return [a for key, kept in aux.items() if key != "labels"
+            for a in (kept if isinstance(kept, tuple) else (kept,)) if isinstance(a, np.ndarray)]
 
 
 def test_training_records_one_tape_and_frees_each_sample_replay_before_the_next(
         monkeypatch) -> None:
     # one recorded tape per run; a sample's replayed values, kept intermediates
-    # and adjoints are all gone when the next sample starts
+    # and adjoints are all gone when the next sample starts, and a step's
+    # gradient sums are gone when the next step's replay starts
     cfg = RunConfig(mode="medsaga", total_steps=3, synthetic_count=20,
                     image_h=16, image_w=16, embed_dim=8, blocks=1,
                     decoder_channels=8, batch_size=2).validate()
     train_ds, _ = prepare_splits(cfg)
     tapes: list[int] = []
     runs: list[int] = []
-    live: list[weakref.ref] = []
+    replays: list[int] = []
+    live: list[weakref.ref] = []    # every array an op or a backward made so far
+    sums: list[weakref.ref] = []    # the gradient sums of every finished step
     original_build, original_run, original_backward = (
         msga.train.build_loss_tape, Plan.run, Plan.backward)
 
@@ -420,26 +419,46 @@ def test_training_records_one_tape_and_frees_each_sample_replay_before_the_next(
         tapes.append(1)
         return original_build(*args, **kwargs)
 
-    def watched_run(self, leaves, labels=()):
-        alive = sum(ref() is not None for ref in live)
-        assert not alive, f"{alive} arrays of an earlier sample alive at sample {len(runs)}"
+    def watched_forward(rule):
+        def forward_rule_watched(args, aux):
+            out = rule(args, aux)
+            # a 0-d product is a numpy scalar, which takes no weak reference
+            live.extend(weakref.ref(a) for a in (out, *_aux_arrays(aux))
+                        if isinstance(a, np.ndarray))
+            return out
+        return forward_rule_watched
+
+    def watched_run(self, samples):
+        def checked():
+            for sample in samples:
+                alive = sum(ref() is not None for ref in live)
+                assert not alive, f"{alive} arrays of an earlier sample alive at {len(replays)}"
+                alive = sum(ref() is not None for ref in sums)
+                assert not alive, f"{alive} gradient sums of an earlier step alive at {len(runs)}"
+                replays.append(1)
+                yield sample
+        reads, grads = original_run(self, checked())
         runs.append(1)
-        scalars, grads = original_run(self, leaves, labels)
+        sums.extend(weakref.ref(g) for g in grads.values())
+        return reads, grads
+
+    def watched_backward(self, kept):
+        grads = original_backward(self, kept)
         live.extend(weakref.ref(g) for g in grads.values())
-        return scalars, grads
+        return grads
 
-    def watched_backward(self, values, auxes):
-        leaf_ids = {nid for nid, _, _ in self.leaves}
-        live.extend(weakref.ref(a) for a in _replay_arrays(values, auxes, leaf_ids))
-        return original_backward(self, values, auxes)
-
+    for op, (rule, *rest) in list(msga.tape._OPS.items()):
+        monkeypatch.setitem(msga.tape._OPS, op, (watched_forward(rule), *rest))
     monkeypatch.setattr(msga.train, "build_loss_tape", recording)
     monkeypatch.setattr(Plan, "run", watched_run)
     monkeypatch.setattr(Plan, "backward", watched_backward)
-    train_model(cfg, train_ds)
+    result = train_model(cfg, train_ds)
     assert len(tapes) == 1
-    assert len(runs) == cfg.total_steps * cfg.batch_size
-    assert len(live) > len(runs) * 30   # values, intermediates and adjoints were all watched
+    assert len(runs) == cfg.total_steps
+    assert len(replays) == cfg.total_steps * cfg.batch_size
+    assert len(live) > len(replays) * 30   # values, intermediates and adjoints were all watched
+    trained = [g for g in result.params.groups if not isinstance(g.strategy, Frozen)]
+    assert len(sums) == cfg.total_steps * len(trained)
 
 
 def test_galore_state_strictly_smaller_than_full_adamw_for_default_config() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from msga.config import RunConfig
 from msga.losses import downsample_labels
 from msga.model import build_loss_tape, init_model
 from msga.optim import Frozen, assign_strategies
-from msga.tape import Plan, Tape
+from msga.tape import Plan, Tape, _kept
 from msga.train import compile_loss_plan, model_config, prepare_splits, train_model
 
 SMALL = dict(synthetic_count=20, image_h=16, image_w=16, embed_dim=8, blocks=1,
@@ -54,7 +55,7 @@ def test_plan_replay_equals_tape_backward(name) -> None:
         tape, tape_ids, ce, dice, loss = build_loss_tape(params, image, labels, cfg)
         assert tape_ids == ids
         want = tape.backward(loss)
-        scalars, got = plan.run(_leaves(params, image), labels)
+        scalars, got = plan.run([(_leaves(params, image), labels)])
         assert scalars == [float(tape.value(i)) for i in (ce, dice, loss)]
         assert sorted(got) == sorted(ids[g.name] for g in trained)
         for g in trained:
@@ -78,7 +79,7 @@ def test_v2_plan_gives_frozen_leaves_no_adjoint() -> None:
     plan, ids = compile_loss_plan(params, *samples[0], cfg)
     frozen = {ids[g.name] for g in params.groups if isinstance(g.strategy, Frozen)}
     assert frozen
-    _, grads = plan.run(_leaves(params, samples[0][0]), samples[0][1])
+    _, grads = plan.run([(_leaves(params, samples[0][0]), samples[0][1])])
     assert not frozen & set(grads)
     assert not any(i in frozen for step in plan.steps for i in step[3])
 
@@ -93,7 +94,7 @@ def test_replay_rejects_a_leaf_unlike_the_compiled_one(bad) -> None:
     i = [g.name for g in params.groups].index("encoder/block0/attn/q")
     leaves[i] = {"shape": w[:, :-1], "float32": w.astype(np.float32), "list": w.tolist()}[bad]
     with pytest.raises(ValueError, match="encoder/block0/attn/q"):
-        plan.run(leaves, samples[0][1])
+        plan.run([(leaves, samples[0][1])])
 
 
 def test_replay_rejects_an_image_of_another_shape() -> None:
@@ -101,7 +102,7 @@ def test_replay_rejects_an_image_of_another_shape() -> None:
     params, samples = _setup(cfg)
     plan, _ = compile_loss_plan(params, *samples[0], cfg)
     with pytest.raises(ValueError, match="image"):
-        plan.run(_leaves(params, np.zeros((8, 8))), samples[0][1])
+        plan.run([(_leaves(params, np.zeros((8, 8))), samples[0][1])])
 
 
 def test_replay_runs_the_label_range_check() -> None:
@@ -111,7 +112,7 @@ def test_replay_runs_the_label_range_check() -> None:
     labels = samples[0][1].copy()
     labels[5] = cfg.classes
     with pytest.raises(ValueError, match="softmax-ce: label values outside"):
-        plan.run(_leaves(params, samples[0][0]), labels)
+        plan.run([(_leaves(params, samples[0][0]), labels)])
 
 
 def test_tape_backward_leaves_the_tape_intact() -> None:
@@ -125,50 +126,98 @@ def test_tape_backward_leaves_the_tape_intact() -> None:
     assert all(np.array_equal(first[i], second[i]) for i in first)
 
 
+def _tape_kept(plan: Plan, tape: Tape) -> dict[int, tuple]:
+    """Kept entries from the tape's recorded values, as Tape.backward builds them."""
+    return {nid: _kept(slots, tape.values, tape.nodes[nid].aux) for nid, _, slots, _ in plan.steps}
+
+
 def test_backward_frees_each_value_and_its_aux_after_the_last_reader() -> None:
-    # a value lives while a later rule reads it by value; an aux until its own rule
+    # a value lives while a later rule's kept entry holds it; an aux until its own rule
     cfg = CONFIGS["medsaga"]
     params, samples = _setup(cfg)
     tape, _, _, _, loss = build_loss_tape(params, *samples[0], cfg)
     plan = Plan(tape, loss)
-    values, auxes = list(tape.values), [n.aux for n in tape.nodes]
-    seen: list[tuple[set[int], set[int]]] = []
+    kept = _tape_kept(plan, tape)
+    slot_of = {id(v): i for i, v in enumerate(tape.values)}
+    seen: list[tuple[set[int], list, set[int]]] = []
 
     def watched(rule):
-        def rule_seeing_what_is_alive(g, args, out, aux):
-            seen.append(({i for i, v in enumerate(values) if v is not None},
-                         {i for i, a in enumerate(auxes) if a is not None}))
+        def rule_seeing_what_is_kept(g, args, out, aux):
+            held = {slot_of[id(v)] for a, o, _ in kept.values() for v in (*a, o) if v is not None}
+            seen.append((set(kept), [slot_of.get(id(v)) for v in (*args, out)], held))
             return rule(g, args, out, aux)
-        return rule_seeing_what_is_alive
+        return rule_seeing_what_is_kept
 
     plan.steps = [(nid, watched(rule), *rest) for nid, rule, *rest in plan.steps]
-    plan.backward(values, auxes)
-    assert len(seen) == len(plan.steps)
-    for k, (alive_values, alive_auxes) in enumerate(seen):
-        later = plan.steps[k:]
-        assert alive_values == {s for _, _, slots, *_ in later for s in slots if s is not None}, k
-        assert alive_auxes == {nid for nid, *_ in later}, k
-    assert values == [None] * len(values) and auxes == [None] * len(auxes)
+    plan.backward(kept)
+    assert len(seen) == len(plan.steps) and kept == {}
+    for k, (entries, handed, held) in enumerate(seen):
+        later = plan.steps[k + 1:]
+        assert entries == {nid for nid, *_ in later}, k
+        assert handed == list(plan.steps[k][2]), k
+        assert held == {s for _, _, slots, *_ in later for s in slots if s is not None}, k
     # the training graph's residual adds and layernorm inputs are read by shape only
     read = {s for _, _, slots, *_ in plan.steps for s in slots}
     assert any(n.op == "add" and nid not in read for nid, n in enumerate(tape.nodes))
 
 
 def test_replay_forward_keeps_only_what_the_backward_and_the_scalars_read(monkeypatch) -> None:
+    # when the backward starts, a replayed value is alive only if a backward rule
+    # reads it and an aux only if its node is on the backward path; the scalars
+    # are floats by then, and nothing of a replay outlives the run
     cfg = CONFIGS["medsaga"]
     params, samples = _setup(cfg)
     plan, _ = compile_loss_plan(params, *samples[0], cfg)
-    alive: list[set[int]] = []
+    values: dict[int, weakref.ref] = {}
+    auxes: dict[int, list[weakref.ref]] = {}
+
+    def watched(nid, rule):
+        def forward_rule_watched(args, aux):
+            out = rule(args, aux)
+            if isinstance(out, np.ndarray):
+                values[nid] = weakref.ref(out)
+            arrays = [a for key, v in aux.items() if key != "labels"
+                      for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+            auxes[nid] = [weakref.ref(a) for a in arrays]
+            return out
+        return forward_rule_watched
+
+    plan.forward = [(nid, watched(nid, rule), *rest) for nid, rule, *rest in plan.forward]
+    alive: list[tuple[set[int], set[int]]] = []
     original = Plan.backward
 
-    def watched(self, values, auxes):
-        alive.append({i for i, v in enumerate(values) if v is not None})
-        return original(self, values, auxes)
+    def watched_backward(self, kept):
+        alive.append(({nid for nid, ref in values.items() if ref() is not None},
+                      {nid for nid, refs in auxes.items() if any(r() is not None for r in refs)}))
+        return original(self, kept)
 
-    monkeypatch.setattr(Plan, "backward", watched)
-    plan.run(_leaves(params, samples[0][0]), samples[0][1])
-    read = {s for _, _, slots, *_ in plan.steps for s in slots if s is not None}
-    assert alive == [read | set(plan.reads)]
+    monkeypatch.setattr(Plan, "backward", watched_backward)
+    plan.run([(_leaves(params, image), labels) for image, labels in samples[:2]])
+    read = {s for _, _, slots, *_ in plan.steps for s in slots if s in values}
+    on_path = {nid for nid, *_ in plan.steps if auxes[nid]}
+    assert read and on_path
+    assert alive == [(read, on_path)] * 2
+    assert not any(ref() is not None for refs in (values.values(), *auxes.values())
+                   for ref in refs)
+
+
+def test_run_sums_a_batch_in_sample_order_into_fresh_arrays() -> None:
+    # reads sum from 0.0; adjoints enter as 0.0 + g, as a fresh sum would, then add
+    cfg = CONFIGS["medsaga"]
+    params, samples = _setup(cfg)
+    plan, _ = compile_loss_plan(params, *samples[0], cfg)
+    batch = [(_leaves(params, image), labels) for image, labels in samples]
+    want_reads, want = [0.0] * 3, {}
+    for sample in batch:
+        reads, grads = plan.run([sample])
+        want_reads = [w + r for w, r in zip(want_reads, reads)]
+        want = {nid: want.get(nid, 0.0) + g for nid, g in grads.items()}
+    reads, got = plan.run(batch)
+    assert reads == want_reads and all(type(r) is float for r in reads)
+    assert sorted(got) == sorted(want)
+    assert all(got[nid].tobytes() == want[nid].tobytes() for nid in want)
+    arrays = list(got.values())
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
 def test_a_rule_handed_none_for_a_slot_it_reads_raises() -> None:
@@ -176,16 +225,18 @@ def test_a_rule_handed_none_for_a_slot_it_reads_raises() -> None:
     params, samples = _setup(cfg)
     tape, _, _, _, loss = build_loss_tape(params, *samples[0], cfg)
     plan = Plan(tape, loss)
-    steps = list(plan.steps)
+    plan.backward(_tape_kept(plan, tape))   # whole entries go through
     checked = set()
-    for k, (nid, rule, slots, *rest) in enumerate(steps):
+    for nid, _, slots, _ in plan.steps:
         for j, s in enumerate(slots):
             if s is None:
                 continue
-            blanked = (*slots[:j], None, *slots[j + 1:])
-            plan.steps = [*steps[:k], (nid, rule, blanked, *rest), *steps[k + 1:]]
+            kept = _tape_kept(plan, tape)
+            args, out, aux = kept[nid]
+            kept[nid] = (([*args[:j], None, *args[j + 1:]], out, aux) if j < len(args)
+                         else (args, None, aux))
             with pytest.raises((TypeError, AttributeError, ValueError)):
-                plan.backward(list(tape.values), [n.aux for n in tape.nodes])
+                plan.backward(kept)
             checked.add(tape.nodes[nid].op)
     assert {"matmul", "linear", "attention", "gelu", "layernorm", "softmax-ce"} <= checked
 

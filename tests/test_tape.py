@@ -88,7 +88,7 @@ def test_backward_quadratic_closed_form() -> None:
     w = tape.leaf(w_val)
     x = tape.leaf(x_val)
     y = tape.matmul(w, x)
-    loss = tape.scale(tape.matmul(y, y, transpose_a=True), 0.5)
+    loss = tape.scale(tape.matmul(tape.reshape(y, (1, 3)), y), 0.5)   # y is a column: y^T y
     grads = tape.backward(loss)
     expected = (w_val @ x_val) @ x_val.T
     assert np.abs(grads[w] - expected).max() < 1e-12
@@ -161,13 +161,13 @@ def test_patchify_layout_and_inverse() -> None:
     assert np.array_equal(patches[3], np.array([10.0, 11.0, 14.0, 15.0]))
 
 
-@pytest.mark.parametrize("ta,tb", [(False, False), (True, False), (False, True), (True, True)])
-def test_matmul_transpose_flags_finite_diff(ta: bool, tb: bool) -> None:
+@pytest.mark.parametrize("tb", [False, True])
+def test_matmul_transpose_flags_finite_diff(tb: bool) -> None:
     rng = np.random.default_rng(31)
-    a = rng.standard_normal((3, 4) if not ta else (4, 3))
+    a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 2) if not tb else (2, 4))
     err = finite_diff_check(
-        lambda t, ids: t.mean(t.matmul(ids[0], ids[1], transpose_a=ta, transpose_b=tb)),
+        lambda t, ids: t.mean(t.matmul(ids[0], ids[1], transpose_b=tb)),
         [a, b],
         epsilon=1e-5,
     )
