@@ -43,10 +43,11 @@ def downsample_labels(labels: np.ndarray, factor: int) -> np.ndarray:
     if labels.min(initial=0) < 0:
         raise ValueError("label values must be non-negative")
     gh, gw = h // factor, w // factor
-    blocks = labels.reshape(gh, factor, gw, factor).transpose(0, 2, 1, 3)
-    classes = np.arange(labels.max(initial=0) + 1)
-    counts = (blocks.reshape(gh, gw, factor * factor, 1) == classes).sum(axis=2)
-    # argmax breaks ties toward the lowest class index
+    k = int(labels.max(initial=0)) + 1
+    # one count per (cell, class) code; argmax breaks ties toward the lowest class index
+    cells = np.arange(gh * gw).reshape(gh, 1, gw, 1)
+    codes = cells * k + labels.reshape(gh, factor, gw, factor).astype(np.intp, copy=False)
+    counts = np.bincount(codes.ravel(), minlength=gh * gw * k).reshape(gh, gw, k)
     return np.argmax(counts, axis=-1).astype(labels.dtype)
 
 

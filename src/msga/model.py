@@ -31,7 +31,7 @@ import numpy as np
 
 from msga.data import ConfigError, _atomic_write, check_fields
 from msga.losses import LossConfig
-from msga.tape import Tape
+from msga.tape import Plan, Tape
 
 CHECKPOINT_MAGIC = b"MSGA1"
 MLP_RATIO = 4
@@ -184,15 +184,25 @@ def _record_forward(params: ModelParams, image: np.ndarray) -> tuple[Tape, dict[
     return tape, ids, build_forward(tape, params.config, ids, tape.leaf(image))
 
 
+# the forward-only plan of the last (config, group names and shapes) seen; a plan
+# holds rules, slots and op arguments, never an array, so it pins no weights or images
+_forward_plan: dict[tuple, Plan] = {}
+
+
 def forward(params: ModelParams, image: np.ndarray) -> np.ndarray:
-    """Run the model on one image; returns (h', w', k) mask logits."""
+    """Run the model on one image through the memoised plan; returns (h', w', k) logits."""
     cfg = params.config
     image = np.asarray(image, dtype=np.float64)
     if image.shape != (cfg.image_h, cfg.image_w):
         raise ValueError(f"image shape {image.shape} does not match config "
                          f"({cfg.image_h}, {cfg.image_w})")
-    tape, _, out = _record_forward(params, image)
-    logits = tape.value(out).reshape(cfg.grid_h, cfg.grid_w, cfg.classes)
+    key = (cfg, *((g.name, g.values.shape) for g in params.groups))
+    if key not in _forward_plan:
+        tape, ids, out = _record_forward(params, image)
+        _forward_plan.clear()
+        _forward_plan[key] = Plan(tape, out, (), (out,), [*ids, "image"])
+    (logits,), _ = _forward_plan[key]._replay([*(g.values for g in params.groups), image], ())
+    logits = logits.reshape(cfg.grid_h, cfg.grid_w, cfg.classes)
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("forward produced non-finite logits")
     return logits

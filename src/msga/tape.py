@@ -25,7 +25,9 @@ forward op until its own backward step; the replay drops every other value
 after its last forward reader. Training records one tape per run and replays
 its plan once per step; Tape.backward runs a plan that wants every leaf on
 the tape's recorded values, so there is one backward loop. Gradients it
-returns are fresh arrays and safe to hand elsewhere.
+returns are fresh arrays and safe to hand elsewhere. A plan that wants nothing
+has no backward: evaluation replays one that reads the logits, so an image
+keeps only the values a later op still reads.
 """
 
 from __future__ import annotations
@@ -157,10 +159,10 @@ class Plan:
                  reads: tuple[int, ...] = (), names: list[str] | None = None) -> None:
         nodes = tape.nodes
         self.loss_id, self.loss_shape, self.reads = loss_id, nodes[loss_id].shape, tuple(reads)
-        if int(np.prod(self.loss_shape)) != 1:
-            raise ValueError(f"backward needs a scalar loss, got shape {self.loss_shape}")
         leaves = [nid for nid, n in enumerate(nodes) if n.op == "leaf"]
         wanted = set(leaves if wanted is None else wanted)
+        if wanted and int(np.prod(self.loss_shape)) != 1:
+            raise ValueError(f"backward needs a scalar loss, got shape {self.loss_shape}")
         self.leaves = [(nid, nodes[nid].shape, name)
                        for nid, name in zip(leaves, names or leaves, strict=True)]
         self.wanted = [(nid, nodes[nid].shape) for nid in sorted(wanted)]
@@ -202,9 +204,11 @@ class Plan:
                     for nid, g in self.backward(kept).items()}
         return reads, sums
 
-    def _replay(self, leaves: list, labels: np.ndarray) -> tuple[list[float], dict[int, tuple]]:
-        """One forward pass: the `reads` values and each backward node's kept entry,
-        which holds what its rule reads; all else goes after its last forward reader."""
+    def _replay(self, leaves: list, labels: np.ndarray) -> tuple[list, dict[int, tuple]]:
+        """One forward pass: the `reads` values, a 0-d one (a loss term) as a float and
+        any other (the logits) as its array, and each backward node's kept entry,
+        which holds what its rule reads; all else goes after its last forward reader.
+        `labels` may be empty when no op takes them."""
         values: list = [None] * (len(self.leaves) + len(self.forward))
         for (nid, shape, name), v in zip(self.leaves, leaves, strict=True):
             if not isinstance(v, np.ndarray) or v.dtype != _F64 or v.shape != shape:
@@ -222,7 +226,7 @@ class Plan:
                 kept[nid] = _kept(slots, values, aux)
             for s in frees:
                 values[s] = None
-        return [float(values[i]) for i in self.reads], kept
+        return [float(values[i]) if values[i].ndim == 0 else values[i] for i in self.reads], kept
 
     def backward(self, kept: dict[int, tuple]) -> dict[int, np.ndarray]:
         """Wanted leaves' adjoints from one forward pass's kept entries, each popped
@@ -272,7 +276,7 @@ def _fwd_add(args, aux):
     a, b = args
     aux["row"] = a.shape != b.shape   # whether b is a broadcast row; the backward reads no shape
     if a.shape == b.shape or a.ndim == 2 and b.shape == (1, a.shape[1]):
-        return a + b
+        return np.asarray(a + b)   # a 0-d sum is a numpy scalar otherwise
     raise ValueError(f"add: shapes {a.shape} and {b.shape} are neither equal nor row-broadcast")
 
 
@@ -282,7 +286,7 @@ def _fwd_linear(args, aux):
 
 
 def _fwd_scale(args, aux):
-    return args[0] * aux["c"]
+    return np.asarray(args[0] * aux["c"])
 
 
 def _fwd_attention(args, aux):

@@ -145,6 +145,14 @@ def test_downsample_rejects_negative_labels() -> None:
         downsample_labels(labels, 2)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64, np.uint64])
+def test_downsample_keeps_each_integer_dtype(dtype) -> None:
+    labels = np.random.default_rng(29).integers(0, 4, (8, 8))
+    out = downsample_labels(labels.astype(dtype), 4)
+    assert out.dtype == dtype
+    assert np.array_equal(out, downsample_labels(labels, 4))
+
+
 def test_downsample_matches_per_block_bincount_oracle() -> None:
     rng = np.random.default_rng(23)
     for factor, k in ((2, 2), (4, 3), (4, 5), (8, 3)):

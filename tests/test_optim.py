@@ -422,7 +422,7 @@ def test_training_records_one_tape_and_frees_each_sample_replay_before_the_next(
     def watched_forward(rule):
         def forward_rule_watched(args, aux):
             out = rule(args, aux)
-            # a 0-d product is a numpy scalar, which takes no weak reference
+            # every op output is an ndarray, 0-d loss terms included, so each takes a weak reference
             live.extend(weakref.ref(a) for a in (out, *_aux_arrays(aux))
                         if isinstance(a, np.ndarray))
             return out

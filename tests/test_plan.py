@@ -1,16 +1,19 @@
-"""The compiled training plan against the recorded tape it was compiled from."""
+"""Compiled plans, training and forward-only, against the recorded tapes they
+were compiled from."""
 
 from __future__ import annotations
 
+import tracemalloc
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import msga.model
 from msga.config import RunConfig
 from msga.losses import downsample_labels
-from msga.model import build_loss_tape, init_model
+from msga.model import ModelConfig, _record_forward, build_loss_tape, forward, init_model
 from msga.optim import Frozen, assign_strategies
 from msga.tape import Plan, Tape, _kept
 from msga.train import compile_loss_plan, model_config, prepare_splits, train_model
@@ -252,3 +255,149 @@ def test_training_rejects_a_label_outside_the_classes_before_packing(label) -> N
     samples[1] = replace(samples[1], mask=mask)
     with pytest.raises(ValueError, match="training sample 1: label values outside 0..2"):
         train_model(cfg, replace(train_ds, samples=tuple(samples)))
+
+
+def test_every_recorded_and_replayed_value_of_the_loss_tape_is_an_ndarray() -> None:
+    # the 0-d loss terms included: scale and add of 0-d values are arrays, not numpy scalars
+    cfg = CONFIGS["medsaga"]
+    params, samples = _setup(cfg)
+    tape, *_ = build_loss_tape(params, *samples[0], cfg)
+    assert all(type(v) is np.ndarray for v in tape.values)
+    assert {n.shape for n in tape.nodes if n.op in ("scale", "add")} >= {()}
+    plan, _ = compile_loss_plan(params, *samples[0], cfg)
+    outputs = []
+
+    def watched(rule):
+        def forward_rule_watched(args, aux):
+            out = rule(args, aux)
+            outputs.append(type(out))
+            return out
+        return forward_rule_watched
+
+    plan.forward = [(nid, watched(rule), *rest) for nid, rule, *rest in plan.forward]
+    plan.run([(_leaves(params, image), labels) for image, labels in samples])
+    assert outputs == [np.ndarray] * len(plan.forward) * len(samples)
+
+
+def test_a_plan_that_wants_nothing_has_no_backward_and_reads_its_output_as_an_array() -> None:
+    params = init_model(ModelConfig(), 0)
+    image = np.random.default_rng(1).normal(size=(32, 32))
+    tape, ids, out = _record_forward(params, image)
+    plan = Plan(tape, out, (), (out,), [*ids, "image"])
+    assert plan.steps == [] and plan.wanted == []
+    (logits,), kept = plan._replay([*(g.values for g in params.groups), image], ())
+    assert kept == {} and np.array_equal(logits, tape.value(out))
+    with pytest.raises(ValueError, match="scalar loss"):
+        tape.backward(out)
+
+
+FORWARD_CONFIGS = {"defaults": ModelConfig(),
+                   "patch2-blocks1-classes4": ModelConfig(patch_size=2, blocks=1, classes=4)}
+
+
+@pytest.mark.parametrize("case", [*FORWARD_CONFIGS, "trained"])
+def test_forward_equals_the_recorded_tape(case) -> None:
+    if case == "trained":
+        run = RunConfig(mode="medsaga", total_steps=20, **SMALL).validate()
+        cfg, params = model_config(run), train_model(run, prepare_splits(run)[0]).params
+    else:
+        cfg = FORWARD_CONFIGS[case]
+        params = init_model(cfg, 4)
+        rng = np.random.default_rng(5)
+        for g in params.groups:   # a non-zero head, so the logits differ per class
+            g.values = g.values + 0.1 * rng.normal(size=g.values.shape)
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        image = rng.normal(size=(cfg.image_h, cfg.image_w))
+        tape, _, out = _record_forward(params, image)
+        want = tape.value(out).reshape(cfg.grid_h, cfg.grid_w, cfg.classes)
+        assert np.array_equal(forward(params, image), want)
+        assert np.unique(want).size > cfg.classes
+
+
+def _contains_array(obj, seen=None) -> bool:
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        return True
+    if id(obj) in seen:
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        return any(_contains_array(v, seen) for kv in obj.items() for v in kv)
+    if isinstance(obj, (list, tuple, set)):
+        return any(_contains_array(v, seen) for v in obj)
+    if isinstance(obj, Plan):
+        return _contains_array(vars(obj), seen)
+    return False
+
+
+def test_forward_records_once_per_config_and_group_layout(monkeypatch) -> None:
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _record_forward(*args)
+
+    monkeypatch.setattr(msga.model, "_record_forward", counted)
+    monkeypatch.setattr(msga.model, "_forward_plan", {})
+    params = init_model(ModelConfig(), 0)
+    image = np.random.default_rng(2).normal(size=(32, 32))
+    first = forward(params, image)
+    for _ in range(49):
+        assert np.array_equal(forward(params, image), first)
+    assert len(calls) == 1
+    (plan,) = msga.model._forward_plan.values()
+    assert not _contains_array(plan)
+
+    other = init_model(ModelConfig(blocks=1), 0)
+    forward(other, image)
+    forward(other, image)
+    assert len(calls) == 2 and len(msga.model._forward_plan) == 1
+
+    params.groups.reverse()
+    assert np.array_equal(forward(params, image), first)
+    assert len(calls) == 3
+    params.groups.reverse()
+
+    params.groups[0].name = "encoder/patch_embed/renamed"
+    with pytest.raises(KeyError):   # the forward reads every group by its name
+        forward(params, image)
+    assert len(calls) == 4
+    params.groups[0].name = "encoder/patch_embed/weight"
+    assert np.array_equal(forward(params, image), first)
+    assert len(calls) == 5 and len(msga.model._forward_plan) == 1
+
+
+def test_forward_keeps_no_weights_or_image_alive() -> None:
+    params = init_model(ModelConfig(), 0)
+    image = np.random.default_rng(3).normal(size=(32, 32))
+    forward(params, image)
+    refs = [weakref.ref(params.group("encoder/block0/attn/q").values), weakref.ref(image)]
+    logits = forward(params, image)
+    del params, image
+    assert [r() for r in refs] == [None, None]
+    assert logits.shape == (8, 8, 3)
+
+
+def test_forward_peak_stays_under_half_of_the_recorded_tape() -> None:
+    # the recorded tape kept every value to the end: 538 KiB at the default geometry
+    params = init_model(ModelConfig(), 0)
+    image = np.random.default_rng(4).normal(size=(32, 32))
+    forward(params, image)
+    tracemalloc.start()
+    try:
+        forward(params, image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 260 * 1024
+
+
+def test_forward_plan_keeps_its_checks() -> None:
+    params = init_model(ModelConfig(), 0)
+    forward(params, np.zeros((32, 32)))
+    with pytest.raises(ValueError, match="does not match config"):
+        forward(params, np.zeros((16, 32)))
+    params.group("decoder/fc1/weight").values[0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite logits"):
+        forward(params, np.ones((32, 32)))
