@@ -84,27 +84,77 @@ def combined_loss(m: np.ndarray, y: np.ndarray, config: LossConfig) -> float:
 # evaluation metrics
 
 
-def dice_score(pred: np.ndarray, gt: np.ndarray, c: int) -> float:
-    """2|P∩G| / (|P|+|G|) for class c; 1.0 when both masks are empty."""
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
+_SQ_DIST: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _sq_dist_table(h: int, w: int) -> np.ndarray:
+    """Read-only integer squared distances between the h*w cells of a grid, memoised per shape."""
+    table = _SQ_DIST.get((h, w))
+    if table is None:
+        r, c = np.divmod(np.arange(h * w), w)
+        table = (r[:, None] - r) ** 2 + (c[:, None] - c) ** 2
+        table.setflags(write=False)
+        _SQ_DIST[(h, w)] = table
+    return table
+
+
+def _class_masks(pred: np.ndarray, gt: np.ndarray, classes) -> np.ndarray:
+    """(2n, h, w) stack of the pred and gt masks of each class, pred first in each pair."""
+    pred, gt = np.asarray(pred), np.asarray(gt)
     if pred.shape != gt.shape:
         raise ValueError(f"label maps differ in shape: {pred.shape} vs {gt.shape}")
-    p = pred == c
-    g = gt == c
-    total = int(p.sum()) + int(g.sum())
-    if total == 0:
-        return 1.0
-    return 2.0 * int((p & g).sum()) / total
+    c = np.asarray(classes).reshape(-1, 1, 1, 1)
+    return (np.stack([pred, gt]) == c).reshape(-1, *pred.shape)
 
 
-def _boundary_pixels(mask: np.ndarray) -> np.ndarray:
-    """Mask pixels with at least one 4-neighbour outside the mask (image border counts)."""
-    padded = np.pad(mask, 1, constant_values=False)
-    interior = (
-        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-    )
-    return mask & ~interior
+def _boundaries(masks: np.ndarray) -> np.ndarray:
+    """Mask pixels with at least one 4-neighbour outside the mask; border pixels always count."""
+    interior = np.zeros_like(masks)
+    interior[:, 1:-1, 1:-1] = (masks[:, :-2, 1:-1] & masks[:, 2:, 1:-1]
+                               & masks[:, 1:-1, :-2] & masks[:, 1:-1, 2:])
+    return masks & ~interior
+
+
+def _dices(masks: np.ndarray) -> list[float]:
+    """`dice_score` of each (pred, gt) pair of a `_class_masks` stack."""
+    sizes = masks.sum(axis=(1, 2)).tolist()
+    both = (masks[0::2] & masks[1::2]).sum(axis=(1, 2)).tolist()
+    return [2.0 * o / (p + g) if p + g else 1.0 for o, p, g in zip(both, sizes[::2], sizes[1::2])]
+
+
+def _hd95s(masks: np.ndarray, boundary: bool) -> list[float]:
+    """`hd95` of each (pred, gt) pair of a `_class_masks` stack."""
+    n, h, w = masks.shape
+    present = masks.any(axis=(1, 2)).tolist()
+    sets = (_boundaries(masks) if boundary else masks).reshape(n, -1)
+    table = _sq_dist_table(h, w)
+    out = []
+    for i in range(0, n, 2):
+        if not (present[i] and present[i + 1]):
+            out.append(float(np.hypot(h, w)) if present[i] or present[i + 1] else 0.0)
+            continue
+        d2 = table[sets[i]][:, sets[i + 1]]
+        # sqrt is monotone and correctly rounded, so sqrt(min d2) has the bits of min sqrt(d2)
+        pooled = np.sqrt(np.sort(np.concatenate([d2.min(axis=1), d2.min(axis=0)])))
+        # linear interpolation between order statistics, written out so the exact
+        # arithmetic is pinned: value = d[lo] + frac * (d[hi] - d[lo])
+        pos = 0.95 * (pooled.size - 1)
+        lo = int(np.floor(pos))
+        hi = int(np.ceil(pos))
+        out.append(float(pooled[lo] + (pos - lo) * (pooled[hi] - pooled[lo])))
+    return out
+
+
+def image_metrics(pred: np.ndarray, gt: np.ndarray, classes: int,
+                  boundary: bool = True) -> list[tuple[float, float]]:
+    """(`dice_score`, `hd95`) of each foreground class 1..classes-1, from one mask stack."""
+    masks = _class_masks(pred, gt, range(1, classes))
+    return list(zip(_dices(masks), _hd95s(masks, boundary)))
+
+
+def dice_score(pred: np.ndarray, gt: np.ndarray, c: int) -> float:
+    """2|P∩G| / (|P|+|G|) for class c; 1.0 when both masks are empty."""
+    return _dices(_class_masks(pred, gt, (c,)))[0]
 
 
 def hd95(pred: np.ndarray, gt: np.ndarray, c: int, boundary: bool = True) -> float:
@@ -115,30 +165,7 @@ def hd95(pred: np.ndarray, gt: np.ndarray, c: int, boundary: bool = True) -> flo
     with linear interpolation between order statistics. With boundary=True
     (default) the sets are boundary pixels, otherwise full masks. Conventions:
     0.0 when both masks are empty, the image diagonal hypot(h, w) when exactly
-    one is. Nearest neighbours come from the exact all-pairs distance matrix:
-    each set holds at most T = h*w points, so it has at most T^2 entries, one
-    attention score matrix's worth for the token-grid maps evaluation passes.
+    one is. Each directed minimum is exact, read from a memoised integer table of
+    squared grid-cell distances indexed by the two sets; only the pooled minima are rooted.
     """
-    pred = np.asarray(pred)
-    gt = np.asarray(gt)
-    if pred.shape != gt.shape:
-        raise ValueError(f"label maps differ in shape: {pred.shape} vs {gt.shape}")
-    pm = pred == c
-    gm = gt == c
-    if not pm.any() and not gm.any():
-        return 0.0
-    if not pm.any() or not gm.any():
-        return float(np.hypot(*pred.shape))
-    if boundary:
-        pm = _boundary_pixels(pm)
-        gm = _boundary_pixels(gm)
-    a = np.argwhere(pm).astype(np.float64)
-    b = np.argwhere(gm).astype(np.float64)
-    d = np.sqrt(((a[:, None] - b[None]) ** 2).sum(-1))
-    pooled = np.sort(np.concatenate([d.min(axis=1), d.min(axis=0)]))
-    # linear interpolation between order statistics, written out so the exact
-    # arithmetic is pinned: value = d[lo] + frac * (d[hi] - d[lo])
-    pos = 0.95 * (pooled.size - 1)
-    lo = int(np.floor(pos))
-    hi = int(np.ceil(pos))
-    return float(pooled[lo] + (pos - lo) * (pooled[hi] - pooled[lo]))
+    return _hd95s(_class_masks(pred, gt, (c,)), boundary)[0]

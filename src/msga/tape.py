@@ -431,7 +431,7 @@ def _bwd_linear(g, args, out, aux):
 
 
 def _bwd_scale(g, args, out, aux):
-    return (g * aux["c"],)
+    return (np.asarray(g * aux["c"]),)
 
 
 def _bwd_attention(g, args, out, aux):

@@ -22,7 +22,8 @@ import numpy as np
 
 from msga.config import ConfigError, RunConfig
 from msga.data import Dataset, few_shot_subset, generate_synthetic, load_manifest, split_by_patient
-from msga.losses import dice_score, downsample_labels, hd95
+# dice_score and hd95 stay importable here by name: perfbench/tracer.py wraps them
+from msga.losses import dice_score, downsample_labels, hd95, image_metrics  # noqa: F401
 from msga.model import (
     ModelConfig,
     ModelParams,
@@ -216,21 +217,15 @@ def evaluate(
     cfg = params.config
     if ds.classes != cfg.classes:
         raise ValueError(f"dataset has {ds.classes} classes, model expects {cfg.classes}")
-    per_class: dict[int, list[tuple[float, float]]] = {c: [] for c in range(1, cfg.classes)}
+    scores = []
     for sample in ds.samples:
         gt = downsample_labels(sample.mask, cfg.patch_size)
         pred = gt if oracle else postprocess(forward(params, sample.image))
-        for c in range(1, cfg.classes):
-            per_class[c].append((dice_score(pred, gt, c), hd95(pred, gt, c, boundary=boundary)))
-    out = []
-    for c in range(1, cfg.classes):
-        pairs = per_class[c]
-        out.append(ClassMetrics(
-            class_index=c,
-            dice=float(np.mean([p[0] for p in pairs])),
-            hd95=float(np.mean([p[1] for p in pairs])),
-        ))
-    return out
+        scores.append(image_metrics(pred, gt, cfg.classes, boundary=boundary))
+    return [ClassMetrics(class_index=c,
+                         dice=float(np.mean([s[c - 1][0] for s in scores])),
+                         hd95=float(np.mean([s[c - 1][1] for s in scores])))
+            for c in range(1, cfg.classes)]
 
 
 def mean_metrics(rows: list[ClassMetrics]) -> tuple[float, float]:

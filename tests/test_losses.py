@@ -13,6 +13,7 @@ from msga.losses import (
     dice_score,
     downsample_labels,
     hd95,
+    image_metrics,
 )
 from msga.tape import Tape, finite_diff_check
 
@@ -369,3 +370,32 @@ def test_hd95_full_mask_flag() -> None:
     gt[2:6, 2:6] = 1
     gt[4, 4] = 0  # interior hole changes the boundary set but not the full mask much
     assert hd95(pred, gt, 1, boundary=False) <= hd95(pred, gt, 1, boundary=True) + 1e-12
+
+
+def test_image_metrics_equals_the_per_class_metrics_and_their_oracles() -> None:
+    rng = np.random.default_rng(41)
+    for shape in ((1, 1), (1, 7), (2, 2), (6, 10), (8, 8)):
+        for k in range(2, 6):
+            empty, last = np.zeros(shape, dtype=int), np.full(shape, k - 1)
+            pairs = [(rng.integers(0, k, shape), rng.integers(0, k, shape)) for _ in range(8)]
+            pairs += [
+                (empty, empty),                                    # every class empty in both
+                (last, empty), (empty, last),                      # class k-1 empty on one side
+                (rng.integers(0, k + 2, shape), rng.integers(0, k, shape)),  # pred labels >= k
+            ]
+            for pred, gt in pairs:
+                for b in (True, False):
+                    expected = [(dice_score(pred, gt, c), hd95(pred, gt, c, boundary=b))
+                                for c in range(1, k)]
+                    assert image_metrics(pred, gt, k, boundary=b) == expected
+                    oracle = []
+                    for c in range(1, k):
+                        p, g = int((pred == c).sum()), int((gt == c).sum())
+                        both = int(((pred == c) & (gt == c)).sum())
+                        oracle.append((1.0 if p + g == 0 else 2.0 * both / (p + g),
+                                       hd95_all_pairs_oracle(pred, gt, c, boundary_mode=b)))
+                    assert expected == oracle
+    with pytest.raises(ValueError, match="differ in shape"):
+        image_metrics(np.zeros((2, 3), dtype=int), np.zeros((3, 2), dtype=int), 3)
+    with pytest.raises(ValueError, match="differ in shape"):
+        hd95(np.zeros((2, 3), dtype=int), np.zeros((3, 2), dtype=int), 1)

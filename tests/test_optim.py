@@ -23,7 +23,9 @@ from msga.optim import (
 import msga.tape
 import msga.train
 from msga.tape import Plan
-from msga.train import prepare_splits, train_model
+from msga.losses import _SQ_DIST, dice_score, downsample_labels, hd95
+from msga.model import forward, postprocess
+from msga.train import ClassMetrics, evaluate, prepare_splits, train_model
 
 
 # ---------------------------------------------------------------------------
@@ -470,3 +472,42 @@ def test_galore_state_strictly_smaller_than_full_adamw_for_default_config() -> N
             one_sided = r * min(m, n) + 2 * r * max(m, n)
             assert one_sided < 2 * m * n, g.name
             assert r * (min(m, n) + 2 * max(m, n)) < 2 * m * n  # the rank condition
+
+
+def _per_class_evaluate(params, ds, boundary: bool, oracle: bool) -> list[ClassMetrics]:
+    """`evaluate` as one dice_score and one hd95 call per image and foreground class."""
+    cfg = params.config
+    per_class: dict[int, list[tuple[float, float]]] = {c: [] for c in range(1, cfg.classes)}
+    for sample in ds.samples:
+        gt = downsample_labels(sample.mask, cfg.patch_size)
+        pred = gt if oracle else postprocess(forward(params, sample.image))
+        for c in range(1, cfg.classes):
+            per_class[c].append((dice_score(pred, gt, c), hd95(pred, gt, c, boundary=boundary)))
+    return [ClassMetrics(class_index=c,
+                         dice=float(np.mean([p[0] for p in per_class[c]])),
+                         hd95=float(np.mean([p[1] for p in per_class[c]])))
+            for c in range(1, cfg.classes)]
+
+
+def test_evaluate_equals_the_per_class_loop_and_memoises_only_distance_tables() -> None:
+    cfg = RunConfig(mode="medsaga", total_steps=20, synthetic_count=20).validate()
+    train_ds, test_ds = prepare_splits(cfg)
+    params = train_model(cfg, train_ds).params
+    grid = (params.config.grid_h, params.config.grid_w)
+    before = set(_SQ_DIST)
+    for boundary in (True, False):
+        got = evaluate(params, test_ds, boundary=boundary)
+        assert got == _per_class_evaluate(params, test_ds, boundary, oracle=False)
+        assert len(got) == params.config.classes - 1
+    oracle = evaluate(params, test_ds, oracle=True)
+    assert oracle == _per_class_evaluate(params, test_ds, True, oracle=True)
+    assert all(m.dice == 1.0 and m.hd95 == 0.0 for m in oracle)
+    # the memo holds one squared-distance table per grid shape, nothing per image
+    assert set(_SQ_DIST) - before <= {grid} and grid in _SQ_DIST
+    tokens = grid[0] * grid[1]
+    for shape, table in _SQ_DIST.items():
+        assert table.shape == (shape[0] * shape[1],) * 2
+    table = _SQ_DIST[grid]
+    assert table.shape == (tokens, tokens) and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1

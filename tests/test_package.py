@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import glob
+import importlib.util
 import os
 import subprocess
 import sys
@@ -41,3 +42,23 @@ def test_no_pow_with_integer_literal_exponent_in_src() -> None:
                     and ast.literal_eval(node.right) != 2):
                 found.append(f"{os.path.basename(path)}:{node.lineno}")
     assert found == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves_and_is_restored() -> None:
+    # perfbench/tracer.py wraps program functions where they are looked up, by
+    # name; a name that goes missing must fail here, not in a traced benchmark
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py"))
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.patch_program(tracer)
+        patched = list(tracer._patched)
+        wrapped = [getattr(owner, attr).__wrapped__ is original
+                   for owner, attr, original in patched]
+    finally:
+        tracer.unpatch()
+    assert patched and all(wrapped)
+    assert all(getattr(owner, attr) is original for owner, attr, original in patched)

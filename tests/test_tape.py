@@ -12,6 +12,7 @@ from msga.tape import (
     Tape,
     _bwd_gelu,
     _bwd_layernorm,
+    _bwd_scale,
     _fwd_gelu,
     _fwd_layernorm,
     _gelu_inner,
@@ -392,3 +393,11 @@ def test_gelu_adjoint_holds_at_most_three_buffers() -> None:
         tracemalloc.stop()
     assert dx.shape == (64, 64)
     assert rise <= 3 * 32 * 1024, rise
+
+
+def test_scale_adjoint_is_an_ndarray_with_the_products_bits() -> None:
+    rng = np.random.default_rng(37)
+    for g in (np.asarray(rng.standard_normal()), rng.standard_normal((3, 5))):
+        (dg,) = _bwd_scale(g, None, None, {"c": 0.2})
+        assert type(dg) is np.ndarray and dg.shape == g.shape
+        assert dg.tobytes() == np.asarray(g * 0.2).tobytes()
