@@ -1,5 +1,5 @@
 """Run configuration: one flat record, mirrored 1:1 between a key=value file
-and command-line flags (flag wins when both are given).
+and command-line flags, both read by `parse_values` (a flag wins over the file).
 
 `RunConfig` extends `ModelConfig` and `LossConfig`, whose keys keep their
 defaults and rules in those two classes. The projection keys are checked by
@@ -123,12 +123,8 @@ def _parse_value(name: str, kind, raw: str):
             if raw.lower() not in _BOOL_WORDS:
                 raise ValueError(f"expected true/false, got {raw!r}")
             return _BOOL_WORDS[raw.lower()]
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
+        if kind is not tuple:
+            return kind(raw)   # int, float or str
         # tuple[int, ...]: comma-separated list, empty string allowed
         if raw == "":
             return ()
@@ -142,10 +138,16 @@ def config_field_types() -> dict[str, type]:
     return {f.name: type(getattr(defaults, f.name)) for f in fields(RunConfig)}
 
 
-def parse_config_file(path: str) -> dict[str, object]:
-    """key=value lines with # comments; unknown keys are rejected by name."""
+def parse_values(raw: dict[str, str]) -> dict[str, object]:
+    """Typed values for key -> text pairs of known keys; flags and file lines share this."""
     types = config_field_types()
-    out: dict[str, object] = {}
+    return {key: _parse_value(key, types[key], text) for key, text in raw.items()}
+
+
+def parse_config_file(path: str) -> dict[str, object]:
+    """key=value lines with # comments; unknown and repeated keys are rejected by name."""
+    types = config_field_types()
+    found: dict[str, tuple[int, str]] = {}   # key -> (line number, value text)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -157,8 +159,10 @@ def parse_config_file(path: str) -> dict[str, object]:
             key = key.strip().replace("-", "_")
             if key not in types:
                 raise ConfigError(key, f"unknown key at {path}:{lineno}")
-            out[key] = _parse_value(key, types[key], raw)
-    return out
+            if key in found:
+                raise ConfigError(key, f"set twice, at {path}:{found[key][0]} and {path}:{lineno}")
+            found[key] = (lineno, raw)
+    return parse_values({key: raw for key, (_, raw) in found.items()})
 
 
 def build_config(file_values: dict[str, object], overrides: dict[str, object]) -> RunConfig:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ import pytest
 import msga
 from msga.cli import main
 from msga.config import (
+    _BOOL_WORDS,
     ConfigError,
     RunConfig,
     build_config,
@@ -121,6 +123,82 @@ def test_config_echo_round_trips_inner_whitespace(tmp_path) -> None:
     echo = tmp_path / "config_echo.cfg"
     echo.write_text(config_as_text(cfg))
     assert build_config(parse_config_file(str(echo)), {}) == cfg
+
+
+def test_config_rejects_a_key_set_twice(tmp_path) -> None:
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("seed=3\nmode=v1\n# note\nhd95-boundary=yes\nseed=3\nhd95_boundary=no\n")
+    with pytest.raises(ConfigError, match=r"set twice, at .*run\.cfg:1 and .*run\.cfg:5") as info:
+        parse_config_file(str(cfg_file))
+    assert info.value.field == "seed"
+    # dashes and underscores spell one key
+    cfg_file.write_text("hd95-boundary=yes\nhd95_boundary=no\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:1 and .*run\.cfg:2") as info:
+        parse_config_file(str(cfg_file))
+    assert info.value.field == "hd95_boundary"
+
+
+def _echoed_config(tmp_path, *flags: str) -> RunConfig:
+    """The RunConfig a zero-step `train` with these flags echoes."""
+    out = str(tmp_path / "echo")
+    assert main(["train", *FAST, "--total-steps", "0", *flags, "--out", out]) == 0
+    return build_config(parse_config_file(os.path.join(out, "config_echo.cfg")), {})
+
+
+@pytest.mark.parametrize("word", sorted({w for word in _BOOL_WORDS for w in (word, word.upper())}))
+def test_flag_and_file_line_take_the_same_boolean_words(tmp_path, word) -> None:
+    line = tmp_path / "line.cfg"
+    line.write_text(f"hd95_boundary={word}\n")
+    from_flag = _echoed_config(tmp_path, "--hd95-boundary", word)
+    from_file = _echoed_config(tmp_path, "--config", str(line))
+    assert from_flag == from_file
+    assert from_flag.hd95_boundary is _BOOL_WORDS[word.lower()]
+    assert build_config(parse_config_file(str(line)), {}).hd95_boundary is from_flag.hd95_boundary
+
+
+# one text per key type that its parser or its RunConfig rule rejects
+_BAD_TEXT = {int: "1.5", float: "one", bool: "maybe", tuple: "5,,10",
+             "mode": "sgd", "sided": "three", "out": "runs #1", "manifest": "data #1"}
+
+
+@pytest.mark.parametrize("key, kind", list(config_field_types().items()))
+def test_cli_bad_flag_value_exits_2_with_one_config_error_line(tmp_path, capsys, key, kind) -> None:
+    bad = _BAD_TEXT[key] if kind is str else _BAD_TEXT[kind]
+    out = str(tmp_path / "run")
+    flags = ["--" + key.replace("_", "-"), bad] + ([] if key == "out" else ["--out", out])
+    assert main(["train", *flags]) == 2   # returns, never raises SystemExit
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: config field '{key}': "), err
+    assert not os.path.exists(out)
+
+
+def test_config_echo_lines_read_back_as_flags(tmp_path) -> None:
+    first = _echoed_config(tmp_path, "--sided", "two", "--budgets", "5,10",
+                           "--hd95-boundary", "false", "--synthetic-seed", "-1")
+    echo = os.path.join(first.out, "config_echo.cfg")
+    text = _read(echo)
+    flags = []
+    for line in text.splitlines():
+        key, value = line.split("=", 1)
+        flags += ["--" + key.replace("_", "-"), value]
+    assert main(["train", *flags]) == 0
+    assert _read(echo) == text
+    assert build_config(parse_config_file(echo), {}) == first
+
+
+COMMAND_NAMES = ("train", "eval", "sweep", "memreport", "ablate")
+
+
+@pytest.mark.parametrize("command", [None, *COMMAND_NAMES])
+def test_help_exits_0_and_lists_every_config_flag(command) -> None:
+    run = _run_cli(*([command] if command else []), "--help")
+    assert run.returncode == 0, run.stderr
+    if command is None:
+        assert all(name in run.stdout for name in COMMAND_NAMES), run.stdout
+        return
+    listed = set(re.findall(r"(?<![\w-])--([a-z0-9-]+)", run.stdout))
+    assert {key.replace("_", "-") for key in config_field_types()} <= listed, run.stdout
+    assert "config" in listed
 
 
 def test_cli_exit_code_2_on_bad_config(tmp_path) -> None:
