@@ -2,11 +2,12 @@
 
 Every RunConfig key is mirrored by a flag of the same name (dashes for
 underscores) that takes exactly a config file's spellings: true/false/yes/no/1/0
-for booleans, comma-separated integers for lists. A --config file supplies
-defaults and flags override it. Output files are written atomically (temp then
-rename). Exit codes: 0 on success, 2 for configuration/validation problems
-(a bad value gives one `error: config field '<key>': ...` line), 3 for I/O
-failures, 4 when training diverges or a model produces non-finite outputs.
+for booleans, comma-separated integers for lists. A flag matches only by its
+whole name. A --config file supplies defaults and flags override it. Output
+files are written atomically (temp then rename). Exit codes: 0 on success, 2
+for configuration/validation problems (a bad value or an unknown flag gives
+one `error: config field ...` line), 3 for I/O failures, 4 when training
+diverges or a model produces non-finite outputs.
 Commands run with numpy's overflow, invalid-value and divide warnings off: the
 non-finite guards in training and `forward` report divergence as one `error:`
 line instead.
@@ -60,10 +61,10 @@ def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="msga", description=__doc__)
+    parser = argparse.ArgumentParser(prog="msga", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", default=None, help="key=value config file")
         for key, kind in config_field_types().items():   # text, parsed like a file line
             p.add_argument("--" + key.replace("_", "-"), default=None,
@@ -184,8 +185,10 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
     try:
+        if unknown:
+            raise ConfigError(unknown[0], f"not a flag of {args.command}")
         file_values = parse_config_file(args.config) if args.config else {}
         flags = {key: getattr(args, key) for key in config_field_types()
                  if getattr(args, key) is not None}

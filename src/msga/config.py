@@ -113,7 +113,7 @@ class RunConfig(LossConfig, ModelConfig):   # fields: ModelConfig's, LossConfig'
         return self.seed if self.synthetic_seed < 0 else self.synthetic_seed
 
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
 def _parse_value(name: str, kind, raw: str):
@@ -121,7 +121,7 @@ def _parse_value(name: str, kind, raw: str):
     try:
         if kind is bool:
             if raw.lower() not in _BOOL_WORDS:
-                raise ValueError(f"expected true/false, got {raw!r}")
+                raise ValueError(f"expected {'/'.join(_BOOL_WORDS)} (any case), got {raw!r}")
             return _BOOL_WORDS[raw.lower()]
         if kind is not tuple:
             return kind(raw)   # int, float or str

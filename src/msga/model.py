@@ -178,10 +178,11 @@ def build_forward(tape: Tape, config: ModelConfig, ids: dict[str, int], image_id
 
 
 def _record_forward(params: ModelParams, image: np.ndarray) -> tuple[Tape, dict[str, int], int]:
-    """Fresh tape with every parameter group, then the image, then the forward pass."""
+    """Fresh tape with every parameter group, then the image, then the forward pass;
+    each leaf carries its group's name, the image's is "image"."""
     tape = Tape()
-    ids = {g.name: tape.leaf(g.values) for g in params.groups}
-    return tape, ids, build_forward(tape, params.config, ids, tape.leaf(image))
+    ids = {g.name: tape.leaf(g.values, g.name) for g in params.groups}
+    return tape, ids, build_forward(tape, params.config, ids, tape.leaf(image, "image"))
 
 
 # the forward-only plan of the last (config, group names and shapes) seen; a plan
@@ -198,9 +199,9 @@ def forward(params: ModelParams, image: np.ndarray) -> np.ndarray:
                          f"({cfg.image_h}, {cfg.image_w})")
     key = (cfg, *((g.name, g.values.shape) for g in params.groups))
     if key not in _forward_plan:
-        tape, ids, out = _record_forward(params, image)
+        tape, _, out = _record_forward(params, image)
         _forward_plan.clear()
-        _forward_plan[key] = Plan(tape, out, (), (out,), [*ids, "image"])
+        _forward_plan[key] = Plan(tape, out, (), (out,))
     (logits,), _ = _forward_plan[key]._replay([*(g.values for g in params.groups), image], ())
     logits = logits.reshape(cfg.grid_h, cfg.grid_w, cfg.classes)
     if not np.all(np.isfinite(logits)):

@@ -13,18 +13,21 @@ gradient-correctness acceptance check (C3) pins them. Values are float64
 ndarrays; losses are 0-d.
 
 A forward rule may keep intermediates for its backward in the node's `aux`:
-attention keeps its probabilities, layernorm its normalized rows and row
-std, gelu its tanh, and soft dice its softmax, one-hot and class sums.
-Their backward rules read these instead of recomputing them.
+row softmax and attention keep their probabilities, layernorm its normalized
+rows and row std, gelu its tanh, and soft dice its softmax, one-hot and class
+sums. Their backward rules read these instead of recomputing them. Every
+backward rule is `rule(g, args, aux)`: the adjoint of the node's output, its
+inputs (None where not read) and its aux.
 
 A Plan compiles a recorded tape to replay it on a batch of new leaves and
 labels, with a backward pruned to the nodes between the wanted leaves and the
-loss. Each op kind declares the values its backward reads (others reach it as
-None). A node on the backward path keeps those values and its aux from its
+loss. Each op kind declares the inputs its backward reads (others reach it as
+None). A node on the backward path keeps those inputs and its aux from its
 forward op until its own backward step; the replay drops every other value
 after its last forward reader. Training records one tape per run and replays
 its plan once per step; Tape.backward runs a plan that wants every leaf on
-the tape's recorded values, so there is one backward loop. Gradients it
+the tape's recorded values, so there is one backward loop. A leaf may carry a
+name, which a plan's replay errors report in place of its id. Gradients it
 returns are fresh arrays and safe to hand elsewhere. A plan that wants nothing
 has no backward: evaluation replays one that reads the logits, so an image
 keeps only the values a later op still reads.
@@ -50,7 +53,6 @@ class TapeNode:
     op: str
     inputs: tuple[int, ...]
     aux: dict                # the op's arguments, then what its forward rule kept
-    shape: tuple[int, ...]
     args: tuple[str, ...]    # the keys of aux that are the op's arguments
 
 
@@ -63,12 +65,13 @@ class Tape:
 
     # -- construction ------------------------------------------------------
 
-    def leaf(self, value: np.ndarray) -> int:
-        """Register an input (parameter or data) and return its value id."""
-        arr = np.asarray(value, dtype=np.float64)
-        self.nodes.append(TapeNode("leaf", (), {}, arr.shape, ()))
-        self.values.append(arr)
-        return len(self.nodes) - 1
+    def leaf(self, value: np.ndarray, name: str | None = None) -> int:
+        """Register an input (parameter or data) and return its value id; a plan's
+        errors name the leaf by `name`, or by that id when it has none."""
+        nid = len(self.nodes)
+        self.nodes.append(TapeNode("leaf", (), {"name": nid if name is None else name}, ()))
+        self.values.append(np.asarray(value, dtype=np.float64))
+        return nid
 
     def record(self, op: str, inputs: tuple[int, ...] | list[int], **aux) -> int:
         """Apply `op` to already-recorded values, store the result, return its id."""
@@ -80,9 +83,8 @@ class Tape:
                 raise ValueError(f"{op}: input id {i} not on this tape")
         args = [self.values[i] for i in ids]
         keys = tuple(aux)
-        out = _OPS[op][0](args, aux)
-        self.nodes.append(TapeNode(op, ids, aux, out.shape, keys))
-        self.values.append(out)
+        self.values.append(_OPS[op][0](args, aux))
+        self.nodes.append(TapeNode(op, ids, aux, keys))
         return len(self.nodes) - 1
 
     # typed wrappers, one per op kind
@@ -151,21 +153,20 @@ class Tape:
 class Plan:
     """A recorded tape compiled for replay: a forward list of each op's rule,
     input slots, arguments (labels excepted), the values no later op reads and,
-    for a node on the backward path, the value slots its backward rule reads;
+    for a node on the backward path, the input slots its backward rule reads;
     and a backward list of those nodes, on a path from a wanted leaf to the
     loss, in reverse node order, so adjoints accumulate as over the whole tape."""
 
     def __init__(self, tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
-                 reads: tuple[int, ...] = (), names: list[str] | None = None) -> None:
-        nodes = tape.nodes
-        self.loss_id, self.loss_shape, self.reads = loss_id, nodes[loss_id].shape, tuple(reads)
+                 reads: tuple[int, ...] = ()) -> None:
+        nodes, values = tape.nodes, tape.values
+        self.loss_id, self.loss_shape, self.reads = loss_id, values[loss_id].shape, tuple(reads)
         leaves = [nid for nid, n in enumerate(nodes) if n.op == "leaf"]
         wanted = set(leaves if wanted is None else wanted)
         if wanted and int(np.prod(self.loss_shape)) != 1:
             raise ValueError(f"backward needs a scalar loss, got shape {self.loss_shape}")
-        self.leaves = [(nid, nodes[nid].shape, name)
-                       for nid, name in zip(leaves, names or leaves, strict=True)]
-        self.wanted = [(nid, nodes[nid].shape) for nid in sorted(wanted)]
+        self.leaves = [(nid, values[nid].shape, nodes[nid].aux["name"]) for nid in leaves]
+        self.wanted = [(nid, values[nid].shape) for nid in sorted(wanted)]
         reaches: list[bool] = []
         for nid, n in enumerate(nodes):
             reaches.append(nid in wanted if n.op == "leaf" else any(reaches[i] for i in n.inputs))
@@ -174,12 +175,11 @@ class Plan:
         for nid in range(loss_id, -1, -1):
             n = nodes[nid]
             if nid in live and n.op != "leaf":
-                _, rule, reads_in, reads_out = _OPS[n.op]
+                _, rule, reads_in = _OPS[n.op]
                 targets = tuple(i if reaches[i] else None for i in n.inputs)
                 live.update(i for i in targets if i is not None)
-                # the value slots the rule reads, its output last; None: not read
-                slots = (*(i if k in reads_in else None for k, i in enumerate(n.inputs)),
-                         nid if reads_out else None)
+                # the input slots the rule reads; None: not read
+                slots = tuple([i if k in reads_in else None for k, i in enumerate(n.inputs)])
                 self.steps.append((nid, rule, slots, targets))
         read_slots = {nid: slots for nid, _, slots, _ in self.steps}
         self.forward = [(nid, _OPS[n.op][0], n.inputs, "labels" in n.args,
@@ -241,11 +241,10 @@ class Plan:
                 for nid, shape in self.wanted}
 
 
-def _kept(slots: tuple, values: list, aux: dict) -> tuple[list, np.ndarray | None, dict]:
+def _kept(slots: tuple, values: list, aux: dict) -> tuple[tuple, dict]:
     """What a node's backward rule takes after its adjoint: the inputs it reads by
-    value and its output if read (None elsewhere), then its aux."""
-    *args, out = [None if s is None else values[s] for s in slots]
-    return args, out, aux
+    value (None elsewhere), then its aux."""
+    return tuple([None if s is None else values[s] for s in slots]), aux
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +291,7 @@ def _fwd_scale(args, aux):
 def _fwd_attention(args, aux):
     q, k, v = args
     scores = _fwd_scale([_fwd_matmul([q, k], _NT)], aux)
-    aux["probs"] = probs = _fwd_softmax_rows([scores], {})
-    return _fwd_matmul([probs, v], _NN)
+    return _fwd_matmul([_fwd_softmax_rows([scores], aux), v], _NN)
 
 
 def _gelu_inner(x):
@@ -333,7 +331,8 @@ def _normalize_rows(x):
 def _fwd_softmax_rows(args, aux):
     x = args[0]
     _check_2d("softmax-rows", x)
-    return softmax_last_dim(x)
+    aux["probs"] = p = softmax_last_dim(x)
+    return p
 
 
 def _check_labels(op: str, logits: np.ndarray, labels: np.ndarray) -> None:
@@ -358,7 +357,7 @@ def _fwd_softmax_ce(args, aux):
 
 def _dice_pieces(z, y, smooth):
     n, k = z.shape
-    p = _fwd_softmax_rows([z], {})
+    p = softmax_last_dim(z)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
     inter = (p * onehot).sum(axis=0)          # per-class soft intersection
@@ -413,38 +412,37 @@ def _fwd_embed_lookup(args, aux):
 # backward rules; each returns one adjoint per input, matching input shapes
 
 
-def _bwd_matmul(g, args, out, aux):
+def _bwd_matmul(g, args, aux):
     a, b = args
     if aux["transpose_b"]:
         return g @ b, g.T @ a
     return g @ b.T, a.T @ g
 
 
-def _bwd_add(g, args, out, aux):
+def _bwd_add(g, args, aux):
     return g, g.sum(axis=0, keepdims=True) if aux["row"] else g
 
 
-def _bwd_linear(g, args, out, aux):
+def _bwd_linear(g, args, aux):
     x, w, _ = args
-    g_xw, gb = _bwd_add(g, None, None, aux)
-    return (*_bwd_matmul(g_xw, [x, w], None, _NN), gb)
+    g_xw, gb = _bwd_add(g, None, aux)
+    return (*_bwd_matmul(g_xw, [x, w], _NN), gb)
 
 
-def _bwd_scale(g, args, out, aux):
+def _bwd_scale(g, args, aux):
     return (np.asarray(g * aux["c"]),)
 
 
-def _bwd_attention(g, args, out, aux):
+def _bwd_attention(g, args, aux):
     q, k, v = args
-    probs = aux["probs"]
-    gp, gv = _bwd_matmul(g, [probs, v], None, _NN)
-    (gs,) = _bwd_softmax_rows(gp, None, probs, {})
-    (graw,) = _bwd_scale(gs, None, None, aux)
-    gq, gk = _bwd_matmul(graw, [q, k], None, _NT)
+    gp, gv = _bwd_matmul(g, [aux["probs"], v], _NN)
+    (gs,) = _bwd_softmax_rows(gp, None, aux)
+    (graw,) = _bwd_scale(gs, None, aux)
+    gq, gk = _bwd_matmul(graw, [q, k], _NT)
     return gq, gk, gv
 
 
-def _bwd_gelu(g, args, out, aux):
+def _bwd_gelu(g, args, aux):
     # g * (0.5 (1 + t) + 0.5 x (1 - t t) dinner), dinner = sqrt(2/pi) (1 + 3 c x x),
     # in that operation order but in two buffers: the same bits, no temporaries
     x, t = args[0], aux["tanh"]
@@ -463,7 +461,7 @@ def _bwd_gelu(g, args, out, aux):
     return (d,)
 
 
-def _bwd_layernorm(g, args, out, aux):
+def _bwd_layernorm(g, args, aux):
     gain = args[1]
     xhat, std = aux["xhat"], aux["std"]
     n = xhat.shape[1]
@@ -475,21 +473,21 @@ def _bwd_layernorm(g, args, out, aux):
     return dx, dgain, dbias
 
 
-def _bwd_softmax_rows(g, args, out, aux):
-    p = out
+def _bwd_softmax_rows(g, args, aux):
+    p = aux["probs"]
     return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
 
 
-def _bwd_softmax_ce(g, args, out, aux):
+def _bwd_softmax_ce(g, args, aux):
     z = args[0]
     y = aux["labels"]
     n = z.shape[0]
-    p = _fwd_softmax_rows([z], {})
+    p = softmax_last_dim(z)
     p[np.arange(n), y] -= 1.0
     return (p * (float(g) / n),)
 
 
-def _bwd_soft_dice(g, args, out, aux):
+def _bwd_soft_dice(g, args, aux):
     smooth = aux["smooth"]
     p, onehot, inter, sums, _ = aux["dice"]
     k = p.shape[1]
@@ -500,11 +498,11 @@ def _bwd_soft_dice(g, args, out, aux):
     return (dz * float(g),)
 
 
-def _bwd_reshape(g, args, out, aux):
+def _bwd_reshape(g, args, aux):
     return (g.reshape(args[0].shape),)
 
 
-def _bwd_patchify(g, args, out, aux):
+def _bwd_patchify(g, args, aux):
     img = args[0]
     p = aux["patch"]
     h, w = img.shape
@@ -512,12 +510,12 @@ def _bwd_patchify(g, args, out, aux):
     return (g.reshape(gh, gw, p, p).transpose(0, 2, 1, 3).reshape(h, w),)
 
 
-def _bwd_mean(g, args, out, aux):
+def _bwd_mean(g, args, aux):
     a = args[0]
     return (np.full_like(a, float(g) / a.size),)
 
 
-def _bwd_embed_lookup(g, args, out, aux):
+def _bwd_embed_lookup(g, args, aux):
     table = args[0]
     dtable = np.zeros_like(table)
     np.add.at(dtable, aux["indices"], g)
@@ -525,22 +523,22 @@ def _bwd_embed_lookup(g, args, out, aux):
 
 
 # op kind -> (forward rule, backward rule, positions of the inputs its backward
-# reads by value, whether it reads the op's output); other slots get None
-_OPS: dict[str, tuple[Callable, Callable, tuple[int, ...], bool]] = {
-    "matmul": (_fwd_matmul, _bwd_matmul, (0, 1), False),
-    "add": (_fwd_add, _bwd_add, (), False),
-    "linear": (_fwd_linear, _bwd_linear, (0, 1), False),
-    "scale": (_fwd_scale, _bwd_scale, (), False),
-    "attention": (_fwd_attention, _bwd_attention, (0, 1, 2), False),
-    "gelu": (_fwd_gelu, _bwd_gelu, (0,), False),
-    "layernorm": (_fwd_layernorm, _bwd_layernorm, (1,), False),
-    "softmax-rows": (_fwd_softmax_rows, _bwd_softmax_rows, (), True),
-    "softmax-ce": (_fwd_softmax_ce, _bwd_softmax_ce, (0,), False),
-    "soft-dice": (_fwd_soft_dice, _bwd_soft_dice, (), False),
-    "reshape": (_fwd_reshape, _bwd_reshape, (0,), False),
-    "patchify": (_fwd_patchify, _bwd_patchify, (0,), False),
-    "mean": (_fwd_mean, _bwd_mean, (0,), False),
-    "embed-lookup": (_fwd_embed_lookup, _bwd_embed_lookup, (0,), False),
+# reads by value); other slots get None, and all else it reads is in its aux
+_OPS: dict[str, tuple[Callable, Callable, tuple[int, ...]]] = {
+    "matmul": (_fwd_matmul, _bwd_matmul, (0, 1)),
+    "add": (_fwd_add, _bwd_add, ()),
+    "linear": (_fwd_linear, _bwd_linear, (0, 1)),
+    "scale": (_fwd_scale, _bwd_scale, ()),
+    "attention": (_fwd_attention, _bwd_attention, (0, 1, 2)),
+    "gelu": (_fwd_gelu, _bwd_gelu, (0,)),
+    "layernorm": (_fwd_layernorm, _bwd_layernorm, (1,)),
+    "softmax-rows": (_fwd_softmax_rows, _bwd_softmax_rows, ()),
+    "softmax-ce": (_fwd_softmax_ce, _bwd_softmax_ce, (0,)),
+    "soft-dice": (_fwd_soft_dice, _bwd_soft_dice, ()),
+    "reshape": (_fwd_reshape, _bwd_reshape, (0,)),
+    "patchify": (_fwd_patchify, _bwd_patchify, (0,)),
+    "mean": (_fwd_mean, _bwd_mean, (0,)),
+    "embed-lookup": (_fwd_embed_lookup, _bwd_embed_lookup, (0,)),
 }
 
 OP_KINDS = tuple(_OPS)

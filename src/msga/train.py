@@ -99,20 +99,6 @@ def prepare_splits(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def _init_states(
-    params: ModelParams, cfg: RunConfig
-) -> tuple[dict[str, AdamWState], dict[str, GaLoreState]]:
-    adamw_states: dict[str, AdamWState] = {}
-    galore_states: dict[str, GaLoreState] = {}
-    for g in params.groups:
-        if isinstance(g.strategy, FullAdamW):
-            adamw_states[g.name] = AdamWState.zeros(g.values.shape)
-        elif isinstance(g.strategy, GaLore):
-            galore_states[g.name] = GaLoreState(
-                **asdict(g.strategy), reset_moments_on_refresh=cfg.refresh_resets_moments)
-    return adamw_states, galore_states
-
-
 def compile_loss_plan(
     params: ModelParams, image: np.ndarray, labels_grid: np.ndarray, cfg: RunConfig
 ) -> tuple[Plan, dict[str, int]]:
@@ -120,7 +106,7 @@ def compile_loss_plan(
     and loss, and gives adjoints for the groups that are not frozen."""
     tape, ids, ce, dice, loss = build_loss_tape(params, image, labels_grid, cfg)
     trained = [ids[g.name] for g in params.groups if not isinstance(g.strategy, Frozen)]
-    return Plan(tape, loss, trained, (ce, dice, loss), [*ids, "image"]), ids
+    return Plan(tape, loss, trained, (ce, dice, loss)), ids
 
 
 def _batches(seed: int, n: int, batch_size: int) -> Iterator[np.ndarray]:
@@ -143,7 +129,14 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
     if params is None:
         params = init_model(model_config(cfg), cfg.seed)
     params = assign_strategies(clone_params(params), cfg.mode, **cfg.galore_settings())
-    adamw_states, galore_states = _init_states(params, cfg)
+    adamw_states: dict[str, AdamWState] = {}
+    galore_states: dict[str, GaLoreState] = {}
+    for g in params.groups:
+        if isinstance(g.strategy, FullAdamW):
+            adamw_states[g.name] = AdamWState.zeros(g.values.shape)
+        elif isinstance(g.strategy, GaLore):
+            galore_states[g.name] = GaLoreState(
+                **asdict(g.strategy), reset_moments_on_refresh=cfg.refresh_resets_moments)
     trained = [g for g in params.groups if not isinstance(g.strategy, Frozen)]
 
     horizon = max(cfg.total_steps, cfg.warmup_steps)

@@ -172,6 +172,28 @@ def test_cli_bad_flag_value_exits_2_with_one_config_error_line(tmp_path, capsys,
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("flags", [["--warm", "10"], ["--refresh", "5"], ["--learning-rate", "1"]])
+def test_cli_flag_matches_only_a_whole_name(tmp_path, capsys, flags) -> None:
+    # a prefix of one flag, a prefix of two, and no flag at all
+    out = str(tmp_path / "run")
+    assert main(["train", *flags, "--out", out]) == 2   # returns, never raises SystemExit
+    err = capsys.readouterr().err
+    assert err == f"error: config field '{flags[0]}': not a flag of train\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_a_bad_boolean_names_every_accepted_word(tmp_path, capsys, source) -> None:
+    line = tmp_path / "line.cfg"
+    line.write_text("hd95_boundary=maybe\n")
+    given = ["--hd95-boundary", "maybe"] if source == "flag" else ["--config", str(line)]
+    assert main(["train", *given, "--out", str(tmp_path / "run")]) == 2
+    words = "/".join(_BOOL_WORDS)
+    assert set(words.split("/")) == {"true", "false", "yes", "no", "1", "0"}
+    assert capsys.readouterr().err == (f"error: config field 'hd95_boundary': expected {words} "
+                                       f"(any case), got 'maybe'\n")
+
+
 def test_config_echo_lines_read_back_as_flags(tmp_path) -> None:
     first = _echoed_config(tmp_path, "--sided", "two", "--budgets", "5,10",
                            "--hd95-boundary", "false", "--synthetic-seed", "-1")
