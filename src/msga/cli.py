@@ -25,10 +25,9 @@ from dataclasses import replace
 import numpy as np
 
 from msga.config import (
-    ConfigError, RunConfig, build_config, config_as_text, config_field_types, parse_config_file,
-    parse_values,
+    RunConfig, build_config, config_as_text, config_field_types, parse_config_file, parse_values,
 )
-from msga.data import Dataset, _atomic_write
+from msga.data import ConfigError, Dataset, atomic_write, few_shot_subset
 from msga.memory import (
     adapter_baseline, compare_strategies, render_json, render_text, report_for_mode,
 )
@@ -38,16 +37,11 @@ from msga.train import (
     LOG_COLUMNS,
     TrainResult,
     evaluate,
-    few_shot_subset,
     mean_metrics,
     model_config,
     prepare_splits,
     train_model,
 )
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write(path, text.encode("utf-8"))
 
 
 def _format_cell(value) -> str:
@@ -57,7 +51,7 @@ def _format_cell(value) -> str:
 def _write_csv(path: str, header: tuple[str, ...], rows: list[tuple]) -> None:
     lines = [",".join(header)]
     lines += [",".join(_format_cell(cell) for cell in row) for row in rows]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -94,7 +88,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _write_train_outputs(cfg: RunConfig, result: TrainResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(result.params, os.path.join(out_dir, "model.msga"))
-    _atomic_write_text(os.path.join(out_dir, "config_echo.cfg"), config_as_text(cfg))
+    atomic_write(os.path.join(out_dir, "config_echo.cfg"), config_as_text(cfg))
     rows = [tuple(row[c] for c in LOG_COLUMNS) for row in result.log_rows]
     _write_csv(os.path.join(out_dir, "train_log.csv"), LOG_COLUMNS, rows)
 
@@ -148,7 +142,7 @@ def cmd_memreport(cfg: RunConfig, args: argparse.Namespace) -> int:
     reports, deltas = compare_strategies(params, list(MODES), **cfg.galore_settings())
     adapter = adapter_baseline(params, cfg.rank)
     for name, render in (("memory.json", render_json), ("memory.txt", render_text)):
-        _atomic_write_text(os.path.join(cfg.out, name), render(reports, deltas, adapter, cfg.rank))
+        atomic_write(os.path.join(cfg.out, name), render(reports, deltas, adapter, cfg.rank))
     print(f"memory reports -> {cfg.out}/memory.json, {cfg.out}/memory.txt")
     return 0
 

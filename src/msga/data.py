@@ -233,9 +233,7 @@ def save_pgm(matrix: np.ndarray, path: str) -> None:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {matrix.shape}")
-    h, w = matrix.shape
-    payload = np.rint(np.clip(matrix, 0.0, 1.0) * 255).astype(np.uint8)
-    _atomic_write(path, b"P5\n%d %d\n255\n" % (w, h) + payload.tobytes())
+    _save_p5(np.rint(np.clip(matrix, 0.0, 1.0) * 255).astype(np.uint8), path)
 
 
 def load_labels_pgm(path: str) -> np.ndarray:
@@ -251,15 +249,28 @@ def save_labels_pgm(labels: np.ndarray, path: str) -> None:
         raise ValueError(f"label map must be 2-D, got shape {labels.shape}")
     if labels.min() < 0 or labels.max() > 255:
         raise ValueError("label values must fit 8-bit PGM (0..255)")
-    h, w = labels.shape
-    _atomic_write(path, b"P5\n%d %d\n255\n" % (w, h) + labels.astype(np.uint8).tobytes())
+    _save_p5(labels.astype(np.uint8), path)
 
 
-def _atomic_write(path: str, blob: bytes) -> None:
+def _save_p5(pixels: np.ndarray, path: str) -> None:
+    """A 2-D uint8 array as 8-bit binary PGM."""
+    h, w = pixels.shape
+    atomic_write(path, b"P5\n%d %d\n255\n" % (w, h) + pixels.tobytes())
+
+
+def atomic_write(path: str, data: bytes | str) -> None:
+    """Write bytes, or text as UTF-8, to `path` via `path.tmp` and a rename, so
+    `path` is the old file or the whole new one; on failure the temp file goes."""
+    blob = data.encode("utf-8") if isinstance(data, str) else data
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +288,7 @@ def save_dataset(ds: Dataset, directory: str) -> str:
         save_labels_pgm(s.mask, os.path.join(directory, mask_name))
         lines.append(f"{image_name}\t{mask_name}\t{s.patient_id}")
     manifest = os.path.join(directory, "manifest.tsv")
-    _atomic_write(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
+    atomic_write(manifest, "\n".join(lines) + "\n")
     return manifest
 
 

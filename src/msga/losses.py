@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from msga.data import check_fields
-from msga.tape import _fwd_soft_dice, _fwd_softmax_ce
+from msga.tape import Tape
 
 DEFAULT_CE_WEIGHT = 0.2   # weight on cross-entropy; dice gets the complement
 DEFAULT_DICE_SMOOTH = 1e-5
@@ -51,27 +51,28 @@ def downsample_labels(labels: np.ndarray, factor: int) -> np.ndarray:
     return np.argmax(counts, axis=-1).astype(labels.dtype)
 
 
-def _check_pair(m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h, w, k) logits and (h, w) labels flattened to the tape's (pixels, k) and (pixels,)."""
+def _logits_leaf(m: np.ndarray, y: np.ndarray) -> tuple[Tape, int, np.ndarray]:
+    """(h, w, k) logits as the (pixels, k) leaf of a fresh tape, and (h, w) labels flat."""
     m = np.asarray(m, dtype=np.float64)
     y = np.asarray(y)
     if m.ndim != 3:
         raise ValueError(f"mask logits must be (h, w, k), got shape {m.shape}")
     if y.shape != m.shape[:2]:
         raise ValueError(f"label map {y.shape} does not match logits grid {m.shape[:2]}")
-    return m.reshape(-1, m.shape[2]), y.reshape(-1)
+    tape = Tape()
+    return tape, tape.leaf(m.reshape(-1, m.shape[2])), y.reshape(-1)
 
 
 def cross_entropy(m: np.ndarray, y: np.ndarray) -> float:
     """Mean over pixels of -log softmax(m)[y]: the tape's softmax-ce forward."""
-    z, labels = _check_pair(m, y)
-    return float(_fwd_softmax_ce([z], {"labels": labels}))
+    tape, z, labels = _logits_leaf(m, y)
+    return float(tape.value(tape.softmax_ce(z, labels)))
 
 
 def dice_loss(m: np.ndarray, y: np.ndarray, smooth: float = DEFAULT_DICE_SMOOTH) -> float:
     """One minus the mean per-class soft dice: the tape's soft-dice forward."""
-    z, labels = _check_pair(m, y)
-    return float(_fwd_soft_dice([z], {"labels": labels, "smooth": smooth}))
+    tape, z, labels = _logits_leaf(m, y)
+    return float(tape.value(tape.soft_dice(z, labels, smooth)))
 
 
 def combined_loss(m: np.ndarray, y: np.ndarray, config: LossConfig) -> float:

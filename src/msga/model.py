@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from msga.data import ConfigError, _atomic_write, check_fields
+from msga.data import ConfigError, atomic_write, check_fields
 from msga.losses import LossConfig
 from msga.tape import Plan, Tape
 
@@ -202,7 +202,7 @@ def forward(params: ModelParams, image: np.ndarray) -> np.ndarray:
         tape, _, out = _record_forward(params, image)
         _forward_plan.clear()
         _forward_plan[key] = Plan(tape, out, (), (out,))
-    (logits,), _ = _forward_plan[key]._replay([*(g.values for g in params.groups), image], ())
+    (logits,), _ = _forward_plan[key].replay([*(g.values for g in params.groups), image], ())
     logits = logits.reshape(cfg.grid_h, cfg.grid_w, cfg.classes)
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("forward produced non-finite logits")
@@ -255,7 +255,7 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
         blob += struct.pack("<I", len(name)) + name
         blob += struct.pack("<II", rows, cols)
         blob += np.ascontiguousarray(g.values, dtype="<f8").tobytes()
-    _atomic_write(path, blob)
+    atomic_write(path, blob)
 
 
 def load_checkpoint(path: str) -> list[tuple[str, np.ndarray]]:

@@ -29,8 +29,8 @@ its plan once per step; Tape.backward runs a plan that wants every leaf on
 the tape's recorded values, so there is one backward loop. A leaf may carry a
 name, which a plan's replay errors report in place of its id. Gradients it
 returns are fresh arrays and safe to hand elsewhere. A plan that wants nothing
-has no backward: evaluation replays one that reads the logits, so an image
-keeps only the values a later op still reads.
+has no backward: evaluation calls `Plan.replay` on one that reads the logits,
+so an image keeps only the values a later op still reads.
 """
 
 from __future__ import annotations
@@ -198,13 +198,13 @@ class Plan:
         inputs, so the first sample's enter fresh as `0.0 + g`; later ones add in place."""
         reads, sums = [0.0] * len(self.reads), {}
         for leaves, labels in samples:
-            scalars, kept = self._replay(leaves, labels)
+            scalars, kept = self.replay(leaves, labels)
             reads = [r + x for r, x in zip(reads, scalars)]
             sums = {nid: np.add(sums[nid], g, out=sums[nid]) if nid in sums else 0.0 + g
                     for nid, g in self.backward(kept).items()}
         return reads, sums
 
-    def _replay(self, leaves: list, labels: np.ndarray) -> tuple[list, dict[int, tuple]]:
+    def replay(self, leaves: list, labels: np.ndarray) -> tuple[list, dict[int, tuple]]:
         """One forward pass: the `reads` values, a 0-d one (a loss term) as a float and
         any other (the logits) as its array, and each backward node's kept entry,
         which holds what its rule reads; all else goes after its last forward reader.

@@ -20,8 +20,10 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from msga.config import ConfigError, RunConfig
-from msga.data import Dataset, few_shot_subset, generate_synthetic, load_manifest, split_by_patient
+from msga.config import RunConfig
+from msga.data import (
+    ConfigError, Dataset, few_shot_subset, generate_synthetic, load_manifest, split_by_patient,
+)
 # dice_score and hd95 stay importable here by name: perfbench/tracer.py wraps them
 from msga.losses import dice_score, downsample_labels, hd95, image_metrics  # noqa: F401
 from msga.model import (

@@ -255,6 +255,15 @@ def test_cli_exit_code_2_on_unknown_config_key(tmp_path) -> None:
     assert main(["train", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
+def test_cli_failed_checkpoint_write_exits_3_and_leaves_no_temp_file(tmp_path, capsys) -> None:
+    out = tmp_path / "run"
+    (out / "model.msga").mkdir(parents=True)   # the rename onto a directory fails
+    assert main(["train", "--total-steps", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error: "), err
+    assert list(out.rglob("*.tmp")) == []
+
+
 def test_cli_exit_code_3_on_unreadable_config(tmp_path) -> None:
     assert main(["train", "--config", str(tmp_path / "missing.cfg"),
                  "--out", str(tmp_path)]) == 3

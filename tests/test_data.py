@@ -5,6 +5,7 @@ import pytest
 
 from msga.data import (
     PgmError,
+    atomic_write,
     few_shot_subset,
     generate_synthetic,
     load_labels_pgm,
@@ -196,3 +197,14 @@ def test_few_shot_rejects_oversized_budget() -> None:
     ds = generate_synthetic(43, 10, 16, 16, 2)
     with pytest.raises(ValueError, match="budget"):
         few_shot_subset(ds, 11, seed=0)
+
+
+def test_atomic_write_writes_text_as_utf8_and_a_failed_write_leaves_no_temp_file(
+        tmp_path) -> None:
+    path = tmp_path / "out.txt"
+    atomic_write(str(path), "\u00e9\n")
+    assert path.read_bytes() == b"\xc3\xa9\n"
+    with pytest.raises(TypeError):
+        atomic_write(str(path), [1, 2])   # not bytes-like: fails once the temp file is open
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert path.read_bytes() == b"\xc3\xa9\n"

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from msga.cli import main
 from msga.losses import LossConfig, downsample_labels
 from msga.model import (
     CHECKPOINT_MAGIC,
@@ -220,6 +221,65 @@ def test_load_checkpoint_reports_bad_utf8_name_with_offset(tmp_path) -> None:
     path.write_bytes(CHECKPOINT_MAGIC + _group_record(b"\xff\xfe", np.zeros((1, 1))))
     with pytest.raises(ValueError, match="model.msga: group name at byte 9 is not valid UTF-8"):
         load_checkpoint(str(path))
+
+
+def _u32_field_offsets(blob: bytes) -> list[int]:
+    """Byte offsets of every name-length, rows and cols field of a valid checkpoint."""
+    offsets, pos = [], len(CHECKPOINT_MAGIC)
+    while pos < len(blob):
+        (nlen,) = struct.unpack_from("<I", blob, pos)
+        rows, cols = struct.unpack_from("<II", blob, pos + 4 + nlen)
+        offsets += [pos, pos + 4 + nlen, pos + 8 + nlen]
+        pos += 12 + nlen + 8 * rows * cols
+    return offsets
+
+
+def test_corrupt_checkpoints_load_or_raise_value_error(tmp_path) -> None:
+    # seeded mutations of a valid checkpoint: each either loads or is a ValueError
+    path = tmp_path / "model.msga"
+    save_checkpoint(init_model(SMALL, seed=18), str(path))
+    blob = path.read_bytes()
+    fields = _u32_field_offsets(blob)
+    rng = np.random.default_rng(2024)
+    outcomes = {}
+    for i in range(300):
+        bad = bytearray(blob)
+        kind = ("truncated", "head bytes", "u32 field", "trailing", "reversed")[i % 5]
+        if kind == "truncated":
+            bad = bad[: int(rng.integers(0, len(blob)))]
+        elif kind == "head bytes":
+            for pos in rng.integers(0, 200, size=int(rng.integers(1, 5))):
+                bad[pos] = int(rng.integers(0, 256))
+        elif kind == "u32 field":
+            value = int(rng.integers(0, 2 ** int(rng.integers(1, 33))))
+            struct.pack_into("<I", bad, int(rng.choice(fields)), value)
+        elif kind == "trailing":
+            bad += rng.bytes(int(rng.integers(1, 64)))
+        else:
+            lo, hi = sorted(int(x) for x in rng.integers(len(CHECKPOINT_MAGIC), len(blob) + 1, 2))
+            bad[lo:hi] = bad[lo:hi][::-1]
+        path.write_bytes(bytes(bad))
+        try:
+            restore_checkpoint(init_model(SMALL, seed=18), str(path))
+            outcome = "loaded"
+        except ValueError:
+            outcome = "ValueError"
+        except Exception as exc:   # any other exception is the failure
+            outcome = f"{kind}: {type(exc).__name__}: {exc}"
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert set(outcomes) == {"loaded", "ValueError"}, outcomes
+
+
+def test_cli_eval_of_a_truncated_checkpoint_exits_2_with_one_error_line(tmp_path, capsys) -> None:
+    geometry = ["--image-h", "16", "--image-w", "16", "--embed-dim", "8", "--blocks", "1",
+                "--decoder-channels", "8", "--synthetic-count", "30"]
+    config = ModelConfig(image_h=16, image_w=16, embed_dim=8, blocks=1, decoder_channels=8)
+    path = tmp_path / "model.msga"
+    save_checkpoint(init_model(config, seed=0), str(path))
+    path.write_bytes(path.read_bytes()[:-7])
+    assert main(["eval", *geometry, "--checkpoint", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "truncated" in err[0], err
 
 
 def test_clone_params_is_independent() -> None:

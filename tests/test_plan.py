@@ -119,7 +119,7 @@ def test_the_memoised_forward_plan_names_a_bad_group() -> None:
     i = [g.name for g in params.groups].index("decoder/fc1/weight")
     leaves[i] = leaves[i].astype(np.float32)
     with pytest.raises(ValueError, match="replay leaf 'decoder/fc1/weight': expected float64"):
-        plan._replay(leaves, ())
+        plan.replay(leaves, ())
 
 
 def test_a_plan_over_unnamed_leaves_names_a_bad_leaf_by_its_id() -> None:
@@ -321,7 +321,7 @@ def test_a_plan_that_wants_nothing_has_no_backward_and_reads_its_output_as_an_ar
     tape, _, out = _record_forward(params, image)
     plan = Plan(tape, out, (), (out,))
     assert plan.steps == [] and plan.wanted == []
-    (logits,), kept = plan._replay([*(g.values for g in params.groups), image], ())
+    (logits,), kept = plan.replay([*(g.values for g in params.groups), image], ())
     assert kept == {} and np.array_equal(logits, tape.value(out))
     with pytest.raises(ValueError, match="scalar loss"):
         tape.backward(out)
