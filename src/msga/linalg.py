@@ -13,9 +13,10 @@ import numpy as np
 def softmax_last_dim(t: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, with max-subtraction so large logits cannot overflow."""
     t = np.asarray(t, dtype=np.float64)
-    shifted = t - t.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(t, t.max(axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def truncated_svd(g: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

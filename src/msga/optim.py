@@ -102,20 +102,32 @@ def adamw_step(
         raise ValueError(f"shape mismatch: w {w.shape}, g {g.shape}, state {state.m.shape}")
     if lr < 0.0:
         raise ValueError(f"lr must be non-negative, got {lr}")
-    m_hat, denom = _adamw_moments(state, g, beta1, beta2, eps)
-    return w - lr * m_hat / denom - lr * weight_decay * w
+    # w - lr * m_hat / denom - lr * weight_decay * w, in the two arrays the moments made
+    out, denom = _adamw_moments(state, g, beta1, beta2, eps)
+    out *= lr
+    out /= denom
+    np.subtract(w, out, out=out)
+    out -= np.multiply(lr * weight_decay, w, out=denom)
+    return out
 
 
 def _adamw_moments(
     state: AdamWState, g: np.ndarray, beta1, beta2, eps
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the moments in place; returns (m_hat, sqrt(v_hat) + eps)."""
+    """Advance the moments to fresh arrays, m = beta1 m + (1 - beta1) g and v = beta2 v +
+    (1 - beta2) g g; returns (m_hat, sqrt(v_hat) + eps), two arrays only the caller holds."""
     state.step += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * g * g
-    m_hat = state.m / (1.0 - beta1**state.step)
-    v_hat = state.v / (1.0 - beta2**state.step)
-    return m_hat, np.sqrt(v_hat) + eps
+    t = np.multiply(1.0 - beta1, g)
+    state.m = np.multiply(beta1, state.m)
+    state.m += t
+    np.multiply(1.0 - beta2, g, out=t)
+    t *= g
+    state.v = np.multiply(beta2, state.v)
+    state.v += t
+    denom = np.divide(state.v, 1.0 - beta2**state.step)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    return np.divide(state.m, 1.0 - beta1**state.step, out=t), denom
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +205,8 @@ def galore_step(
     if state.regularizer == "identity":
         update = core
     else:
-        m_hat, denom = _adamw_moments(state.inner, core, beta1, beta2, eps)
-        update = m_hat / denom
+        update, denom = _adamw_moments(state.inner, core, beta1, beta2, eps)
+        update /= denom
 
     g_tilde = update if state.p is None else state.p @ update
     g_tilde = g_tilde if state.q is None else g_tilde @ state.q.T

@@ -17,7 +17,9 @@ row softmax and attention keep their probabilities, layernorm its normalized
 rows and row std, gelu its tanh, and soft dice its softmax, one-hot and class
 sums. Their backward rules read these instead of recomputing them. Every
 backward rule is `rule(g, args, aux)`: the adjoint of the node's output, its
-inputs (None where not read) and its aux.
+inputs (None where not read) and its aux. A rule writes only into arrays it
+allocated, never into its inputs, adjoint or aux: the add backward hands one
+adjoint to both its inputs.
 
 A Plan compiles a recorded tape to replay it on a batch of new leaves and
 labels, with a backward pruned to the nodes between the wanted leaves and the
@@ -271,17 +273,24 @@ _NN = {"transpose_b": False}
 _NT = {"transpose_b": True}
 
 
+def _check_add(a, b, aux):
+    aux["row"] = a.shape != b.shape   # whether b is a broadcast row; the backward reads no shape
+    if not (a.shape == b.shape or a.ndim == 2 and b.shape == (1, a.shape[1])):
+        raise ValueError(f"add: shapes {a.shape} and {b.shape} are neither equal nor row-broadcast")
+
+
 def _fwd_add(args, aux):
     a, b = args
-    aux["row"] = a.shape != b.shape   # whether b is a broadcast row; the backward reads no shape
-    if a.shape == b.shape or a.ndim == 2 and b.shape == (1, a.shape[1]):
-        return np.asarray(a + b)   # a 0-d sum is a numpy scalar otherwise
-    raise ValueError(f"add: shapes {a.shape} and {b.shape} are neither equal nor row-broadcast")
+    _check_add(a, b, aux)
+    return np.asarray(a + b)   # a 0-d sum is a numpy scalar otherwise
 
 
 def _fwd_linear(args, aux):
     x, w, b = args
-    return _fwd_add([_fwd_matmul([x, w], _NN), b], aux)
+    xw = _fwd_matmul([x, w], _NN)
+    _check_add(xw, b, aux)
+    xw += b
+    return xw
 
 
 def _fwd_scale(args, aux):
@@ -290,18 +299,27 @@ def _fwd_scale(args, aux):
 
 def _fwd_attention(args, aux):
     q, k, v = args
-    scores = _fwd_scale([_fwd_matmul([q, k], _NT)], aux)
+    scores = _fwd_matmul([q, k], _NT)
+    scores *= aux["c"]
     return _fwd_matmul([_fwd_softmax_rows([scores], aux), v], _NN)
 
 
 def _gelu_inner(x):
-    return _SQRT_2_OVER_PI * (x + GELU_COEF * (x * x * x))
+    a = x * x
+    a *= x
+    a *= GELU_COEF
+    a += x
+    a *= _SQRT_2_OVER_PI
+    return a
 
 
 def _fwd_gelu(args, aux):
     x = args[0]
-    aux["tanh"] = t = np.tanh(_gelu_inner(x))
-    return 0.5 * x * (1.0 + t)
+    aux["tanh"] = t = _gelu_inner(x)
+    np.tanh(t, out=t)
+    out = np.multiply(0.5, x)
+    out *= 1.0 + t
+    return out
 
 
 def _fwd_layernorm(args, aux):
@@ -313,7 +331,9 @@ def _fwd_layernorm(args, aux):
         )
     xhat, std = _normalize_rows(x)
     aux["xhat"], aux["std"] = xhat, std
-    return xhat * gain + bias
+    out = xhat * gain
+    out += bias
+    return out
 
 
 def _normalize_rows(x):
@@ -325,7 +345,8 @@ def _normalize_rows(x):
     n = x.shape[1]
     centered = x - x.sum(axis=1, keepdims=True) / n
     std = np.sqrt((centered * centered).sum(axis=1, keepdims=True) / n + LAYERNORM_EPS)
-    return centered / std, std
+    centered /= std
+    return centered, std
 
 
 def _fwd_softmax_rows(args, aux):
@@ -437,8 +458,8 @@ def _bwd_attention(g, args, aux):
     q, k, v = args
     gp, gv = _bwd_matmul(g, [aux["probs"], v], _NN)
     (gs,) = _bwd_softmax_rows(gp, None, aux)
-    (graw,) = _bwd_scale(gs, None, aux)
-    gq, gk = _bwd_matmul(graw, [q, k], _NT)
+    gs *= aux["c"]
+    gq, gk = _bwd_matmul(gs, [q, k], _NT)
     return gq, gk, gv
 
 
@@ -462,20 +483,26 @@ def _bwd_gelu(g, args, aux):
 
 
 def _bwd_layernorm(g, args, aux):
+    # dx = (dxhat - mean(dxhat) - xhat mean(dxhat xhat)) / std with dxhat = g gain, in two arrays
     gain = args[1]
     xhat, std = aux["xhat"], aux["std"]
     n = xhat.shape[1]
-    dgain = (g * xhat).sum(axis=0, keepdims=True)
+    t = g * xhat
+    dgain = t.sum(axis=0, keepdims=True)
     dbias = g.sum(axis=0, keepdims=True)
-    dxhat = g * gain
-    dx = (dxhat - dxhat.sum(axis=1, keepdims=True) / n
-          - xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / n)) / std
+    dx = g * gain
+    proj = np.multiply(dx, xhat, out=t).sum(axis=1, keepdims=True) / n
+    dx -= dx.sum(axis=1, keepdims=True) / n
+    dx -= np.multiply(xhat, proj, out=t)
+    dx /= std
     return dx, dgain, dbias
 
 
 def _bwd_softmax_rows(g, args, aux):
     p = aux["probs"]
-    return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
+    gs = g - (g * p).sum(axis=1, keepdims=True)
+    gs *= p
+    return (gs,)
 
 
 def _bwd_softmax_ce(g, args, aux):
@@ -484,7 +511,8 @@ def _bwd_softmax_ce(g, args, aux):
     n = z.shape[0]
     p = softmax_last_dim(z)
     p[np.arange(n), y] -= 1.0
-    return (p * (float(g) / n),)
+    p *= float(g) / n
+    return (p,)
 
 
 def _bwd_soft_dice(g, args, aux):

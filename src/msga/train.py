@@ -6,6 +6,10 @@ reproducible. Fully fine-tuned groups follow the 0.005-peak
 warmup schedule with decoupled weight decay; projected groups follow the
 same ramp normalized to the 1e-3 projection base lr and take no decay.
 
+The fully tuned groups' weights are views of one flat vector with one flat
+AdamW state, so one elementwise `adamw_step` steps them all with the bits each
+would get alone; projected groups take one `galore_step` each.
+
 Per-step logs carry only deterministic columns (step, both lrs, loss
 components); wall-clock timing goes to the console, never the log, so two
 runs of one config are byte-identical.
@@ -131,15 +135,18 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
     if params is None:
         params = init_model(model_config(cfg), cfg.seed)
     params = assign_strategies(clone_params(params), cfg.mode, **cfg.galore_settings())
-    adamw_states: dict[str, AdamWState] = {}
-    galore_states: dict[str, GaLoreState] = {}
-    for g in params.groups:
-        if isinstance(g.strategy, FullAdamW):
-            adamw_states[g.name] = AdamWState.zeros(g.values.shape)
-        elif isinstance(g.strategy, GaLore):
-            galore_states[g.name] = GaLoreState(
-                **asdict(g.strategy), reset_moments_on_refresh=cfg.refresh_resets_moments)
     trained = [g for g in params.groups if not isinstance(g.strategy, Frozen)]
+    full = [g for g in trained if isinstance(g.strategy, FullAdamW)]
+    projected = [g for g in trained if isinstance(g.strategy, GaLore)]
+    ends = itertools.accumulate(g.values.size for g in full)
+    spans = {g.name: slice(end - g.values.size, end) for g, end in zip(full, ends)}
+    flat_w = np.concatenate([g.values.ravel() for g in full])
+    for g in full:
+        g.values = flat_w[spans[g.name]].reshape(g.values.shape)
+    flat_state = AdamWState.zeros(flat_w.shape)
+    galore_states = {g.name: GaLoreState(**asdict(g.strategy),
+                                         reset_moments_on_refresh=cfg.refresh_resets_moments)
+                     for g in projected}
 
     horizon = max(cfg.total_steps, cfg.warmup_steps)
     full_sched = WarmupSchedule(cfg.full_lr, cfg.warmup_steps, horizon, cfg.decay_exponent)
@@ -166,24 +173,27 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
         inv = 1.0 / len(batch)
         lr_full = lr_at(full_sched, step)
         lr_galore = lr_at(galore_sched, step)
-        for g in trained:
-            # each sum goes as it is used: none may outlive the step into the next replay
-            grad = grads.pop(ids[g.name]) * inv
-            if not np.isfinite(grad).all():
-                raise FloatingPointError(
-                    f"training diverged at step {step}: gradient of {g.name} is not finite")
-            if isinstance(g.strategy, FullAdamW):
-                g.values = adamw_step(
-                    g.values, grad, adamw_states[g.name], lr_full,
-                    cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay,
-                )
-            else:
-                g.values = galore_step(
-                    g.values, grad, galore_states[g.name], lr_galore,
-                    cfg.beta1, cfg.beta2, cfg.eps,
-                )
+        # each sum goes as it is used: none, nor the flat gradient, may outlive the
+        # step into the next replay
+        flat_g = np.concatenate([grads.pop(ids[g.name]).ravel() for g in full])
+        flat_g *= inv
+        proj = {g.name: grads.pop(ids[g.name]) * inv for g in projected}
+        if not (np.isfinite(flat_g).all() and all(np.isfinite(x).all() for x in proj.values())):
+            name = next(g.name for g in trained if not np.isfinite(
+                flat_g[spans[g.name]] if g.name in spans else proj[g.name]).all())
+            raise FloatingPointError(
+                f"training diverged at step {step}: gradient of {name} is not finite")
+        flat_w[:] = adamw_step(flat_w, flat_g, flat_state, lr_full,
+                               cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
+        del flat_g
+        for g in projected:
+            g.values = galore_step(g.values, proj.pop(g.name), galore_states[g.name], lr_galore,
+                                   cfg.beta1, cfg.beta2, cfg.eps)
         log_rows.append({"step": step, "lr_full": lr_full, "lr_galore": lr_galore,
                          "ce": ce * inv, "dice": dice * inv, "loss": loss * inv})
+    adamw_states = {g.name: AdamWState(flat_state.m[spans[g.name]].reshape(g.values.shape),
+                                       flat_state.v[spans[g.name]].reshape(g.values.shape),
+                                       flat_state.step) for g in full}
     return TrainResult(params, adamw_states, galore_states, log_rows)
 
 
@@ -217,10 +227,12 @@ def evaluate(
         gt = downsample_labels(sample.mask, cfg.patch_size)
         pred = gt if oracle else postprocess(forward(params, sample.image))
         scores.append(image_metrics(pred, gt, cfg.classes, boundary=boundary))
-    return [ClassMetrics(class_index=c,
-                         dice=float(np.mean([s[c - 1][0] for s in scores])),
-                         hd95=float(np.mean([s[c - 1][1] for s in scores])))
-            for c in range(1, cfg.classes)]
+    # one mean per (class, metric) over a contiguous row of images: on a transposed
+    # view numpy would sum in another order
+    means = np.ascontiguousarray(
+        np.reshape(scores, (len(scores), cfg.classes - 1, 2)).transpose(1, 2, 0)).mean(axis=-1)
+    return [ClassMetrics(class_index=c, dice=float(dice), hd95=float(hd))
+            for c, (dice, hd) in enumerate(means.tolist(), start=1)]
 
 
 def mean_metrics(rows: list[ClassMetrics]) -> tuple[float, float]:

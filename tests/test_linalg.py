@@ -192,6 +192,14 @@ def test_softmax_no_overflow_on_huge_logits() -> None:
     assert out[0, 0, 0] > 1.0 - 1e-12
 
 
+def test_softmax_keeps_the_bits_of_its_expression_and_its_input() -> None:
+    t = np.random.default_rng(3).normal(0.0, 30.0, (5, 6, 7))
+    before = t.copy()
+    e = np.exp(t - t.max(axis=-1, keepdims=True))
+    assert softmax_last_dim(t).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+    assert np.array_equal(t, before)
+
+
 def test_softmax_fibers_sum_to_one() -> None:
     rng = np.random.default_rng(13)
     t = rng.standard_normal((4, 5, 6)) * 10.0

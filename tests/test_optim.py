@@ -20,12 +20,13 @@ from msga.optim import (
     lr_at,
     refresh_subspace,
 )
+import msga.optim
 import msga.tape
 import msga.train
 from msga.tape import Plan
 from msga.losses import _SQ_DIST, dice_score, downsample_labels, hd95
 from msga.model import forward, postprocess
-from msga.train import ClassMetrics, evaluate, prepare_splits, train_model
+from msga.train import ClassMetrics, evaluate, load_base_dataset, prepare_splits, train_model
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +75,27 @@ def test_adamw_second_moment_nonnegative() -> None:
         w = adamw_step(w, rng.standard_normal((4, 4)), state, lr=0.01)
     assert (state.v >= 0.0).all()
     assert state.step == 5
+
+
+def test_adamw_step_keeps_the_bits_of_its_expressions() -> None:
+    # the update runs in place in two fresh arrays; each step rounds like the expression.
+    # Weights far below lr, so a last-bit change in the update shows in the new weights
+    rng = np.random.default_rng(2)
+    w = rng.standard_normal((7, 5)) * 1e-4
+    state = AdamWState.zeros(w.shape)
+    m = v = np.zeros(w.shape)
+    for step in range(1, 6):
+        g = rng.standard_normal(w.shape) * 10.0 ** rng.integers(-6, 3)
+        lr = 0.003 * step
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat, denom = m / (1.0 - 0.9**step), np.sqrt(v / (1.0 - 0.999**step)) + 1e-8
+        moments = state.m, state.v
+        w_new = adamw_step(w, g, state, lr, 0.9, 0.999, 1e-8, 0.1)
+        assert w_new.tobytes() == (w - lr * m_hat / denom - lr * 0.1 * w).tobytes()
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+        assert state.m is not moments[0] and state.v is not moments[1]   # fresh, not overwritten
+        w = w_new
 
 
 def test_adamw_rejects_shape_mismatch() -> None:
@@ -404,7 +426,8 @@ def test_training_records_one_tape_and_frees_each_sample_replay_before_the_next(
         monkeypatch) -> None:
     # one recorded tape per run; a sample's replayed values, kept intermediates
     # and adjoints are all gone when the next sample starts, and a step's
-    # gradient sums are gone when the next step's replay starts
+    # gradient sums, flat gradient, projected gradients and optimizer
+    # temporaries are gone when the next step's replay starts
     cfg = RunConfig(mode="medsaga", total_steps=3, synthetic_count=20,
                     image_h=16, image_w=16, embed_dim=8, blocks=1,
                     decoder_channels=8, batch_size=2).validate()
@@ -414,8 +437,12 @@ def test_training_records_one_tape_and_frees_each_sample_replay_before_the_next(
     replays: list[int] = []
     live: list[weakref.ref] = []    # every array an op or a backward made so far
     sums: list[weakref.ref] = []    # the gradient sums of every finished step
+    temps: list[weakref.ref] = []   # what the optimizer was given or made, moments excepted
+    adamw_calls: list[int] = []
     original_build, original_run, original_backward = (
         msga.train.build_loss_tape, Plan.run, Plan.backward)
+    original_adamw, original_galore, original_moments = (
+        msga.train.adamw_step, msga.train.galore_step, msga.optim._adamw_moments)
 
     def recording(*args, **kwargs):
         tapes.append(1)
@@ -437,6 +464,8 @@ def test_training_records_one_tape_and_frees_each_sample_replay_before_the_next(
                 assert not alive, f"{alive} arrays of an earlier sample alive at {len(replays)}"
                 alive = sum(ref() is not None for ref in sums)
                 assert not alive, f"{alive} gradient sums of an earlier step alive at {len(runs)}"
+                alive = sum(ref() is not None for ref in temps)
+                assert not alive, f"{alive} optimizer arrays of step {len(runs) - 1} alive"
                 replays.append(1)
                 yield sample
         reads, grads = original_run(self, checked())
@@ -449,8 +478,28 @@ def test_training_records_one_tape_and_frees_each_sample_replay_before_the_next(
         live.extend(weakref.ref(g) for g in grads.values())
         return grads
 
+    def watched_adamw(w, g, state, *args):
+        # the flat gradient, the moments it replaces, and the new weights copied into place
+        adamw_calls.append(1)
+        temps.extend(weakref.ref(a) for a in (g, state.m, state.v))
+        out = original_adamw(w, g, state, *args)
+        temps.append(weakref.ref(out))
+        return out
+
+    def watched_galore(w, g, *args):
+        temps.append(weakref.ref(g))
+        return original_galore(w, g, *args)
+
+    def watched_moments(*args):
+        out = original_moments(*args)
+        temps.extend(weakref.ref(a) for a in out)
+        return out
+
     for op, (rule, *rest) in list(msga.tape._OPS.items()):
         monkeypatch.setitem(msga.tape._OPS, op, (watched_forward(rule), *rest))
+    monkeypatch.setattr(msga.train, "adamw_step", watched_adamw)
+    monkeypatch.setattr(msga.train, "galore_step", watched_galore)
+    monkeypatch.setattr(msga.optim, "_adamw_moments", watched_moments)
     monkeypatch.setattr(msga.train, "build_loss_tape", recording)
     monkeypatch.setattr(Plan, "run", watched_run)
     monkeypatch.setattr(Plan, "backward", watched_backward)
@@ -461,6 +510,112 @@ def test_training_records_one_tape_and_frees_each_sample_replay_before_the_next(
     assert len(live) > len(replays) * 30   # values, intermediates and adjoints were all watched
     trained = [g for g in result.params.groups if not isinstance(g.strategy, Frozen)]
     assert len(sums) == cfg.total_steps * len(trained)
+    # one flat AdamW update per step; each projected group steps on its own
+    projected = [g for g in trained if isinstance(g.strategy, GaLore)]
+    assert len(adamw_calls) == cfg.total_steps
+    assert len(temps) == cfg.total_steps * (6 + 3 * len(projected))
+
+
+def _small_cfg(**overrides) -> RunConfig:
+    return RunConfig(**{**dict(total_steps=4, warmup_steps=2, synthetic_count=20, image_h=16,
+                               image_w=16, embed_dim=8, blocks=1, decoder_channels=8,
+                               batch_size=2), **overrides}).validate()
+
+
+@pytest.mark.parametrize("poisoned, named", [
+    (("decoder/fc1/weight",), "decoder/fc1/weight"),                 # in the flat AdamW vector
+    (("encoder/block0/attn/q",), "encoder/block0/attn/q"),           # projected
+    # both kinds at once: the first of them in group order is named
+    (("encoder/pos_embed", "encoder/patch_embed/bias"), "encoder/patch_embed/bias"),
+    (("decoder/fc2/bias", "encoder/pos_embed"), "encoder/pos_embed"),
+])
+def test_divergence_names_the_first_non_finite_group_in_group_order(
+        monkeypatch, poisoned: tuple[str, ...], named: str) -> None:
+    cfg = _small_cfg(mode="medsaga")
+    train_ds, _ = prepare_splits(cfg)
+    strategies = {g.name: type(g.strategy) for g in assign_strategies(
+        init_model(msga.train.model_config(cfg), cfg.seed), cfg.mode).groups}
+    assert {strategies[name] for name in poisoned} <= {FullAdamW, GaLore}
+    original_run = Plan.run
+    runs: list[int] = []
+
+    def poisoning_run(self, samples):
+        reads, grads = original_run(self, samples)
+        runs.append(1)
+        if len(runs) == 2:
+            nids = {name: nid for nid, _, name in self.leaves}
+            for name in poisoned:
+                grads[nids[name]][0, -1] = np.nan
+        return reads, grads
+
+    monkeypatch.setattr(Plan, "run", poisoning_run)
+    with pytest.raises(FloatingPointError) as err:
+        train_model(cfg, train_ds)
+    assert str(err.value) == f"training diverged at step 1: gradient of {named} is not finite"
+
+
+def _train_group_by_group(cfg: RunConfig, train_ds) -> msga.train.TrainResult:
+    """`train_model` with one `adamw_step` or `galore_step` call per trained group on the
+    same `Plan.run` sums: the reference the flat AdamW update must match bit for bit."""
+    params = assign_strategies(init_model(msga.train.model_config(cfg), cfg.seed), cfg.mode,
+                               **cfg.galore_settings())
+    adamw_states, galore_states = {}, {}
+    for g in params.groups:
+        if isinstance(g.strategy, FullAdamW):
+            adamw_states[g.name] = AdamWState.zeros(g.values.shape)
+        elif isinstance(g.strategy, GaLore):
+            galore_states[g.name] = GaLoreState(
+                **vars(g.strategy), reset_moments_on_refresh=cfg.refresh_resets_moments)
+    horizon = max(cfg.total_steps, cfg.warmup_steps)
+    full_sched = WarmupSchedule(cfg.full_lr, cfg.warmup_steps, horizon, cfg.decay_exponent)
+    galore_sched = WarmupSchedule(cfg.galore_lr, cfg.warmup_steps, horizon, cfg.decay_exponent)
+    images = [s.image for s in train_ds.samples]
+    labels = [downsample_labels(s.mask, cfg.patch_size).reshape(-1) for s in train_ds.samples]
+    plan, ids = msga.train.compile_loss_plan(params, images[0], labels[0], cfg)
+    log_rows = []
+    batches = msga.train._batches(cfg.seed, len(train_ds), cfg.batch_size)
+    for step, batch in zip(range(cfg.total_steps), batches):
+        (ce, dice, loss), grads = plan.run(
+            [([*(g.values for g in params.groups), images[i]], labels[i]) for i in batch])
+        inv = 1.0 / len(batch)
+        lr_full, lr_galore = lr_at(full_sched, step), lr_at(galore_sched, step)
+        for g in params.groups:
+            if isinstance(g.strategy, FullAdamW):
+                g.values = adamw_step(g.values, grads[ids[g.name]] * inv, adamw_states[g.name],
+                                      lr_full, cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
+            elif isinstance(g.strategy, GaLore):
+                g.values = galore_step(g.values, grads[ids[g.name]] * inv, galore_states[g.name],
+                                       lr_galore, cfg.beta1, cfg.beta2, cfg.eps)
+        log_rows.append({"step": step, "lr_full": lr_full, "lr_galore": lr_galore,
+                         "ce": ce * inv, "dice": dice * inv, "loss": loss * inv})
+    return msga.train.TrainResult(params, adamw_states, galore_states, log_rows)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(mode="medsaga"), dict(mode="v1"), dict(mode="v2"), dict(mode="full-adamw"),
+    dict(mode="medsaga", sided="two", refresh_period=1),
+    dict(mode="v1", refresh_period=2, refresh_resets_moments=False),
+])
+def test_flat_adamw_update_equals_one_step_per_group_bitwise(overrides: dict) -> None:
+    cfg = _small_cfg(**overrides)
+    train_ds, _ = prepare_splits(cfg)
+    got, ref = train_model(cfg, train_ds), _train_group_by_group(cfg, train_ds)
+    assert got.log_rows == ref.log_rows
+    for g, r in zip(got.params.groups, ref.params.groups, strict=True):
+        assert g.name == r.name and np.array_equal(g.values, r.values), g.name
+    assert list(got.adamw_states) == list(ref.adamw_states)
+    for name, st in got.adamw_states.items():
+        want = ref.adamw_states[name]
+        assert st.m.shape == st.v.shape == want.m.shape, name
+        assert np.array_equal(st.m, want.m) and np.array_equal(st.v, want.v), name
+        assert st.step == want.step == cfg.total_steps, name
+    assert list(got.galore_states) == list(ref.galore_states)
+    for name, st in got.galore_states.items():
+        want = ref.galore_states[name]
+        assert (st.step, st.refresh_steps) == (want.step, want.refresh_steps), name
+        for a, b in ((st.p, want.p), (st.q, want.q), (st.inner.m, want.inner.m),
+                     (st.inner.v, want.inner.v)):
+            assert (a is None and b is None) or np.array_equal(a, b), name
 
 
 def test_galore_state_strictly_smaller_than_full_adamw_for_default_config() -> None:
@@ -495,10 +650,13 @@ def test_evaluate_equals_the_per_class_loop_and_memoises_only_distance_tables() 
     params = train_model(cfg, train_ds).params
     grid = (params.config.grid_h, params.config.grid_w)
     before = set(_SQ_DIST)
-    for boundary in (True, False):
-        got = evaluate(params, test_ds, boundary=boundary)
-        assert got == _per_class_evaluate(params, test_ds, boundary, oracle=False)
-        assert len(got) == params.config.classes - 1
+    # all 20 images as well: from 8 up, a mean over a strided row sums in another
+    # order than np.mean over a list, and here two of the four means differ by it
+    for ds in (test_ds, load_base_dataset(cfg)):
+        for boundary in (True, False):
+            got = evaluate(params, ds, boundary=boundary)
+            assert got == _per_class_evaluate(params, ds, boundary, oracle=False)
+            assert len(got) == params.config.classes - 1
     oracle = evaluate(params, test_ds, oracle=True)
     assert oracle == _per_class_evaluate(params, test_ds, True, oracle=True)
     assert all(m.dice == 1.0 and m.hd95 == 0.0 for m in oracle)

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import copy
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from msga.linalg import softmax_last_dim
 from msga.tape import (
     GELU_COEF,
     LAYERNORM_EPS,
@@ -13,9 +15,13 @@ from msga.tape import (
     _bwd_gelu,
     _bwd_layernorm,
     _bwd_scale,
+    _bwd_softmax_ce,
+    _bwd_softmax_rows,
     _fwd_gelu,
     _fwd_layernorm,
+    _fwd_softmax_rows,
     _gelu_inner,
+    _OPS,
     _normalize_rows,
     finite_diff_check,
 )
@@ -221,6 +227,40 @@ def test_finite_differences_per_op(op: str) -> None:
     assert err < 1e-6, f"{op}: finite-difference error {err:.3e}"
 
 
+def _same(a, b) -> bool:
+    """Equal through tuples, lists and dicts, arrays by dtype, shape and bytes."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+@pytest.mark.parametrize("op", OP_KINDS)
+def test_rules_leave_their_inputs_adjoint_and_aux_unchanged(op: str) -> None:
+    # a rule writes only into arrays it allocated: the add backward hands one adjoint
+    # to both its inputs, so a rule writing into its adjoint would corrupt a sibling's
+    tape = Tape()
+    OP_GRAPHS[op](tape, [tape.leaf(p) for p in op_graph_params(op)])
+    nodes = [n for n in tape.nodes if n.op == op]
+    assert nodes
+    forward, backward, _ = _OPS[op]
+    rng = np.random.default_rng(43)
+    for node in nodes:
+        args = [tape.value(i) for i in node.inputs]
+        aux = {k: node.aux[k] for k in node.args}
+        before = copy.deepcopy((args, aux))
+        out = forward(args, aux)
+        assert _same((args, {k: aux[k] for k in node.args}), before), "forward"
+        g = np.asarray(rng.standard_normal(np.shape(out)))
+        before = copy.deepcopy((g, args, aux))
+        backward(g, args, aux)
+        assert _same((g, args, aux), before), "backward"
+
+
 def test_softmax_ce_finite_diff_at_uniform_logits() -> None:
     labels = np.array([0, 1, 2])
     err = finite_diff_check(
@@ -377,11 +417,28 @@ def test_gelu_adjoint_in_place_keeps_the_nested_expressions_bits() -> None:
     x = np.concatenate([rng.uniform(-40.0, 40.0, 100_000), [0.0, -0.0]])[None, :]
     g = rng.standard_normal(x.shape)
     aux: dict = {}
-    _fwd_gelu([x], aux)
+    out = _fwd_gelu([x], aux)
     t = aux["tanh"]
+    # the forward runs in place too
+    assert t.tobytes() == np.tanh(np.sqrt(2.0 / np.pi) * (x + GELU_COEF * (x * x * x))).tobytes()
+    assert out.tobytes() == (0.5 * x * (1.0 + t)).tobytes()
     dinner = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * GELU_COEF * (x * x))
     (dx,) = _bwd_gelu(g, [x], aux)
     assert np.array_equal(dx, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
+
+
+def test_in_place_softmax_adjoints_keep_the_expressions_bits() -> None:
+    rng = np.random.default_rng(47)
+    z, g = rng.normal(0.0, 5.0, (9, 4)), rng.standard_normal((9, 4))
+    y = rng.integers(0, 4, 9)
+    aux: dict = {}
+    p = _fwd_softmax_rows([z], aux)
+    (gs,) = _bwd_softmax_rows(g, [None], aux)
+    assert gs.tobytes() == (p * (g - (g * p).sum(axis=1, keepdims=True))).tobytes()
+    (dz,) = _bwd_softmax_ce(np.asarray(0.7), [z], {"labels": y})
+    q = softmax_last_dim(z)
+    q[np.arange(9), y] -= 1.0
+    assert dz.tobytes() == (q * (0.7 / 9)).tobytes()
 
 
 def test_gelu_adjoint_holds_at_most_three_buffers() -> None:
