@@ -53,8 +53,9 @@ def _place_shapes(rng: np.random.Generator, h: int, w: int, k: int) -> np.ndarra
     """One attempt at a mask with k-1 disjoint shapes; None if placement fails."""
     mask = np.zeros((h, w), dtype=np.int64)
     occupied = np.zeros((h, w), dtype=bool)
-    side_lo, side_hi = max(4, h // 4), max(5, h // 3)
-    rad_lo, rad_hi = max(2, h // 6), max(3, h // 4)
+    short = min(h, w)   # shapes fit the shorter side, so a tall image places them too
+    side_lo, side_hi = max(4, short // 4), max(5, short // 3)
+    rad_lo, rad_hi = max(2, short // 6), max(3, short // 4)
     for c in range(1, k):
         for _ in range(60):
             if rng.random() < 0.5:

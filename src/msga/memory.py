@@ -150,10 +150,7 @@ def adapter_baseline(params: ModelParams, r: int) -> GroupMemory:
 
 
 def render_json(
-    reports: list[MemoryReport],
-    deltas: dict[str, float],
-    adapter: GroupMemory | None = None,
-    adapter_rank: int | None = None,
+    reports: list[MemoryReport], deltas: dict[str, float], adapter: GroupMemory, adapter_rank: int
 ) -> str:
     doc: dict = {
         "bytes_per_element": BYTES_PER_ELEMENT,
@@ -168,10 +165,9 @@ def render_json(
             for r in reports
         ],
         "deltas": deltas,
+        "adapter_baseline": {"rank": adapter_rank, "total_bytes": adapter.total_bytes,
+                             **{kind: getattr(adapter, kind) for kind in BYTE_KINDS}},
     }
-    if adapter is not None:
-        doc["adapter_baseline"] = {"rank": adapter_rank, "total_bytes": adapter.total_bytes,
-                                   **{kind: getattr(adapter, kind) for kind in BYTE_KINDS}}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -180,10 +176,7 @@ def _byte_fields(counts: dict[str, int]) -> str:
 
 
 def render_text(
-    reports: list[MemoryReport],
-    deltas: dict[str, float],
-    adapter: GroupMemory | None = None,
-    adapter_rank: int | None = None,
+    reports: list[MemoryReport], deltas: dict[str, float], adapter: GroupMemory, adapter_rank: int
 ) -> str:
     lines = [f"memory accounting ({BYTES_PER_ELEMENT} bytes per element, analytic; "
              "activations excluded)", ""]
@@ -205,10 +198,7 @@ def render_text(
         for key in sorted(deltas):
             lines.append(f"  {key} = {deltas[key]:.4f}")
         lines.append("")
-    if adapter is not None:
-        lines.append(
-            f"additive low-rank adapter baseline (rank {adapter_rank}): "
-            f"{_byte_fields(asdict(adapter))} total={adapter.total_bytes}"
-        )
-        lines.append("")
+    lines.append(f"additive low-rank adapter baseline (rank {adapter_rank}): "
+                 f"{_byte_fields(asdict(adapter))} total={adapter.total_bytes}")
+    lines.append("")
     return "\n".join(lines)

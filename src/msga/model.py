@@ -25,7 +25,7 @@ B = blocks, c = decoder channels, k = classes, MLP hidden = 4d):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -302,11 +302,3 @@ def restore_checkpoint(params: ModelParams, path: str) -> ModelParams:
             )
         g.values = stored[g.name]
     return params
-
-
-def clone_params(params: ModelParams) -> ModelParams:
-    """Deep copy of values; strategies are shared (they are frozen records)."""
-    return ModelParams(
-        config=params.config,
-        groups=[replace(g, values=g.values.copy()) for g in params.groups],
-    )

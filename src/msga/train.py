@@ -6,9 +6,9 @@ reproducible. Fully fine-tuned groups follow the 0.005-peak
 warmup schedule with decoupled weight decay; projected groups follow the
 same ramp normalized to the 1e-3 projection base lr and take no decay.
 
-The fully tuned groups' weights are views of one flat vector with one flat
-AdamW state, so one elementwise `adamw_step` steps them all with the bits each
-would get alone; projected groups take one `galore_step` each.
+Every trained group is a view of one flat weight vector, fully tuned groups
+first, and each step takes one flat gradient in that layout: one `adamw_step` on
+the leading slice, then one `galore_step` per projected group on its views.
 
 Per-step logs carry only deterministic columns (step, both lrs, loss
 components); wall-clock timing goes to the console, never the log, so two
@@ -34,7 +34,6 @@ from msga.model import (
     ModelConfig,
     ModelParams,
     build_loss_tape,
-    clone_params,
     forward,
     init_model,
     postprocess,
@@ -125,25 +124,28 @@ def _batches(seed: int, n: int, batch_size: int) -> Iterator[np.ndarray]:
 
 
 def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = None) -> TrainResult:
-    """Run cfg.total_steps of batched training on train_ds.
+    """Run cfg.total_steps of batched training on train_ds; `params` is never written.
 
-    Raises FloatingPointError at the first loss, or gradient of a trained
-    group, that is not finite; the message names the step and the group.
+    Trained groups of the result are views of a fresh flat vector; frozen groups share
+    the input's arrays. A non-finite loss, or gradient of a trained group, raises
+    FloatingPointError naming the step and the first such group in group order.
     """
     if len(train_ds) == 0:
         raise ValueError("training dataset is empty")
     if params is None:
         params = init_model(model_config(cfg), cfg.seed)
-    params = assign_strategies(clone_params(params), cfg.mode, **cfg.galore_settings())
+    params = assign_strategies(params, cfg.mode, **cfg.galore_settings())
     trained = [g for g in params.groups if not isinstance(g.strategy, Frozen)]
     full = [g for g in trained if isinstance(g.strategy, FullAdamW)]
     projected = [g for g in trained if isinstance(g.strategy, GaLore)]
-    ends = itertools.accumulate(g.values.size for g in full)
-    spans = {g.name: slice(end - g.values.size, end) for g, end in zip(full, ends)}
-    flat_w = np.concatenate([g.values.ravel() for g in full])
-    for g in full:
+    layout = full + projected   # the fully tuned groups lead, so AdamW steps one slice
+    ends = itertools.accumulate(g.values.size for g in layout)
+    spans = {g.name: slice(end - g.values.size, end) for g, end in zip(layout, ends)}
+    flat_w = np.concatenate([g.values.ravel() for g in layout])
+    for g in layout:
         g.values = flat_w[spans[g.name]].reshape(g.values.shape)
-    flat_state = AdamWState.zeros(flat_w.shape)
+    lead = slice(sum(g.values.size for g in full))
+    flat_state = AdamWState.zeros((lead.stop,))
     galore_states = {g.name: GaLoreState(**asdict(g.strategy),
                                          reset_moments_on_refresh=cfg.refresh_resets_moments)
                      for g in projected}
@@ -171,24 +173,22 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
         if not np.isfinite(loss):
             raise FloatingPointError(f"training diverged at step {step}: loss is {loss}")
         inv = 1.0 / len(batch)
-        lr_full = lr_at(full_sched, step)
-        lr_galore = lr_at(galore_sched, step)
-        # each sum goes as it is used: none, nor the flat gradient, may outlive the
-        # step into the next replay
-        flat_g = np.concatenate([grads.pop(ids[g.name]).ravel() for g in full])
+        lr_full, lr_galore = lr_at(full_sched, step), lr_at(galore_sched, step)
+        # the sums go into one flat gradient, which goes at the step's end: none of
+        # them may outlive the step into the next replay
+        flat_g = np.concatenate([grads.pop(ids[g.name]).ravel() for g in layout])
         flat_g *= inv
-        proj = {g.name: grads.pop(ids[g.name]) * inv for g in projected}
-        if not (np.isfinite(flat_g).all() and all(np.isfinite(x).all() for x in proj.values())):
-            name = next(g.name for g in trained if not np.isfinite(
-                flat_g[spans[g.name]] if g.name in spans else proj[g.name]).all())
+        if not np.isfinite(flat_g).all():
+            name = next(g.name for g in trained if not np.isfinite(flat_g[spans[g.name]]).all())
             raise FloatingPointError(
                 f"training diverged at step {step}: gradient of {name} is not finite")
-        flat_w[:] = adamw_step(flat_w, flat_g, flat_state, lr_full,
-                               cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
-        del flat_g
+        flat_w[lead] = adamw_step(flat_w[lead], flat_g[lead], flat_state, lr_full,
+                                  cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
         for g in projected:
-            g.values = galore_step(g.values, proj.pop(g.name), galore_states[g.name], lr_galore,
-                                   cfg.beta1, cfg.beta2, cfg.eps)
+            g.values[...] = galore_step(g.values, flat_g[spans[g.name]].reshape(g.values.shape),
+                                        galore_states[g.name], lr_galore,
+                                        cfg.beta1, cfg.beta2, cfg.eps)
+        del flat_g
         log_rows.append({"step": step, "lr_full": lr_full, "lr_galore": lr_galore,
                          "ce": ce * inv, "dice": dice * inv, "loss": loss * inv})
     adamw_states = {g.name: AdamWState(flat_state.m[spans[g.name]].reshape(g.values.shape),

@@ -241,6 +241,11 @@ def test_cli_data_layer_errors_name_config_key(tmp_path, capsys, flags, key) -> 
     assert f"config field '{key}" in err, err
 
 
+def test_cli_trains_on_tall_synthetic_images(tmp_path) -> None:
+    assert main(["train", "--image-h", "32", "--image-w", "16", "--total-steps", "2",
+                 "--warmup-steps", "1", "--synthetic-count", "20", "--out", str(tmp_path)]) == 0
+
+
 def test_cli_classes_that_find_no_room_exit_2_instead_of_looping(tmp_path) -> None:
     # eleven disjoint shapes never fit a 16x16 image; generation gives up in seconds
     run = _run_cli("train", "--classes", "12", "--image-h", "16", "--image-w", "16",

@@ -48,6 +48,14 @@ def test_synthetic_patient_grouping_and_ranges() -> None:
         assert s.image.min() >= 0.0 and s.image.max() <= 1.0
 
 
+@pytest.mark.parametrize("h, w", [(32, 16), (64, 16)])
+def test_synthetic_tall_image_places_every_class(h: int, w: int) -> None:
+    ds = generate_synthetic(3, 20, h, w, 3)
+    for s in ds.samples:
+        assert s.image.shape == s.mask.shape == (h, w)
+        assert set(np.unique(s.mask)) == {0, 1, 2}
+
+
 def test_synthetic_rejects_bad_args() -> None:
     with pytest.raises(ValueError):
         generate_synthetic(0, 5, 32, 32, 1)

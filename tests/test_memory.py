@@ -198,6 +198,6 @@ def test_json_rendering_has_fixed_keys() -> None:
 def test_text_rendering_declares_element_width() -> None:
     params = init_model(ModelConfig(), seed=8)
     reports, deltas = compare_strategies(params, ["medsaga"])
-    text = render_text(reports, deltas)
+    text = render_text(reports, deltas, adapter_baseline(params, 4), 4)
     assert "8 bytes per element" in text
     assert "grand total" in text

@@ -11,7 +11,6 @@ from msga.model import (
     CHECKPOINT_MAGIC,
     ModelConfig,
     build_loss_tape,
-    clone_params,
     forward,
     init_model,
     load_checkpoint,
@@ -280,10 +279,3 @@ def test_cli_eval_of_a_truncated_checkpoint_exits_2_with_one_error_line(tmp_path
     assert main(["eval", *geometry, "--checkpoint", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "truncated" in err[0], err
-
-
-def test_clone_params_is_independent() -> None:
-    params = init_model(SMALL, seed=16)
-    copy = clone_params(params)
-    copy.groups[0].values[0, 0] += 1.0
-    assert params.groups[0].values[0, 0] != copy.groups[0].values[0, 0]

@@ -13,6 +13,7 @@ from msga.optim import (
     FullAdamW,
     GaLore,
     GaLoreState,
+    MODES,
     WarmupSchedule,
     adamw_step,
     assign_strategies,
@@ -522,16 +523,20 @@ def _small_cfg(**overrides) -> RunConfig:
                                batch_size=2), **overrides}).validate()
 
 
-@pytest.mark.parametrize("poisoned, named", [
-    (("decoder/fc1/weight",), "decoder/fc1/weight"),                 # in the flat AdamW vector
-    (("encoder/block0/attn/q",), "encoder/block0/attn/q"),           # projected
+@pytest.mark.parametrize("poisoned, named, mode", [
+    (("decoder/fc1/weight",), "decoder/fc1/weight", "medsaga"),         # in the AdamW slice
+    (("encoder/block0/attn/q",), "encoder/block0/attn/q", "medsaga"),   # projected
     # both kinds at once: the first of them in group order is named
-    (("encoder/pos_embed", "encoder/patch_embed/bias"), "encoder/patch_embed/bias"),
-    (("decoder/fc2/bias", "encoder/pos_embed"), "encoder/pos_embed"),
+    (("encoder/pos_embed", "encoder/patch_embed/bias"), "encoder/patch_embed/bias", "medsaga"),
+    (("decoder/fc2/bias", "encoder/pos_embed"), "encoder/pos_embed", "medsaga"),
+    # no projected slice: every trained group is in the AdamW slice
+    (("decoder/fc1/weight", "encoder/block0/attn/q"), "encoder/block0/attn/q", "full-adamw"),
+    # the projected group comes first in group order but after the AdamW slice in the vector
+    (("encoder/block0/mlp/b2", "encoder/block0/attn/q"), "encoder/block0/attn/q", "v2"),
 ])
 def test_divergence_names_the_first_non_finite_group_in_group_order(
-        monkeypatch, poisoned: tuple[str, ...], named: str) -> None:
-    cfg = _small_cfg(mode="medsaga")
+        monkeypatch, poisoned: tuple[str, ...], named: str, mode: str) -> None:
+    cfg = _small_cfg(mode=mode)
     train_ds, _ = prepare_splits(cfg)
     strategies = {g.name: type(g.strategy) for g in assign_strategies(
         init_model(msga.train.model_config(cfg), cfg.seed), cfg.mode).groups}
@@ -616,6 +621,23 @@ def test_flat_adamw_update_equals_one_step_per_group_bitwise(overrides: dict) ->
         for a, b in ((st.p, want.p), (st.q, want.q), (st.inner.m, want.inner.m),
                      (st.inner.v, want.inner.v)):
             assert (a is None and b is None) or np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_train_model_never_writes_its_input(mode: str) -> None:
+    cfg = _small_cfg(mode=mode)
+    train_ds, _ = prepare_splits(cfg)
+    params = init_model(msga.train.model_config(cfg), cfg.seed)
+    before = [(g, g.values, g.values.tobytes(), g.strategy) for g in params.groups]
+    result = train_model(cfg, train_ds, params=params)
+    for g, (group, values, data, strategy) in zip(params.groups, before, strict=True):
+        assert g is group and g.values is values and g.strategy is strategy, g.name
+        assert g.values.tobytes() == data, g.name
+    # a trained group is the result's own; a frozen group keeps the input's array
+    for g, r in zip(params.groups, result.params.groups, strict=True):
+        frozen = isinstance(r.strategy, Frozen)
+        assert (r.values is g.values) if frozen else not np.shares_memory(r.values, g.values), \
+            g.name
 
 
 def test_galore_state_strictly_smaller_than_full_adamw_for_default_config() -> None:
