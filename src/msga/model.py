@@ -186,7 +186,7 @@ def _record_forward(params: ModelParams, image: np.ndarray) -> tuple[Tape, dict[
 
 
 # the forward-only plan of the last (config, group names and shapes) seen; a plan
-# holds rules, slots and op arguments, never an array, so it pins no weights or images
+# holds compiled code and leaf specs, never an array, so it pins no weights or images
 _forward_plan: dict[tuple, Plan] = {}
 
 

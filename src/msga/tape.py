@@ -21,18 +21,18 @@ inputs (None where not read) and its aux. A rule writes only into arrays it
 allocated, never into its inputs, adjoint or aux: the add backward hands one
 adjoint to both its inputs.
 
-A Plan compiles a recorded tape to replay it on a batch of new leaves and
-labels, with a backward pruned to the nodes between the wanted leaves and the
-loss. Each op kind declares the inputs its backward reads (others reach it as
-None). A node on the backward path keeps those inputs and its aux from its
-forward op until its own backward step; the replay drops every other value
-after its last forward reader. Training records one tape per run and replays
-its plan once per step; Tape.backward runs a plan that wants every leaf on
-the tape's recorded values, so there is one backward loop. A leaf may carry a
-name, which a plan's replay errors report in place of its id. Gradients it
-returns are fresh arrays and safe to hand elsewhere. A plan that wants nothing
-has no backward: evaluation calls `Plan.replay` on one that reads the logits,
-so an image keeps only the values a later op still reads.
+A Plan lowers a recorded tape to straight-line Python, `plan_source`, and
+compiles it once: a forward with one line per op to replay it on new leaves
+and labels, and a backward with one rule call per node between the wanted
+leaves and the loss. Each op kind declares the inputs its backward reads
+(others reach it as None). A node on the backward path keeps those inputs and
+its aux from its forward op until its own backward step; every other value
+is deleted after its last forward reader. Training records one tape per run
+and replays its plan once per step; Tape.backward runs the emitted backward
+on the tape's recorded values. A leaf may carry a name, which a replay error
+reports in place of its id. Gradients are fresh arrays, safe to hand
+elsewhere. A plan that wants nothing has no backward: evaluation replays one
+that reads the logits, so an image keeps only the values a later op reads.
 """
 
 from __future__ import annotations
@@ -145,108 +145,127 @@ class Tape:
 
         Leaves with no path to the loss get exactly-zero gradients of their
         own shape. Identical tapes produce bitwise-identical results: the
-        traversal order and accumulation order are fixed by node order.
-        """
-        plan = Plan(self, loss_id)
-        return plan.backward({nid: _kept(slots, self.values, self.nodes[nid].aux)
-                              for nid, _, slots, _ in plan.steps})
+        traversal order and accumulation order are fixed by node order."""
+        source, kept, consts = plan_source(self, loss_id)
+        return _compile(source, consts)[1]([self.nodes[i].aux if aux else self.values[i]
+                                            for i, aux in kept])
 
 
 class Plan:
-    """A recorded tape compiled for replay: a forward list of each op's rule,
-    input slots, arguments (labels excepted), the values no later op reads and,
-    for a node on the backward path, the input slots its backward rule reads;
-    and a backward list of those nodes, on a path from a wanted leaf to the
-    loss, in reverse node order, so adjoints accumulate as over the whole tape."""
+    """A tape lowered by `plan_source` and compiled once: a forward that replays every
+    op on new leaves and labels, and a backward over the nodes on a path from a wanted
+    leaf to the loss, accumulating adjoints in reverse node order as the whole tape
+    would. It keeps the two functions and each leaf's id, shape and name, not the text."""
 
     def __init__(self, tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
                  reads: tuple[int, ...] = ()) -> None:
-        nodes, values = tape.nodes, tape.values
-        self.loss_id, self.loss_shape, self.reads = loss_id, values[loss_id].shape, tuple(reads)
-        leaves = [nid for nid, n in enumerate(nodes) if n.op == "leaf"]
-        wanted = set(leaves if wanted is None else wanted)
-        if wanted and int(np.prod(self.loss_shape)) != 1:
-            raise ValueError(f"backward needs a scalar loss, got shape {self.loss_shape}")
-        self.leaves = [(nid, values[nid].shape, nodes[nid].aux["name"]) for nid in leaves]
-        self.wanted = [(nid, values[nid].shape) for nid in sorted(wanted)]
-        reaches: list[bool] = []
-        for nid, n in enumerate(nodes):
-            reaches.append(nid in wanted if n.op == "leaf" else any(reaches[i] for i in n.inputs))
-        live = {loss_id} if reaches[loss_id] else set()
-        self.steps: list[tuple] = []
-        for nid in range(loss_id, -1, -1):
-            n = nodes[nid]
-            if nid in live and n.op != "leaf":
-                _, rule, reads_in = _OPS[n.op]
-                targets = tuple(i if reaches[i] else None for i in n.inputs)
-                live.update(i for i in targets if i is not None)
-                # the input slots the rule reads; None: not read
-                slots = tuple([i if k in reads_in else None for k, i in enumerate(n.inputs)])
-                self.steps.append((nid, rule, slots, targets))
-        read_slots = {nid: slots for nid, _, slots, _ in self.steps}
-        self.forward = [(nid, _OPS[n.op][0], n.inputs, "labels" in n.args,
-                         {k: n.aux[k] for k in n.args if k != "labels"}, [], read_slots.get(nid))
-                        for nid, n in enumerate(nodes) if n.op != "leaf"]
-        done = {}   # slot -> the last forward op making or reading it
-        for k, (nid, _, inputs, *_) in enumerate(self.forward):
-            done.update((s, k) for s in (nid, *inputs))
-        for s in done.keys() - set(self.reads):
-            self.forward[done[s]][5].append(s)
+        source, _, consts = plan_source(tape, loss_id, wanted, reads)
+        self._forward, self._backward = _compile(source, consts)
+        shapes = {}   # one tuple per distinct leaf shape
+        self.leaves = [(nid, shapes.setdefault(tape.values[nid].shape, tape.values[nid].shape),
+                        n.aux["name"]) for nid, n in enumerate(tape.nodes) if n.op == "leaf"]
 
     def run(self, samples: Iterable[tuple]) -> tuple[list[float], dict[int, np.ndarray]]:
-        """Replay each `(leaves, labels)` sample in order, `leaves` float64 in tape
-        order and `labels` flat; returns the `reads` values as floats and the wanted
-        leaves' adjoints, each summed over the samples. One adjoint may serve two
-        inputs, so the first sample's enter fresh as `0.0 + g`; later ones add in place."""
-        reads, sums = [0.0] * len(self.reads), {}
+        """Replay each `(leaves, labels)` sample in order (`leaves` float64 in tape order,
+        `labels` flat); returns the `reads` and the wanted leaves' adjoints, each summed
+        over the samples: the first enter fresh as `0.0 + g`, later ones add in place."""
+        reads, sums = [], {}
         for leaves, labels in samples:
             scalars, kept = self.replay(leaves, labels)
-            reads = [r + x for r, x in zip(reads, scalars)]
+            reads = [r + x for r, x in zip(reads or [0.0] * len(scalars), scalars)]
             sums = {nid: np.add(sums[nid], g, out=sums[nid]) if nid in sums else 0.0 + g
                     for nid, g in self.backward(kept).items()}
         return reads, sums
 
-    def replay(self, leaves: list, labels: np.ndarray) -> tuple[list, dict[int, tuple]]:
-        """One forward pass: the `reads` values, a 0-d one (a loss term) as a float and
-        any other (the logits) as its array, and each backward node's kept entry,
-        which holds what its rule reads; all else goes after its last forward reader.
-        `labels` may be empty when no op takes them."""
-        values: list = [None] * (len(self.leaves) + len(self.forward))
-        for (nid, shape, name), v in zip(self.leaves, leaves, strict=True):
+    def replay(self, leaves: list, labels: np.ndarray) -> tuple[list, list]:
+        """One forward pass: the `reads` values, 0-d ones (loss terms) as floats, and the
+        kept list the backward reads. `labels` may be empty when no op takes them."""
+        for (_, shape, name), v in zip(self.leaves, leaves, strict=True):
             if not isinstance(v, np.ndarray) or v.dtype != _F64 or v.shape != shape:
                 raise ValueError(f"replay leaf {name!r}: expected float64 {shape}, "
                                  f"got {np.asarray(v).dtype} {np.shape(v)}")
-            values[nid] = v
-        labels = np.asarray(labels, dtype=np.int64)
-        kept = {}
-        for nid, rule, inputs, takes_labels, static, frees, slots in self.forward:
-            aux = dict(static)
-            if takes_labels:
-                aux["labels"] = labels
-            values[nid] = rule([values[i] for i in inputs], aux)
-            if slots is not None:
-                kept[nid] = _kept(slots, values, aux)
-            for s in frees:
-                values[s] = None
-        return [float(values[i]) if values[i].ndim == 0 else values[i] for i in self.reads], kept
+        return self._forward(np.asarray(labels, dtype=np.int64), *leaves)
 
-    def backward(self, kept: dict[int, tuple]) -> dict[int, np.ndarray]:
-        """Wanted leaves' adjoints from one forward pass's kept entries, each popped
-        at its node's step. Leaves the loss does not reach get exact zeros of their shape."""
-        adjoints = {self.loss_id: np.ones(self.loss_shape)}
-        for nid, rule, _, targets in self.steps:
-            grads_in = rule(adjoints.pop(nid), *kept.pop(nid))
-            for iid, g in zip(targets, grads_in):
-                if iid is not None:
-                    adjoints[iid] = adjoints[iid] + g if iid in adjoints else g
-        return {nid: adjoints[nid] if nid in adjoints else np.zeros(shape)
-                for nid, shape in self.wanted}
+    def backward(self, kept: list) -> dict[int, np.ndarray]:
+        """Wanted leaves' adjoints from one replay's kept list, which it empties; exact
+        zeros for a leaf the loss does not reach."""
+        return self._backward(kept)
 
 
-def _kept(slots: tuple, values: list, aux: dict) -> tuple[tuple, dict]:
-    """What a node's backward rule takes after its adjoint: the inputs it reads by
-    value (None elsewhere), then its aux."""
-    return tuple([None if s is None else values[s] for s in slots]), aux
+def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
+                reads: tuple[int, ...] = ()) -> tuple[str, list[tuple[int, bool]], tuple]:
+    """A tape as Python text, the same for the same tape; the entries of the kept list K,
+    each `(id, is_aux)`: a node's value or its aux; and the op arguments A the text
+    reads. A `plan(np, A, <rules>)` factory returns `forward(labels, *leaves)`, one local
+    per value, one line per op, a `del` after a value's last reader unless K keeps it,
+    returning the `reads` and K; and `backward(K)`, one rule call per backward node,
+    returning the dict G of the wanted leaves' adjoints."""
+    nodes, values = tape.nodes, tape.values
+    leaves = [nid for nid, n in enumerate(nodes) if n.op == "leaf"]
+    wanted = set(leaves if wanted is None else wanted)
+    if wanted and values[loss_id].size != 1:
+        raise ValueError(f"backward needs a scalar loss, got shape {values[loss_id].shape}")
+    reaches: list[bool] = []
+    for nid, n in enumerate(nodes):
+        reaches.append(nid in wanted if n.op == "leaf" else any(reaches[i] for i in n.inputs))
+    live, steps = {loss_id} if reaches[loss_id] else set(), []
+    for nid in range(loss_id, -1, -1):   # the backward nodes, each with the inputs it reads
+        n = nodes[nid]
+        if nid in live and n.op != "leaf":
+            live.update(i for i in n.inputs if reaches[i])
+            steps.append((nid, [i if k in _OPS[n.op][2] else None for k, i in enumerate(n.inputs)]))
+    kept = list(dict.fromkeys(e for nid, args in steps
+                              for e in (*((i, False) for i in args if i is not None), (nid, True))))
+    last = {i: k for k, (_, args) in enumerate(steps) for i in args}   # a kept value's last reader
+    bound = {loss_id} & live   # the nodes whose adjoint has its first contribution
+    adj = [f"G[{i}]" if i in wanted else f"g{i}" for i in range(len(nodes))]   # G: returned
+    bwd = [f"{adj[loss_id]} = np.ones({values[loss_id].shape!r})"] if bound else []
+    for k, (nid, args) in enumerate(steps):
+        n, outs = nodes[nid], []
+        for j, i in enumerate(n.inputs):   # a first contribution binds; a later one adds
+            outs.append(f"t{j}" if i in bound else adj[i] if reaches[i] else "_")
+            bound.update([i] if reaches[i] else [])
+        gone = sorted({f"g{nid}", f"x{nid}", *(o for o in outs if o[0] in "t_"),
+                       *(f"v{i}" for i in args if i is not None and last[i] == k)})
+        handed = ", ".join("None" if i is None else f"v{i}" for i in args)
+        bwd += [f"[{', '.join(outs)}] = bwd_{_name(n.op)}(g{nid}, [{handed}], x{nid})",
+                *(f"{adj[i]} = {adj[i]} + {o}" for o, i in zip(outs, n.inputs) if o[0] == "t"),
+                f"del {', '.join(gone)}"]
+    zeros = ", ".join(f"{i}: np.zeros({values[i].shape!r})" for i in sorted(wanted - bound))
+    ops, consts = [(nid, n) for nid, n in enumerate(nodes) if n.op != "leaf"], []
+    last, fwd, keep = {s: nid for nid, n in ops for s in (nid, *n.inputs)}, [], set(kept)
+    for nid, n in ops:
+        aux = []
+        for key in n.args:   # labels are passed in; every other op argument is an item of A
+            consts += [] if key == "labels" else [n.aux[key]]
+            aux.append(f"{key!r}: " + ("labels" if key == "labels" else f"A[{len(consts) - 1}]"))
+        fwd.append(f"v{nid} = fwd_{_name(n.op)}([{', '.join(f'v{i}' for i in n.inputs)}], "
+                   f"{f'x{nid} := ' * ((nid, True) in keep)}{{{', '.join(aux)}}})")
+        dead = sorted({f"v{s}" for s in (*n.inputs, nid)
+                       if last[s] == nid and s not in reads and (s, False) not in keep})
+        fwd += [f"del {', '.join(dead)}"] if dead else []
+    outs = ", ".join(f"float(v{i})" if values[i].ndim == 0 else f"v{i}" for i in reads)
+    names = ", ".join(f"x{i}" if aux else f"v{i}" for i, aux in kept)
+    rules = ", ".join(f"{way}_{_name(kind)}" for kind in _OPS for way in ("fwd", "bwd"))
+    return (f"def plan(np, A, {rules}):\n    def forward(labels, "
+            f"{', '.join(f'v{i}' for i in leaves)}):\n        "
+            + "\n        ".join([*fwd, f"return [{outs}], [{names}]"])
+            + "\n\n    def backward(K):\n        " + "\n        ".join(
+                [f"[{names}] = K", "K.clear()", f"G = {{{zeros}}}", *bwd, "return G"])
+            + "\n\n    return forward, backward\n"), kept, tuple(consts)
+
+
+def _name(op: str) -> str:
+    return op.replace("-", "_")
+
+
+def _compile(source: str, consts: tuple) -> tuple[Callable, Callable]:
+    """The forward and backward of a plan's text, closed over numpy, the op arguments
+    and the `_OPS` rules, so each is a cell and not a global lookup."""
+    scope: dict = {}
+    exec(compile(source, "<plan>", "exec"), scope)
+    rules = (rule for fwd, bwd, _ in _OPS.values() for rule in (fwd, bwd))
+    return scope.pop("plan")(np, consts, *rules)   # scope outlives it as their globals
 
 
 # ---------------------------------------------------------------------------

@@ -162,14 +162,15 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
     if bad.size:
         raise ValueError(f"training sample {bad[0]}: label values outside 0..{cfg.classes - 1}")
     labels = labels.astype(np.min_scalar_type(cfg.classes - 1))
-    # one recorded tape per run; each step replays its plan over the batch
+    # one recorded tape per run, replayed over each batch; trained groups are views of
+    # flat_w written in place and frozen ones never rebind, so one weights list serves
     plan, ids = compile_loss_plan(params, images[0], labels[0], cfg)
+    weights = [g.values for g in params.groups]
 
     log_rows: list[dict] = []
     batches = _batches(cfg.seed, len(train_ds), cfg.batch_size)
     for step, batch in zip(range(cfg.total_steps), batches):
-        (ce, dice, loss), grads = plan.run(
-            [([*(g.values for g in params.groups), images[i]], labels[i]) for i in batch])
+        (ce, dice, loss), grads = plan.run([([*weights, images[i]], labels[i]) for i in batch])
         if not np.isfinite(loss):
             raise FloatingPointError(f"training diverged at step {step}: loss is {loss}")
         inv = 1.0 / len(batch)

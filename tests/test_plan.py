@@ -3,20 +3,26 @@ were compiled from."""
 
 from __future__ import annotations
 
+import gc
+import itertools
+import re
+import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import msga.model
+import msga.tape
 import msga.train
 from msga.config import RunConfig
 from msga.losses import downsample_labels
 from msga.model import ModelConfig, _record_forward, build_loss_tape, forward, init_model
 from msga.optim import Frozen, assign_strategies
-from msga.tape import OP_KINDS, Plan, Tape, _kept
+from msga.tape import OP_KINDS, Plan, Tape, plan_source
 from msga.train import compile_loss_plan, model_config, prepare_splits, train_model
 from test_tape import OP_GRAPHS, op_graph_params
 
@@ -38,6 +44,34 @@ def _setup(cfg: RunConfig):
 
 def _leaves(params, image) -> list[np.ndarray]:
     return [*(g.values for g in params.groups), image]
+
+
+def _wrap_rules(monkeypatch, forward=None, backward=None) -> None:
+    """Wrap each op kind's forward rule in `forward(kind, rule)` and its backward rule
+    in `backward(kind, rule)`; a plan compiled after this calls the wrappers."""
+    for kind, (fwd, bwd, reads) in list(msga.tape._OPS.items()):
+        monkeypatch.setitem(msga.tape._OPS, kind, (forward(kind, fwd) if forward else fwd,
+                                                   backward(kind, bwd) if backward else bwd,
+                                                   reads))
+
+
+def _record_sources(monkeypatch) -> list[str]:
+    """The text of every plan compiled from here on, in order."""
+    sources, original = [], msga.tape.plan_source
+
+    def recording(*args):
+        source, *rest = original(*args)
+        sources.append(source)
+        return source, *rest
+
+    monkeypatch.setattr(msga.tape, "plan_source", recording)
+    return sources
+
+
+def _declared(tape: Tape, nid: int) -> list[int | None]:
+    """A node's input ids where its backward rule reads them by value, None elsewhere."""
+    n = tape.nodes[nid]
+    return [i if k in msga.tape._OPS[n.op][2] else None for k, i in enumerate(n.inputs)]
 
 
 CONFIGS = {
@@ -68,25 +102,39 @@ def test_plan_replay_equals_tape_backward(name) -> None:
         assert any(np.any(got[ids[g.name]]) for g in trained if g.role.startswith("encoder"))
 
 
-def test_training_plan_never_runs_the_patchify_adjoint() -> None:
+def test_training_plan_never_runs_the_patchify_adjoint(monkeypatch) -> None:
     cfg = CONFIGS["medsaga"]
     params, samples = _setup(cfg)
+    ops: list[str] = []   # the op kind of every backward rule a replay runs
+
+    def watched(kind, rule):
+        def backward_rule_watched(g, args, aux):
+            ops.append(kind)
+            return rule(g, args, aux)
+        return backward_rule_watched
+
+    _wrap_rules(monkeypatch, backward=watched)
     plan, _ = compile_loss_plan(params, *samples[0], cfg)
+    plan.run([(_leaves(params, samples[0][0]), samples[0][1])])
     tape = build_loss_tape(params, *samples[0], cfg)[0]
-    ops = [tape.nodes[step[0]].op for step in plan.steps]
     assert "patchify" in {n.op for n in tape.nodes}
     assert "patchify" not in ops and "linear" in ops
 
 
-def test_v2_plan_gives_frozen_leaves_no_adjoint() -> None:
+def test_v2_plan_gives_frozen_leaves_no_adjoint(monkeypatch) -> None:
     cfg = CONFIGS["v2"]
     params, samples = _setup(cfg)
+    sources = _record_sources(monkeypatch)
     plan, ids = compile_loss_plan(params, *samples[0], cfg)
     frozen = {ids[g.name] for g in params.groups if isinstance(g.strategy, Frozen)}
     assert frozen
     _, grads = plan.run([(_leaves(params, samples[0][0]), samples[0][1])])
     assert not frozen & set(grads)
-    assert not any(i in frozen for step in plan.steps for i in step[3])
+    # the emitted text names no adjoint, `g<id>` or `G[<id>]`, for a frozen leaf: no
+    # backward step computes or accumulates one
+    (source,) = sources
+    adjoints = {int(a or b) for a, b in re.findall(r"\bg(\d+)\b|\bG\[(\d+)\]", source)}
+    assert adjoints and not frozen & adjoints
 
 
 @pytest.mark.parametrize("bad", ["shape", "float32", "list"])
@@ -152,38 +200,60 @@ def test_tape_backward_leaves_the_tape_intact() -> None:
     assert all(np.array_equal(first[i], second[i]) for i in first)
 
 
-def _tape_kept(plan: Plan, tape: Tape) -> dict[int, tuple]:
-    """Kept entries from the tape's recorded values, as Tape.backward builds them."""
-    return {nid: _kept(slots, tape.values, tape.nodes[nid].aux) for nid, _, slots, _ in plan.steps}
-
-
-def test_backward_frees_each_value_and_its_aux_after_the_last_reader() -> None:
-    # a value lives while a later rule's kept entry holds it; an aux until its own rule
+def test_backward_frees_each_value_and_its_aux_after_the_last_reader(monkeypatch) -> None:
+    # at each backward rule a replayed value, leaves included, is alive only while this
+    # or a later rule reads it, and an aux only until its own rule has run
     cfg = CONFIGS["medsaga"]
     params, samples = _setup(cfg)
     tape, _, _, _, loss = build_loss_tape(params, *samples[0], cfg)
-    plan = Plan(tape, loss)
-    kept = _tape_kept(plan, tape)
-    slot_of = {id(v): i for i, v in enumerate(tape.values)}
-    seen: list[tuple[set[int], list, set[int]]] = []
+    leaves = [nid for nid, n in enumerate(tape.nodes) if n.op == "leaf"]
+    op_ids = iter([nid for nid, n in enumerate(tape.nodes) if n.op != "leaf"])
+    copies = [tape.values[i].copy() for i in leaves]   # the replay's leaves, held by it alone
+    values = {i: weakref.ref(v) for i, v in zip(leaves, copies)}   # slot -> its replayed value
+    markers: dict[int, weakref.ref] = {}  # op id -> an array only its aux holds
+    seen: list[tuple[int, set[int], list, set[int]]] = []
 
-    def watched(rule):
+    def alive(refs: dict[int, weakref.ref]) -> set[int]:
+        return {nid for nid, ref in refs.items() if ref() is not None}
+
+    def watched_forward(kind, rule):
+        def forward_rule_watched(args, aux):
+            nid = next(op_ids)
+            out = rule(args, aux)
+            values[nid] = weakref.ref(out)
+            aux["nid"], aux["marker"] = nid, np.empty(0)
+            markers[nid] = weakref.ref(aux["marker"])
+            return out
+        return forward_rule_watched
+
+    def watched_backward(kind, rule):
         def rule_seeing_what_is_kept(g, args, aux):
-            held = {slot_of[id(v)] for a, _ in kept.values() for v in a if v is not None}
-            seen.append((set(kept), [slot_of.get(id(v)) for v in args], held))
+            slot_of = {id(values[nid]()): nid for nid in alive(values)}
+            seen.append((aux["nid"], alive(markers), [None if v is None else slot_of[id(v)]
+                                                      for v in args], alive(values)))
             return rule(g, args, aux)
         return rule_seeing_what_is_kept
 
-    plan.steps = [(nid, watched(rule), *rest) for nid, rule, *rest in plan.steps]
+    _wrap_rules(monkeypatch, watched_forward, watched_backward)
+    plan = Plan(tape, loss)
+    kept = plan.replay(copies, samples[0][1])[1]
+    del copies   # the forward dropped each leaf no backward rule reads
     plan.backward(kept)
-    assert len(seen) == len(plan.steps) and kept == {}
-    for k, (entries, handed, held) in enumerate(seen):
-        later = plan.steps[k + 1:]
-        assert entries == {nid for nid, *_ in later}, k
-        assert handed == list(plan.steps[k][2]), k
-        assert held == {s for _, _, slots, *_ in later for s in slots if s is not None}, k
+    # one rule per node the loss depends on, in reverse node order
+    ancestors = {loss}
+    for nid in range(loss, -1, -1):
+        if nid in ancestors:
+            ancestors.update(tape.nodes[nid].inputs)
+    steps = [nid for nid, *_ in seen]
+    assert steps == sorted(ancestors - set(leaves), reverse=True)
+    assert kept == [] and not alive(values) and not alive(markers)
+    for k, (nid, auxes, handed, held) in enumerate(seen):
+        now = steps[k:]
+        assert auxes == set(now), k
+        assert handed == _declared(tape, nid), k
+        assert held == {s for m in now for s in _declared(tape, m) if s is not None}, k
     # the training graph's residual adds and layernorm inputs are read by shape only
-    read = {s for _, _, slots, *_ in plan.steps for s in slots}
+    read = {s for _, _, handed, _ in seen for s in handed}
     assert any(n.op == "add" and nid not in read for nid, n in enumerate(tape.nodes))
 
 
@@ -193,22 +263,36 @@ def test_replay_forward_keeps_only_what_the_backward_and_the_scalars_read(monkey
     # are floats by then, and nothing of a replay outlives the run
     cfg = CONFIGS["medsaga"]
     params, samples = _setup(cfg)
-    plan, _ = compile_loss_plan(params, *samples[0], cfg)
+    tape = build_loss_tape(params, *samples[0], cfg)[0]
+    op_ids = itertools.cycle([nid for nid, n in enumerate(tape.nodes) if n.op != "leaf"])
     values: dict[int, weakref.ref] = {}
     auxes: dict[int, list[weakref.ref]] = {}
+    read: set[int] = set()      # the replayed values a backward rule was handed
+    on_path: set[int] = set()   # the nodes whose backward rule ran
 
-    def watched(nid, rule):
+    def watched(kind, rule):
         def forward_rule_watched(args, aux):
+            nid = next(op_ids)
             out = rule(args, aux)
             if isinstance(out, np.ndarray):
                 values[nid] = weakref.ref(out)
             arrays = [a for key, v in aux.items() if key != "labels"
                       for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
             auxes[nid] = [weakref.ref(a) for a in arrays]
+            aux["nid"] = nid
             return out
         return forward_rule_watched
 
-    plan.forward = [(nid, watched(nid, rule), *rest) for nid, rule, *rest in plan.forward]
+    def watched_bwd(kind, rule):
+        def backward_rule_watched(g, args, aux):
+            nid_of = {id(ref()): nid for nid, ref in values.items() if ref() is not None}
+            read.update(nid_of[id(a)] for a in args if id(a) in nid_of)
+            on_path.add(aux["nid"])
+            return rule(g, args, aux)
+        return backward_rule_watched
+
+    _wrap_rules(monkeypatch, watched, watched_bwd)
+    plan, _ = compile_loss_plan(params, *samples[0], cfg)
     alive: list[tuple[set[int], set[int]]] = []
     original = Plan.backward
 
@@ -219,8 +303,7 @@ def test_replay_forward_keeps_only_what_the_backward_and_the_scalars_read(monkey
 
     monkeypatch.setattr(Plan, "backward", watched_backward)
     plan.run([(_leaves(params, image), labels) for image, labels in samples[:2]])
-    read = {s for _, _, slots, *_ in plan.steps for s in slots if s in values}
-    on_path = {nid for nid, *_ in plan.steps if auxes[nid]}
+    on_path = {nid for nid in on_path if auxes[nid]}
     assert read and on_path
     assert alive == [(read, on_path)] * 2
     assert not any(ref() is not None for refs in (values.values(), *auxes.values())
@@ -246,7 +329,7 @@ def test_run_sums_a_batch_in_sample_order_into_fresh_arrays() -> None:
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
-def test_a_rule_handed_none_for_a_slot_it_reads_raises() -> None:
+def test_a_rule_handed_none_for_a_slot_it_reads_raises(monkeypatch) -> None:
     # a backward rule reads its declared inputs and its aux, nothing else: the declared
     # inputs give the bits every input gives, and each of them is needed, as is each
     # aux entry its forward kept; over the training graph and one graph per op kind
@@ -257,15 +340,28 @@ def test_a_rule_handed_none_for_a_slot_it_reads_raises() -> None:
     for op, build in OP_GRAPHS.items():
         tape = Tape()
         graphs.append((tape, build(tape, [tape.leaf(p) for p in op_graph_params(op)])))
+    calls: list[tuple] = []   # each backward rule call: the rule, its inputs and its aux
+
+    def watched(kind, rule):
+        def backward_rule_watched(g, args, aux):
+            calls.append((rule, args, aux))
+            return rule(g, args, aux)
+        return backward_rule_watched
+
+    _wrap_rules(monkeypatch, backward=watched)
     rng = np.random.default_rng(8)
     checked, dropped = set(), set()
     for tape, loss in graphs:
-        plan = Plan(tape, loss)
-        plan.backward(_tape_kept(plan, tape))   # whole entries go through
-        for nid, rule, slots, _ in plan.steps:
+        calls.clear()
+        tape.backward(loss)   # whole entries go through, the tape's own aux included
+        node_of = {id(n.aux): nid for nid, n in enumerate(tape.nodes)}
+        for rule, args, aux in calls:
+            nid = node_of[id(aux)]
             n = tape.nodes[nid]
+            slots = _declared(tape, nid)   # the plan hands these values, None elsewhere
+            assert [id(None if i is None else tape.values[i]) for i in slots] == list(
+                map(id, args)), nid
             g = rng.standard_normal(tape.values[nid].shape)
-            args, aux = _kept(slots, tape.values, n.aux)
             every = rule(g, [tape.values[i] for i in n.inputs], aux)
             assert [a.tobytes() for a in rule(g, args, aux)] == [a.tobytes() for a in every]
             for j in (j for j, s in enumerate(slots) if s is not None):
@@ -293,26 +389,28 @@ def test_training_rejects_a_label_outside_the_classes_before_packing(label) -> N
         train_model(cfg, replace(train_ds, samples=tuple(samples)))
 
 
-def test_every_recorded_and_replayed_value_of_the_loss_tape_is_an_ndarray() -> None:
+def test_every_recorded_and_replayed_value_of_the_loss_tape_is_an_ndarray(monkeypatch) -> None:
     # the 0-d loss terms included: scale and add of 0-d values are arrays, not numpy scalars
     cfg = CONFIGS["medsaga"]
     params, samples = _setup(cfg)
     tape, *_ = build_loss_tape(params, *samples[0], cfg)
     assert all(type(v) is np.ndarray for v in tape.values)
     assert {v.shape for n, v in zip(tape.nodes, tape.values) if n.op in ("scale", "add")} >= {()}
-    plan, _ = compile_loss_plan(params, *samples[0], cfg)
     outputs = []
 
-    def watched(rule):
+    def watched(kind, rule):
         def forward_rule_watched(args, aux):
             out = rule(args, aux)
             outputs.append(type(out))
             return out
         return forward_rule_watched
 
-    plan.forward = [(nid, watched(rule), *rest) for nid, rule, *rest in plan.forward]
+    _wrap_rules(monkeypatch, forward=watched)
+    plan, _ = compile_loss_plan(params, *samples[0], cfg)
+    outputs.clear()   # the compile recorded its own tape
     plan.run([(_leaves(params, image), labels) for image, labels in samples])
-    assert outputs == [np.ndarray] * len(plan.forward) * len(samples)
+    ops = sum(n.op != "leaf" for n in tape.nodes)
+    assert outputs == [np.ndarray] * ops * len(samples)
 
 
 def test_a_plan_that_wants_nothing_has_no_backward_and_reads_its_output_as_an_array() -> None:
@@ -320,9 +418,11 @@ def test_a_plan_that_wants_nothing_has_no_backward_and_reads_its_output_as_an_ar
     image = np.random.default_rng(1).normal(size=(32, 32))
     tape, _, out = _record_forward(params, image)
     plan = Plan(tape, out, (), (out,))
-    assert plan.steps == [] and plan.wanted == []
+    source = plan_source(tape, out, (), (out,))[0]
+    backward = source[source.index("def backward(K):"):]
+    assert "bwd_" not in backward and "G = {}" in backward   # no rule call, no adjoint
     (logits,), kept = plan.replay([*(g.values for g in params.groups), image], ())
-    assert kept == {} and np.array_equal(logits, tape.value(out))
+    assert kept == [] and plan.backward(kept) == {} and np.array_equal(logits, tape.value(out))
     with pytest.raises(ValueError, match="scalar loss"):
         tape.backward(out)
 
@@ -470,3 +570,89 @@ def test_default_training_peak_after_step_2_stays_within_its_bound(monkeypatch) 
         tracemalloc.stop()
     assert seen == set(range(8))
     assert peak <= TRAIN_PEAK_BYTES * 1.02, peak
+
+
+def _bindings_and_dels(lines: list[str]) -> tuple[Counter, Counter]:
+    """How often each value local `v<id>` and aux local `x<id>` of one emitted function
+    is bound and deleted; raises if one is named after its `del`."""
+    bound, deleted = Counter(), Counter()
+    for line in lines:
+        names = re.findall(r"\b[vx]\d+\b", line)
+        gone = [name for name in names if deleted[name]]
+        assert not gone, (gone, line)
+        if line.lstrip().startswith("del "):
+            deleted.update(names)
+            continue
+        header = re.match(r"\s*def \w+\((.*)\):$", line)
+        targets = re.match(r"\s*\[?([\w, ]*?)\]? = ", line)
+        for names in (header and header[1], targets and targets[1]):
+            bound.update(n for n in (names or "").replace(" ", "").split(",")
+                         if re.fullmatch(r"[vx]\d+", n))
+        bound.update(re.findall(r"\b(x\d+) :=", line))
+    return bound, deleted
+
+
+@pytest.mark.parametrize("kind", ["training", "forward-only"])
+def test_plan_source_is_deterministic_and_shows_liveness(monkeypatch, kind) -> None:
+    # two compiles of one config give the same text; in each of its functions every
+    # value and aux local is bound once, deleted at most once and never named after
+    sources = _record_sources(monkeypatch)
+    if kind == "training":
+        cfg = CONFIGS["medsaga"]
+        params, samples = _setup(cfg)
+        for _ in range(2):
+            compile_loss_plan(params, *samples[0], cfg)
+    else:
+        monkeypatch.setattr(msga.model, "_forward_plan", {})
+        params = init_model(ModelConfig(), 0)
+        for _ in range(2):
+            msga.model._forward_plan.clear()
+            forward(params, np.zeros((32, 32)))
+    first, second = sources
+    assert first == second
+    forward_text, backward_text = first.split("\n\n    def backward(K):\n")
+    for lines in (forward_text.splitlines(), backward_text.splitlines()):
+        bound, deleted = _bindings_and_dels(lines)
+        assert set(bound.values()) <= {1} and set(deleted.values()) <= {1}
+        assert deleted.keys() <= bound.keys()
+    assert _bindings_and_dels(forward_text.splitlines())[1]   # the forward frees values
+    # a forward-only plan emits no backward step; a training plan one per backward node
+    assert ("bwd_" in backward_text) == (kind == "training")
+
+
+# tracemalloc current bytes that compile_loss_plan's result held at default medsaga
+# when a plan kept interpreted op lists (x86_64, numpy 2.4, CPython 3.11, run alone;
+# 29,472 B inside the whole suite). Its two compiled functions hold about 25.9 KB alone
+# and less in the suite, where other plans have already interned its local names
+INTERPRETED_PLAN_BYTES = 29_648
+
+
+def _held(build) -> tuple[int, object]:
+    """The tracemalloc current bytes `build()`'s result holds, and that result."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_compiled_plan_holds_neither_its_text_nor_more_bytes_than_the_interpreted_one(
+        monkeypatch) -> None:
+    # the plan keeps its two compiled functions and the leaf specs. Keeping the op lists
+    # beside them would pass the interpreted plan's bytes; keeping the text it was
+    # compiled from (about 7 KB) would make that text cost nothing more to hold beside it
+    cfg = RunConfig()
+    params, samples = _setup(cfg)
+    sources = _record_sources(monkeypatch)
+    compile_loss_plan(params, *samples[0], cfg)   # first-call allocations stay out
+    # each result goes before the next build: while a plan lives, a new one finds its
+    # local names interned and allocates none
+    held = _held(lambda: (compile_loss_plan(params, *samples[0], cfg), sources.clear()))[0]
+    with_text, (_, text) = _held(lambda: (compile_loss_plan(params, *samples[0], cfg),
+                                          sources.pop()))
+    assert held <= INTERPRETED_PLAN_BYTES * 1.02, held
+    assert with_text - held > sys.getsizeof(text) * 0.9, (held, with_text, sys.getsizeof(text))
