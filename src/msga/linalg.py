@@ -45,9 +45,7 @@ def truncated_svd(g: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     s = sigma[:r].copy()
     q = vt[:r].T.copy()
 
-    for i in range(r):
-        j = int(np.argmax(np.abs(p[:, i])))
-        if p[j, i] < 0.0:
-            p[:, i] = -p[:, i]
-            q[:, i] = -q[:, i]
+    flip = p[np.argmax(np.abs(p), axis=0), np.arange(r)] < 0.0
+    p[:, flip] = -p[:, flip]
+    q[:, flip] = -q[:, flip]
     return p, s, q

@@ -15,9 +15,10 @@ ndarrays; losses are 0-d.
 A forward rule may keep intermediates for its backward in the node's `aux`:
 row softmax and attention keep their probabilities, layernorm its normalized
 rows and row std, gelu its tanh, and soft dice its softmax, one-hot and class
-sums. Their backward rules read these instead of recomputing them. Every
-backward rule is `rule(g, args, aux)`: the adjoint of the node's output, its
-inputs (None where not read) and its aux. A rule writes only into arrays it
+sums. Their backward rules read these instead of recomputing them. A forward
+rule is `fwd(*inputs, aux)` and a backward rule `bwd(g, *inputs, aux)`: the
+adjoint of the node's output, the node's inputs as positional arguments in
+order (None where not read) and its aux. A rule writes only into arrays it
 allocated, never into its inputs, adjoint or aux: the add backward hands one
 adjoint to both its inputs.
 
@@ -80,12 +81,13 @@ class Tape:
         if op not in _OPS:
             raise ValueError(f"unknown op kind {op!r}")
         ids = tuple(int(i) for i in inputs)
+        if len(ids) != _ARITY[op]:
+            raise ValueError(f"{op}: expected {_ARITY[op]} inputs, got {len(ids)}")
         for i in ids:
             if not 0 <= i < len(self.nodes):
                 raise ValueError(f"{op}: input id {i} not on this tape")
-        args = [self.values[i] for i in ids]
         keys = tuple(aux)
-        self.values.append(_OPS[op][0](args, aux))
+        self.values.append(_OPS[op][0](*(self.values[i] for i in ids), aux))
         self.nodes.append(TapeNode(op, ids, aux, keys))
         return len(self.nodes) - 1
 
@@ -227,8 +229,8 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
             bound.update([i] if reaches[i] else [])
         gone = sorted({f"g{nid}", f"x{nid}", *(o for o in outs if o[0] in "t_"),
                        *(f"v{i}" for i in args if i is not None and last[i] == k)})
-        handed = ", ".join("None" if i is None else f"v{i}" for i in args)
-        bwd += [f"[{', '.join(outs)}] = bwd_{_name(n.op)}(g{nid}, [{handed}], x{nid})",
+        handed = "".join("None, " if i is None else f"v{i}, " for i in args)
+        bwd += [f"[{', '.join(outs)}] = bwd_{_name(n.op)}(g{nid}, {handed}x{nid})",
                 *(f"{adj[i]} = {adj[i]} + {o}" for o, i in zip(outs, n.inputs) if o[0] == "t"),
                 f"del {', '.join(gone)}"]
     zeros = ", ".join(f"{i}: np.zeros({values[i].shape!r})" for i in sorted(wanted - bound))
@@ -239,7 +241,7 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
         for key in n.args:   # labels are passed in; every other op argument is an item of A
             consts += [] if key == "labels" else [n.aux[key]]
             aux.append(f"{key!r}: " + ("labels" if key == "labels" else f"A[{len(consts) - 1}]"))
-        fwd.append(f"v{nid} = fwd_{_name(n.op)}([{', '.join(f'v{i}' for i in n.inputs)}], "
+        fwd.append(f"v{nid} = fwd_{_name(n.op)}({''.join(f'v{i}, ' for i in n.inputs)}"
                    f"{f'x{nid} := ' * ((nid, True) in keep)}{{{', '.join(aux)}}})")
         dead = sorted({f"v{s}" for s in (*n.inputs, nid)
                        if last[s] == nid and s not in reads and (s, False) not in keep})
@@ -278,8 +280,7 @@ def _check_2d(op: str, *arrays: np.ndarray) -> None:
             raise ValueError(f"{op}: expected 2-D value, got shape {a.shape}")
 
 
-def _fwd_matmul(args, aux):
-    a, b = args
+def _fwd_matmul(a, b, aux):
     _check_2d("matmul", a, b)
     b_eff = b.T if aux["transpose_b"] else b
     if a.shape[1] != b_eff.shape[0]:
@@ -298,29 +299,26 @@ def _check_add(a, b, aux):
         raise ValueError(f"add: shapes {a.shape} and {b.shape} are neither equal nor row-broadcast")
 
 
-def _fwd_add(args, aux):
-    a, b = args
+def _fwd_add(a, b, aux):
     _check_add(a, b, aux)
     return np.asarray(a + b)   # a 0-d sum is a numpy scalar otherwise
 
 
-def _fwd_linear(args, aux):
-    x, w, b = args
-    xw = _fwd_matmul([x, w], _NN)
+def _fwd_linear(x, w, b, aux):
+    xw = _fwd_matmul(x, w, _NN)
     _check_add(xw, b, aux)
     xw += b
     return xw
 
 
-def _fwd_scale(args, aux):
-    return np.asarray(args[0] * aux["c"])
+def _fwd_scale(a, aux):
+    return np.asarray(a * aux["c"])
 
 
-def _fwd_attention(args, aux):
-    q, k, v = args
-    scores = _fwd_matmul([q, k], _NT)
+def _fwd_attention(q, k, v, aux):
+    scores = _fwd_matmul(q, k, _NT)
     scores *= aux["c"]
-    return _fwd_matmul([_fwd_softmax_rows([scores], aux), v], _NN)
+    return _fwd_matmul(_fwd_softmax_rows(scores, aux), v, _NN)
 
 
 def _gelu_inner(x):
@@ -332,8 +330,7 @@ def _gelu_inner(x):
     return a
 
 
-def _fwd_gelu(args, aux):
-    x = args[0]
+def _fwd_gelu(x, aux):
     aux["tanh"] = t = _gelu_inner(x)
     np.tanh(t, out=t)
     out = np.multiply(0.5, x)
@@ -341,8 +338,7 @@ def _fwd_gelu(args, aux):
     return out
 
 
-def _fwd_layernorm(args, aux):
-    x, gain, bias = args
+def _fwd_layernorm(x, gain, bias, aux):
     _check_2d("layernorm", x, gain, bias)
     if gain.shape != (1, x.shape[1]) or bias.shape != (1, x.shape[1]):
         raise ValueError(
@@ -368,8 +364,7 @@ def _normalize_rows(x):
     return centered, std
 
 
-def _fwd_softmax_rows(args, aux):
-    x = args[0]
+def _fwd_softmax_rows(x, aux):
     _check_2d("softmax-rows", x)
     aux["probs"] = p = softmax_last_dim(x)
     return p
@@ -385,8 +380,7 @@ def _check_labels(op: str, logits: np.ndarray, labels: np.ndarray) -> None:
         raise ValueError(f"{op}: label values outside 0..{logits.shape[1] - 1}")
 
 
-def _fwd_softmax_ce(args, aux):
-    z = args[0]
+def _fwd_softmax_ce(z, aux):
     y = aux["labels"]
     _check_labels("softmax-ce", z, y)
     zmax = z.max(axis=1)
@@ -406,24 +400,21 @@ def _dice_pieces(z, y, smooth):
     return p, onehot, inter, sums, terms
 
 
-def _fwd_soft_dice(args, aux):
-    z = args[0]
+def _fwd_soft_dice(z, aux):
     y = aux["labels"]
     _check_labels("soft-dice", z, y)
     aux["dice"] = pieces = _dice_pieces(z, y, aux["smooth"])
     return np.asarray(1.0 - pieces[-1].mean())
 
 
-def _fwd_reshape(args, aux):
-    a = args[0]
+def _fwd_reshape(a, aux):
     shape = aux["shape"]
     if int(np.prod(shape)) != a.size:
         raise ValueError(f"reshape: cannot view {a.shape} as {shape}")
     return a.reshape(shape)
 
 
-def _fwd_patchify(args, aux):
-    img = args[0]
+def _fwd_patchify(img, aux):
     p = aux["patch"]
     _check_2d("patchify", img)
     h, w = img.shape
@@ -433,12 +424,11 @@ def _fwd_patchify(args, aux):
     return img.reshape(gh, p, gw, p).transpose(0, 2, 1, 3).reshape(gh * gw, p * p)
 
 
-def _fwd_mean(args, aux):
-    return np.asarray(args[0].mean())
+def _fwd_mean(a, aux):
+    return np.asarray(a.mean())
 
 
-def _fwd_embed_lookup(args, aux):
-    table = args[0]
+def _fwd_embed_lookup(table, aux):
     idx = aux["indices"]
     _check_2d("embed-lookup", table)
     if idx.ndim != 1:
@@ -452,40 +442,37 @@ def _fwd_embed_lookup(args, aux):
 # backward rules; each returns one adjoint per input, matching input shapes
 
 
-def _bwd_matmul(g, args, aux):
-    a, b = args
+def _bwd_matmul(g, a, b, aux):
     if aux["transpose_b"]:
         return g @ b, g.T @ a
     return g @ b.T, a.T @ g
 
 
-def _bwd_add(g, args, aux):
+def _bwd_add(g, a, b, aux):
     return g, g.sum(axis=0, keepdims=True) if aux["row"] else g
 
 
-def _bwd_linear(g, args, aux):
-    x, w, _ = args
-    g_xw, gb = _bwd_add(g, None, aux)
-    return (*_bwd_matmul(g_xw, [x, w], _NN), gb)
+def _bwd_linear(g, x, w, b, aux):
+    g_xw, gb = _bwd_add(g, None, None, aux)
+    return (*_bwd_matmul(g_xw, x, w, _NN), gb)
 
 
-def _bwd_scale(g, args, aux):
+def _bwd_scale(g, a, aux):
     return (np.asarray(g * aux["c"]),)
 
 
-def _bwd_attention(g, args, aux):
-    q, k, v = args
-    gp, gv = _bwd_matmul(g, [aux["probs"], v], _NN)
+def _bwd_attention(g, q, k, v, aux):
+    gp, gv = _bwd_matmul(g, aux["probs"], v, _NN)
     (gs,) = _bwd_softmax_rows(gp, None, aux)
     gs *= aux["c"]
-    gq, gk = _bwd_matmul(gs, [q, k], _NT)
+    gq, gk = _bwd_matmul(gs, q, k, _NT)
     return gq, gk, gv
 
 
-def _bwd_gelu(g, args, aux):
+def _bwd_gelu(g, x, aux):
     # g * (0.5 (1 + t) + 0.5 x (1 - t t) dinner), dinner = sqrt(2/pi) (1 + 3 c x x),
     # in that operation order but in two buffers: the same bits, no temporaries
-    x, t = args[0], aux["tanh"]
+    t = aux["tanh"]
     h = x * 0.5
     d = t * t
     h *= np.subtract(1.0, d, out=d)   # 0.5 x (1 - t t)
@@ -501,9 +488,8 @@ def _bwd_gelu(g, args, aux):
     return (d,)
 
 
-def _bwd_layernorm(g, args, aux):
+def _bwd_layernorm(g, x, gain, bias, aux):
     # dx = (dxhat - mean(dxhat) - xhat mean(dxhat xhat)) / std with dxhat = g gain, in two arrays
-    gain = args[1]
     xhat, std = aux["xhat"], aux["std"]
     n = xhat.shape[1]
     t = g * xhat
@@ -517,15 +503,14 @@ def _bwd_layernorm(g, args, aux):
     return dx, dgain, dbias
 
 
-def _bwd_softmax_rows(g, args, aux):
+def _bwd_softmax_rows(g, x, aux):
     p = aux["probs"]
     gs = g - (g * p).sum(axis=1, keepdims=True)
     gs *= p
     return (gs,)
 
 
-def _bwd_softmax_ce(g, args, aux):
-    z = args[0]
+def _bwd_softmax_ce(g, z, aux):
     y = aux["labels"]
     n = z.shape[0]
     p = softmax_last_dim(z)
@@ -534,7 +519,7 @@ def _bwd_softmax_ce(g, args, aux):
     return (p,)
 
 
-def _bwd_soft_dice(g, args, aux):
+def _bwd_soft_dice(g, z, aux):
     smooth = aux["smooth"]
     p, onehot, inter, sums, _ = aux["dice"]
     k = p.shape[1]
@@ -545,25 +530,22 @@ def _bwd_soft_dice(g, args, aux):
     return (dz * float(g),)
 
 
-def _bwd_reshape(g, args, aux):
-    return (g.reshape(args[0].shape),)
+def _bwd_reshape(g, a, aux):
+    return (g.reshape(a.shape),)
 
 
-def _bwd_patchify(g, args, aux):
-    img = args[0]
+def _bwd_patchify(g, img, aux):
     p = aux["patch"]
     h, w = img.shape
     gh, gw = h // p, w // p
     return (g.reshape(gh, gw, p, p).transpose(0, 2, 1, 3).reshape(h, w),)
 
 
-def _bwd_mean(g, args, aux):
-    a = args[0]
+def _bwd_mean(g, a, aux):
     return (np.full_like(a, float(g) / a.size),)
 
 
-def _bwd_embed_lookup(g, args, aux):
-    table = args[0]
+def _bwd_embed_lookup(g, table, aux):
     dtable = np.zeros_like(table)
     np.add.at(dtable, aux["indices"], g)
     return (dtable,)
@@ -587,6 +569,8 @@ _OPS: dict[str, tuple[Callable, Callable, tuple[int, ...]]] = {
     "mean": (_fwd_mean, _bwd_mean, (0,)),
     "embed-lookup": (_fwd_embed_lookup, _bwd_embed_lookup, (0,)),
 }
+# op kind -> its input count: the forward rule's parameters before the aux
+_ARITY = {kind: fwd.__code__.co_argcount - 1 for kind, (fwd, _, _) in _OPS.items()}
 
 OP_KINDS = tuple(_OPS)
 

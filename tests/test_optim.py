@@ -450,10 +450,10 @@ def test_training_records_one_tape_and_frees_each_sample_replay_before_the_next(
         return original_build(*args, **kwargs)
 
     def watched_forward(rule):
-        def forward_rule_watched(args, aux):
-            out = rule(args, aux)
+        def forward_rule_watched(*args):
+            out = rule(*args)
             # every op output is an ndarray, 0-d loss terms included, so each takes a weak reference
-            live.extend(weakref.ref(a) for a in (out, *_aux_arrays(aux))
+            live.extend(weakref.ref(a) for a in (out, *_aux_arrays(args[-1]))
                         if isinstance(a, np.ndarray))
             return out
         return forward_rule_watched

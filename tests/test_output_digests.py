@@ -1,10 +1,11 @@
 """Pinned sha256 digests of the files the CLI and `save_dataset` write.
 
-Every case runs at C11's small geometry, in-process, under one working
-directory with a fixed relative `--out` (the config echo records `out`). A
-change that keeps the program's output bits passes this test unedited. A change
-that moves bits on purpose regenerates the table in the same commit, and says
-which digests moved and why:
+Every case runs in-process, under one working directory with a fixed relative
+`--out` (the config echo records `out`), at C11's small geometry, except
+`memreport`, which trains nothing and runs at the defaults. A change that keeps
+the program's output bits passes this test unedited. A change that moves bits
+on purpose regenerates the table in the same commit, and says which digests
+moved and why:
 
     PYTHONPATH=src python tests/test_output_digests.py
 
@@ -50,6 +51,9 @@ CASES = {
                ("ablation.csv", *(f"{mode}/{name}" for mode in ("medsaga", "v1", "v2")
                                   for name in TRAIN_FILES))),
     "sweep": (("sweep", *GEOMETRY, "--budgets", "5,10"), ("sweep.csv",)),
+    # memreport needs no training, so it runs at the default geometry
+    **{f"memreport-{name}": (("memreport", *flags), ("memory.json", "memory.txt"))
+       for name, flags in (("defaults", ()), ("rank2-two-sided", ("--rank", "2", "--sided", "two")))},
 }
 # save_dataset case -> generate_synthetic(seed, count, h, w, classes); a square and
 # a wide image

@@ -3,7 +3,9 @@ were compiled from."""
 
 from __future__ import annotations
 
+import ast
 import gc
+import inspect
 import itertools
 import re
 import sys
@@ -108,9 +110,9 @@ def test_training_plan_never_runs_the_patchify_adjoint(monkeypatch) -> None:
     ops: list[str] = []   # the op kind of every backward rule a replay runs
 
     def watched(kind, rule):
-        def backward_rule_watched(g, args, aux):
+        def backward_rule_watched(g, *inputs):
             ops.append(kind)
-            return rule(g, args, aux)
+            return rule(g, *inputs)
         return backward_rule_watched
 
     _wrap_rules(monkeypatch, backward=watched)
@@ -217,9 +219,9 @@ def test_backward_frees_each_value_and_its_aux_after_the_last_reader(monkeypatch
         return {nid for nid, ref in refs.items() if ref() is not None}
 
     def watched_forward(kind, rule):
-        def forward_rule_watched(args, aux):
-            nid = next(op_ids)
-            out = rule(args, aux)
+        def forward_rule_watched(*args):
+            nid, aux = next(op_ids), args[-1]
+            out = rule(*args)
             values[nid] = weakref.ref(out)
             aux["nid"], aux["marker"] = nid, np.empty(0)
             markers[nid] = weakref.ref(aux["marker"])
@@ -227,11 +229,12 @@ def test_backward_frees_each_value_and_its_aux_after_the_last_reader(monkeypatch
         return forward_rule_watched
 
     def watched_backward(kind, rule):
-        def rule_seeing_what_is_kept(g, args, aux):
+        def rule_seeing_what_is_kept(g, *inputs):
+            *args, aux = inputs
             slot_of = {id(values[nid]()): nid for nid in alive(values)}
             seen.append((aux["nid"], alive(markers), [None if v is None else slot_of[id(v)]
                                                       for v in args], alive(values)))
-            return rule(g, args, aux)
+            return rule(g, *inputs)
         return rule_seeing_what_is_kept
 
     _wrap_rules(monkeypatch, watched_forward, watched_backward)
@@ -271,9 +274,9 @@ def test_replay_forward_keeps_only_what_the_backward_and_the_scalars_read(monkey
     on_path: set[int] = set()   # the nodes whose backward rule ran
 
     def watched(kind, rule):
-        def forward_rule_watched(args, aux):
-            nid = next(op_ids)
-            out = rule(args, aux)
+        def forward_rule_watched(*args):
+            nid, aux = next(op_ids), args[-1]
+            out = rule(*args)
             if isinstance(out, np.ndarray):
                 values[nid] = weakref.ref(out)
             arrays = [a for key, v in aux.items() if key != "labels"
@@ -284,11 +287,12 @@ def test_replay_forward_keeps_only_what_the_backward_and_the_scalars_read(monkey
         return forward_rule_watched
 
     def watched_bwd(kind, rule):
-        def backward_rule_watched(g, args, aux):
+        def backward_rule_watched(g, *inputs):
+            *args, aux = inputs
             nid_of = {id(ref()): nid for nid, ref in values.items() if ref() is not None}
             read.update(nid_of[id(a)] for a in args if id(a) in nid_of)
             on_path.add(aux["nid"])
-            return rule(g, args, aux)
+            return rule(g, *inputs)
         return backward_rule_watched
 
     _wrap_rules(monkeypatch, watched, watched_bwd)
@@ -343,9 +347,10 @@ def test_a_rule_handed_none_for_a_slot_it_reads_raises(monkeypatch) -> None:
     calls: list[tuple] = []   # each backward rule call: the rule, its inputs and its aux
 
     def watched(kind, rule):
-        def backward_rule_watched(g, args, aux):
+        def backward_rule_watched(g, *inputs):
+            *args, aux = inputs
             calls.append((rule, args, aux))
-            return rule(g, args, aux)
+            return rule(g, *inputs)
         return backward_rule_watched
 
     _wrap_rules(monkeypatch, backward=watched)
@@ -362,14 +367,14 @@ def test_a_rule_handed_none_for_a_slot_it_reads_raises(monkeypatch) -> None:
             assert [id(None if i is None else tape.values[i]) for i in slots] == list(
                 map(id, args)), nid
             g = rng.standard_normal(tape.values[nid].shape)
-            every = rule(g, [tape.values[i] for i in n.inputs], aux)
-            assert [a.tobytes() for a in rule(g, args, aux)] == [a.tobytes() for a in every]
+            every = rule(g, *(tape.values[i] for i in n.inputs), aux)
+            assert [a.tobytes() for a in rule(g, *args, aux)] == [a.tobytes() for a in every]
             for j in (j for j, s in enumerate(slots) if s is not None):
                 with pytest.raises((TypeError, AttributeError, ValueError, IndexError)):
-                    rule(g, [*args[:j], None, *args[j + 1:]], aux)
+                    rule(g, *args[:j], None, *args[j + 1:], aux)
             for key in aux.keys() - set(n.args):
                 with pytest.raises(KeyError, match=key):
-                    rule(g, args, {k: v for k, v in aux.items() if k != key})
+                    rule(g, *args, {k: v for k, v in aux.items() if k != key})
                 dropped.add((n.op, key))
             checked.add(n.op)
     assert checked == set(OP_KINDS)
@@ -399,8 +404,8 @@ def test_every_recorded_and_replayed_value_of_the_loss_tape_is_an_ndarray(monkey
     outputs = []
 
     def watched(kind, rule):
-        def forward_rule_watched(args, aux):
-            out = rule(args, aux)
+        def forward_rule_watched(*args):
+            out = rule(*args)
             outputs.append(type(out))
             return out
         return forward_rule_watched
@@ -592,10 +597,8 @@ def _bindings_and_dels(lines: list[str]) -> tuple[Counter, Counter]:
     return bound, deleted
 
 
-@pytest.mark.parametrize("kind", ["training", "forward-only"])
-def test_plan_source_is_deterministic_and_shows_liveness(monkeypatch, kind) -> None:
-    # two compiles of one config give the same text; in each of its functions every
-    # value and aux local is bound once, deleted at most once and never named after
+def _two_compiles(monkeypatch, kind: str) -> list[str]:
+    """The text of two compiles of the medsaga training plan or of the forward-only one."""
     sources = _record_sources(monkeypatch)
     if kind == "training":
         cfg = CONFIGS["medsaga"]
@@ -608,7 +611,14 @@ def test_plan_source_is_deterministic_and_shows_liveness(monkeypatch, kind) -> N
         for _ in range(2):
             msga.model._forward_plan.clear()
             forward(params, np.zeros((32, 32)))
-    first, second = sources
+    return sources
+
+
+@pytest.mark.parametrize("kind", ["training", "forward-only"])
+def test_plan_source_is_deterministic_and_shows_liveness(monkeypatch, kind) -> None:
+    # two compiles of one config give the same text; in each of its functions every
+    # value and aux local is bound once, deleted at most once and never named after
+    first, second = _two_compiles(monkeypatch, kind)
     assert first == second
     forward_text, backward_text = first.split("\n\n    def backward(K):\n")
     for lines in (forward_text.splitlines(), backward_text.splitlines()):
@@ -618,6 +628,25 @@ def test_plan_source_is_deterministic_and_shows_liveness(monkeypatch, kind) -> N
     assert _bindings_and_dels(forward_text.splitlines())[1]   # the forward frees values
     # a forward-only plan emits no backward step; a training plan one per backward node
     assert ("bwd_" in backward_text) == (kind == "training")
+
+
+@pytest.mark.parametrize("kind", ["training", "forward-only"])
+def test_plan_source_hands_each_rule_its_inputs_as_plain_arguments(monkeypatch, kind) -> None:
+    # fwd_<op>(v.., aux) and bwd_<op>(g, v or None.., aux): one local or None per input,
+    # as many as the forward rule takes, and no list built to carry them
+    arity = {f"{way}_{op.replace('-', '_')}": len(inspect.signature(msga.tape._OPS[op][0])
+                                                 .parameters) - 1
+             for op in OP_KINDS for way in ("fwd", "bwd")}
+    calls = [c for c in ast.walk(ast.parse(_two_compiles(monkeypatch, kind)[0]))
+             if isinstance(c, ast.Call) and getattr(c.func, "id", "") in arity]
+    assert {c.func.id[:4] for c in calls} == ({"fwd_", "bwd_"} if kind == "training"
+                                              else {"fwd_"})
+    for call in calls:
+        *inputs, aux = call.args[call.func.id.startswith("bwd_"):]
+        assert not call.keywords and len(inputs) == arity[call.func.id], ast.unparse(call)
+        assert all(isinstance(a, ast.Name) or isinstance(a, ast.Constant) and a.value is None
+                   for a in call.args[:-1]), ast.unparse(call)
+        assert isinstance(aux, (ast.Name, ast.NamedExpr, ast.Dict)), ast.unparse(call)
 
 
 # tracemalloc current bytes that compile_loss_plan's result held at default medsaga

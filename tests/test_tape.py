@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import inspect
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -211,7 +213,7 @@ OP_GRAPHS = {
 
 def op_graph_params(op: str) -> list[np.ndarray]:
     """Two 3x3 matrices, then a row, a positive row (a layernorm gain) and a row."""
-    rng = np.random.default_rng(hash(op) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(op.encode()))
     return [
         rng.standard_normal((3, 3)),
         rng.standard_normal((3, 3)),
@@ -253,12 +255,59 @@ def test_rules_leave_their_inputs_adjoint_and_aux_unchanged(op: str) -> None:
         args = [tape.value(i) for i in node.inputs]
         aux = {k: node.aux[k] for k in node.args}
         before = copy.deepcopy((args, aux))
-        out = forward(args, aux)
+        out = forward(*args, aux)
         assert _same((args, {k: aux[k] for k in node.args}), before), "forward"
         g = np.asarray(rng.standard_normal(np.shape(out)))
         before = copy.deepcopy((g, args, aux))
-        backward(g, args, aux)
+        backward(g, *args, aux)
         assert _same((g, args, aux), before), "backward"
+
+
+def test_every_backward_rule_takes_the_adjoint_then_the_forward_rules_parameters() -> None:
+    # a forward rule is fwd(*inputs, aux) and its backward bwd(g, *inputs, aux): one plain
+    # positional parameter per node input, the same names in the same order, no list
+    for op in OP_KINDS:
+        tape = Tape()
+        OP_GRAPHS[op](tape, [tape.leaf(p) for p in op_graph_params(op)])
+        count = len(next(n for n in tape.nodes if n.op == op).inputs)
+        forward, backward, _ = _OPS[op]
+        fwd = list(inspect.signature(forward).parameters.values())
+        bwd = list(inspect.signature(backward).parameters.values())
+        assert [p.name for p in bwd] == ["g", *(p.name for p in fwd)], op
+        assert len(fwd) == count + 1 and fwd[-1].name == "aux", op
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in bwd), op
+
+
+def test_record_hands_each_rule_the_recorded_values_positionally(monkeypatch) -> None:
+    calls: list[tuple[str, tuple]] = []
+
+    def watched(op, rule):
+        def forward_rule_watched(*args):
+            calls.append((op, args))
+            return rule(*args)
+        return forward_rule_watched
+
+    for op, (fwd, *rest) in list(_OPS.items()):
+        monkeypatch.setitem(_OPS, op, (watched(op, fwd), *rest))
+    for op in OP_KINDS:
+        calls.clear()
+        tape = Tape()
+        OP_GRAPHS[op](tape, [tape.leaf(p) for p in op_graph_params(op)])
+        nodes = [n for n in tape.nodes if n.op != "leaf"]
+        assert [kind for kind, _ in calls] == [n.op for n in nodes]
+        for n, (_, args) in zip(nodes, calls):
+            assert list(map(id, args)) == [*(id(tape.values[i]) for i in n.inputs), id(n.aux)]
+
+
+@pytest.mark.parametrize("op", OP_KINDS)
+def test_record_rejects_a_wrong_input_count_naming_the_op(op: str) -> None:
+    tape = Tape()
+    OP_GRAPHS[op](tape, [tape.leaf(p) for p in op_graph_params(op)])
+    node = next(n for n in tape.nodes if n.op == op)
+    count = len(node.inputs)
+    for wrong in (count - 1, count + 1):
+        with pytest.raises(ValueError, match=f"^{op}: expected {count} inputs, got {wrong}$"):
+            tape.record(op, (0,) * wrong, **{k: node.aux[k] for k in node.args})
 
 
 def test_softmax_ce_finite_diff_at_uniform_logits() -> None:
@@ -382,9 +431,9 @@ def test_layernorm_adjoint_from_kept_intermediates_matches_recomputation(rows: i
     bias = rng.standard_normal((1, width))
     g = rng.standard_normal((rows, width))
     aux: dict = {}
-    out = _fwd_layernorm([x, gain, bias], aux)
+    out = _fwd_layernorm(x, gain, bias, aux)
     assert set(aux) == {"xhat", "std"}
-    dx, dgain, dbias = _bwd_layernorm(g, [x, gain, bias], aux)
+    dx, dgain, dbias = _bwd_layernorm(g, x, gain, bias, aux)
 
     # the backward as written before the intermediates were kept: all recomputed
     std = np.sqrt(x.var(axis=1, keepdims=True) + LAYERNORM_EPS)
@@ -403,9 +452,9 @@ def test_gelu_adjoint_from_kept_tanh_matches_recomputation() -> None:
     x = np.concatenate([rng.normal(0.0, 3.0, 4096), np.linspace(-40.0, 40.0, 801), [0.0]])[None, :]
     g = rng.standard_normal(x.shape)
     aux: dict = {}
-    out = _fwd_gelu([x], aux)
+    out = _fwd_gelu(x, aux)
     assert set(aux) == {"tanh"}
-    (dx,) = _bwd_gelu(g, [x], aux)
+    (dx,) = _bwd_gelu(g, x, aux)
 
     t = np.tanh(_gelu_inner(x))
     dinner = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * GELU_COEF * (x * x))
@@ -417,13 +466,13 @@ def test_gelu_adjoint_in_place_keeps_the_nested_expressions_bits() -> None:
     x = np.concatenate([rng.uniform(-40.0, 40.0, 100_000), [0.0, -0.0]])[None, :]
     g = rng.standard_normal(x.shape)
     aux: dict = {}
-    out = _fwd_gelu([x], aux)
+    out = _fwd_gelu(x, aux)
     t = aux["tanh"]
     # the forward runs in place too
     assert t.tobytes() == np.tanh(np.sqrt(2.0 / np.pi) * (x + GELU_COEF * (x * x * x))).tobytes()
     assert out.tobytes() == (0.5 * x * (1.0 + t)).tobytes()
     dinner = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * GELU_COEF * (x * x))
-    (dx,) = _bwd_gelu(g, [x], aux)
+    (dx,) = _bwd_gelu(g, x, aux)
     assert np.array_equal(dx, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
 
 
@@ -432,10 +481,10 @@ def test_in_place_softmax_adjoints_keep_the_expressions_bits() -> None:
     z, g = rng.normal(0.0, 5.0, (9, 4)), rng.standard_normal((9, 4))
     y = rng.integers(0, 4, 9)
     aux: dict = {}
-    p = _fwd_softmax_rows([z], aux)
-    (gs,) = _bwd_softmax_rows(g, [None], aux)
+    p = _fwd_softmax_rows(z, aux)
+    (gs,) = _bwd_softmax_rows(g, None, aux)
     assert gs.tobytes() == (p * (g - (g * p).sum(axis=1, keepdims=True))).tobytes()
-    (dz,) = _bwd_softmax_ce(np.asarray(0.7), [z], {"labels": y})
+    (dz,) = _bwd_softmax_ce(np.asarray(0.7), z, {"labels": y})
     q = softmax_last_dim(z)
     q[np.arange(9), y] -= 1.0
     assert dz.tobytes() == (q * (0.7 / 9)).tobytes()
@@ -446,11 +495,11 @@ def test_gelu_adjoint_holds_at_most_three_buffers() -> None:
     rng = np.random.default_rng(31)
     x, g = rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
     aux: dict = {}
-    _fwd_gelu([x], aux)
+    _fwd_gelu(x, aux)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        (dx,) = _bwd_gelu(g, [x], aux)
+        (dx,) = _bwd_gelu(g, x, aux)
         rise = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
