@@ -14,26 +14,33 @@ ndarrays; losses are 0-d.
 
 A forward rule may keep intermediates for its backward in the node's `aux`:
 row softmax and attention keep their probabilities, layernorm its normalized
-rows and row std, gelu its tanh, and soft dice its softmax, one-hot and class
-sums. Their backward rules read these instead of recomputing them. A forward
-rule is `fwd(*inputs, aux)` and a backward rule `bwd(g, *inputs, aux)`: the
-adjoint of the node's output, the node's inputs as positional arguments in
-order (None where not read) and its aux. A rule writes only into arrays it
-allocated, never into its inputs, adjoint or aux: the add backward hands one
-adjoint to both its inputs.
+rows and row std, gelu its derivative, and soft dice its softmax, one-hot and
+class sums. Their backward rules read these instead of recomputing them. A
+forward rule is `fwd(*inputs, aux)` and a backward rule
+`bwd(g, *inputs, aux)`: the adjoint of the node's output, the node's inputs as
+positional arguments in order (None where not read) and its aux. A rule writes
+only into arrays it allocated, never into its inputs, adjoint or aux: the add
+backward hands one adjoint to both its inputs.
 
 A Plan lowers a recorded tape to straight-line Python, `plan_source`, and
 compiles it once: a forward with one line per op to replay it on new leaves
 and labels, and a backward with one rule call per node between the wanted
 leaves and the loss. Each op kind declares the inputs its backward reads
 (others reach it as None). A node on the backward path keeps those inputs and
-its aux from its forward op until its own backward step; every other value
-is deleted after its last forward reader. Training records one tape per run
-and replays its plan once per step; Tape.backward runs the emitted backward
-on the tape's recorded values. A leaf may carry a name, which a replay error
-reports in place of its id. Gradients are fresh arrays, safe to hand
-elsewhere. A plan that wants nothing has no backward: evaluation replays one
-that reads the logits, so an image keeps only the values a later op reads.
+its aux from its forward op until its own backward step; every other value is
+deleted after its last forward reader. An op kind may declare a rebuild rule,
+its forward's own code path, and the inputs it reads: the plan then keeps
+those inputs in place of a value, when they are leaves or kept anyway and the
+node's aux is kept or holds only op arguments, and rebuilds the value just
+before its first backward reader (layernorm from its kept `xhat`, patchify
+from the image). A node whose aux no backward step reads runs its op's
+value-only forward where one is declared (gelu, without its derivative).
+Training records one tape per run and replays its plan once per step;
+Tape.backward runs the emitted backward on the tape's recorded values. A leaf
+may carry a name, which a replay error reports in place of its id. Gradients
+are fresh arrays, safe to hand elsewhere. A plan that wants nothing has no
+backward: evaluation replays one that reads the logits, so an image keeps only
+the values a later op reads.
 """
 
 from __future__ import annotations
@@ -201,7 +208,8 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
     reads. A `plan(np, A, <rules>)` factory returns `forward(labels, *leaves)`, one local
     per value, one line per op, a `del` after a value's last reader unless K keeps it,
     returning the `reads` and K; and `backward(K)`, one rule call per backward node,
-    returning the dict G of the wanted leaves' adjoints."""
+    each rebuilt value's rebuild just before its first reader, returning the dict G of
+    the wanted leaves' adjoints."""
     nodes, values = tape.nodes, tape.values
     leaves = [nid for nid, n in enumerate(nodes) if n.op == "leaf"]
     wanted = set(leaves if wanted is None else wanted)
@@ -216,41 +224,60 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
         if nid in live and n.op != "leaf":
             live.update(i for i in n.inputs if reaches[i])
             steps.append((nid, [i if k in _OPS[n.op][2] else None for k, i in enumerate(n.inputs)]))
-    kept = list(dict.fromkeys(e for nid, args in steps
-                              for e in (*((i, False) for i in args if i is not None), (nid, True))))
-    last = {i: k for k, (_, args) in enumerate(steps) for i in args}   # a kept value's last reader
+    ops, consts, auxes = [(nid, n) for nid, n in enumerate(nodes) if n.op != "leaf"], [], {}
+    for nid, n in ops:   # labels are passed in; every other op argument is an item of A
+        items = []
+        for key in n.args:
+            consts += [] if key == "labels" else [n.aux[key]]
+            items.append(f"{key!r}: " + ("labels" if key == "labels" else f"A[{len(consts) - 1}]"))
+        auxes[nid] = f"{{{', '.join(items)}}}"
+    read = {i for _, args in steps for i in args if i is not None}
+    rebuilt = {}   # a read value the backward rebuilds -> its rebuild's inputs, None if unread
+    for i in sorted(read):   # in node order, so a rebuild's inputs are settled before it
+        n = nodes[i]
+        rule, at = _REBUILD.get(n.op, (None, ()))
+        ins = [j if k in at else None for k, j in enumerate(n.inputs)]
+        if rule and (i in live or n.aux.keys() == set(n.args)) and all(
+                j is None or nodes[j].op == "leaf" or j in read and j not in rebuilt for j in ins):
+            rebuilt[i] = ins
+    first = {i: min(k for k, (_, args) in enumerate(steps) if i in args) for i in rebuilt}
+    # uses[k]: the values read at backward step k, by its rebuilds and then by its rule
+    uses = [[*(j for i in rebuilt if first[i] == k for j in rebuilt[i] if j is not None),
+             *(i for i in args if i is not None)] for k, (_, args) in enumerate(steps)]
+    kept = list(dict.fromkeys(e for k, (nid, _) in enumerate(steps) for e in (
+        *((i, False) for i in uses[k] if i not in rebuilt), (nid, True))))
+    last = {i: k for k, u in enumerate(uses) for i in u}   # a kept value's last reader
     bound = {loss_id} & live   # the nodes whose adjoint has its first contribution
     adj = [f"G[{i}]" if i in wanted else f"g{i}" for i in range(len(nodes))]   # G: returned
     bwd = [f"{adj[loss_id]} = np.ones({values[loss_id].shape!r})"] if bound else []
     for k, (nid, args) in enumerate(steps):
+        for i in (i for i in rebuilt if first[i] == k):   # just before its first reader
+            handed = "".join("None, " if j is None else f"v{j}, " for j in rebuilt[i])
+            bwd.append(f"v{i} = rb_{_name(nodes[i].op)}({handed}"
+                       f"{f'x{i}' if i in live else auxes[i]})")
         n, outs = nodes[nid], []
         for j, i in enumerate(n.inputs):   # a first contribution binds; a later one adds
             outs.append(f"t{j}" if i in bound else adj[i] if reaches[i] else "_")
             bound.update([i] if reaches[i] else [])
         gone = sorted({f"g{nid}", f"x{nid}", *(o for o in outs if o[0] in "t_"),
-                       *(f"v{i}" for i in args if i is not None and last[i] == k)})
+                       *(f"v{i}" for i in uses[k] if last[i] == k)})
         handed = "".join("None, " if i is None else f"v{i}, " for i in args)
         bwd += [f"[{', '.join(outs)}] = bwd_{_name(n.op)}(g{nid}, {handed}x{nid})",
                 *(f"{adj[i]} = {adj[i]} + {o}" for o, i in zip(outs, n.inputs) if o[0] == "t"),
                 f"del {', '.join(gone)}"]
     zeros = ", ".join(f"{i}: np.zeros({values[i].shape!r})" for i in sorted(wanted - bound))
-    ops, consts = [(nid, n) for nid, n in enumerate(nodes) if n.op != "leaf"], []
     last, fwd, keep = {s: nid for nid, n in ops for s in (nid, *n.inputs)}, [], set(kept)
-    for nid, n in ops:
-        aux = []
-        for key in n.args:   # labels are passed in; every other op argument is an item of A
-            consts += [] if key == "labels" else [n.aux[key]]
-            aux.append(f"{key!r}: " + ("labels" if key == "labels" else f"A[{len(consts) - 1}]"))
-        fwd.append(f"v{nid} = fwd_{_name(n.op)}({''.join(f'v{i}, ' for i in n.inputs)}"
-                   f"{f'x{nid} := ' * ((nid, True) in keep)}{{{', '.join(aux)}}})")
+    for nid, n in ops:   # a node whose aux no backward step reads runs its value-only forward
+        way = "fwd" if (nid, True) in keep or n.op not in _VALUE_ONLY else "val"
+        fwd.append(f"v{nid} = {way}_{_name(n.op)}({''.join(f'v{i}, ' for i in n.inputs)}"
+                   f"{f'x{nid} := ' * ((nid, True) in keep)}{auxes[nid]})")
         dead = sorted({f"v{s}" for s in (*n.inputs, nid)
                        if last[s] == nid and s not in reads and (s, False) not in keep})
         fwd += [f"del {', '.join(dead)}"] if dead else []
     outs = ", ".join(f"float(v{i})" if values[i].ndim == 0 else f"v{i}" for i in reads)
     names = ", ".join(f"x{i}" if aux else f"v{i}" for i, aux in kept)
-    rules = ", ".join(f"{way}_{_name(kind)}" for kind in _OPS for way in ("fwd", "bwd"))
-    return (f"def plan(np, A, {rules}):\n    def forward(labels, "
-            f"{', '.join(f'v{i}' for i in leaves)}):\n        "
+    return (f"def plan(np, A, {', '.join(name for name, _ in _rules())}):\n"
+            f"    def forward(labels, {', '.join(f'v{i}' for i in leaves)}):\n        "
             + "\n        ".join([*fwd, f"return [{outs}], [{names}]"])
             + "\n\n    def backward(K):\n        " + "\n        ".join(
                 [f"[{names}] = K", "K.clear()", f"G = {{{zeros}}}", *bwd, "return G"])
@@ -261,12 +288,21 @@ def _name(op: str) -> str:
     return op.replace("-", "_")
 
 
+def _rules() -> list[tuple[str, Callable]]:
+    """Every rule a plan's text may call, by the name it calls it: each op kind's
+    forward and backward, then the value-only forwards and the rebuilds."""
+    return [*((f"{way}_{_name(kind)}", rule) for kind, (fwd, bwd, _) in _OPS.items()
+              for way, rule in (("fwd", fwd), ("bwd", bwd))),
+            *((f"val_{_name(kind)}", rule) for kind, rule in _VALUE_ONLY.items()),
+            *((f"rb_{_name(kind)}", rule) for kind, (rule, _) in _REBUILD.items())]
+
+
 def _compile(source: str, consts: tuple) -> tuple[Callable, Callable]:
     """The forward and backward of a plan's text, closed over numpy, the op arguments
-    and the `_OPS` rules, so each is a cell and not a global lookup."""
+    and the rules, so each is a cell and not a global lookup."""
     scope: dict = {}
     exec(compile(source, "<plan>", "exec"), scope)
-    rules = (rule for fwd, bwd, _ in _OPS.values() for rule in (fwd, bwd))
+    rules = (rule for _, rule in _rules())
     return scope.pop("plan")(np, consts, *rules)   # scope outlives it as their globals
 
 
@@ -330,11 +366,38 @@ def _gelu_inner(x):
     return a
 
 
-def _fwd_gelu(x, aux):
-    aux["tanh"] = t = _gelu_inner(x)
-    np.tanh(t, out=t)
+def _gelu_tanh(x):
+    t = _gelu_inner(x)
+    return np.tanh(t, out=t)
+
+
+def _gelu_value(x, aux):
+    # 0.5 x (1 + t) in two buffers: the forward of a node whose derivative nothing reads
+    t = _gelu_tanh(x)
+    t += 1.0
     out = np.multiply(0.5, x)
-    out *= 1.0 + t
+    out *= t
+    return out
+
+
+def _fwd_gelu(x, aux):
+    # keeps the derivative 0.5 (1 + t) + 0.5 x (1 - t t) dinner, dinner = sqrt(2/pi)
+    # (1 + 3 c x x), in that operation order but in three buffers, derivative first
+    t = _gelu_tanh(x)
+    h = x * 0.5
+    d = t * t
+    h *= np.subtract(1.0, d, out=d)   # 0.5 x (1 - t t)
+    np.multiply(x, x, out=d)
+    d *= 3.0 * GELU_COEF
+    d += 1.0
+    d *= _SQRT_2_OVER_PI              # dinner
+    h *= d
+    t += 1.0
+    out = np.multiply(0.5, x, out=d)
+    out *= t
+    t *= 0.5
+    t += h
+    aux["deriv"] = t
     return out
 
 
@@ -344,9 +407,13 @@ def _fwd_layernorm(x, gain, bias, aux):
         raise ValueError(
             f"layernorm: gain/bias must be (1, {x.shape[1]}), got {gain.shape} and {bias.shape}"
         )
-    xhat, std = _normalize_rows(x)
-    aux["xhat"], aux["std"] = xhat, std
-    out = xhat * gain
+    aux["xhat"], aux["std"] = _normalize_rows(x)
+    return _layernorm_affine(x, gain, bias, aux)
+
+
+def _layernorm_affine(x, gain, bias, aux):
+    """xhat gain + bias from the kept xhat: the layernorm forward's output and its rebuild."""
+    out = aux["xhat"] * gain
     out += bias
     return out
 
@@ -463,29 +530,14 @@ def _bwd_scale(g, a, aux):
 
 def _bwd_attention(g, q, k, v, aux):
     gp, gv = _bwd_matmul(g, aux["probs"], v, _NN)
-    (gs,) = _bwd_softmax_rows(gp, None, aux)
+    gs = _softmax_rows_adjoint(gp, aux["probs"], gp)   # gp is this rule's own
     gs *= aux["c"]
     gq, gk = _bwd_matmul(gs, q, k, _NT)
     return gq, gk, gv
 
 
 def _bwd_gelu(g, x, aux):
-    # g * (0.5 (1 + t) + 0.5 x (1 - t t) dinner), dinner = sqrt(2/pi) (1 + 3 c x x),
-    # in that operation order but in two buffers: the same bits, no temporaries
-    t = aux["tanh"]
-    h = x * 0.5
-    d = t * t
-    h *= np.subtract(1.0, d, out=d)   # 0.5 x (1 - t t)
-    np.multiply(x, x, out=d)
-    d *= 3.0 * GELU_COEF
-    d += 1.0
-    d *= _SQRT_2_OVER_PI              # dinner
-    h *= d
-    np.add(1.0, t, out=d)
-    d *= 0.5
-    d += h
-    d *= g
-    return (d,)
+    return (aux["deriv"] * g,)
 
 
 def _bwd_layernorm(g, x, gain, bias, aux):
@@ -503,11 +555,15 @@ def _bwd_layernorm(g, x, gain, bias, aux):
     return dx, dgain, dbias
 
 
+def _softmax_rows_adjoint(g, p, out=None):
+    # (g - rowsum(g p)) p, written into out when given, which may be g itself
+    out = np.subtract(g, (g * p).sum(axis=1, keepdims=True), out=out)
+    out *= p
+    return out
+
+
 def _bwd_softmax_rows(g, x, aux):
-    p = aux["probs"]
-    gs = g - (g * p).sum(axis=1, keepdims=True)
-    gs *= p
-    return (gs,)
+    return (_softmax_rows_adjoint(g, aux["probs"]),)
 
 
 def _bwd_softmax_ce(g, z, aux):
@@ -559,7 +615,7 @@ _OPS: dict[str, tuple[Callable, Callable, tuple[int, ...]]] = {
     "linear": (_fwd_linear, _bwd_linear, (0, 1)),
     "scale": (_fwd_scale, _bwd_scale, ()),
     "attention": (_fwd_attention, _bwd_attention, (0, 1, 2)),
-    "gelu": (_fwd_gelu, _bwd_gelu, (0,)),
+    "gelu": (_fwd_gelu, _bwd_gelu, ()),
     "layernorm": (_fwd_layernorm, _bwd_layernorm, (1,)),
     "softmax-rows": (_fwd_softmax_rows, _bwd_softmax_rows, ()),
     "softmax-ce": (_fwd_softmax_ce, _bwd_softmax_ce, (0,)),
@@ -568,6 +624,14 @@ _OPS: dict[str, tuple[Callable, Callable, tuple[int, ...]]] = {
     "patchify": (_fwd_patchify, _bwd_patchify, (0,)),
     "mean": (_fwd_mean, _bwd_mean, (0,)),
     "embed-lookup": (_fwd_embed_lookup, _bwd_embed_lookup, (0,)),
+}
+# op kind -> a forward that keeps nothing in aux, for a node no backward step reads
+_VALUE_ONLY: dict[str, Callable] = {"gelu": _gelu_value}
+# op kind -> (a rule that rebuilds its output in the backward from its inputs and its
+# aux by the forward's own code path, positions of the inputs it reads by value)
+_REBUILD: dict[str, tuple[Callable, tuple[int, ...]]] = {
+    "layernorm": (_layernorm_affine, (1, 2)),
+    "patchify": (_fwd_patchify, (0,)),
 }
 # op kind -> its input count: the forward rule's parameters before the aux
 _ARITY = {kind: fwd.__code__.co_argcount - 1 for kind, (fwd, _, _) in _OPS.items()}

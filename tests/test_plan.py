@@ -48,13 +48,19 @@ def _leaves(params, image) -> list[np.ndarray]:
     return [*(g.values for g in params.groups), image]
 
 
-def _wrap_rules(monkeypatch, forward=None, backward=None) -> None:
-    """Wrap each op kind's forward rule in `forward(kind, rule)` and its backward rule
-    in `backward(kind, rule)`; a plan compiled after this calls the wrappers."""
+def _wrap_rules(monkeypatch, forward=None, backward=None, rebuild=None) -> None:
+    """Wrap each op kind's forward rules, value-only ones too, in `forward(kind, rule)`,
+    its backward rule in `backward(kind, rule)` and its rebuild in `rebuild(kind, rule)`;
+    a plan compiled after this calls the wrappers."""
     for kind, (fwd, bwd, reads) in list(msga.tape._OPS.items()):
         monkeypatch.setitem(msga.tape._OPS, kind, (forward(kind, fwd) if forward else fwd,
                                                    backward(kind, bwd) if backward else bwd,
                                                    reads))
+    for kind, rule in list(msga.tape._VALUE_ONLY.items()):
+        monkeypatch.setitem(msga.tape._VALUE_ONLY, kind, forward(kind, rule) if forward else rule)
+    for kind, (rule, reads) in list(msga.tape._REBUILD.items()):
+        monkeypatch.setitem(msga.tape._REBUILD, kind, (rebuild(kind, rule) if rebuild else rule,
+                                                       reads))
 
 
 def _record_sources(monkeypatch) -> list[str]:
@@ -237,7 +243,15 @@ def test_backward_frees_each_value_and_its_aux_after_the_last_reader(monkeypatch
             return rule(g, *inputs)
         return rule_seeing_what_is_kept
 
-    _wrap_rules(monkeypatch, watched_forward, watched_backward)
+    def watched_rebuild(kind, rule):
+        def rebuild_watched(*args):
+            out = rule(*args)
+            assert out is not tape.values[args[-1]["nid"]]   # a fresh array, in its slot
+            values[args[-1]["nid"]] = weakref.ref(out)
+            return out
+        return rebuild_watched
+
+    _wrap_rules(monkeypatch, watched_forward, watched_backward, watched_rebuild)
     plan = Plan(tape, loss)
     kept = plan.replay(copies, samples[0][1])[1]
     del copies   # the forward dropped each leaf no backward rule reads
@@ -250,11 +264,21 @@ def test_backward_frees_each_value_and_its_aux_after_the_last_reader(monkeypatch
     steps = [nid for nid, *_ in seen]
     assert steps == sorted(ancestors - set(leaves), reverse=True)
     assert kept == [] and not alive(values) and not alive(markers)
+    # a value the backward rebuilds is not kept: its rebuild's inputs are, until the
+    # value's first reader, and it is alive from there on
+    declared = {s for m in steps for s in _declared(tape, m) if s is not None}
+    kept_values = {i for i, aux in plan_source(tape, loss)[1] if not aux}
+    rebuilt = {i: [tape.nodes[i].inputs[k] for k in msga.tape._REBUILD[tape.nodes[i].op][1]]
+               for i in declared - kept_values}   # each with the inputs its rebuild reads
+    assert {tape.nodes[i].op for i in rebuilt} == {"layernorm", "patchify"}
+    first = {i: min(k for k, m in enumerate(steps) if i in _declared(tape, m)) for i in rebuilt}
     for k, (nid, auxes, handed, held) in enumerate(seen):
         now = steps[k:]
         assert auxes == set(now), k
         assert handed == _declared(tape, nid), k
-        assert held == {s for m in now for s in _declared(tape, m) if s is not None}, k
+        assert held == ({s for m in now for s in _declared(tape, m) if s is not None}
+                        - {i for i in rebuilt if first[i] > k}
+                        | {j for i in rebuilt if first[i] >= k for j in rebuilt[i]}), k
     # the training graph's residual adds and layernorm inputs are read by shape only
     read = {s for _, _, handed, _ in seen for s in handed}
     assert any(n.op == "add" and nid not in read for nid, n in enumerate(tape.nodes))
@@ -359,13 +383,15 @@ def test_a_rule_handed_none_for_a_slot_it_reads_raises(monkeypatch) -> None:
     for tape, loss in graphs:
         calls.clear()
         tape.backward(loss)   # whole entries go through, the tape's own aux included
+        kept = {i for i, aux in plan_source(tape, loss)[1] if not aux}
         node_of = {id(n.aux): nid for nid, n in enumerate(tape.nodes)}
         for rule, args, aux in calls:
             nid = node_of[id(aux)]
             n = tape.nodes[nid]
             slots = _declared(tape, nid)   # the plan hands these values, None elsewhere
-            assert [id(None if i is None else tape.values[i]) for i in slots] == list(
-                map(id, args)), nid
+            for i, a in zip(slots, args, strict=True):   # a rebuilt value: fresh, same bytes
+                assert a is (None if i is None else tape.values[i]) or i not in kept and (
+                    a.tobytes() == tape.values[i].tobytes()), nid
             g = rng.standard_normal(tape.values[nid].shape)
             every = rule(g, *(tape.values[i] for i in n.inputs), aux)
             assert [a.tobytes() for a in rule(g, *args, aux)] == [a.tobytes() for a in every]
@@ -379,6 +405,7 @@ def test_a_rule_handed_none_for_a_slot_it_reads_raises(monkeypatch) -> None:
             checked.add(n.op)
     assert checked == set(OP_KINDS)
     assert ("softmax-rows", "probs") in dropped and ("attention", "probs") in dropped
+    assert ("gelu", "deriv") in dropped
 
 
 @pytest.mark.parametrize("label", [3, 256])
@@ -545,8 +572,8 @@ def test_forward_plan_keeps_its_checks() -> None:
 
 
 # tracemalloc peak of default medsaga over steps 3-7 when the bound was set
-# (x86_64, numpy 2.4, Python 3.11); 740,497 B inside the whole suite
-TRAIN_PEAK_BYTES = 742_721
+# (x86_64, numpy 2.4, Python 3.11); 623,938 B inside the whole suite
+TRAIN_PEAK_BYTES = 629_025
 
 
 def test_default_training_peak_after_step_2_stays_within_its_bound(monkeypatch) -> None:
@@ -647,6 +674,63 @@ def test_plan_source_hands_each_rule_its_inputs_as_plain_arguments(monkeypatch, 
         assert all(isinstance(a, ast.Name) or isinstance(a, ast.Constant) and a.value is None
                    for a in call.args[:-1]), ast.unparse(call)
         assert isinstance(aux, (ast.Name, ast.NamedExpr, ast.Dict)), ast.unparse(call)
+
+
+def test_a_forward_only_plan_runs_value_only_gelu_and_a_training_plan_rebuilds_late(
+        monkeypatch) -> None:
+    # forward-only: no gelu derivative is computed and nothing is rebuilt. Training: each
+    # rebuilt value is bound by its rebuild, after the backward step before its first
+    # reader, and every gelu on the backward path keeps its derivative
+    def calls(text: str) -> list[str]:
+        return re.findall(r"\b((?:fwd|val|bwd|rb)_\w+)\(", text)
+
+    forward_only = _two_compiles(monkeypatch, "forward-only")[0]
+    assert "val_gelu" in calls(forward_only) and "fwd_gelu" not in calls(forward_only)
+    assert not [c for c in calls(forward_only) if c.startswith("rb_")]
+    training = _two_compiles(monkeypatch, "training")[0]
+    forward_text, backward_text = training.split("\n\n    def backward(K):\n")
+    assert "fwd_gelu" in calls(forward_text) and "val_gelu" not in calls(forward_text)
+    lines = backward_text.splitlines()
+    rebuilds = [(k, m[1], m[2]) for k, line in enumerate(lines)
+                if (m := re.match(r"\s*(v\d+) = (rb_\w+)\(", line))]
+    assert {rule for *_, rule in rebuilds} == {"rb_layernorm", "rb_patchify"}
+    for k, value, _ in rebuilds:
+        readers = [j for j, line in enumerate(lines) if "= bwd_" in line
+                   and re.search(rf"\b{value}\b", line)]
+        assert readers and k < readers[0], (value, lines[k])
+        assert all(re.match(r"\s*v\d+ = rb_", line) for line in lines[k:readers[0]])
+
+
+def _kept_bytes(tape: Tape, kept: list[tuple[int, bool]]) -> int:
+    """Bytes of the non-leaf values and of the arrays their forwards kept in aux that a
+    kept list holds; leaves and op arguments are held elsewhere."""
+    def size(x) -> int:
+        return x.nbytes if isinstance(x, np.ndarray) else sum(map(size, x)) if isinstance(
+            x, tuple) else 0
+
+    nodes = tape.nodes
+    return sum(size(tuple(v for k, v in nodes[i].aux.items() if k not in nodes[i].args))
+               if aux else tape.values[i].nbytes for i, aux in kept if nodes[i].op != "leaf")
+
+
+# bytes default medsaga keeps per sample for its backward: a value or intermediate kept
+# past its last reader, or kept where it could be rebuilt, raises it
+KEPT_BYTES = 326_216
+
+
+def test_default_medsaga_keeps_its_pinned_bytes_per_sample(monkeypatch) -> None:
+    cfg = RunConfig()
+    params, samples = _setup(cfg)
+    seen, original = [], msga.tape.plan_source
+
+    def recording(tape, *args):
+        source, kept, consts = original(tape, *args)
+        seen.append(_kept_bytes(tape, kept))
+        return source, kept, consts
+
+    monkeypatch.setattr(msga.tape, "plan_source", recording)
+    compile_loss_plan(params, *samples[0], cfg)
+    assert seen == [KEPT_BYTES]
 
 
 # tracemalloc current bytes that compile_loss_plan's result held at default medsaga

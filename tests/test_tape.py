@@ -23,7 +23,10 @@ from msga.tape import (
     _fwd_layernorm,
     _fwd_softmax_rows,
     _gelu_inner,
+    _gelu_value,
     _OPS,
+    _REBUILD,
+    _VALUE_ONLY,
     _normalize_rows,
     finite_diff_check,
 )
@@ -276,6 +279,10 @@ def test_every_backward_rule_takes_the_adjoint_then_the_forward_rules_parameters
         assert [p.name for p in bwd] == ["g", *(p.name for p in fwd)], op
         assert len(fwd) == count + 1 and fwd[-1].name == "aux", op
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in bwd), op
+    # a value-only forward and a rebuild take the forward rule's parameters
+    for op, rule in [*_VALUE_ONLY.items(), *((op, rule) for op, (rule, _) in _REBUILD.items())]:
+        assert inspect.signature(rule).parameters.keys() == (
+            inspect.signature(_OPS[op][0]).parameters.keys()), op
 
 
 def test_record_hands_each_rule_the_recorded_values_positionally(monkeypatch) -> None:
@@ -447,14 +454,14 @@ def test_layernorm_adjoint_from_kept_intermediates_matches_recomputation(rows: i
     assert np.array_equal(dbias, g.sum(axis=0, keepdims=True))
 
 
-def test_gelu_adjoint_from_kept_tanh_matches_recomputation() -> None:
+def test_gelu_adjoint_from_kept_derivative_matches_recomputation() -> None:
     rng = np.random.default_rng(23)
     x = np.concatenate([rng.normal(0.0, 3.0, 4096), np.linspace(-40.0, 40.0, 801), [0.0]])[None, :]
     g = rng.standard_normal(x.shape)
     aux: dict = {}
-    out = _fwd_gelu(x, aux)
-    assert set(aux) == {"tanh"}
-    (dx,) = _bwd_gelu(g, x, aux)
+    _fwd_gelu(x, aux)
+    assert set(aux) == {"deriv"}
+    (dx,) = _bwd_gelu(g, None, aux)   # reads no input
 
     t = np.tanh(_gelu_inner(x))
     dinner = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * GELU_COEF * (x * x))
@@ -467,13 +474,15 @@ def test_gelu_adjoint_in_place_keeps_the_nested_expressions_bits() -> None:
     g = rng.standard_normal(x.shape)
     aux: dict = {}
     out = _fwd_gelu(x, aux)
-    t = aux["tanh"]
-    # the forward runs in place too
-    assert t.tobytes() == np.tanh(np.sqrt(2.0 / np.pi) * (x + GELU_COEF * (x * x * x))).tobytes()
-    assert out.tobytes() == (0.5 * x * (1.0 + t)).tobytes()
+    t = np.tanh(np.sqrt(2.0 / np.pi) * (x + GELU_COEF * (x * x * x)))
     dinner = np.sqrt(2.0 / np.pi) * (1.0 + 3.0 * GELU_COEF * (x * x))
-    (dx,) = _bwd_gelu(g, x, aux)
-    assert np.array_equal(dx, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner))
+    deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+    # both forwards run in place, the training one keeping the derivative too
+    assert out.tobytes() == (0.5 * x * (1.0 + t)).tobytes()
+    assert _gelu_value(x, {}).tobytes() == out.tobytes()
+    assert aux["deriv"].tobytes() == deriv.tobytes()
+    (dx,) = _bwd_gelu(g, None, aux)
+    assert np.array_equal(dx, g * deriv)
 
 
 def test_in_place_softmax_adjoints_keep_the_expressions_bits() -> None:
@@ -491,20 +500,52 @@ def test_in_place_softmax_adjoints_keep_the_expressions_bits() -> None:
 
 
 def test_gelu_adjoint_holds_at_most_three_buffers() -> None:
-    # the nested expression rose about 160 KiB for a 32 KiB result on 64x64
+    # on 64x64 the training forward holds t, h and d, returning d and keeping t as the
+    # derivative (computing the output first held four); the value-only forward holds t
+    # and its output; the backward allocates only its result
     rng = np.random.default_rng(31)
     x, g = rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
     aux: dict = {}
-    _fwd_gelu(x, aux)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        (dx,) = _bwd_gelu(g, x, aux)
-        rise = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert dx.shape == (64, 64)
-    assert rise <= 3 * 32 * 1024, rise
+    calls = (lambda: _fwd_gelu(x, aux), lambda: _gelu_value(x, {}), lambda: _bwd_gelu(g, None, aux))
+    rises = []
+    for call in calls:
+        call()   # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            rises.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    buffer = x.nbytes   # each rise is its buffers plus array headers well under one more
+    assert [rise // buffer for rise in rises] == [3, 2, 1], rises
+
+
+@pytest.mark.parametrize("op", sorted(_REBUILD))
+def test_each_rebuild_returns_its_forwards_output_bytes(op: str) -> None:
+    # a rebuild runs the forward's own code path on the inputs it declares (None
+    # elsewhere) and the recorded aux: on the C3 graph's values and on random ones
+    rng = np.random.default_rng(53)
+    graphs = [(OP_GRAPHS[op], op_graph_params(op))]
+    if op == "layernorm":
+        graphs += [(lambda t, ids: t.layernorm(*ids),
+                    [rng.normal(0.0, 4.0, (rows, width)), rng.uniform(0.5, 1.5, (1, width)),
+                     rng.standard_normal((1, width))]) for rows, width in ((64, 16), (5, 7))]
+    else:
+        graphs += [(lambda t, ids, p=p: t.patchify(ids[0], p), [rng.standard_normal(shape)])
+                   for shape, p in (((32, 32), 4), ((12, 8), 2), ((3, 3), 1))]
+    rule, reads = _REBUILD[op]
+    for build, params in graphs:
+        tape = Tape()
+        build(tape, [tape.leaf(p) for p in params])
+        nodes = [(nid, n) for nid, n in enumerate(tape.nodes) if n.op == op]
+        assert nodes
+        for nid, n in nodes:
+            args = [tape.value(i) if k in reads else None for k, i in enumerate(n.inputs)]
+            out = rule(*args, n.aux)
+            want = tape.value(nid)
+            assert out.dtype == want.dtype and out.shape == want.shape
+            assert out.tobytes() == want.tobytes()
 
 
 def test_scale_adjoint_is_an_ndarray_with_the_products_bits() -> None:
