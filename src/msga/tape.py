@@ -6,11 +6,15 @@ record matmul, add (same shape or a broadcast row), linear (`x @ w + b`),
 single-head attention (`softmax(q k^T c) v`), tanh-gelu, layernorm, fused
 softmax cross-entropy, fused soft dice, scalar scale and patchify. The fused
 linear and attention rules are compositions of the matmul, add, scale and
-row-softmax rules, so they share those rules' shape checks and derivatives
+row-softmax rules, so they share those ops' shape checks and derivatives
 and give the same bytes as the elementary chain. Row softmax, reshape, mean,
 embedding lookup and matmul's transpose_b flag remain only because the
 gradient-correctness acceptance check (C3) pins them. Values are float64
-ndarrays; losses are 0-d.
+ndarrays; losses are 0-d. Tape.record runs each op kind's shape checks once,
+before its forward rule, and a check may add an op argument (add's and
+linear's `row`, whether the second summand is a broadcast row); the rules run
+no shape check, since a replay's leaves have the recorded shapes and those fix
+every value's. Checks of the labels' values stay in the loss rules.
 
 A forward rule may keep intermediates for its backward in the node's `aux`:
 row softmax and attention keep their probabilities, layernorm its normalized
@@ -30,11 +34,14 @@ leaves and the loss. Each op kind declares the inputs its backward reads
 its aux from its forward op until its own backward step; every other value is
 deleted after its last forward reader. An op kind may declare a rebuild rule,
 its forward's own code path, and the inputs it reads: the plan then keeps
-those inputs in place of a value, when they are leaves or kept anyway and the
-node's aux is kept or holds only op arguments, and rebuilds the value just
-before its first backward reader (layernorm from its kept `xhat`, patchify
-from the image). A node whose aux no backward step reads runs its op's
-value-only forward where one is declared (gelu, without its derivative).
+those inputs in place of a value, when they are leaves, kept anyway or rebuilt
+themselves and the node's aux is kept or holds only op arguments, and rebuilds
+the value just before its first reader, a backward rule or another rebuild
+(layernorm from its kept `xhat`, patchify from the image, matmul from its two
+inputs, attention from its kept probabilities and v). So an encoder block's
+q, k and v are rebuilt from the rebuilt layernorm output, and its attention
+output from the rebuilt v. A node whose aux no backward step reads runs its
+op's value-only forward where one is declared (gelu, without its derivative).
 Training records one tape per run and replays its plan once per step;
 Tape.backward runs the emitted backward on the tape's recorded values. A leaf
 may carry a name, which a replay error reports in place of its id. Gradients
@@ -93,8 +100,11 @@ class Tape:
         for i in ids:
             if not 0 <= i < len(self.nodes):
                 raise ValueError(f"{op}: input id {i} not on this tape")
-        keys = tuple(aux)
-        self.values.append(_OPS[op][0](*(self.values[i] for i in ids), aux))
+        values = [self.values[i] for i in ids]
+        if op in _CHECKS:
+            _CHECKS[op](*values, aux)
+        keys = tuple(aux)   # the op's arguments, a check's included
+        self.values.append(_OPS[op][0](*values, aux))
         self.nodes.append(TapeNode(op, ids, aux, keys))
         return len(self.nodes) - 1
 
@@ -208,8 +218,9 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
     reads. A `plan(np, A, <rules>)` factory returns `forward(labels, *leaves)`, one local
     per value, one line per op, a `del` after a value's last reader unless K keeps it,
     returning the `reads` and K; and `backward(K)`, one rule call per backward node,
-    each rebuilt value's rebuild just before its first reader, returning the dict G of
-    the wanted leaves' adjoints."""
+    each rebuilt value's rebuild just before its first reader, a rule or a rebuild (a
+    step's rebuilds in node order, so inputs first), returning the dict G of the wanted
+    leaves' adjoints."""
     nodes, values = tape.nodes, tape.values
     leaves = [nid for nid, n in enumerate(nodes) if n.op == "leaf"]
     wanted = set(leaves if wanted is None else wanted)
@@ -233,14 +244,17 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
         auxes[nid] = f"{{{', '.join(items)}}}"
     read = {i for _, args in steps for i in args if i is not None}
     rebuilt = {}   # a read value the backward rebuilds -> its rebuild's inputs, None if unread
-    for i in sorted(read):   # in node order, so a rebuild's inputs are settled before it
+    for i in sorted(read):   # in node order, so a step emits a rebuild's inputs first
         n = nodes[i]
         rule, at = _REBUILD.get(n.op, (None, ()))
         ins = [j if k in at else None for k, j in enumerate(n.inputs)]
         if rule and (i in live or n.aux.keys() == set(n.args)) and all(
-                j is None or nodes[j].op == "leaf" or j in read and j not in rebuilt for j in ins):
+                j is None or nodes[j].op == "leaf" or j in read for j in ins):
             rebuilt[i] = ins
-    first = {i: min(k for k, (_, args) in enumerate(steps) if i in args) for i in rebuilt}
+    first = {}   # the step a rebuild runs at: its first reader's, a rule's or a rebuild's
+    for i in sorted(rebuilt, reverse=True):   # each rebuild that reads it is settled first
+        first[i] = min([*(k for k, (_, args) in enumerate(steps) if i in args),
+                        *(first[d] for d in first if i in rebuilt[d])])
     # uses[k]: the values read at backward step k, by its rebuilds and then by its rule
     uses = [[*(j for i in rebuilt if first[i] == k for j in rebuilt[i] if j is not None),
              *(i for i in args if i is not None)] for k, (_, args) in enumerate(steps)]
@@ -307,7 +321,8 @@ def _compile(source: str, consts: tuple) -> tuple[Callable, Callable]:
 
 
 # ---------------------------------------------------------------------------
-# forward rules
+# shape checks, run once when an op is recorded: a replay's leaves have the recorded
+# shapes, and those fix every value's shape. A check may add an op argument
 
 
 def _check_2d(op: str, *arrays: np.ndarray) -> None:
@@ -316,33 +331,91 @@ def _check_2d(op: str, *arrays: np.ndarray) -> None:
             raise ValueError(f"{op}: expected 2-D value, got shape {a.shape}")
 
 
-def _fwd_matmul(a, b, aux):
+def _check_inner(a: tuple, b: tuple, transpose_b: bool) -> None:
+    b_eff = b[::-1] if transpose_b else b
+    if a[1] != b_eff[0]:
+        raise ValueError(f"matmul: inner dimensions disagree, {a} @ {b_eff} "
+                         f"(transpose_b={transpose_b})")
+
+
+def _check_matmul(a, b, aux):
     _check_2d("matmul", a, b)
-    b_eff = b.T if aux["transpose_b"] else b
-    if a.shape[1] != b_eff.shape[0]:
-        raise ValueError(f"matmul: inner dimensions disagree, {a.shape} @ {b_eff.shape} "
-                         f"(transpose_b={aux['transpose_b']})")
-    return a @ b_eff
+    _check_inner(a.shape, b.shape, aux["transpose_b"])
+
+
+def _check_sum(a: tuple, b: tuple, aux) -> None:
+    aux["row"] = a != b   # whether b is a broadcast row; the backward reads no shape
+    if not (a == b or len(a) == 2 and b == (1, a[1])):
+        raise ValueError(f"add: shapes {a} and {b} are neither equal nor row-broadcast")
+
+
+def _check_add(a, b, aux):
+    _check_sum(a.shape, b.shape, aux)
+
+
+def _check_linear(x, w, b, aux):
+    _check_matmul(x, w, _NN)
+    _check_sum((x.shape[0], w.shape[1]), b.shape, aux)
+
+
+def _check_attention(q, k, v, aux):
+    _check_matmul(q, k, _NT)   # the scores; then probs v
+    _check_2d("matmul", v)
+    _check_inner((q.shape[0], k.shape[0]), v.shape, False)
+
+
+def _check_layernorm(x, gain, bias, aux):
+    _check_2d("layernorm", x, gain, bias)
+    if gain.shape != (1, x.shape[1]) or bias.shape != (1, x.shape[1]):
+        raise ValueError(
+            f"layernorm: gain/bias must be (1, {x.shape[1]}), got {gain.shape} and {bias.shape}"
+        )
+
+
+def _check_softmax_rows(x, aux):
+    _check_2d("softmax-rows", x)
+
+
+def _check_reshape(a, aux):
+    if int(np.prod(aux["shape"])) != a.size:
+        raise ValueError(f"reshape: cannot view {a.shape} as {aux['shape']}")
+
+
+def _check_patchify(img, aux):
+    p = aux["patch"]
+    _check_2d("patchify", img)
+    h, w = img.shape
+    if h % p or w % p:
+        raise ValueError(f"patchify: image {h}x{w} not divisible by patch {p}")
+
+
+def _check_embed_lookup(table, aux):
+    idx = aux["indices"]
+    _check_2d("embed-lookup", table)
+    if idx.ndim != 1:
+        raise ValueError(f"embed-lookup: indices must be 1-D, got {idx.shape}")
+    if idx.min(initial=0) < 0 or idx.max(initial=0) >= table.shape[0]:
+        raise ValueError(f"embed-lookup: index outside 0..{table.shape[0] - 1}")
+
+
+# ---------------------------------------------------------------------------
+# forward rules
+
+
+def _fwd_matmul(a, b, aux):
+    return a @ (b.T if aux["transpose_b"] else b)
 
 
 _NN = {"transpose_b": False}
 _NT = {"transpose_b": True}
 
 
-def _check_add(a, b, aux):
-    aux["row"] = a.shape != b.shape   # whether b is a broadcast row; the backward reads no shape
-    if not (a.shape == b.shape or a.ndim == 2 and b.shape == (1, a.shape[1])):
-        raise ValueError(f"add: shapes {a.shape} and {b.shape} are neither equal nor row-broadcast")
-
-
 def _fwd_add(a, b, aux):
-    _check_add(a, b, aux)
     return np.asarray(a + b)   # a 0-d sum is a numpy scalar otherwise
 
 
 def _fwd_linear(x, w, b, aux):
     xw = _fwd_matmul(x, w, _NN)
-    _check_add(xw, b, aux)
     xw += b
     return xw
 
@@ -354,7 +427,13 @@ def _fwd_scale(a, aux):
 def _fwd_attention(q, k, v, aux):
     scores = _fwd_matmul(q, k, _NT)
     scores *= aux["c"]
-    return _fwd_matmul(_fwd_softmax_rows(scores, aux), v, _NN)
+    _fwd_softmax_rows(scores, aux)
+    return _attention_output(q, k, v, aux)
+
+
+def _attention_output(q, k, v, aux):
+    """probs v from the kept probabilities: the attention forward's output and its rebuild."""
+    return _fwd_matmul(aux["probs"], v, _NN)
 
 
 def _gelu_inner(x):
@@ -402,11 +481,6 @@ def _fwd_gelu(x, aux):
 
 
 def _fwd_layernorm(x, gain, bias, aux):
-    _check_2d("layernorm", x, gain, bias)
-    if gain.shape != (1, x.shape[1]) or bias.shape != (1, x.shape[1]):
-        raise ValueError(
-            f"layernorm: gain/bias must be (1, {x.shape[1]}), got {gain.shape} and {bias.shape}"
-        )
     aux["xhat"], aux["std"] = _normalize_rows(x)
     return _layernorm_affine(x, gain, bias, aux)
 
@@ -432,7 +506,6 @@ def _normalize_rows(x):
 
 
 def _fwd_softmax_rows(x, aux):
-    _check_2d("softmax-rows", x)
     aux["probs"] = p = softmax_last_dim(x)
     return p
 
@@ -475,18 +548,12 @@ def _fwd_soft_dice(z, aux):
 
 
 def _fwd_reshape(a, aux):
-    shape = aux["shape"]
-    if int(np.prod(shape)) != a.size:
-        raise ValueError(f"reshape: cannot view {a.shape} as {shape}")
-    return a.reshape(shape)
+    return a.reshape(aux["shape"])
 
 
 def _fwd_patchify(img, aux):
     p = aux["patch"]
-    _check_2d("patchify", img)
     h, w = img.shape
-    if h % p or w % p:
-        raise ValueError(f"patchify: image {h}x{w} not divisible by patch {p}")
     gh, gw = h // p, w // p
     return img.reshape(gh, p, gw, p).transpose(0, 2, 1, 3).reshape(gh * gw, p * p)
 
@@ -496,13 +563,7 @@ def _fwd_mean(a, aux):
 
 
 def _fwd_embed_lookup(table, aux):
-    idx = aux["indices"]
-    _check_2d("embed-lookup", table)
-    if idx.ndim != 1:
-        raise ValueError(f"embed-lookup: indices must be 1-D, got {idx.shape}")
-    if idx.min(initial=0) < 0 or idx.max(initial=0) >= table.shape[0]:
-        raise ValueError(f"embed-lookup: index outside 0..{table.shape[0] - 1}")
-    return table[idx]
+    return table[aux["indices"]]
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +686,26 @@ _OPS: dict[str, tuple[Callable, Callable, tuple[int, ...]]] = {
     "mean": (_fwd_mean, _bwd_mean, (0,)),
     "embed-lookup": (_fwd_embed_lookup, _bwd_embed_lookup, (0,)),
 }
+# op kind -> its shape checks, run by Tape.record before the forward rule and never by
+# a replay; the checks of the op's labels depend on their values and stay in its rules
+_CHECKS: dict[str, Callable] = {
+    "matmul": _check_matmul,
+    "add": _check_add,
+    "linear": _check_linear,
+    "attention": _check_attention,
+    "layernorm": _check_layernorm,
+    "softmax-rows": _check_softmax_rows,
+    "reshape": _check_reshape,
+    "patchify": _check_patchify,
+    "embed-lookup": _check_embed_lookup,
+}
 # op kind -> a forward that keeps nothing in aux, for a node no backward step reads
 _VALUE_ONLY: dict[str, Callable] = {"gelu": _gelu_value}
 # op kind -> (a rule that rebuilds its output in the backward from its inputs and its
 # aux by the forward's own code path, positions of the inputs it reads by value)
 _REBUILD: dict[str, tuple[Callable, tuple[int, ...]]] = {
+    "matmul": (_fwd_matmul, (0, 1)),
+    "attention": (_attention_output, (2,)),
     "layernorm": (_layernorm_affine, (1, 2)),
     "patchify": (_fwd_patchify, (0,)),
 }

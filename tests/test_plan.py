@@ -264,21 +264,27 @@ def test_backward_frees_each_value_and_its_aux_after_the_last_reader(monkeypatch
     steps = [nid for nid, *_ in seen]
     assert steps == sorted(ancestors - set(leaves), reverse=True)
     assert kept == [] and not alive(values) and not alive(markers)
-    # a value the backward rebuilds is not kept: its rebuild's inputs are, until the
-    # value's first reader, and it is alive from there on
+    # a value the backward rebuilds is not kept: its rebuild's inputs are, kept or
+    # rebuilt, until the value's first reader, a rule or a rebuild, and it is alive from
+    # the step of that reader on
     declared = {s for m in steps for s in _declared(tape, m) if s is not None}
     kept_values = {i for i, aux in plan_source(tape, loss)[1] if not aux}
     rebuilt = {i: [tape.nodes[i].inputs[k] for k in msga.tape._REBUILD[tape.nodes[i].op][1]]
-               for i in declared - kept_values}   # each with the inputs its rebuild reads
-    assert {tape.nodes[i].op for i in rebuilt} == {"layernorm", "patchify"}
-    first = {i: min(k for k, m in enumerate(steps) if i in _declared(tape, m)) for i in rebuilt}
+               for i in sorted(declared - kept_values)}   # each with its rebuild's inputs
+    assert {tape.nodes[i].op for i in rebuilt} == {"layernorm", "patchify", "matmul",
+                                                   "attention"}
+    assert any(set(ins) & set(rebuilt) for ins in rebuilt.values())   # a chained rebuild
+    first: dict[int, int] = {}
+    for i in reversed(rebuilt):
+        first[i] = min([*(k for k, m in enumerate(steps) if i in _declared(tape, m)),
+                        *(first[d] for d in first if i in rebuilt[d])])
     for k, (nid, auxes, handed, held) in enumerate(seen):
         now = steps[k:]
         assert auxes == set(now), k
         assert handed == _declared(tape, nid), k
         assert held == ({s for m in now for s in _declared(tape, m) if s is not None}
-                        - {i for i in rebuilt if first[i] > k}
-                        | {j for i in rebuilt if first[i] >= k for j in rebuilt[i]}), k
+                        | {j for i in rebuilt if first[i] >= k for j in rebuilt[i]}
+                        ) - {i for i in rebuilt if first[i] > k}, k
     # the training graph's residual adds and layernorm inputs are read by shape only
     read = {s for _, _, handed, _ in seen for s in handed}
     assert any(n.op == "add" and nid not in read for nid, n in enumerate(tape.nodes))
@@ -572,8 +578,8 @@ def test_forward_plan_keeps_its_checks() -> None:
 
 
 # tracemalloc peak of default medsaga over steps 3-7 when the bound was set
-# (x86_64, numpy 2.4, Python 3.11); 623,938 B inside the whole suite
-TRAIN_PEAK_BYTES = 629_025
+# (x86_64, numpy 2.4, Python 3.11); 558,634 B inside the whole suite
+TRAIN_PEAK_BYTES = 564_514
 
 
 def test_default_training_peak_after_step_2_stays_within_its_bound(monkeypatch) -> None:
@@ -679,8 +685,9 @@ def test_plan_source_hands_each_rule_its_inputs_as_plain_arguments(monkeypatch, 
 def test_a_forward_only_plan_runs_value_only_gelu_and_a_training_plan_rebuilds_late(
         monkeypatch) -> None:
     # forward-only: no gelu derivative is computed and nothing is rebuilt. Training: each
-    # rebuilt value is bound by its rebuild, after the backward step before its first
-    # reader, and every gelu on the backward path keeps its derivative
+    # rebuilt value is bound by its rebuild, after the rebuilds of its rebuilt inputs and
+    # after the backward step before its first reader, a rule or another rebuild; every
+    # gelu on the backward path keeps its derivative
     def calls(text: str) -> list[str]:
         return re.findall(r"\b((?:fwd|val|bwd|rb)_\w+)\(", text)
 
@@ -693,12 +700,18 @@ def test_a_forward_only_plan_runs_value_only_gelu_and_a_training_plan_rebuilds_l
     lines = backward_text.splitlines()
     rebuilds = [(k, m[1], m[2]) for k, line in enumerate(lines)
                 if (m := re.match(r"\s*(v\d+) = (rb_\w+)\(", line))]
-    assert {rule for *_, rule in rebuilds} == {"rb_layernorm", "rb_patchify"}
+    assert {rule for *_, rule in rebuilds} == {"rb_layernorm", "rb_patchify", "rb_matmul",
+                                               "rb_attention"}
+    bound_at = {value: k for k, value, _ in rebuilds}
     for k, value, _ in rebuilds:
-        readers = [j for j, line in enumerate(lines) if "= bwd_" in line
-                   and re.search(rf"\b{value}\b", line)]
+        readers = [j for j, line in enumerate(lines) if j != k and re.search(
+            r"= (bwd|rb)_", line) and re.search(rf"\b{value}\b", line)]
         assert readers and k < readers[0], (value, lines[k])
         assert all(re.match(r"\s*v\d+ = rb_", line) for line in lines[k:readers[0]])
+        inputs = re.findall(r"\bv\d+\b", lines[k].split("=", 1)[1])
+        assert all(bound_at[i] < k for i in inputs if i in bound_at), lines[k]
+    assert any(i in bound_at for _, value, _ in rebuilds   # a rebuild reads a rebuilt value
+               for i in re.findall(r"\bv\d+\b", lines[bound_at[value]].split("=", 1)[1]))
 
 
 def _kept_bytes(tape: Tape, kept: list[tuple[int, bool]]) -> int:
@@ -715,7 +728,7 @@ def _kept_bytes(tape: Tape, kept: list[tuple[int, bool]]) -> int:
 
 # bytes default medsaga keeps per sample for its backward: a value or intermediate kept
 # past its last reader, or kept where it could be rebuilt, raises it
-KEPT_BYTES = 326_216
+KEPT_BYTES = 260_680
 
 
 def test_default_medsaga_keeps_its_pinned_bytes_per_sample(monkeypatch) -> None:

@@ -8,17 +8,20 @@ import zlib
 import numpy as np
 import pytest
 
+import msga.tape
 from msga.linalg import softmax_last_dim
 from msga.tape import (
     GELU_COEF,
     LAYERNORM_EPS,
     OP_KINDS,
+    Plan,
     Tape,
     _bwd_gelu,
     _bwd_layernorm,
     _bwd_scale,
     _bwd_softmax_ce,
     _bwd_softmax_rows,
+    _CHECKS,
     _fwd_gelu,
     _fwd_layernorm,
     _fwd_softmax_rows,
@@ -279,8 +282,9 @@ def test_every_backward_rule_takes_the_adjoint_then_the_forward_rules_parameters
         assert [p.name for p in bwd] == ["g", *(p.name for p in fwd)], op
         assert len(fwd) == count + 1 and fwd[-1].name == "aux", op
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in bwd), op
-    # a value-only forward and a rebuild take the forward rule's parameters
-    for op, rule in [*_VALUE_ONLY.items(), *((op, rule) for op, (rule, _) in _REBUILD.items())]:
+    # a shape check, a value-only forward and a rebuild take the forward rule's parameters
+    for op, rule in [*_CHECKS.items(), *_VALUE_ONLY.items(),
+                     *((op, rule) for op, (rule, _) in _REBUILD.items())]:
         assert inspect.signature(rule).parameters.keys() == (
             inspect.signature(_OPS[op][0]).parameters.keys()), op
 
@@ -414,6 +418,83 @@ def test_fused_ops_keep_the_elementary_shape_errors() -> None:
         tape.attention(leaf(2, 3), leaf(5, 3), leaf(4, 2), 1.0)
 
 
+# op kind -> a record its shape check rejects, and the error's start
+BAD_RECORDS = {
+    "matmul": (lambda t: t.matmul(t.leaf(np.zeros(3)), t.leaf(np.zeros((3, 2)))),
+               "matmul: expected 2-D"),
+    "add": (lambda t: t.add(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((2, 1)))), "add: shapes"),
+    "linear": (lambda t: t.linear(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((3, 4))),
+                                  t.leaf(np.zeros((2, 5)))), "add: shapes"),
+    "attention": (lambda t: t.attention(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((5, 3))),
+                                        t.leaf(np.zeros(5)), 1.0), "matmul: expected 2-D"),
+    "layernorm": (lambda t: t.layernorm(t.leaf(np.zeros((2, 3))), t.leaf(np.ones((1, 3))),
+                                        t.leaf(np.zeros((1, 2)))), "layernorm: gain/bias"),
+    "softmax-rows": (lambda t: t.softmax_rows(t.leaf(np.zeros((2, 3, 1)))),
+                     "softmax-rows: expected 2-D"),
+    "reshape": (lambda t: t.reshape(t.leaf(np.zeros((2, 3))), (4, 2)), "reshape: cannot view"),
+    "patchify": (lambda t: t.patchify(t.leaf(np.zeros((6, 8))), 4), "patchify: image 6x8"),
+    "embed-lookup": (lambda t: t.embed_lookup(t.leaf(np.zeros((3, 2))), np.array([0, 3])),
+                     "embed-lookup: index outside"),
+}
+
+
+@pytest.mark.parametrize("op", sorted(BAD_RECORDS))
+def test_record_runs_each_shape_check_before_the_forward_rule(monkeypatch, op: str) -> None:
+    # the checks run once, when the op is recorded: the forward rule never sees the
+    # bad shapes, and the tape gains no node
+    assert BAD_RECORDS.keys() == _CHECKS.keys()
+    ran = []
+    monkeypatch.setitem(_OPS, op, (lambda *args: ran.append(args), *_OPS[op][1:]))
+    tape = Tape()
+    build, message = BAD_RECORDS[op]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build(tape)
+    assert not ran and all(n.op == "leaf" for n in tape.nodes)
+
+
+@pytest.mark.parametrize("op", OP_KINDS)
+def test_a_replay_runs_no_shape_check_and_rejects_a_leaf_of_another_shape(monkeypatch, op) -> None:
+    # the plan's forward calls the unchecked rules: its own leaf check stands for the
+    # shape checks, so a leaf of another shape fails there, naming the leaf
+    tape = Tape()
+    params = op_graph_params(op)
+    loss = OP_GRAPHS[op](tape, [tape.leaf(p) for p in params])
+    plan = Plan(tape, loss)
+    checked = []   # every check function a replay calls, by name
+
+    def watched(name, check):
+        def check_watched(*args):
+            checked.append(name)
+            return check(*args)
+        return check_watched
+
+    for name in [name for name in vars(msga.tape) if name.startswith("_check_")]:
+        monkeypatch.setattr(msga.tape, name, watched(name, getattr(msga.tape, name)))
+    for kind, check in list(_CHECKS.items()):
+        monkeypatch.setitem(_CHECKS, kind, watched(kind, check))
+    scalars, grads = plan.run([(params, _OP_LABELS)])
+    assert scalars == [] and grads.keys() == set(range(len(params)))
+    # only the label checks, which read the labels' values
+    assert set(checked) == ({"_check_labels", "_check_2d"}
+                            if op in ("softmax-ce", "soft-dice") else set()), checked
+    for i in range(len(params)):
+        bad = [*params[:i], np.zeros((2, *params[i].shape)), *params[i + 1:]]
+        with pytest.raises(ValueError, match=rf"^replay leaf {i}: expected float64 "):
+            plan.run([(bad, _OP_LABELS)])
+
+
+@pytest.mark.parametrize("op", ["softmax-ce", "soft-dice"])
+def test_a_replay_keeps_the_label_checks(op: str) -> None:
+    # labels change with every sample, so their checks stay in the rules a replay runs
+    tape = Tape()
+    params = op_graph_params(op)
+    plan = Plan(tape, OP_GRAPHS[op](tape, [tape.leaf(p) for p in params]))
+    for labels, message in ((np.array([0, 3, 1]), "label values outside 0..2"),
+                            (np.array([0, 1]), "labels shape")):
+        with pytest.raises(ValueError, match=f"^{op}: {message}"):
+            plan.run([(params, labels)])
+
+
 # ---------------------------------------------------------------------------
 # layernorm statistics and the intermediates kept on the node
 
@@ -521,31 +602,55 @@ def test_gelu_adjoint_holds_at_most_three_buffers() -> None:
     assert [rise // buffer for rise in rises] == [3, 2, 1], rises
 
 
-@pytest.mark.parametrize("op", sorted(_REBUILD))
-def test_each_rebuild_returns_its_forwards_output_bytes(op: str) -> None:
-    # a rebuild runs the forward's own code path on the inputs it declares (None
-    # elsewhere) and the recorded aux: on the C3 graph's values and on random ones
-    rng = np.random.default_rng(53)
+def _rebuild_graphs(op: str, rng: np.random.Generator) -> list[tuple]:
+    """(build, params) graphs that record `op`: its C3 graph, random shapes and, for
+    matmul and attention, the encoder block's chain, where each rebuild's inputs are
+    rebuilt values themselves."""
     graphs = [(OP_GRAPHS[op], op_graph_params(op))]
     if op == "layernorm":
         graphs += [(lambda t, ids: t.layernorm(*ids),
                     [rng.normal(0.0, 4.0, (rows, width)), rng.uniform(0.5, 1.5, (1, width)),
                      rng.standard_normal((1, width))]) for rows, width in ((64, 16), (5, 7))]
-    else:
+    elif op == "patchify":
         graphs += [(lambda t, ids, p=p: t.patchify(ids[0], p), [rng.standard_normal(shape)])
                    for shape, p in (((32, 32), 4), ((12, 8), 2), ((3, 3), 1))]
-    rule, reads = _REBUILD[op]
-    for build, params in graphs:
+    elif op == "matmul":
+        graphs += [(lambda t, ids, tb=tb: t.matmul(ids[0], ids[1], transpose_b=tb),
+                    [rng.standard_normal((n, m)), rng.standard_normal((p, m) if tb else (m, p))])
+                   for n, m, p, tb in ((64, 16, 16, False), (5, 7, 3, True), (1, 4, 9, False))]
+    else:
+        graphs += [(lambda t, ids, c=c: t.attention(*ids, c),
+                    [rng.standard_normal((n, d)), rng.standard_normal((n_kv, d)),
+                     rng.standard_normal((n_kv, d_v))])
+                   for n, n_kv, d, d_v, c in ((64, 64, 16, 16, 0.25), (5, 7, 3, 2, 0.6))]
+    if op in ("matmul", "attention"):   # q, k and v of a layernorm output, then attention
+        block = [rng.normal(0.0, 4.0, (64, 16)), rng.uniform(0.5, 1.5, (1, 16)),
+                 rng.standard_normal((1, 16)), *(rng.standard_normal((16, 16)) for _ in range(3))]
+        graphs.append((lambda t, ids: t.attention(*(t.matmul(t.layernorm(*ids[:3]), w)
+                                                    for w in ids[3:]), 0.25), block))
+    return graphs
+
+
+@pytest.mark.parametrize("op", sorted(_REBUILD))
+def test_each_rebuild_returns_its_forwards_output_bytes(op: str) -> None:
+    # a rebuild runs the forward's own code path on the inputs it declares (None
+    # elsewhere) and the recorded aux: on the C3 graph's values, on random ones and on
+    # values that are rebuilt themselves, as a plan's chained rebuilds are
+    rng = np.random.default_rng(53)
+    for build, params in _rebuild_graphs(op, rng):
         tape = Tape()
         build(tape, [tape.leaf(p) for p in params])
-        nodes = [(nid, n) for nid, n in enumerate(tape.nodes) if n.op == op]
-        assert nodes
-        for nid, n in nodes:
-            args = [tape.value(i) if k in reads else None for k, i in enumerate(n.inputs)]
-            out = rule(*args, n.aux)
-            want = tape.value(nid)
-            assert out.dtype == want.dtype and out.shape == want.shape
-            assert out.tobytes() == want.tobytes()
+        assert any(n.op == op for n in tape.nodes)
+        rebuilt: dict[int, np.ndarray] = {}   # every rebuildable value, in node order
+        for nid, n in enumerate(tape.nodes):
+            if n.op in _REBUILD:
+                rule, reads = _REBUILD[n.op]
+                args = [rebuilt.get(i, tape.value(i)) if k in reads else None
+                        for k, i in enumerate(n.inputs)]
+                rebuilt[nid] = out = rule(*args, n.aux)
+                want = tape.value(nid)
+                assert out is not want and out.dtype == want.dtype and out.shape == want.shape
+                assert out.tobytes() == want.tobytes(), (n.op, nid)
 
 
 def test_scale_adjoint_is_an_ndarray_with_the_products_bits() -> None:
