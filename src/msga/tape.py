@@ -10,11 +10,12 @@ row-softmax rules, so they share those ops' shape checks and derivatives
 and give the same bytes as the elementary chain. Row softmax, reshape, mean,
 embedding lookup and matmul's transpose_b flag remain only because the
 gradient-correctness acceptance check (C3) pins them. Values are float64
-ndarrays; losses are 0-d. Tape.record runs each op kind's shape checks once,
-before its forward rule, and a check may add an op argument (add's and
-linear's `row`, whether the second summand is a broadcast row); the rules run
-no shape check, since a replay's leaves have the recorded shapes and those fix
-every value's. Checks of the labels' values stay in the loss rules.
+ndarrays; losses are 0-d. Each op kind has one `OpRules` record in `_OPS`
+with all its rules. Tape.record runs the kind's shape checks once, before its
+forward rule, and a check may add an op argument (add's and linear's `row`,
+whether the second summand is a broadcast row); the rules run no shape check,
+since a replay's leaves have the recorded shapes and those fix every value's.
+Checks of the labels' values stay in the loss rules.
 
 A forward rule may keep intermediates for its backward in the node's `aux`:
 row softmax and attention keep their probabilities, layernorm its normalized
@@ -29,25 +30,25 @@ backward hands one adjoint to both its inputs.
 A Plan lowers a recorded tape to straight-line Python, `plan_source`, and
 compiles it once: a forward with one line per op to replay it on new leaves
 and labels, and a backward with one rule call per node between the wanted
-leaves and the loss. Each op kind declares the inputs its backward reads
-(others reach it as None). A node on the backward path keeps those inputs and
-its aux from its forward op until its own backward step; every other value is
-deleted after its last forward reader. An op kind may declare a rebuild rule,
-its forward's own code path, and the inputs it reads: the plan then keeps
-those inputs in place of a value, when they are leaves, kept anyway or rebuilt
-themselves and the node's aux is kept or holds only op arguments, and rebuilds
-the value just before its first reader, a backward rule or another rebuild
-(layernorm from its kept `xhat`, patchify from the image, matmul from its two
-inputs, attention from its kept probabilities and v). So an encoder block's
-q, k and v are rebuilt from the rebuilt layernorm output, and its attention
-output from the rebuilt v. A node whose aux no backward step reads runs its
-op's value-only forward where one is declared (gelu, without its derivative).
-Training records one tape per run and replays its plan once per step;
-Tape.backward runs the emitted backward on the tape's recorded values. A leaf
-may carry a name, which a replay error reports in place of its id. Gradients
-are fresh arrays, safe to hand elsewhere. A plan that wants nothing has no
-backward: evaluation replays one that reads the logits, so an image keeps only
-the values a later op reads.
+leaves and the loss. An op kind's record declares the inputs its backward
+reads (others reach it as None). A node on the backward path keeps those
+inputs and its aux from its forward op until its own backward step; every
+other value is deleted after its last forward reader. A record may hold a
+rebuild rule, its forward's own code path, and the inputs it reads: the plan
+then keeps those inputs in place of a value, when they are leaves, kept anyway
+or rebuilt themselves and the node's aux is kept or holds only op arguments,
+and rebuilds the value just before its first reader, a backward rule or
+another rebuild (layernorm from its kept `xhat`, patchify from the image,
+matmul from its two inputs, attention from its kept probabilities and v). So
+an encoder block's q, k and v are rebuilt from the rebuilt layernorm output,
+and its attention output from the rebuilt v. A node whose aux no backward step
+reads runs the value-only forward its record may hold (gelu, without its
+derivative). Training records one tape per run and replays its plan once per
+step; Tape.backward runs the emitted backward on the tape's recorded values. A
+leaf may carry a name, which a replay error reports in place of its id.
+Gradients are fresh arrays, safe to hand elsewhere. A plan that wants nothing
+has no backward: evaluation replays one that reads the logits, so an image
+keeps only the values a later op reads.
 """
 
 from __future__ import annotations
@@ -92,19 +93,19 @@ class Tape:
 
     def record(self, op: str, inputs: tuple[int, ...] | list[int], **aux) -> int:
         """Apply `op` to already-recorded values, store the result, return its id."""
-        if op not in _OPS:
+        if (rules := _OPS.get(op)) is None:
             raise ValueError(f"unknown op kind {op!r}")
         ids = tuple(int(i) for i in inputs)
-        if len(ids) != _ARITY[op]:
-            raise ValueError(f"{op}: expected {_ARITY[op]} inputs, got {len(ids)}")
+        if len(ids) != rules.arity:
+            raise ValueError(f"{op}: expected {rules.arity} inputs, got {len(ids)}")
         for i in ids:
             if not 0 <= i < len(self.nodes):
                 raise ValueError(f"{op}: input id {i} not on this tape")
         values = [self.values[i] for i in ids]
-        if op in _CHECKS:
-            _CHECKS[op](*values, aux)
+        if rules.check:
+            rules.check(*values, aux)
         keys = tuple(aux)   # the op's arguments, a check's included
-        self.values.append(_OPS[op][0](*values, aux))
+        self.values.append(rules.fwd(*values, aux))
         self.nodes.append(TapeNode(op, ids, aux, keys))
         return len(self.nodes) - 1
 
@@ -234,7 +235,8 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
         n = nodes[nid]
         if nid in live and n.op != "leaf":
             live.update(i for i in n.inputs if reaches[i])
-            steps.append((nid, [i if k in _OPS[n.op][2] else None for k, i in enumerate(n.inputs)]))
+            declared = _OPS[n.op].reads
+            steps.append((nid, [i if k in declared else None for k, i in enumerate(n.inputs)]))
     ops, consts, auxes = [(nid, n) for nid, n in enumerate(nodes) if n.op != "leaf"], [], {}
     for nid, n in ops:   # labels are passed in; every other op argument is an item of A
         items = []
@@ -245,12 +247,11 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
     read = {i for _, args in steps for i in args if i is not None}
     rebuilt = {}   # a read value the backward rebuilds -> its rebuild's inputs, None if unread
     for i in sorted(read):   # in node order, so a step emits a rebuild's inputs first
-        n = nodes[i]
-        rule, at = _REBUILD.get(n.op, (None, ()))
-        ins = [j if k in at else None for k, j in enumerate(n.inputs)]
-        if rule and (i in live or n.aux.keys() == set(n.args)) and all(
-                j is None or nodes[j].op == "leaf" or j in read for j in ins):
-            rebuilt[i] = ins
+        n, rules = nodes[i], _OPS.get(nodes[i].op)   # a leaf has no rules
+        if rules and rules.rebuild and (i in live or n.aux.keys() == set(n.args)):
+            ins = [j if k in rules.rebuild_reads else None for k, j in enumerate(n.inputs)]
+            if all(j is None or nodes[j].op == "leaf" or j in read for j in ins):
+                rebuilt[i] = ins
     first = {}   # the step a rebuild runs at: its first reader's, a rule's or a rebuild's
     for i in sorted(rebuilt, reverse=True):   # each rebuild that reads it is settled first
         first[i] = min([*(k for k, (_, args) in enumerate(steps) if i in args),
@@ -282,7 +283,7 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
     zeros = ", ".join(f"{i}: np.zeros({values[i].shape!r})" for i in sorted(wanted - bound))
     last, fwd, keep = {s: nid for nid, n in ops for s in (nid, *n.inputs)}, [], set(kept)
     for nid, n in ops:   # a node whose aux no backward step reads runs its value-only forward
-        way = "fwd" if (nid, True) in keep or n.op not in _VALUE_ONLY else "val"
+        way = "fwd" if (nid, True) in keep or not _OPS[n.op].value else "val"
         fwd.append(f"v{nid} = {way}_{_name(n.op)}({''.join(f'v{i}, ' for i in n.inputs)}"
                    f"{f'x{nid} := ' * ((nid, True) in keep)}{auxes[nid]})")
         dead = sorted({f"v{s}" for s in (*n.inputs, nid)
@@ -304,11 +305,9 @@ def _name(op: str) -> str:
 
 def _rules() -> list[tuple[str, Callable]]:
     """Every rule a plan's text may call, by the name it calls it: each op kind's
-    forward and backward, then the value-only forwards and the rebuilds."""
-    return [*((f"{way}_{_name(kind)}", rule) for kind, (fwd, bwd, _) in _OPS.items()
-              for way, rule in (("fwd", fwd), ("bwd", bwd))),
-            *((f"val_{_name(kind)}", rule) for kind, rule in _VALUE_ONLY.items()),
-            *((f"rb_{_name(kind)}", rule) for kind, (rule, _) in _REBUILD.items())]
+    forward, backward, value-only forward and rebuild, where it has them."""
+    return [(f"{way}_{_name(kind)}", rule) for kind, r in _OPS.items() for way, rule in (
+        ("fwd", r.fwd), ("bwd", r.bwd), ("val", r.value), ("rb", r.rebuild)) if rule]
 
 
 def _compile(source: str, consts: tuple) -> tuple[Callable, Callable]:
@@ -377,7 +376,7 @@ def _check_softmax_rows(x, aux):
 
 
 def _check_reshape(a, aux):
-    if int(np.prod(aux["shape"])) != a.size:
+    if any(d < 0 for d in aux["shape"]) or int(np.prod(aux["shape"])) != a.size:
         raise ValueError(f"reshape: cannot view {a.shape} as {aux['shape']}")
 
 
@@ -385,7 +384,7 @@ def _check_patchify(img, aux):
     p = aux["patch"]
     _check_2d("patchify", img)
     h, w = img.shape
-    if h % p or w % p:
+    if p < 1 or h % p or w % p:
         raise ValueError(f"patchify: image {h}x{w} not divisible by patch {p}")
 
 
@@ -668,49 +667,50 @@ def _bwd_embed_lookup(g, table, aux):
     return (dtable,)
 
 
-# op kind -> (forward rule, backward rule, positions of the inputs its backward
-# reads by value); other slots get None, and all else it reads is in its aux
-_OPS: dict[str, tuple[Callable, Callable, tuple[int, ...]]] = {
-    "matmul": (_fwd_matmul, _bwd_matmul, (0, 1)),
-    "add": (_fwd_add, _bwd_add, ()),
-    "linear": (_fwd_linear, _bwd_linear, (0, 1)),
-    "scale": (_fwd_scale, _bwd_scale, ()),
-    "attention": (_fwd_attention, _bwd_attention, (0, 1, 2)),
-    "gelu": (_fwd_gelu, _bwd_gelu, ()),
-    "layernorm": (_fwd_layernorm, _bwd_layernorm, (1,)),
-    "softmax-rows": (_fwd_softmax_rows, _bwd_softmax_rows, ()),
-    "softmax-ce": (_fwd_softmax_ce, _bwd_softmax_ce, (0,)),
-    "soft-dice": (_fwd_soft_dice, _bwd_soft_dice, ()),
-    "reshape": (_fwd_reshape, _bwd_reshape, (0,)),
-    "patchify": (_fwd_patchify, _bwd_patchify, (0,)),
-    "mean": (_fwd_mean, _bwd_mean, (0,)),
-    "embed-lookup": (_fwd_embed_lookup, _bwd_embed_lookup, (0,)),
+@dataclass(frozen=True)
+class OpRules:
+    """All the rules of one op kind. `fwd(*inputs, aux)` is the forward rule and
+    `bwd(g, *inputs, aux)` the backward, which returns one adjoint per input, matching
+    the inputs' shapes. `reads` are the positions of the inputs the backward reads by
+    value; the other slots get None, and all else it reads is in its aux. `arity` is
+    the input count, the forward rule's parameters before the aux, fixed here so a
+    wrapped rule keeps it. `check` runs the kind's shape checks: Tape.record runs it
+    before the forward rule and a replay never does; the checks of the op's labels
+    depend on their values and stay in its rules. `value` is a forward that keeps
+    nothing in aux, for a node no backward step reads. `rebuild` rebuilds the output
+    in the backward from the inputs at `rebuild_reads`, read by value, and the aux,
+    by the forward's own code path."""
+
+    fwd: Callable
+    bwd: Callable
+    reads: tuple[int, ...]
+    arity: int
+    check: Callable | None = None
+    value: Callable | None = None
+    rebuild: Callable | None = None
+    rebuild_reads: tuple[int, ...] = ()
+
+
+_OPS: dict[str, OpRules] = {
+    "matmul": OpRules(_fwd_matmul, _bwd_matmul, (0, 1), 2, _check_matmul,
+                      rebuild=_fwd_matmul, rebuild_reads=(0, 1)),
+    "add": OpRules(_fwd_add, _bwd_add, (), 2, _check_add),
+    "linear": OpRules(_fwd_linear, _bwd_linear, (0, 1), 3, _check_linear),
+    "scale": OpRules(_fwd_scale, _bwd_scale, (), 1),
+    "attention": OpRules(_fwd_attention, _bwd_attention, (0, 1, 2), 3, _check_attention,
+                         rebuild=_attention_output, rebuild_reads=(2,)),
+    "gelu": OpRules(_fwd_gelu, _bwd_gelu, (), 1, value=_gelu_value),
+    "layernorm": OpRules(_fwd_layernorm, _bwd_layernorm, (1,), 3, _check_layernorm,
+                         rebuild=_layernorm_affine, rebuild_reads=(1, 2)),
+    "softmax-rows": OpRules(_fwd_softmax_rows, _bwd_softmax_rows, (), 1, _check_softmax_rows),
+    "softmax-ce": OpRules(_fwd_softmax_ce, _bwd_softmax_ce, (0,), 1),
+    "soft-dice": OpRules(_fwd_soft_dice, _bwd_soft_dice, (), 1),
+    "reshape": OpRules(_fwd_reshape, _bwd_reshape, (0,), 1, _check_reshape),
+    "patchify": OpRules(_fwd_patchify, _bwd_patchify, (0,), 1, _check_patchify,
+                        rebuild=_fwd_patchify, rebuild_reads=(0,)),
+    "mean": OpRules(_fwd_mean, _bwd_mean, (0,), 1),
+    "embed-lookup": OpRules(_fwd_embed_lookup, _bwd_embed_lookup, (0,), 1, _check_embed_lookup),
 }
-# op kind -> its shape checks, run by Tape.record before the forward rule and never by
-# a replay; the checks of the op's labels depend on their values and stay in its rules
-_CHECKS: dict[str, Callable] = {
-    "matmul": _check_matmul,
-    "add": _check_add,
-    "linear": _check_linear,
-    "attention": _check_attention,
-    "layernorm": _check_layernorm,
-    "softmax-rows": _check_softmax_rows,
-    "reshape": _check_reshape,
-    "patchify": _check_patchify,
-    "embed-lookup": _check_embed_lookup,
-}
-# op kind -> a forward that keeps nothing in aux, for a node no backward step reads
-_VALUE_ONLY: dict[str, Callable] = {"gelu": _gelu_value}
-# op kind -> (a rule that rebuilds its output in the backward from its inputs and its
-# aux by the forward's own code path, positions of the inputs it reads by value)
-_REBUILD: dict[str, tuple[Callable, tuple[int, ...]]] = {
-    "matmul": (_fwd_matmul, (0, 1)),
-    "attention": (_attention_output, (2,)),
-    "layernorm": (_layernorm_affine, (1, 2)),
-    "patchify": (_fwd_patchify, (0,)),
-}
-# op kind -> its input count: the forward rule's parameters before the aux
-_ARITY = {kind: fwd.__code__.co_argcount - 1 for kind, (fwd, _, _) in _OPS.items()}
 
 OP_KINDS = tuple(_OPS)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -496,8 +497,8 @@ def test_training_records_one_tape_and_frees_each_sample_replay_before_the_next(
         temps.extend(weakref.ref(a) for a in out)
         return out
 
-    for op, (rule, *rest) in list(msga.tape._OPS.items()):
-        monkeypatch.setitem(msga.tape._OPS, op, (watched_forward(rule), *rest))
+    for op, rules in list(msga.tape._OPS.items()):
+        monkeypatch.setitem(msga.tape._OPS, op, replace(rules, fwd=watched_forward(rules.fwd)))
     monkeypatch.setattr(msga.train, "adamw_step", watched_adamw)
     monkeypatch.setattr(msga.train, "galore_step", watched_galore)
     monkeypatch.setattr(msga.optim, "_adamw_moments", watched_moments)

@@ -52,15 +52,11 @@ def _wrap_rules(monkeypatch, forward=None, backward=None, rebuild=None) -> None:
     """Wrap each op kind's forward rules, value-only ones too, in `forward(kind, rule)`,
     its backward rule in `backward(kind, rule)` and its rebuild in `rebuild(kind, rule)`;
     a plan compiled after this calls the wrappers."""
-    for kind, (fwd, bwd, reads) in list(msga.tape._OPS.items()):
-        monkeypatch.setitem(msga.tape._OPS, kind, (forward(kind, fwd) if forward else fwd,
-                                                   backward(kind, bwd) if backward else bwd,
-                                                   reads))
-    for kind, rule in list(msga.tape._VALUE_ONLY.items()):
-        monkeypatch.setitem(msga.tape._VALUE_ONLY, kind, forward(kind, rule) if forward else rule)
-    for kind, (rule, reads) in list(msga.tape._REBUILD.items()):
-        monkeypatch.setitem(msga.tape._REBUILD, kind, (rebuild(kind, rule) if rebuild else rule,
-                                                       reads))
+    wrappers = {"fwd": forward, "value": forward, "bwd": backward, "rebuild": rebuild}
+    for kind, rules in list(msga.tape._OPS.items()):
+        monkeypatch.setitem(msga.tape._OPS, kind, replace(rules, **{
+            field: wrap(kind, getattr(rules, field)) for field, wrap in wrappers.items()
+            if wrap and getattr(rules, field)}))
 
 
 def _record_sources(monkeypatch) -> list[str]:
@@ -79,7 +75,7 @@ def _record_sources(monkeypatch) -> list[str]:
 def _declared(tape: Tape, nid: int) -> list[int | None]:
     """A node's input ids where its backward rule reads them by value, None elsewhere."""
     n = tape.nodes[nid]
-    return [i if k in msga.tape._OPS[n.op][2] else None for k, i in enumerate(n.inputs)]
+    return [i if k in msga.tape._OPS[n.op].reads else None for k, i in enumerate(n.inputs)]
 
 
 CONFIGS = {
@@ -269,7 +265,8 @@ def test_backward_frees_each_value_and_its_aux_after_the_last_reader(monkeypatch
     # the step of that reader on
     declared = {s for m in steps for s in _declared(tape, m) if s is not None}
     kept_values = {i for i, aux in plan_source(tape, loss)[1] if not aux}
-    rebuilt = {i: [tape.nodes[i].inputs[k] for k in msga.tape._REBUILD[tape.nodes[i].op][1]]
+    rebuilt = {i: [tape.nodes[i].inputs[k]
+                   for k in msga.tape._OPS[tape.nodes[i].op].rebuild_reads]
                for i in sorted(declared - kept_values)}   # each with its rebuild's inputs
     assert {tape.nodes[i].op for i in rebuilt} == {"layernorm", "patchify", "matmul",
                                                    "attention"}
@@ -667,9 +664,8 @@ def test_plan_source_is_deterministic_and_shows_liveness(monkeypatch, kind) -> N
 def test_plan_source_hands_each_rule_its_inputs_as_plain_arguments(monkeypatch, kind) -> None:
     # fwd_<op>(v.., aux) and bwd_<op>(g, v or None.., aux): one local or None per input,
     # as many as the forward rule takes, and no list built to carry them
-    arity = {f"{way}_{op.replace('-', '_')}": len(inspect.signature(msga.tape._OPS[op][0])
-                                                 .parameters) - 1
-             for op in OP_KINDS for way in ("fwd", "bwd")}
+    arity = {f"{way}_{op.replace('-', '_')}": rules.arity
+             for op, rules in msga.tape._OPS.items() for way in ("fwd", "bwd")}
     calls = [c for c in ast.walk(ast.parse(_two_compiles(monkeypatch, kind)[0]))
              if isinstance(c, ast.Call) and getattr(c.func, "id", "") in arity]
     assert {c.func.id[:4] for c in calls} == ({"fwd_", "bwd_"} if kind == "training"

@@ -4,6 +4,7 @@ import copy
 import inspect
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,15 +22,12 @@ from msga.tape import (
     _bwd_scale,
     _bwd_softmax_ce,
     _bwd_softmax_rows,
-    _CHECKS,
     _fwd_gelu,
     _fwd_layernorm,
     _fwd_softmax_rows,
     _gelu_inner,
     _gelu_value,
     _OPS,
-    _REBUILD,
-    _VALUE_ONLY,
     _normalize_rows,
     finite_diff_check,
 )
@@ -255,7 +253,7 @@ def test_rules_leave_their_inputs_adjoint_and_aux_unchanged(op: str) -> None:
     OP_GRAPHS[op](tape, [tape.leaf(p) for p in op_graph_params(op)])
     nodes = [n for n in tape.nodes if n.op == op]
     assert nodes
-    forward, backward, _ = _OPS[op]
+    forward, backward = _OPS[op].fwd, _OPS[op].bwd
     rng = np.random.default_rng(43)
     for node in nodes:
         args = [tape.value(i) for i in node.inputs]
@@ -271,22 +269,20 @@ def test_rules_leave_their_inputs_adjoint_and_aux_unchanged(op: str) -> None:
 
 def test_every_backward_rule_takes_the_adjoint_then_the_forward_rules_parameters() -> None:
     # a forward rule is fwd(*inputs, aux) and its backward bwd(g, *inputs, aux): one plain
-    # positional parameter per node input, the same names in the same order, no list
-    for op in OP_KINDS:
+    # positional parameter per node input, the same names in the same order, no list;
+    # the record's arity counts them, and a shape check, a value-only forward and a
+    # rebuild take the forward rule's parameters
+    for op, rules in _OPS.items():
         tape = Tape()
         OP_GRAPHS[op](tape, [tape.leaf(p) for p in op_graph_params(op)])
         count = len(next(n for n in tape.nodes if n.op == op).inputs)
-        forward, backward, _ = _OPS[op]
-        fwd = list(inspect.signature(forward).parameters.values())
-        bwd = list(inspect.signature(backward).parameters.values())
+        fwd = list(inspect.signature(rules.fwd).parameters.values())
+        bwd = list(inspect.signature(rules.bwd).parameters.values())
         assert [p.name for p in bwd] == ["g", *(p.name for p in fwd)], op
-        assert len(fwd) == count + 1 and fwd[-1].name == "aux", op
+        assert len(fwd) == count + 1 == rules.arity + 1 and fwd[-1].name == "aux", op
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in bwd), op
-    # a shape check, a value-only forward and a rebuild take the forward rule's parameters
-    for op, rule in [*_CHECKS.items(), *_VALUE_ONLY.items(),
-                     *((op, rule) for op, (rule, _) in _REBUILD.items())]:
-        assert inspect.signature(rule).parameters.keys() == (
-            inspect.signature(_OPS[op][0]).parameters.keys()), op
+        for rule in (r for r in (rules.check, rules.value, rules.rebuild) if r):
+            assert list(inspect.signature(rule).parameters) == [p.name for p in fwd], op
 
 
 def test_record_hands_each_rule_the_recorded_values_positionally(monkeypatch) -> None:
@@ -298,8 +294,8 @@ def test_record_hands_each_rule_the_recorded_values_positionally(monkeypatch) ->
             return rule(*args)
         return forward_rule_watched
 
-    for op, (fwd, *rest) in list(_OPS.items()):
-        monkeypatch.setitem(_OPS, op, (watched(op, fwd), *rest))
+    for op, rules in list(_OPS.items()):
+        monkeypatch.setitem(_OPS, op, replace(rules, fwd=watched(op, rules.fwd)))
     for op in OP_KINDS:
         calls.clear()
         tape = Tape()
@@ -418,38 +414,50 @@ def test_fused_ops_keep_the_elementary_shape_errors() -> None:
         tape.attention(leaf(2, 3), leaf(5, 3), leaf(4, 2), 1.0)
 
 
-# op kind -> a record its shape check rejects, and the error's start
+def _bad_reshape(shape: tuple) -> tuple:
+    return lambda t: t.reshape(t.leaf(np.zeros((2, 3))), shape), "reshape: cannot view"
+
+
+def _bad_patchify(shape: tuple, patch: int) -> tuple:
+    return (lambda t: t.patchify(t.leaf(np.zeros(shape)), patch),
+            f"patchify: image {shape[0]}x{shape[1]}")
+
+
+# op kind -> records its shape check rejects, each with the error's start
 BAD_RECORDS = {
-    "matmul": (lambda t: t.matmul(t.leaf(np.zeros(3)), t.leaf(np.zeros((3, 2)))),
-               "matmul: expected 2-D"),
-    "add": (lambda t: t.add(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((2, 1)))), "add: shapes"),
-    "linear": (lambda t: t.linear(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((3, 4))),
-                                  t.leaf(np.zeros((2, 5)))), "add: shapes"),
-    "attention": (lambda t: t.attention(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((5, 3))),
-                                        t.leaf(np.zeros(5)), 1.0), "matmul: expected 2-D"),
-    "layernorm": (lambda t: t.layernorm(t.leaf(np.zeros((2, 3))), t.leaf(np.ones((1, 3))),
-                                        t.leaf(np.zeros((1, 2)))), "layernorm: gain/bias"),
-    "softmax-rows": (lambda t: t.softmax_rows(t.leaf(np.zeros((2, 3, 1)))),
-                     "softmax-rows: expected 2-D"),
-    "reshape": (lambda t: t.reshape(t.leaf(np.zeros((2, 3))), (4, 2)), "reshape: cannot view"),
-    "patchify": (lambda t: t.patchify(t.leaf(np.zeros((6, 8))), 4), "patchify: image 6x8"),
-    "embed-lookup": (lambda t: t.embed_lookup(t.leaf(np.zeros((3, 2))), np.array([0, 3])),
-                     "embed-lookup: index outside"),
+    "matmul": [(lambda t: t.matmul(t.leaf(np.zeros(3)), t.leaf(np.zeros((3, 2)))),
+                "matmul: expected 2-D")],
+    "add": [(lambda t: t.add(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((2, 1)))),
+             "add: shapes")],
+    "linear": [(lambda t: t.linear(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((3, 4))),
+                                   t.leaf(np.zeros((2, 5)))), "add: shapes")],
+    "attention": [(lambda t: t.attention(t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((5, 3))),
+                                         t.leaf(np.zeros(5)), 1.0), "matmul: expected 2-D")],
+    "layernorm": [(lambda t: t.layernorm(t.leaf(np.zeros((2, 3))), t.leaf(np.ones((1, 3))),
+                                         t.leaf(np.zeros((1, 2)))), "layernorm: gain/bias")],
+    "softmax-rows": [(lambda t: t.softmax_rows(t.leaf(np.zeros((2, 3, 1)))),
+                      "softmax-rows: expected 2-D")],
+    # a product of dimensions equal to the size does not make negative dimensions valid
+    "reshape": [_bad_reshape((4, 2)), _bad_reshape((-2, -3)), _bad_reshape((-1, -6))],
+    "patchify": [_bad_patchify((6, 8), 4), _bad_patchify((6, 8), 0),
+                 _bad_patchify((8, 8), -4)],
+    "embed-lookup": [(lambda t: t.embed_lookup(t.leaf(np.zeros((3, 2))), np.array([0, 3])),
+                      "embed-lookup: index outside")],
 }
 
 
 @pytest.mark.parametrize("op", sorted(BAD_RECORDS))
 def test_record_runs_each_shape_check_before_the_forward_rule(monkeypatch, op: str) -> None:
     # the checks run once, when the op is recorded: the forward rule never sees the
-    # bad shapes, and the tape gains no node
-    assert BAD_RECORDS.keys() == _CHECKS.keys()
+    # bad shapes, the tape gains no node, and the error names the op
+    assert BAD_RECORDS.keys() == {kind for kind, rules in _OPS.items() if rules.check}
     ran = []
-    monkeypatch.setitem(_OPS, op, (lambda *args: ran.append(args), *_OPS[op][1:]))
-    tape = Tape()
-    build, message = BAD_RECORDS[op]
-    with pytest.raises(ValueError, match=f"^{message}"):
-        build(tape)
-    assert not ran and all(n.op == "leaf" for n in tape.nodes)
+    monkeypatch.setitem(_OPS, op, replace(_OPS[op], fwd=lambda *args: ran.append(args)))
+    for build, message in BAD_RECORDS[op]:
+        tape = Tape()
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build(tape)
+        assert not ran and all(n.op == "leaf" for n in tape.nodes)
 
 
 @pytest.mark.parametrize("op", OP_KINDS)
@@ -470,8 +478,9 @@ def test_a_replay_runs_no_shape_check_and_rejects_a_leaf_of_another_shape(monkey
 
     for name in [name for name in vars(msga.tape) if name.startswith("_check_")]:
         monkeypatch.setattr(msga.tape, name, watched(name, getattr(msga.tape, name)))
-    for kind, check in list(_CHECKS.items()):
-        monkeypatch.setitem(_CHECKS, kind, watched(kind, check))
+    for kind, rules in list(_OPS.items()):
+        if rules.check:
+            monkeypatch.setitem(_OPS, kind, replace(rules, check=watched(kind, rules.check)))
     scalars, grads = plan.run([(params, _OP_LABELS)])
     assert scalars == [] and grads.keys() == set(range(len(params)))
     # only the label checks, which read the labels' values
@@ -631,7 +640,7 @@ def _rebuild_graphs(op: str, rng: np.random.Generator) -> list[tuple]:
     return graphs
 
 
-@pytest.mark.parametrize("op", sorted(_REBUILD))
+@pytest.mark.parametrize("op", sorted(kind for kind, rules in _OPS.items() if rules.rebuild))
 def test_each_rebuild_returns_its_forwards_output_bytes(op: str) -> None:
     # a rebuild runs the forward's own code path on the inputs it declares (None
     # elsewhere) and the recorded aux: on the C3 graph's values, on random ones and on
@@ -643,11 +652,11 @@ def test_each_rebuild_returns_its_forwards_output_bytes(op: str) -> None:
         assert any(n.op == op for n in tape.nodes)
         rebuilt: dict[int, np.ndarray] = {}   # every rebuildable value, in node order
         for nid, n in enumerate(tape.nodes):
-            if n.op in _REBUILD:
-                rule, reads = _REBUILD[n.op]
-                args = [rebuilt.get(i, tape.value(i)) if k in reads else None
+            rules = _OPS.get(n.op)   # a leaf has no rules
+            if rules and rules.rebuild:
+                args = [rebuilt.get(i, tape.value(i)) if k in rules.rebuild_reads else None
                         for k, i in enumerate(n.inputs)]
-                rebuilt[nid] = out = rule(*args, n.aux)
+                rebuilt[nid] = out = rules.rebuild(*args, n.aux)
                 want = tape.value(nid)
                 assert out is not want and out.dtype == want.dtype and out.shape == want.shape
                 assert out.tobytes() == want.tobytes(), (n.op, nid)
