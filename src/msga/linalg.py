@@ -45,7 +45,7 @@ def truncated_svd(g: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     s = sigma[:r].copy()
     q = vt[:r].T.copy()
 
-    flip = p[np.argmax(np.abs(p), axis=0), np.arange(r)] < 0.0
-    p[:, flip] = -p[:, flip]
-    q[:, flip] = -q[:, flip]
+    sign = np.where(p[np.argmax(np.abs(p), axis=0), np.arange(r)] < 0.0, -1.0, 1.0)
+    p *= sign
+    q *= sign
     return p, s, q

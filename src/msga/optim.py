@@ -4,7 +4,8 @@ assignment.
 
 The projection wrapper keeps a periodically refreshed orthonormal basis for
 the gradient, runs the stateful AdamW rule inside the projected space, and
-maps the update back to full size before applying it to the weights:
+maps the update back to full size before applying it to the weights. It
+steps a matrix, or a (k, m, n) stack with each slice as if stepped alone:
 
     g_tilde = P rho(P^T g Q) Q^T        (two-sided)
     w      <- w - lr * scale * g_tilde
@@ -142,8 +143,8 @@ class GaLoreState:
     sided: str = "one"
     regularizer: str = "adamw"          # "identity" passes the projection through (test mode)
     reset_moments_on_refresh: bool = True
-    p: np.ndarray | None = None         # left projector, (m, r)
-    q: np.ndarray | None = None         # right projector, (n, r)
+    p: np.ndarray | None = None         # left projector, (m, r) or (k, m, r) for a stack
+    q: np.ndarray | None = None         # right projector, (n, r) or (k, n, r)
     inner: AdamWState | None = None
     step: int = 0
     refresh_steps: list[int] = field(default_factory=list)
@@ -161,12 +162,13 @@ def refresh_subspace(
 
     Two-sided returns both left and right bases. One-sided returns only the
     basis on the shorter dimension: (p, None) when rows <= cols, (None, q)
-    otherwise.
+    otherwise. A (k, m, n) stack takes one SVD per slice, factors stacked.
     """
-    p, _, q = truncated_svd(g, r)
+    factors = [truncated_svd(s, r) for s in g.reshape(-1, *g.shape[-2:])]
+    p, q = (np.stack([f[i] for f in factors]).reshape(*g.shape[:-2], -1, r) for i in (0, 2))
     if sided == "two":
         return p, q
-    if g.shape[0] <= g.shape[1]:
+    if g.shape[-2] <= g.shape[-1]:
         return p, None
     return None, q
 
@@ -180,7 +182,8 @@ def galore_step(
     beta2: float = DEFAULT_BETA2,
     eps: float = DEFAULT_EPS,
 ) -> np.ndarray:
-    """One projected update; returns the new weights and advances `state`.
+    """One projected update of a matrix or a (k, m, n) stack; returns the new
+    weights and advances `state`.
 
     Every `refresh_period` steps (including the first call) the projectors
     are recomputed from the incoming gradient and, by default, the inner
@@ -197,7 +200,7 @@ def galore_step(
             state.inner = None
     state.step += 1
 
-    core = g if state.p is None else state.p.T @ g
+    core = g if state.p is None else np.swapaxes(state.p, -1, -2) @ g
     core = core if state.q is None else core @ state.q
     if state.inner is None:
         state.inner = AdamWState.zeros(core.shape)
@@ -209,7 +212,7 @@ def galore_step(
         update /= denom
 
     g_tilde = update if state.p is None else state.p @ update
-    g_tilde = g_tilde if state.q is None else g_tilde @ state.q.T
+    g_tilde = g_tilde if state.q is None else g_tilde @ np.swapaxes(state.q, -1, -2)
     return w - lr * state.scale * g_tilde
 
 

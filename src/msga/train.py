@@ -7,8 +7,9 @@ warmup schedule with decoupled weight decay; projected groups follow the
 same ramp normalized to the 1e-3 projection base lr and take no decay.
 
 Every trained group is a view of one flat weight vector, fully tuned groups
-first, and each step takes one flat gradient in that layout: one `adamw_step` on
-the leading slice, then one `galore_step` per projected group on its views.
+first, then the projected groups side by side in shape classes (same shape and
+strategy). Each step takes one flat gradient in that layout: one `adamw_step` on
+the leading slice, then one `galore_step` per class on its (k, m, n) stack.
 
 Per-step logs carry only deterministic columns (step, both lrs, loss
 components); wall-clock timing goes to the console, never the log, so two
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -138,7 +139,11 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
     trained = [g for g in params.groups if not isinstance(g.strategy, Frozen)]
     full = [g for g in trained if isinstance(g.strategy, FullAdamW)]
     projected = [g for g in trained if isinstance(g.strategy, GaLore)]
-    layout = full + projected   # the fully tuned groups lead, so AdamW steps one slice
+    classes: dict[tuple, list] = {}   # (shape, strategy) -> members, in first-appearance order
+    for g in projected:
+        classes.setdefault((g.values.shape, g.strategy), []).append(g)
+    # the fully tuned groups lead, so AdamW steps one slice; each class is one stack
+    layout = full + [g for members in classes.values() for g in members]
     ends = itertools.accumulate(g.values.size for g in layout)
     spans = {g.name: slice(end - g.values.size, end) for g, end in zip(layout, ends)}
     flat_w = np.concatenate([g.values.ravel() for g in layout])
@@ -146,9 +151,9 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
         g.values = flat_w[spans[g.name]].reshape(g.values.shape)
     lead = slice(sum(g.values.size for g in full))
     flat_state = AdamWState.zeros((lead.stop,))
-    galore_states = {g.name: GaLoreState(**asdict(g.strategy),
-                                         reset_moments_on_refresh=cfg.refresh_resets_moments)
-                     for g in projected}
+    stacks = [(slice(spans[ms[0].name].start, spans[ms[-1].name].stop), (len(ms), *shape),
+               GaLoreState(**asdict(strategy), reset_moments_on_refresh=cfg.refresh_resets_moments))
+              for (shape, strategy), ms in classes.items()]
 
     horizon = max(cfg.total_steps, cfg.warmup_steps)
     full_sched = WarmupSchedule(cfg.full_lr, cfg.warmup_steps, horizon, cfg.decay_exponent)
@@ -185,17 +190,29 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
                 f"training diverged at step {step}: gradient of {name} is not finite")
         flat_w[lead] = adamw_step(flat_w[lead], flat_g[lead], flat_state, lr_full,
                                   cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay)
-        for g in projected:
-            g.values[...] = galore_step(g.values, flat_g[spans[g.name]].reshape(g.values.shape),
-                                        galore_states[g.name], lr_galore,
-                                        cfg.beta1, cfg.beta2, cfg.eps)
+        for span, shape, state in stacks:
+            w = flat_w[span].reshape(shape)
+            w[...] = galore_step(w, flat_g[span].reshape(shape), state, lr_galore,
+                                 cfg.beta1, cfg.beta2, cfg.eps)
         del flat_g
         log_rows.append({"step": step, "lr_full": lr_full, "lr_galore": lr_galore,
                          "ce": ce * inv, "dice": dice * inv, "loss": loss * inv})
     adamw_states = {g.name: AdamWState(flat_state.m[spans[g.name]].reshape(g.values.shape),
                                        flat_state.v[spans[g.name]].reshape(g.values.shape),
                                        flat_state.step) for g in full}
+    # one state per projected group, in group order, of views into its slice of the class
+    sliced = {g.name: _slice_state(st, i) for (*_, st), ms in zip(stacks, classes.values())
+              for i, g in enumerate(ms)}
+    galore_states = {g.name: sliced[g.name] for g in projected}
     return TrainResult(params, adamw_states, galore_states, log_rows)
+
+
+def _slice_state(state: GaLoreState, i: int) -> GaLoreState:
+    """Slice i of a stacked projected state; its arrays are views of the stack's."""
+    p, q = (None if a is None else a[i] for a in (state.p, state.q))
+    inner = None if state.inner is None else AdamWState(state.inner.m[i], state.inner.v[i],
+                                                        state.inner.step)
+    return replace(state, p=p, q=q, inner=inner, refresh_steps=list(state.refresh_steps))
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,43 @@ def test_scale_multiplier_scales_identity_update() -> None:
     assert np.abs(stepped - (w - 0.1 * 0.25 * g)).max() < 1e-10
 
 
+@pytest.mark.parametrize("shape, sided, regularizer, reset", [
+    ((4, 6), "one", "adamw", True),       # left projector: rows <= cols
+    ((6, 4), "one", "adamw", False),      # right projector: rows > cols
+    ((5, 7), "two", "adamw", True),
+    ((7, 5), "two", "adamw", False),
+    ((6, 4), "one", "identity", True),
+])
+def test_a_stack_steps_as_its_slices_do_bitwise(shape, sided, regularizer, reset) -> None:
+    # one galore_step on a (k, m, n) stack against k single-matrix calls, compared bit for
+    # bit after every step over three refreshes; slice 1's gradient is exactly zero at the
+    # second refresh, so its basis takes the coordinate axes
+    rng = np.random.default_rng(11)
+    k, period, steps = 3, 3, 8
+    settings = dict(rank=2, refresh_period=period, scale=0.5, sided=sided,
+                    regularizer=regularizer, reset_moments_on_refresh=reset)
+    stack, singles = GaLoreState(**settings), [GaLoreState(**settings) for _ in range(k)]
+    w = rng.standard_normal((k, *shape))
+    ws = [w[i].copy() for i in range(k)]
+    for step in range(steps):
+        g = rng.standard_normal((k, *shape))
+        if step == period:
+            g[1] = 0.0
+        w = galore_step(w, g, stack, lr=1e-2)
+        ws = [galore_step(wi, gi, st, lr=1e-2) for wi, gi, st in zip(ws, g, singles)]
+        assert w.tobytes() == np.stack(ws).tobytes(), step
+        for i, st in enumerate(singles):
+            assert (stack.step, stack.refresh_steps) == (st.step, st.refresh_steps), (step, i)
+            assert stack.inner.step == st.inner.step, (step, i)
+            for a, b in ((stack.p, st.p), (stack.q, st.q), (stack.inner.m, st.inner.m),
+                         (stack.inner.v, st.inner.v)):
+                assert (a is None and b is None) or a[i].tobytes() == b.tobytes(), (step, i)
+        if step == period:
+            for basis in (a for a in (stack.p, stack.q) if a is not None):
+                assert np.array_equal(basis[1], np.eye(*basis.shape[1:])), step
+    assert stack.refresh_steps == [0, 3, 6] and stack.step == steps
+
+
 def test_two_sided_training_keeps_both_projectors() -> None:
     cfg = RunConfig(mode="medsaga", sided="two", total_steps=12, synthetic_count=20,
                     image_h=16, image_w=16, embed_dim=8, blocks=1,
@@ -512,10 +549,10 @@ def test_training_records_one_tape_and_frees_each_sample_replay_before_the_next(
     assert len(live) > len(replays) * 30   # values, intermediates and adjoints were all watched
     trained = [g for g in result.params.groups if not isinstance(g.strategy, Frozen)]
     assert len(sums) == cfg.total_steps * len(trained)
-    # one flat AdamW update per step; each projected group steps on its own
-    projected = [g for g in trained if isinstance(g.strategy, GaLore)]
+    # one flat AdamW update per step; each shape class of projected groups steps as one stack
+    classes = {(g.values.shape, g.strategy) for g in trained if isinstance(g.strategy, GaLore)}
     assert len(adamw_calls) == cfg.total_steps
-    assert len(temps) == cfg.total_steps * (6 + 3 * len(projected))
+    assert len(temps) == cfg.total_steps * (6 + 3 * len(classes))
 
 
 def _small_cfg(**overrides) -> RunConfig:
@@ -601,6 +638,10 @@ def _train_group_by_group(cfg: RunConfig, train_ds) -> msga.train.TrainResult:
     dict(mode="medsaga"), dict(mode="v1"), dict(mode="v2"), dict(mode="full-adamw"),
     dict(mode="medsaga", sided="two", refresh_period=1),
     dict(mode="v1", refresh_period=2, refresh_resets_moments=False),
+    # two blocks: every shape class of projected groups stacks two or more of them
+    dict(mode="medsaga", blocks=2),
+    dict(mode="medsaga", blocks=2, sided="two", refresh_period=1),
+    dict(mode="v1", blocks=2, refresh_period=2),
 ])
 def test_flat_adamw_update_equals_one_step_per_group_bitwise(overrides: dict) -> None:
     cfg = _small_cfg(**overrides)

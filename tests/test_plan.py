@@ -575,8 +575,8 @@ def test_forward_plan_keeps_its_checks() -> None:
 
 
 # tracemalloc peak of default medsaga over steps 3-7 when the bound was set
-# (x86_64, numpy 2.4, Python 3.11); 558,634 B inside the whole suite
-TRAIN_PEAK_BYTES = 564_514
+# (x86_64, numpy 2.4, Python 3.11); 551,090 B inside the whole suite
+TRAIN_PEAK_BYTES = 557_010
 
 
 def test_default_training_peak_after_step_2_stays_within_its_bound(monkeypatch) -> None:
