@@ -8,8 +8,9 @@ samples share a patient id so the patient-wise split has something to bite
 on. Datasets are immutable after construction.
 
 On disk, images and masks are binary PGM ("P5"); mask pixel values are raw
-class indices. A dataset manifest is one tab-separated line per sample:
-image path, mask path, patient id.
+class indices, held in memory in the smallest unsigned dtype: uint8 for k <= 256,
+or a loaded file's uint16. A dataset manifest is one tab-separated line per
+sample: image path, mask path, patient id.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 @dataclass(frozen=True)
 class Sample:
     image: np.ndarray     # (h, w) float64 in [0, 1]
-    mask: np.ndarray      # (h, w) int labels in 0..k-1
+    mask: np.ndarray      # (h, w) unsigned int labels in 0..k-1
     patient_id: int
 
 
@@ -51,7 +52,7 @@ def _disc(h: int, w: int, cy: int, cx: int, radius: int) -> np.ndarray:
 
 def _place_shapes(rng: np.random.Generator, h: int, w: int, k: int) -> np.ndarray | None:
     """One attempt at a mask with k-1 disjoint shapes; None if placement fails."""
-    mask = np.zeros((h, w), dtype=np.int64)
+    mask = np.zeros((h, w), dtype=np.min_scalar_type(k - 1))
     occupied = np.zeros((h, w), dtype=bool)
     short = min(h, w)   # shapes fit the shorter side, so a tall image places them too
     side_lo, side_hi = max(4, short // 4), max(5, short // 3)
@@ -220,7 +221,8 @@ def _parse_pgm(data: bytes) -> tuple[np.ndarray, int]:
 
 def load_pgm_bytes(data: bytes) -> np.ndarray:
     pixels, maxval = _parse_pgm(data)
-    return pixels.astype(np.float64) / maxval
+    image = pixels.astype(np.float64)   # divided in place: one float64 array per image
+    return np.divide(image, maxval, out=image)
 
 
 def load_pgm(path: str) -> np.ndarray:
@@ -238,10 +240,10 @@ def save_pgm(matrix: np.ndarray, path: str) -> None:
 
 
 def load_labels_pgm(path: str) -> np.ndarray:
-    """Binary PGM holding raw class indices; no scaling."""
+    """Binary PGM of raw class indices, unscaled, as a native copy in its pixel type."""
     with open(path, "rb") as fh:
         pixels, _ = _parse_pgm(fh.read())
-    return pixels.astype(np.int64)
+    return pixels.astype(pixels.dtype.newbyteorder("="))
 
 
 def save_labels_pgm(labels: np.ndarray, path: str) -> None:

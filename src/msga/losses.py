@@ -46,7 +46,7 @@ def downsample_labels(labels: np.ndarray, factor: int) -> np.ndarray:
     k = int(labels.max(initial=0)) + 1
     # one count per (cell, class) code; argmax breaks ties toward the lowest class index
     cells = np.arange(gh * gw).reshape(gh, 1, gw, 1)
-    codes = cells * k + labels.reshape(gh, factor, gw, factor).astype(np.intp, copy=False)
+    codes = np.add(cells * k, labels.reshape(gh, factor, gw, factor), dtype=np.intp)
     counts = np.bincount(codes.ravel(), minlength=gh * gw * k).reshape(gh, gw, k)
     return np.argmax(counts, axis=-1).astype(labels.dtype)
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from msga.data import ConfigError, atomic_write, check_fields
 from msga.losses import LossConfig
-from msga.tape import Plan, Tape
+from msga.tape import Plan, Tape, lower
 
 CHECKPOINT_MAGIC = b"MSGA1"
 MLP_RATIO = 4
@@ -198,10 +198,12 @@ def forward(params: ModelParams, image: np.ndarray) -> np.ndarray:
         raise ValueError(f"image shape {image.shape} does not match config "
                          f"({cfg.image_h}, {cfg.image_w})")
     key = (cfg, *((g.name, g.values.shape) for g in params.groups))
-    if key not in _forward_plan:
+    if key not in _forward_plan:   # the recorded tape goes before the compile
         tape, _, out = _record_forward(params, image)
+        lowered = lower(tape, out, (), (out,))
+        del tape
         _forward_plan.clear()
-        _forward_plan[key] = Plan(tape, out, (), (out,))
+        _forward_plan[key] = Plan(lowered)
     (logits,), _ = _forward_plan[key].replay([*(g.values for g in params.groups), image], ())
     logits = logits.reshape(cfg.grid_h, cfg.grid_w, cfg.classes)
     if not np.all(np.isfinite(logits)):

@@ -30,7 +30,9 @@ backward hands one adjoint to both its inputs.
 A Plan lowers a recorded tape to straight-line Python, `plan_source`, and
 compiles it once: a forward with one line per op to replay it on new leaves
 and labels, and a backward with one rule call per node between the wanted
-leaves and the loss. An op kind's record declares the inputs its backward
+leaves and the loss, each compiled from its own text. `lower` gives what a
+Plan compiles and holds no array of the tape, so a caller may drop the tape
+before the compile. An op kind's record declares the inputs its backward
 reads (others reach it as None). A node on the backward path keeps those
 inputs and its aux from its forward op until its own backward step; every
 other value is deleted after its last forward reader. A record may hold a
@@ -171,19 +173,25 @@ class Tape:
                                             for i, aux in kept])
 
 
+def lower(tape: Tape, loss_id: int, wanted=None, reads=()) -> tuple[str, tuple, list[tuple]]:
+    """What a Plan compiles, holding no array of the tape: `plan_source`'s text and op
+    arguments, and each leaf's id, shape and name."""
+    source, _, consts = plan_source(tape, loss_id, wanted, reads)
+    shapes = {}   # one tuple per distinct leaf shape
+    return source, consts, [(nid, shapes.setdefault(v.shape, v.shape), n.aux["name"]) for nid,
+                            (n, v) in enumerate(zip(tape.nodes, tape.values)) if n.op == "leaf"]
+
+
 class Plan:
     """A tape lowered by `plan_source` and compiled once: a forward that replays every
     op on new leaves and labels, and a backward over the nodes on a path from a wanted
     leaf to the loss, accumulating adjoints in reverse node order as the whole tape
-    would. It keeps the two functions and each leaf's id, shape and name, not the text."""
+    would. It keeps the two functions and each leaf's id, shape and name, not the text.
+    It is built from a tape, or from `lower`'s output when no loss id is given."""
 
-    def __init__(self, tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
-                 reads: tuple[int, ...] = ()) -> None:
-        source, _, consts = plan_source(tape, loss_id, wanted, reads)
-        self._forward, self._backward = _compile(source, consts)
-        shapes = {}   # one tuple per distinct leaf shape
-        self.leaves = [(nid, shapes.setdefault(tape.values[nid].shape, tape.values[nid].shape),
-                        n.aux["name"]) for nid, n in enumerate(tape.nodes) if n.op == "leaf"]
+    def __init__(self, tape: Tape | tuple, loss_id: int | None = None, wanted=None, reads=()):
+        lowered = tape if loss_id is None else lower(tape, loss_id, wanted, reads)
+        (self._forward, self._backward), self.leaves = _compile(*lowered[:2]), lowered[2]
 
     def run(self, samples: Iterable[tuple]) -> tuple[list[float], dict[int, np.ndarray]]:
         """Replay each `(leaves, labels)` sample in order (`leaves` float64 in tape order,
@@ -216,12 +224,12 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
                 reads: tuple[int, ...] = ()) -> tuple[str, list[tuple[int, bool]], tuple]:
     """A tape as Python text, the same for the same tape; the entries of the kept list K,
     each `(id, is_aux)`: a node's value or its aux; and the op arguments A the text
-    reads. A `plan(np, A, <rules>)` factory returns `forward(labels, *leaves)`, one local
-    per value, one line per op, a `del` after a value's last reader unless K keeps it,
-    returning the `reads` and K; and `backward(K)`, one rule call per backward node,
-    each rebuilt value's rebuild just before its first reader, a rule or a rebuild (a
-    step's rebuilds in node order, so inputs first), returning the dict G of the wanted
-    leaves' adjoints."""
+    reads. Two modules, each a `plan(np, A, <rules>)` factory, return `forward(labels,
+    *leaves)`, one local per value, one line per op, a `del` after a value's last reader
+    unless K keeps it, returning the `reads` and K; and `backward(K)`, one rule call per
+    backward node, each rebuilt value's rebuild just before its first reader, a rule or a
+    rebuild (a step's rebuilds in node order, so inputs first), returning the dict G of
+    the wanted leaves' adjoints."""
     nodes, values = tape.nodes, tape.values
     leaves = [nid for nid, n in enumerate(nodes) if n.op == "leaf"]
     wanted = set(leaves if wanted is None else wanted)
@@ -291,12 +299,12 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
         fwd += [f"del {', '.join(dead)}"] if dead else []
     outs = ", ".join(f"float(v{i})" if values[i].ndim == 0 else f"v{i}" for i in reads)
     names = ", ".join(f"x{i}" if aux else f"v{i}" for i, aux in kept)
-    return (f"def plan(np, A, {', '.join(name for name, _ in _rules())}):\n"
-            f"    def forward(labels, {', '.join(f'v{i}' for i in leaves)}):\n        "
+    head = f"def plan(np, A, {', '.join(name for name, _ in _rules())}):\n"
+    return (f"{head}    def forward(labels, {', '.join(f'v{i}' for i in leaves)}):\n        "
             + "\n        ".join([*fwd, f"return [{outs}], [{names}]"])
-            + "\n\n    def backward(K):\n        " + "\n        ".join(
+            + f"\n    return forward\n{head}\n    def backward(K):\n        " + "\n        ".join(
                 [f"[{names}] = K", "K.clear()", f"G = {{{zeros}}}", *bwd, "return G"])
-            + "\n\n    return forward, backward\n"), kept, tuple(consts)
+            + "\n    return backward\n"), kept, tuple(consts)
 
 
 def _name(op: str) -> str:
@@ -310,13 +318,14 @@ def _rules() -> list[tuple[str, Callable]]:
         ("fwd", r.fwd), ("bwd", r.bwd), ("val", r.value), ("rb", r.rebuild)) if rule]
 
 
-def _compile(source: str, consts: tuple) -> tuple[Callable, Callable]:
-    """The forward and backward of a plan's text, closed over numpy, the op arguments
-    and the rules, so each is a cell and not a global lookup."""
-    scope: dict = {}
-    exec(compile(source, "<plan>", "exec"), scope)
-    rules = (rule for _, rule in _rules())
-    return scope.pop("plan")(np, consts, *rules)   # scope outlives it as their globals
+def _compile(source: str, consts: tuple) -> list[Callable]:
+    """The forward and backward of a plan's text, each module compiled on its own, so
+    compile's working state is one function's at a time; each is closed over numpy, the
+    op arguments and the rules, so each is a cell and not a global lookup."""
+    cut, scopes = source.index("\ndef ") + 1, ({}, {})   # the backward's module starts at cut
+    for text, scope in zip((source[:cut], source[cut:]), scopes):
+        exec(compile(text, "<plan>", "exec"), scope)   # a scope outlives it as its globals
+    return [scope.pop("plan")(np, consts, *(rule for _, rule in _rules())) for scope in scopes]
 
 
 # ---------------------------------------------------------------------------

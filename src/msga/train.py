@@ -51,7 +51,7 @@ from msga.optim import (
     galore_step,
     lr_at,
 )
-from msga.tape import Plan
+from msga.tape import Plan, lower
 
 LOG_COLUMNS = ("step", "lr_full", "lr_galore", "ce", "dice", "loss")
 
@@ -112,7 +112,9 @@ def compile_loss_plan(
     and loss, and gives adjoints for the groups that are not frozen."""
     tape, ids, ce, dice, loss = build_loss_tape(params, image, labels_grid, cfg)
     trained = [ids[g.name] for g in params.groups if not isinstance(g.strategy, Frozen)]
-    return Plan(tape, loss, trained, (ce, dice, loss)), ids
+    lowered = lower(tape, loss, trained, (ce, dice, loss))
+    del tape   # its values and aux go before the compile
+    return Plan(lowered), ids
 
 
 def _batches(seed: int, n: int, batch_size: int) -> Iterator[np.ndarray]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,13 @@ def test_synthetic_two_classes_binary_masks() -> None:
     ds = generate_synthetic(5, 10, 16, 16, 2)
     for s in ds.samples:
         assert set(np.unique(s.mask)) <= {0, 1}
+
+
+def test_synthetic_masks_hold_one_byte_per_pixel() -> None:
+    # labels 0..k-1 in the smallest unsigned dtype: eight times less than int64
+    assert {s.mask.dtype for s in generate_synthetic(2, 20, 32, 32, 3).samples} == {np.dtype("u1")}
+    ds = generate_synthetic(7, 400, 32, 32, 3)
+    assert sum(s.mask.nbytes for s in ds.samples) == 409_600
 
 
 def test_synthetic_patient_grouping_and_ranges() -> None:
@@ -89,6 +98,26 @@ def test_pgm_sixteen_bit_big_endian_fixture() -> None:
     assert image.min() >= 0.0 and image.max() <= 1.0
 
 
+def test_pgm_bytes_scale_every_code_as_a_float64_cast_then_divide_does() -> None:
+    # one float64 array per image, with the bits the cast-then-divide gave, at every
+    # 8-bit and 16-bit code
+    for maxval, dtype in ((255, np.dtype("u1")), (65535, np.dtype(">u2"))):
+        codes = np.arange(maxval + 1).astype(dtype)
+        image = load_pgm_bytes(b"P5\n%d 1\n%d\n" % (codes.size, maxval) + codes.tobytes())
+        want = codes.astype(np.float64) / maxval
+        assert image.dtype == np.float64 and image.tobytes() == want.reshape(1, -1).tobytes()
+    data = b"P5\n32 32\n255\n" + bytes(32 * 32)
+    tracemalloc.start()
+    try:
+        image = load_pgm_bytes(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the payload's byte and one float64 output per pixel; a cast then divide makes two
+    # float64 arrays at this size, below numpy's 256 KiB bound for reusing a temporary
+    assert peak < 1.5 * image.nbytes, peak
+
+
 def test_pgm_comments_and_whitespace_tolerated() -> None:
     data = b"P5 # binary pgm\n# size next\n 3\t2 \n255\n" + bytes(6)
     assert load_pgm_bytes(data).shape == (2, 3)
@@ -132,7 +161,22 @@ def test_labels_pgm_round_trip(tmp_path) -> None:
     labels = np.random.default_rng(1).integers(0, 5, (8, 8))
     path = str(tmp_path / "mask.pgm")
     save_labels_pgm(labels, path)
-    assert np.array_equal(load_labels_pgm(path), labels)
+    loaded = load_labels_pgm(path)
+    assert np.array_equal(loaded, labels)
+    # the file's one byte per pixel, in an array of its own, not a view of the file bytes
+    assert loaded.dtype == np.uint8 and loaded.flags.owndata and loaded.flags.writeable
+
+
+def test_sixteen_bit_labels_load_as_native_uint16(tmp_path) -> None:
+    # big-endian on disk, native uint16 in memory, with the values >u2 decodes
+    payload = bytes([0x00, 0x00, 0x01, 0x00, 0xFF, 0xFF, 0x02, 0x01])
+    wide = tmp_path / "wide.pgm"
+    wide.write_bytes(b"P5\n2 2\n65535\n" + payload)
+    loaded = load_labels_pgm(str(wide))
+    assert loaded.dtype == np.dtype("=u2") and loaded.dtype.isnative
+    assert loaded.flags.owndata and loaded.flags.writeable
+    assert loaded.tolist() == np.frombuffer(payload, ">u2").reshape(2, 2).tolist()
+    assert loaded.tolist() == [[0, 256], [65535, 513]]
 
 
 def test_manifest_round_trip(tmp_path) -> None:
@@ -142,6 +186,7 @@ def test_manifest_round_trip(tmp_path) -> None:
     assert len(loaded) == 8
     for original, again in zip(ds.samples, loaded.samples):
         assert np.array_equal(original.mask, again.mask)
+        assert original.mask.dtype == again.mask.dtype == np.uint8
         assert original.patient_id == again.patient_id
         assert np.abs(original.image - again.image).max() <= 0.5 / 255.0  # 8-bit quantization
 

@@ -564,6 +564,72 @@ def test_forward_peak_stays_under_half_of_the_recorded_tape() -> None:
     assert peak < 260 * 1024
 
 
+# tracemalloc peak of one first-call default forward, compile included, after an earlier
+# forward for the same key was dropped (x86_64, numpy 2.4, Python 3.11, run alone; 561,949 B
+# inside the whole suite; 887,798 B while the recorded tape lived through one compile of both
+# functions)
+FIRST_FORWARD_PEAK_BYTES = 561_389
+
+
+def test_a_first_forward_call_peaks_within_its_bound(monkeypatch) -> None:
+    # a first call records the tape, lowers it, lets it go and compiles the forward-only
+    # plan's two texts one at a time; the bound is 2% over the peak measured when it was set
+    params = init_model(ModelConfig(), 0)
+    image = np.random.default_rng(4).normal(size=(32, 32))
+    forward(params, image)   # first-call allocations stay out
+    monkeypatch.setattr(msga.model, "_forward_plan", {})
+    tracemalloc.start()
+    try:
+        forward(params, image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(msga.model._forward_plan) == 1
+    assert peak <= FIRST_FORWARD_PEAK_BYTES * 1.02, peak
+
+
+def _compiles_seeing_the_recorded_arrays(monkeypatch, build, *args) -> list[int]:
+    """For each `compile()` of a plan text that `build(*args)` runs: how many arrays the
+    recorded forward rules made or kept, its labels included, are alive at that call."""
+    recorded: list[weakref.ref] = []
+    alive_at_compile: list[int] = []
+
+    def watched(kind, rule):
+        def forward_rule_watched(*args):
+            out = rule(*args)
+            if not alive_at_compile:   # a replay after the compile records nothing
+                aux = args[-1]
+                recorded.extend(weakref.ref(a) for a in (
+                    out, *(x for v in aux.values() for x in (v if isinstance(v, tuple) else (v,))))
+                    if isinstance(a, np.ndarray))
+            return out
+        return forward_rule_watched
+
+    def watched_compile(*args, **kwargs):
+        alive_at_compile.append(sum(ref() is not None for ref in recorded))
+        return compile(*args, **kwargs)
+
+    _wrap_rules(monkeypatch, forward=watched)
+    monkeypatch.setattr(msga.tape, "compile", watched_compile, raising=False)
+    build(*args)
+    assert len(recorded) > 30   # every value, aux array and the labels were watched
+    return alive_at_compile
+
+
+@pytest.mark.parametrize("kind", ["training", "forward-only"])
+def test_no_array_of_the_recorded_tape_is_alive_when_a_plan_compiles(monkeypatch, kind) -> None:
+    # compile_loss_plan and forward's first call lower the tape, let it go, and only then
+    # compile the plan's two texts, each with its own compile() call
+    if kind == "training":
+        cfg = CONFIGS["medsaga"]
+        params, samples = _setup(cfg)
+        build, args = compile_loss_plan, (params, *samples[0], cfg)
+    else:
+        monkeypatch.setattr(msga.model, "_forward_plan", {})
+        build, args = forward, (init_model(ModelConfig(), 0), np.ones((32, 32)))
+    assert _compiles_seeing_the_recorded_arrays(monkeypatch, build, *args) == [0, 0]
+
+
 def test_forward_plan_keeps_its_checks() -> None:
     params = init_model(ModelConfig(), 0)
     forward(params, np.zeros((32, 32)))
@@ -575,8 +641,8 @@ def test_forward_plan_keeps_its_checks() -> None:
 
 
 # tracemalloc peak of default medsaga over steps 3-7 when the bound was set
-# (x86_64, numpy 2.4, Python 3.11); 551,090 B inside the whole suite
-TRAIN_PEAK_BYTES = 557_010
+# (x86_64, numpy 2.4, Python 3.11, run alone); 550,946 B inside the whole suite
+TRAIN_PEAK_BYTES = 556_242
 
 
 def test_default_training_peak_after_step_2_stays_within_its_bound(monkeypatch) -> None:
@@ -605,6 +671,28 @@ def test_default_training_peak_after_step_2_stays_within_its_bound(monkeypatch) 
         tracemalloc.stop()
     assert seen == set(range(8))
     assert peak <= TRAIN_PEAK_BYTES * 1.02, peak
+
+
+# tracemalloc peak of a whole default 8-step medsaga train_model, compile included, after
+# a 1-step run (x86_64, numpy 2.4, Python 3.11, run alone; 731,053 B inside the whole suite;
+# 1,685,176 B while the recorded tape lived through one compile of both functions)
+RUN_PEAK_BYTES = 736_334
+
+
+def test_a_whole_default_training_run_peaks_within_its_bound() -> None:
+    # what a run holds at its high-water mark, the compile included: the plan's texts are
+    # compiled after the tape is gone and one at a time. The bound is 2% over the peak
+    # measured when it was set
+    cfg = replace(RunConfig(), total_steps=8)
+    train_ds, _ = prepare_splits(cfg)
+    train_model(replace(cfg, total_steps=1), train_ds)   # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        train_model(cfg, train_ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= RUN_PEAK_BYTES * 1.02, peak
 
 
 def _bindings_and_dels(lines: list[str]) -> tuple[Counter, Counter]:
