@@ -36,14 +36,6 @@ from msga.tape import Plan, Tape, lower
 CHECKPOINT_MAGIC = b"MSGA1"
 MLP_RATIO = 4
 
-ROLE_ATTENTION = (
-    "encoder-attention-q",
-    "encoder-attention-k",
-    "encoder-attention-v",
-    "encoder-attention-o",
-)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     image_h: int = 32
@@ -134,10 +126,10 @@ def init_model(config: ModelConfig, seed: int) -> ModelParams:
         base = f"encoder/block{b}"
         add(f"{base}/ln1/gain", np.ones((1, d)), "encoder-mlp")
         add(f"{base}/ln1/bias", np.zeros((1, d)), "encoder-mlp")
-        add(f"{base}/attn/q", lin(d, d), "encoder-attention-q")
-        add(f"{base}/attn/k", lin(d, d), "encoder-attention-k")
-        add(f"{base}/attn/v", lin(d, d), "encoder-attention-v")
-        add(f"{base}/attn/o", lin(d, d), "encoder-attention-o")
+        add(f"{base}/attn/q", lin(d, d), "encoder-attention")
+        add(f"{base}/attn/k", lin(d, d), "encoder-attention")
+        add(f"{base}/attn/v", lin(d, d), "encoder-attention")
+        add(f"{base}/attn/o", lin(d, d), "encoder-attention")
         add(f"{base}/ln2/gain", np.ones((1, d)), "encoder-mlp")
         add(f"{base}/ln2/bias", np.zeros((1, d)), "encoder-mlp")
         add(f"{base}/mlp/w1", lin(d, hidden), "encoder-mlp")

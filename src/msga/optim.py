@@ -27,7 +27,7 @@ import numpy as np
 
 from msga.data import check_fields
 from msga.linalg import truncated_svd
-from msga.model import ROLE_ATTENTION, ModelParams
+from msga.model import ModelParams
 
 DEFAULT_BETA1 = 0.9
 DEFAULT_BETA2 = 0.999
@@ -286,7 +286,7 @@ def assign_strategies(params: ModelParams, mode: str, rank: int = DEFAULT_RANK,
         elif mode == "medsaga":
             strategy = galore_for(g) if encoder else FullAdamW()
         elif mode == "v1":
-            strategy = galore_for(g) if g.role in ROLE_ATTENTION else FullAdamW()
+            strategy = galore_for(g) if g.role == "encoder-attention" else FullAdamW()
         else:  # v2
             strategy = galore_for(g) if encoder else Frozen()
         groups.append(replace(g, strategy=strategy))

@@ -27,30 +27,30 @@ positional arguments in order (None where not read) and its aux. A rule writes
 only into arrays it allocated, never into its inputs, adjoint or aux: the add
 backward hands one adjoint to both its inputs.
 
-A Plan lowers a recorded tape to straight-line Python, `plan_source`, and
-compiles it once: a forward with one line per op to replay it on new leaves
-and labels, and a backward with one rule call per node between the wanted
-leaves and the loss, each compiled from its own text. `lower` gives what a
-Plan compiles and holds no array of the tape, so a caller may drop the tape
-before the compile. An op kind's record declares the inputs its backward
-reads (others reach it as None). A node on the backward path keeps those
-inputs and its aux from its forward op until its own backward step; every
-other value is deleted after its last forward reader. A record may hold a
-rebuild rule, its forward's own code path, and the inputs it reads: the plan
-then keeps those inputs in place of a value, when they are leaves, kept anyway
-or rebuilt themselves and the node's aux is kept or holds only op arguments,
-and rebuilds the value just before its first reader, a backward rule or
-another rebuild (layernorm from its kept `xhat`, patchify from the image,
-matmul from its two inputs, attention from its kept probabilities and v). So
-an encoder block's q, k and v are rebuilt from the rebuilt layernorm output,
-and its attention output from the rebuilt v. A node whose aux no backward step
-reads runs the value-only forward its record may hold (gelu, without its
-derivative). Training records one tape per run and replays its plan once per
-step; Tape.backward runs the emitted backward on the tape's recorded values. A
-leaf may carry a name, which a replay error reports in place of its id.
-Gradients are fresh arrays, safe to hand elsewhere. A plan that wants nothing
-has no backward: evaluation replays one that reads the logits, so an image
-keeps only the values a later op reads.
+`plan_source` writes a recorded tape as two texts of straight-line Python: a
+forward with one line per op to replay it on new leaves and labels, and a
+backward with one rule call per node between the wanted leaves and the loss. A
+Plan is built only from `lower`'s output, which holds those texts and no array
+of the tape, so a caller may drop the tape before the compile; it compiles
+each function once, from its own text. An op kind's record declares the inputs
+its backward reads (others reach it as None). A node on the backward path
+keeps those inputs and its aux from its forward op until its own backward
+step; every other value is deleted after its last forward reader. A record may
+hold a rebuild rule, its forward's own code path, and the inputs it reads: the
+plan then keeps those inputs in place of a value, when they are leaves, kept
+anyway or rebuilt themselves and the node's aux is kept or holds only op
+arguments, and rebuilds the value just before its first reader, a backward
+rule or another rebuild (layernorm from its kept `xhat`, patchify from the
+image, matmul from its two inputs, attention from its kept probabilities and
+v). So an encoder block's q, k and v are rebuilt from the rebuilt layernorm
+output, and its attention output from the rebuilt v. A node whose aux no
+backward step reads runs the value-only forward its record may hold (gelu,
+without its derivative). Training records one tape per run and replays its
+plan once per step; Tape.backward compiles only the emitted backward and runs
+it on the tape's recorded values. A leaf may carry a name, which a replay
+error reports in place of its id. Gradients are fresh arrays, safe to hand
+elsewhere. A plan that wants nothing has an empty backward: evaluation replays
+one that reads the logits, so an image keeps only the values a later op reads.
 """
 
 from __future__ import annotations
@@ -168,30 +168,31 @@ class Tape:
         Leaves with no path to the loss get exactly-zero gradients of their
         own shape. Identical tapes produce bitwise-identical results: the
         traversal order and accumulation order are fixed by node order."""
-        source, kept, consts = plan_source(self, loss_id)
-        return _compile(source, consts)[1]([self.nodes[i].aux if aux else self.values[i]
-                                            for i, aux in kept])
+        _, backward, kept, consts = plan_source(self, loss_id)
+        return _compile(backward, consts)([self.nodes[i].aux if aux else self.values[i]
+                                           for i, aux in kept])
 
 
-def lower(tape: Tape, loss_id: int, wanted=None, reads=()) -> tuple[str, tuple, list[tuple]]:
-    """What a Plan compiles, holding no array of the tape: `plan_source`'s text and op
-    arguments, and each leaf's id, shape and name."""
-    source, _, consts = plan_source(tape, loss_id, wanted, reads)
+def lower(tape: Tape, loss_id: int, wanted=None, reads=()) -> tuple[str, str, tuple, list]:
+    """What a Plan is built from, holding no array of the tape: `plan_source`'s forward
+    and backward texts and op arguments, and each leaf's id, shape and name."""
+    forward, backward, _, consts = plan_source(tape, loss_id, wanted, reads)
     shapes = {}   # one tuple per distinct leaf shape
-    return source, consts, [(nid, shapes.setdefault(v.shape, v.shape), n.aux["name"]) for nid,
-                            (n, v) in enumerate(zip(tape.nodes, tape.values)) if n.op == "leaf"]
+    return forward, backward, consts, [
+        (nid, shapes.setdefault(v.shape, v.shape), n.aux["name"])
+        for nid, (n, v) in enumerate(zip(tape.nodes, tape.values)) if n.op == "leaf"]
 
 
 class Plan:
-    """A tape lowered by `plan_source` and compiled once: a forward that replays every
-    op on new leaves and labels, and a backward over the nodes on a path from a wanted
-    leaf to the loss, accumulating adjoints in reverse node order as the whole tape
-    would. It keeps the two functions and each leaf's id, shape and name, not the text.
-    It is built from a tape, or from `lower`'s output when no loss id is given."""
+    """`lower`'s output compiled once, each function from its own text: a forward that
+    replays every op on new leaves and labels, and a backward over the nodes on a path
+    from a wanted leaf to the loss, accumulating adjoints in reverse node order as the
+    whole tape would. It keeps the two functions and each leaf's id, shape and name, not
+    the texts."""
 
-    def __init__(self, tape: Tape | tuple, loss_id: int | None = None, wanted=None, reads=()):
-        lowered = tape if loss_id is None else lower(tape, loss_id, wanted, reads)
-        (self._forward, self._backward), self.leaves = _compile(*lowered[:2]), lowered[2]
+    def __init__(self, lowered: tuple):
+        forward, backward, consts, self.leaves = lowered
+        self._forward, self._backward = _compile(forward, consts), _compile(backward, consts)
 
     def run(self, samples: Iterable[tuple]) -> tuple[list[float], dict[int, np.ndarray]]:
         """Replay each `(leaves, labels)` sample in order (`leaves` float64 in tape order,
@@ -221,15 +222,15 @@ class Plan:
 
 
 def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
-                reads: tuple[int, ...] = ()) -> tuple[str, list[tuple[int, bool]], tuple]:
-    """A tape as Python text, the same for the same tape; the entries of the kept list K,
-    each `(id, is_aux)`: a node's value or its aux; and the op arguments A the text
-    reads. Two modules, each a `plan(np, A, <rules>)` factory, return `forward(labels,
-    *leaves)`, one local per value, one line per op, a `del` after a value's last reader
-    unless K keeps it, returning the `reads` and K; and `backward(K)`, one rule call per
-    backward node, each rebuilt value's rebuild just before its first reader, a rule or a
-    rebuild (a step's rebuilds in node order, so inputs first), returning the dict G of
-    the wanted leaves' adjoints."""
+                reads: tuple[int, ...] = ()) -> tuple[str, str, list[tuple[int, bool]], tuple]:
+    """A tape as two Python texts, the same for the same tape; the entries of the kept
+    list K, each `(id, is_aux)`: a node's value or its aux; and the op arguments A the
+    texts read. Each text is a module whose `plan(np, A, <rules>)` factory returns one
+    function: the first `forward(labels, *leaves)`, one local per value, one line per op,
+    a `del` after a value's last reader unless K keeps it, returning the `reads` and K;
+    the second `backward(K)`, one rule call per backward node, each rebuilt value's
+    rebuild just before its first reader, a rule or a rebuild (a step's rebuilds in node
+    order, so inputs first), returning the dict G of the wanted leaves' adjoints."""
     nodes, values = tape.nodes, tape.values
     leaves = [nid for nid, n in enumerate(nodes) if n.op == "leaf"]
     wanted = set(leaves if wanted is None else wanted)
@@ -299,12 +300,15 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
         fwd += [f"del {', '.join(dead)}"] if dead else []
     outs = ", ".join(f"float(v{i})" if values[i].ndim == 0 else f"v{i}" for i in reads)
     names = ", ".join(f"x{i}" if aux else f"v{i}" for i, aux in kept)
-    head = f"def plan(np, A, {', '.join(name for name, _ in _rules())}):\n"
-    return (f"{head}    def forward(labels, {', '.join(f'v{i}' for i in leaves)}):\n        "
-            + "\n        ".join([*fwd, f"return [{outs}], [{names}]"])
-            + f"\n    return forward\n{head}\n    def backward(K):\n        " + "\n        ".join(
-                [f"[{names}] = K", "K.clear()", f"G = {{{zeros}}}", *bwd, "return G"])
-            + "\n    return backward\n"), kept, tuple(consts)
+    rules = ", ".join(name for name, _ in _rules())
+
+    def module(name: str, params: str, lines: list[str]) -> str:   # a factory of one function
+        return (f"def plan(np, A, {rules}):\n    def {name}({params}):\n        "
+                + "\n        ".join(lines) + f"\n    return {name}\n")
+    return (module("forward", ", ".join(["labels", *(f"v{i}" for i in leaves)]),
+                   [*fwd, f"return [{outs}], [{names}]"]),
+            module("backward", "K", [f"[{names}] = K", "K.clear()", f"G = {{{zeros}}}", *bwd,
+                                     "return G"]), kept, tuple(consts))
 
 
 def _name(op: str) -> str:
@@ -318,14 +322,12 @@ def _rules() -> list[tuple[str, Callable]]:
         ("fwd", r.fwd), ("bwd", r.bwd), ("val", r.value), ("rb", r.rebuild)) if rule]
 
 
-def _compile(source: str, consts: tuple) -> list[Callable]:
-    """The forward and backward of a plan's text, each module compiled on its own, so
-    compile's working state is one function's at a time; each is closed over numpy, the
-    op arguments and the rules, so each is a cell and not a global lookup."""
-    cut, scopes = source.index("\ndef ") + 1, ({}, {})   # the backward's module starts at cut
-    for text, scope in zip((source[:cut], source[cut:]), scopes):
-        exec(compile(text, "<plan>", "exec"), scope)   # a scope outlives it as its globals
-    return [scope.pop("plan")(np, consts, *(rule for _, rule in _rules())) for scope in scopes]
+def _compile(text: str, consts: tuple) -> Callable:
+    """The one function of one of `plan_source`'s texts, closed over numpy, the op
+    arguments and the rules, so each is a cell and not a global lookup."""
+    scope = {}   # outlives the exec as the function's globals
+    exec(compile(text, "<plan>", "exec"), scope)
+    return scope.pop("plan")(np, consts, *(rule for _, rule in _rules()))
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +653,9 @@ def _bwd_soft_dice(g, z, aux):
     denom = sums + smooth
     # d(loss)/d(p_jc) for the mean-over-classes soft dice
     dp = -(2.0 * onehot * denom - (2.0 * inter + smooth)) / (k * denom**2)
-    dz = p * (dp - (dp * p).sum(axis=1, keepdims=True))
-    return (dz * float(g),)
+    dz = _softmax_rows_adjoint(dp, p, dp)
+    dz *= float(g)
+    return (dz,)
 
 
 def _bwd_reshape(g, a, aux):

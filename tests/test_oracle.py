@@ -17,7 +17,7 @@ from msga.config import RunConfig
 from msga.losses import downsample_labels
 from msga.model import build_loss_tape, init_model
 from msga.optim import Frozen, assign_strategies
-from msga.tape import OP_KINDS, Plan, Tape, plan_source
+from msga.tape import OP_KINDS, Plan, Tape, lower, plan_source
 from msga.train import model_config, prepare_splits
 
 
@@ -185,10 +185,10 @@ def _labels(tape: Tape) -> np.ndarray:
                 np.zeros(0, np.int64))
 
 
-def _assert_freed_at_last_use(source: str) -> None:
+def _assert_freed_at_last_use(texts: tuple[str, str]) -> None:
     """In each emitted function, every binding of a local not returned is deleted by
     the first `del` after the last line that names it."""
-    for text in source.split("\n\n    def backward(K):\n"):
+    for text in texts:
         lines = text.splitlines()
         dels = [k for k, line in enumerate(lines) if line.lstrip().startswith("del ")]
         version, last, freed = Counter(), {}, {}
@@ -209,7 +209,7 @@ def assert_matches_the_oracle(tapes: list[Tape], loss: int, wanted, reads: tuple
     """`tapes` record one graph on each sample of a batch. Checks `Tape.backward` on each,
     and `Plan.run` over the batch and a forward-only replay of each against the naive
     interpreter and the recorded values, byte for byte, and both plans' liveness.
-    Returns the plans' text."""
+    Returns each plan's forward and backward text."""
     tape = tapes[0]
     leaves = [i for i, n in enumerate(tape.nodes) if n.op == "leaf"]
     wanted = leaves if wanted is None else list(wanted)
@@ -225,18 +225,18 @@ def assert_matches_the_oracle(tapes: list[Tape], loss: int, wanted, reads: tuple
                 for i, g in naive_adjoints(t, loss, wanted).items()}
         totals = [r + (float(t.values[i]) if t.values[i].ndim == 0 else t.values[i])
                   for r, i in zip(totals, reads)]
-    got_reads, got = Plan(tape, loss, wanted, reads).run(samples)
+    got_reads, got = Plan(lower(tape, loss, wanted, reads)).run(samples)
     assert sorted(got) == sorted(sums)
     assert [i for i in sums if _bytes(got[i]) != _bytes(sums[i])] == []
     assert [_bytes(r) for r in got_reads] == [_bytes(r) for r in totals]
     assert all(type(r) is float for r, i in zip(got_reads, reads) if tape.values[i].ndim == 0)
-    forward_only = Plan(tape, loss, (), reads)
+    forward_only = Plan(lower(tape, loss, (), reads))
     for t, (values, labels) in zip(tapes, samples):
         got_reads, kept = forward_only.replay(values, labels)
         assert kept == []
         assert [_bytes(r) for r in got_reads] == [
             _bytes(float(t.values[i]) if t.values[i].ndim == 0 else t.values[i]) for i in reads]
-    sources = {kind: plan_source(tape, loss, w, reads)[0]
+    sources = {kind: plan_source(tape, loss, w, reads)[:2]
                for kind, w in (("training", wanted), ("forward-only", ()))}
     for source in sources.values():
         _assert_freed_at_last_use(source)
@@ -260,7 +260,8 @@ def test_random_graphs_match_the_naive_oracle_bitwise() -> None:
         wanted = (None if pick < 0.2 else () if pick < 0.3
                   else [i for i in leaves if rng.random() < 0.6])
         reads = tuple(i for i in range(len(first.nodes)) if rng.random() < 0.2)
-        source = assert_matches_the_oracle([first, second], loss, wanted, reads)["training"]
+        source = "".join(assert_matches_the_oracle([first, second], loss, wanted,
+                                                   reads)["training"])
         rebuilt = set(re.findall(r"\b(v\d+) = rb_", source))
         seen |= {n.op for n in first.nodes} | {f"rb_{kind}" for kind in re.findall(
             r"= rb_(\w+)\(", source)} | {"wanted " + ("all" if wanted is None else

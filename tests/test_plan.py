@@ -24,7 +24,7 @@ from msga.config import RunConfig
 from msga.losses import downsample_labels
 from msga.model import ModelConfig, _record_forward, build_loss_tape, forward, init_model
 from msga.optim import Frozen, assign_strategies
-from msga.tape import OP_KINDS, Plan, Tape, plan_source
+from msga.tape import OP_KINDS, Plan, Tape, lower, plan_source
 from msga.train import compile_loss_plan, model_config, prepare_splits, train_model
 from test_tape import OP_GRAPHS, op_graph_params
 
@@ -59,14 +59,14 @@ def _wrap_rules(monkeypatch, forward=None, backward=None, rebuild=None) -> None:
             if wrap and getattr(rules, field)}))
 
 
-def _record_sources(monkeypatch) -> list[str]:
-    """The text of every plan compiled from here on, in order."""
+def _record_sources(monkeypatch) -> list[tuple[str, str]]:
+    """The forward and backward text of every plan compiled from here on, in order."""
     sources, original = [], msga.tape.plan_source
 
     def recording(*args):
-        source, *rest = original(*args)
-        sources.append(source)
-        return source, *rest
+        forward, backward, *rest = original(*args)
+        sources.append((forward, backward))
+        return forward, backward, *rest
 
     monkeypatch.setattr(msga.tape, "plan_source", recording)
     return sources
@@ -136,8 +136,9 @@ def test_v2_plan_gives_frozen_leaves_no_adjoint(monkeypatch) -> None:
     assert not frozen & set(grads)
     # the emitted text names no adjoint, `g<id>` or `G[<id>]`, for a frozen leaf: no
     # backward step computes or accumulates one
-    (source,) = sources
-    adjoints = {int(a or b) for a, b in re.findall(r"\bg(\d+)\b|\bG\[(\d+)\]", source)}
+    ((forward_text, backward_text),) = sources
+    adjoints = {int(a or b) for a, b in re.findall(r"\bg(\d+)\b|\bG\[(\d+)\]",
+                                                   forward_text + backward_text)}
     assert adjoints and not frozen & adjoints
 
 
@@ -178,7 +179,7 @@ def test_a_plan_over_unnamed_leaves_names_a_bad_leaf_by_its_id() -> None:
     # the plan Tape.backward compiles: every leaf wanted, none of them named
     tape = Tape()
     a, b = tape.leaf(np.ones((2, 3))), tape.leaf(np.ones((3, 2)))
-    plan = Plan(tape, tape.mean(tape.matmul(a, b)))
+    plan = Plan(lower(tape, tape.mean(tape.matmul(a, b))))
     with pytest.raises(ValueError, match=r"replay leaf 1: expected float64 \(3, 2\)"):
         plan.run([([np.ones((2, 3)), np.ones((2, 3))], ())])
 
@@ -248,7 +249,7 @@ def test_backward_frees_each_value_and_its_aux_after_the_last_reader(monkeypatch
         return rebuild_watched
 
     _wrap_rules(monkeypatch, watched_forward, watched_backward, watched_rebuild)
-    plan = Plan(tape, loss)
+    plan = Plan(lower(tape, loss))
     kept = plan.replay(copies, samples[0][1])[1]
     del copies   # the forward dropped each leaf no backward rule reads
     plan.backward(kept)
@@ -264,7 +265,7 @@ def test_backward_frees_each_value_and_its_aux_after_the_last_reader(monkeypatch
     # rebuilt, until the value's first reader, a rule or a rebuild, and it is alive from
     # the step of that reader on
     declared = {s for m in steps for s in _declared(tape, m) if s is not None}
-    kept_values = {i for i, aux in plan_source(tape, loss)[1] if not aux}
+    kept_values = {i for i, aux in plan_source(tape, loss)[2] if not aux}
     rebuilt = {i: [tape.nodes[i].inputs[k]
                    for k in msga.tape._OPS[tape.nodes[i].op].rebuild_reads]
                for i in sorted(declared - kept_values)}   # each with its rebuild's inputs
@@ -386,7 +387,7 @@ def test_a_rule_handed_none_for_a_slot_it_reads_raises(monkeypatch) -> None:
     for tape, loss in graphs:
         calls.clear()
         tape.backward(loss)   # whole entries go through, the tape's own aux included
-        kept = {i for i, aux in plan_source(tape, loss)[1] if not aux}
+        kept = {i for i, aux in plan_source(tape, loss)[2] if not aux}
         node_of = {id(n.aux): nid for nid, n in enumerate(tape.nodes)}
         for rule, args, aux in calls:
             nid = node_of[id(aux)]
@@ -452,8 +453,8 @@ def test_a_plan_that_wants_nothing_has_no_backward_and_reads_its_output_as_an_ar
     params = init_model(ModelConfig(), 0)
     image = np.random.default_rng(1).normal(size=(32, 32))
     tape, _, out = _record_forward(params, image)
-    plan = Plan(tape, out, (), (out,))
-    source = plan_source(tape, out, (), (out,))[0]
+    plan = Plan(lower(tape, out, (), (out,)))
+    source = plan_source(tape, out, (), (out,))[1]
     backward = source[source.index("def backward(K):"):]
     assert "bwd_" not in backward and "G = {}" in backward   # no rule call, no adjoint
     (logits,), kept = plan.replay([*(g.values for g in params.groups), image], ())
@@ -588,6 +589,15 @@ def test_a_first_forward_call_peaks_within_its_bound(monkeypatch) -> None:
     assert peak <= FIRST_FORWARD_PEAK_BYTES * 1.02, peak
 
 
+def _watch_compile(monkeypatch, watch) -> None:
+    """Shadow `compile` in msga.tape: `watch(text)` runs before each call compiles it."""
+    def watched_compile(text, *args, **kwargs):
+        watch(text)
+        return compile(text, *args, **kwargs)
+
+    monkeypatch.setattr(msga.tape, "compile", watched_compile, raising=False)
+
+
 def _compiles_seeing_the_recorded_arrays(monkeypatch, build, *args) -> list[int]:
     """For each `compile()` of a plan text that `build(*args)` runs: how many arrays the
     recorded forward rules made or kept, its labels included, are alive at that call."""
@@ -605,12 +615,9 @@ def _compiles_seeing_the_recorded_arrays(monkeypatch, build, *args) -> list[int]
             return out
         return forward_rule_watched
 
-    def watched_compile(*args, **kwargs):
-        alive_at_compile.append(sum(ref() is not None for ref in recorded))
-        return compile(*args, **kwargs)
-
     _wrap_rules(monkeypatch, forward=watched)
-    monkeypatch.setattr(msga.tape, "compile", watched_compile, raising=False)
+    _watch_compile(monkeypatch, lambda _: alive_at_compile.append(
+        sum(ref() is not None for ref in recorded)))
     build(*args)
     assert len(recorded) > 30   # every value, aux array and the labels were watched
     return alive_at_compile
@@ -628,6 +635,24 @@ def test_no_array_of_the_recorded_tape_is_alive_when_a_plan_compiles(monkeypatch
         monkeypatch.setattr(msga.model, "_forward_plan", {})
         build, args = forward, (init_model(ModelConfig(), 0), np.ones((32, 32)))
     assert _compiles_seeing_the_recorded_arrays(monkeypatch, build, *args) == [0, 0]
+
+
+def test_each_compile_makes_one_function_and_tape_backward_compiles_only_its_backward(
+        monkeypatch) -> None:
+    # a Plan compiles its forward and its backward, each from its own text; Tape.backward
+    # compiles the backward alone, since it never runs a forward
+    cfg = CONFIGS["medsaga"]
+    params, samples = _setup(cfg)
+    tape, _, _, _, loss = build_loss_tape(params, *samples[0], cfg)
+    texts: list[str] = []
+    _watch_compile(monkeypatch, texts.append)
+    tape.backward(loss)
+    (text,) = texts
+    assert "def backward(K):" in text and "def forward(" not in text
+    texts.clear()
+    Plan(lower(tape, loss))
+    assert [("def forward(" in t, "def backward(K):" in t) for t in texts] == [(True, False),
+                                                                            (False, True)]
 
 
 def test_forward_plan_keeps_its_checks() -> None:
@@ -738,14 +763,15 @@ def test_plan_source_is_deterministic_and_shows_liveness(monkeypatch, kind) -> N
     # value and aux local is bound once, deleted at most once and never named after
     first, second = _two_compiles(monkeypatch, kind)
     assert first == second
-    forward_text, backward_text = first.split("\n\n    def backward(K):\n")
+    forward_text, backward_text = first
     for lines in (forward_text.splitlines(), backward_text.splitlines()):
         bound, deleted = _bindings_and_dels(lines)
         assert set(bound.values()) <= {1} and set(deleted.values()) <= {1}
         assert deleted.keys() <= bound.keys()
     assert _bindings_and_dels(forward_text.splitlines())[1]   # the forward frees values
     # a forward-only plan emits no backward step; a training plan one per backward node
-    assert ("bwd_" in backward_text) == (kind == "training")
+    body = backward_text[backward_text.index("def backward(K):"):]   # past the rule names
+    assert ("bwd_" in body) == (kind == "training")
 
 
 @pytest.mark.parametrize("kind", ["training", "forward-only"])
@@ -754,7 +780,8 @@ def test_plan_source_hands_each_rule_its_inputs_as_plain_arguments(monkeypatch, 
     # as many as the forward rule takes, and no list built to carry them
     arity = {f"{way}_{op.replace('-', '_')}": rules.arity
              for op, rules in msga.tape._OPS.items() for way in ("fwd", "bwd")}
-    calls = [c for c in ast.walk(ast.parse(_two_compiles(monkeypatch, kind)[0]))
+    calls = [c for text in _two_compiles(monkeypatch, kind)[0]
+             for c in ast.walk(ast.parse(text))
              if isinstance(c, ast.Call) and getattr(c.func, "id", "") in arity]
     assert {c.func.id[:4] for c in calls} == ({"fwd_", "bwd_"} if kind == "training"
                                               else {"fwd_"})
@@ -775,11 +802,10 @@ def test_a_forward_only_plan_runs_value_only_gelu_and_a_training_plan_rebuilds_l
     def calls(text: str) -> list[str]:
         return re.findall(r"\b((?:fwd|val|bwd|rb)_\w+)\(", text)
 
-    forward_only = _two_compiles(monkeypatch, "forward-only")[0]
+    forward_only = "".join(_two_compiles(monkeypatch, "forward-only")[0])
     assert "val_gelu" in calls(forward_only) and "fwd_gelu" not in calls(forward_only)
     assert not [c for c in calls(forward_only) if c.startswith("rb_")]
-    training = _two_compiles(monkeypatch, "training")[0]
-    forward_text, backward_text = training.split("\n\n    def backward(K):\n")
+    forward_text, backward_text = _two_compiles(monkeypatch, "training")[0]
     assert "fwd_gelu" in calls(forward_text) and "val_gelu" not in calls(forward_text)
     lines = backward_text.splitlines()
     rebuilds = [(k, m[1], m[2]) for k, line in enumerate(lines)
@@ -821,9 +847,9 @@ def test_default_medsaga_keeps_its_pinned_bytes_per_sample(monkeypatch) -> None:
     seen, original = [], msga.tape.plan_source
 
     def recording(tape, *args):
-        source, kept, consts = original(tape, *args)
+        forward, backward, kept, consts = original(tape, *args)
         seen.append(_kept_bytes(tape, kept))
-        return source, kept, consts
+        return forward, backward, kept, consts
 
     monkeypatch.setattr(msga.tape, "plan_source", recording)
     compile_loss_plan(params, *samples[0], cfg)
@@ -862,7 +888,8 @@ def test_a_compiled_plan_holds_neither_its_text_nor_more_bytes_than_the_interpre
     # each result goes before the next build: while a plan lives, a new one finds its
     # local names interned and allocates none
     held = _held(lambda: (compile_loss_plan(params, *samples[0], cfg), sources.clear()))[0]
-    with_text, (_, text) = _held(lambda: (compile_loss_plan(params, *samples[0], cfg),
-                                          sources.pop()))
+    with_text, (_, texts) = _held(lambda: (compile_loss_plan(params, *samples[0], cfg),
+                                           sources.pop()))
+    text_bytes = sum(map(sys.getsizeof, texts))
     assert held <= INTERPRETED_PLAN_BYTES * 1.02, held
-    assert with_text - held > sys.getsizeof(text) * 0.9, (held, with_text, sys.getsizeof(text))
+    assert with_text - held > text_bytes * 0.9, (held, with_text, text_bytes)

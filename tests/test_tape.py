@@ -30,6 +30,7 @@ from msga.tape import (
     _OPS,
     _normalize_rows,
     finite_diff_check,
+    lower,
 )
 
 
@@ -467,7 +468,7 @@ def test_a_replay_runs_no_shape_check_and_rejects_a_leaf_of_another_shape(monkey
     tape = Tape()
     params = op_graph_params(op)
     loss = OP_GRAPHS[op](tape, [tape.leaf(p) for p in params])
-    plan = Plan(tape, loss)
+    plan = Plan(lower(tape, loss))
     checked = []   # every check function a replay calls, by name
 
     def watched(name, check):
@@ -497,7 +498,7 @@ def test_a_replay_keeps_the_label_checks(op: str) -> None:
     # labels change with every sample, so their checks stay in the rules a replay runs
     tape = Tape()
     params = op_graph_params(op)
-    plan = Plan(tape, OP_GRAPHS[op](tape, [tape.leaf(p) for p in params]))
+    plan = Plan(lower(tape, OP_GRAPHS[op](tape, [tape.leaf(p) for p in params])))
     for labels, message in ((np.array([0, 3, 1]), "label values outside 0..2"),
                             (np.array([0, 1]), "labels shape")):
         with pytest.raises(ValueError, match=f"^{op}: {message}"):
