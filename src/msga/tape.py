@@ -11,11 +11,11 @@ and give the same bytes as the elementary chain. Row softmax, reshape, mean,
 embedding lookup and matmul's transpose_b flag remain only because the
 gradient-correctness acceptance check (C3) pins them. Values are float64
 ndarrays; losses are 0-d. Each op kind has one `OpRules` record in `_OPS`
-with all its rules. Tape.record runs the kind's shape checks once, before its
-forward rule, and a check may add an op argument (add's and linear's `row`,
-whether the second summand is a broadcast row); the rules run no shape check,
-since a replay's leaves have the recorded shapes and those fix every value's.
-Checks of the labels' values stay in the loss rules.
+with all its rules. Tape.record runs the kind's check once, before its forward
+rule, on its inputs' shapes and its op arguments, and a check may add an op
+argument (add's and linear's `row`, whether the second summand is a broadcast
+row). A replay checks its leaves' shapes, which fix every value's, and its
+labels, once per distinct logits shape; no rule checks anything.
 
 A forward rule may keep intermediates for its backward in the node's `aux`:
 row softmax and attention keep their probabilities, layernorm its normalized
@@ -105,7 +105,7 @@ class Tape:
                 raise ValueError(f"{op}: input id {i} not on this tape")
         values = [self.values[i] for i in ids]
         if rules.check:
-            rules.check(*values, aux)
+            rules.check(*(v.shape for v in values), aux)
         keys = tuple(aux)   # the op's arguments, a check's included
         self.values.append(rules.fwd(*values, aux))
         self.nodes.append(TapeNode(op, ids, aux, keys))
@@ -173,25 +173,27 @@ class Tape:
                                            for i, aux in kept])
 
 
-def lower(tape: Tape, loss_id: int, wanted=None, reads=()) -> tuple[str, str, tuple, list]:
-    """What a Plan is built from, holding no array of the tape: `plan_source`'s forward
-    and backward texts and op arguments, and each leaf's id, shape and name."""
+def lower(tape: Tape, loss_id: int, wanted=None, reads=()) -> tuple[str, str, tuple, list, dict]:
+    """What a Plan is built from, holding no array of the tape: `plan_source`'s texts and
+    op arguments, each leaf's id, shape and name, and each logits shape's first label op."""
     forward, backward, _, consts = plan_source(tape, loss_id, wanted, reads)
     shapes = {}   # one tuple per distinct leaf shape
     return forward, backward, consts, [
         (nid, shapes.setdefault(v.shape, v.shape), n.aux["name"])
-        for nid, (n, v) in enumerate(zip(tape.nodes, tape.values)) if n.op == "leaf"]
+        for nid, (n, v) in enumerate(zip(tape.nodes, tape.values)) if n.op == "leaf"
+    ], {tape.values[n.inputs[0]].shape: n.op   # reversed: a shape's first op is set last
+        for n in reversed(tape.nodes) if "labels" in n.args}
 
 
 class Plan:
     """`lower`'s output compiled once, each function from its own text: a forward that
     replays every op on new leaves and labels, and a backward over the nodes on a path
     from a wanted leaf to the loss, accumulating adjoints in reverse node order as the
-    whole tape would. It keeps the two functions and each leaf's id, shape and name, not
-    the texts."""
+    whole tape would. It keeps the two functions, each leaf's id, shape and name and the
+    label checks, not the texts."""
 
     def __init__(self, lowered: tuple):
-        forward, backward, consts, self.leaves = lowered
+        forward, backward, consts, self.leaves, self.labelled = lowered
         self._forward, self._backward = _compile(forward, consts), _compile(backward, consts)
 
     def run(self, samples: Iterable[tuple]) -> tuple[list[float], dict[int, np.ndarray]]:
@@ -213,7 +215,10 @@ class Plan:
             if not isinstance(v, np.ndarray) or v.dtype != _F64 or v.shape != shape:
                 raise ValueError(f"replay leaf {name!r}: expected float64 {shape}, "
                                  f"got {np.asarray(v).dtype} {np.shape(v)}")
-        return self._forward(np.asarray(labels, dtype=np.int64), *leaves)
+        labels = np.asarray(labels, dtype=np.int64)
+        for shape, op in self.labelled.items():
+            _check_labels(op, shape, labels)
+        return self._forward(labels, *leaves)
 
     def backward(self, kept: list) -> dict[int, np.ndarray]:
         """Wanted leaves' adjoints from one replay's kept list, which it empties; exact
@@ -331,70 +336,78 @@ def _compile(text: str, consts: tuple) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# shape checks, run once when an op is recorded: a replay's leaves have the recorded
-# shapes, and those fix every value's shape. A check may add an op argument
+# checks of the inputs' shapes and the op arguments, run once when an op is recorded:
+# a replay's leaves have the recorded shapes, and those fix every value's. A check may
+# add an op argument
 
 
-def _check_2d(op: str, *arrays: np.ndarray) -> None:
-    for a in arrays:
-        if a.ndim != 2:
-            raise ValueError(f"{op}: expected 2-D value, got shape {a.shape}")
-
-
-def _check_inner(a: tuple, b: tuple, transpose_b: bool) -> None:
-    b_eff = b[::-1] if transpose_b else b
-    if a[1] != b_eff[0]:
-        raise ValueError(f"matmul: inner dimensions disagree, {a} @ {b_eff} "
-                         f"(transpose_b={transpose_b})")
+def _check_2d(op: str, *shapes: tuple) -> None:
+    for shape in shapes:
+        if len(shape) != 2:
+            raise ValueError(f"{op}: expected 2-D value, got shape {shape}")
 
 
 def _check_matmul(a, b, aux):
     _check_2d("matmul", a, b)
-    _check_inner(a.shape, b.shape, aux["transpose_b"])
+    b_eff = b[::-1] if aux["transpose_b"] else b
+    if a[1] != b_eff[0]:
+        raise ValueError(f"matmul: inner dimensions disagree, {a} @ {b_eff} "
+                         f"(transpose_b={aux['transpose_b']})")
 
 
-def _check_sum(a: tuple, b: tuple, aux) -> None:
+def _check_add(a, b, aux):
     aux["row"] = a != b   # whether b is a broadcast row; the backward reads no shape
     if not (a == b or len(a) == 2 and b == (1, a[1])):
         raise ValueError(f"add: shapes {a} and {b} are neither equal nor row-broadcast")
 
 
-def _check_add(a, b, aux):
-    _check_sum(a.shape, b.shape, aux)
-
-
 def _check_linear(x, w, b, aux):
     _check_matmul(x, w, _NN)
-    _check_sum((x.shape[0], w.shape[1]), b.shape, aux)
+    _check_add((x[0], w[1]), b, aux)
 
 
 def _check_attention(q, k, v, aux):
     _check_matmul(q, k, _NT)   # the scores; then probs v
-    _check_2d("matmul", v)
-    _check_inner((q.shape[0], k.shape[0]), v.shape, False)
+    _check_matmul((q[0], k[0]), v, _NN)
 
 
 def _check_layernorm(x, gain, bias, aux):
     _check_2d("layernorm", x, gain, bias)
-    if gain.shape != (1, x.shape[1]) or bias.shape != (1, x.shape[1]):
-        raise ValueError(
-            f"layernorm: gain/bias must be (1, {x.shape[1]}), got {gain.shape} and {bias.shape}"
-        )
+    if gain != (1, x[1]) or bias != (1, x[1]):
+        raise ValueError(f"layernorm: gain/bias must be (1, {x[1]}), got {gain} and {bias}")
 
 
 def _check_softmax_rows(x, aux):
     _check_2d("softmax-rows", x)
 
 
+def _check_labels(op: str, z: tuple, labels: np.ndarray) -> None:
+    _check_2d(op, z)
+    if labels.shape != (z[0],):
+        raise ValueError(f"{op}: labels shape {labels.shape} does not match {z[0]} rows")
+    if z[0] == 0:
+        raise ValueError(f"{op}: no rows to average over")
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= z[1]:
+        raise ValueError(f"{op}: label values outside 0..{z[1] - 1}")
+
+
+def _check_softmax_ce(z, aux):
+    _check_labels("softmax-ce", z, aux["labels"])
+
+
+def _check_soft_dice(z, aux):
+    _check_labels("soft-dice", z, aux["labels"])
+
+
 def _check_reshape(a, aux):
-    if any(d < 0 for d in aux["shape"]) or int(np.prod(aux["shape"])) != a.size:
-        raise ValueError(f"reshape: cannot view {a.shape} as {aux['shape']}")
+    if any(d < 0 for d in aux["shape"]) or np.prod(aux["shape"]) != np.prod(a):
+        raise ValueError(f"reshape: cannot view {a} as {aux['shape']}")
 
 
 def _check_patchify(img, aux):
     p = aux["patch"]
     _check_2d("patchify", img)
-    h, w = img.shape
+    h, w = img
     if p < 1 or h % p or w % p:
         raise ValueError(f"patchify: image {h}x{w} not divisible by patch {p}")
 
@@ -404,8 +417,8 @@ def _check_embed_lookup(table, aux):
     _check_2d("embed-lookup", table)
     if idx.ndim != 1:
         raise ValueError(f"embed-lookup: indices must be 1-D, got {idx.shape}")
-    if idx.min(initial=0) < 0 or idx.max(initial=0) >= table.shape[0]:
-        raise ValueError(f"embed-lookup: index outside 0..{table.shape[0] - 1}")
+    if idx.min(initial=0) < 0 or idx.max(initial=0) >= table[0]:
+        raise ValueError(f"embed-lookup: index outside 0..{table[0] - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -520,19 +533,8 @@ def _fwd_softmax_rows(x, aux):
     return p
 
 
-def _check_labels(op: str, logits: np.ndarray, labels: np.ndarray) -> None:
-    _check_2d(op, logits)
-    if labels.shape != (logits.shape[0],):
-        raise ValueError(f"{op}: labels shape {labels.shape} does not match {logits.shape[0]} rows")
-    if logits.shape[0] == 0:
-        raise ValueError(f"{op}: no rows to average over")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[1]:
-        raise ValueError(f"{op}: label values outside 0..{logits.shape[1] - 1}")
-
-
 def _fwd_softmax_ce(z, aux):
     y = aux["labels"]
-    _check_labels("softmax-ce", z, y)
     zmax = z.max(axis=1)
     logsumexp = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
     picked = z[np.arange(z.shape[0]), y]
@@ -551,9 +553,7 @@ def _dice_pieces(z, y, smooth):
 
 
 def _fwd_soft_dice(z, aux):
-    y = aux["labels"]
-    _check_labels("soft-dice", z, y)
-    aux["dice"] = pieces = _dice_pieces(z, y, aux["smooth"])
+    aux["dice"] = pieces = _dice_pieces(z, aux["labels"], aux["smooth"])
     return np.asarray(1.0 - pieces[-1].mean())
 
 
@@ -686,12 +686,11 @@ class OpRules:
     the inputs' shapes. `reads` are the positions of the inputs the backward reads by
     value; the other slots get None, and all else it reads is in its aux. `arity` is
     the input count, the forward rule's parameters before the aux, fixed here so a
-    wrapped rule keeps it. `check` runs the kind's shape checks: Tape.record runs it
-    before the forward rule and a replay never does; the checks of the op's labels
-    depend on their values and stay in its rules. `value` is a forward that keeps
-    nothing in aux, for a node no backward step reads. `rebuild` rebuilds the output
-    in the backward from the inputs at `rebuild_reads`, read by value, and the aux,
-    by the forward's own code path."""
+    wrapped rule keeps it. `check` takes the inputs' shapes and the aux: Tape.record
+    runs it before the forward rule and a replay never does; no rule checks anything.
+    `value` is a forward that keeps nothing in aux, for a node no backward step reads.
+    `rebuild` rebuilds the output in the backward from the inputs at `rebuild_reads`,
+    read by value, and the aux, by the forward's own code path."""
 
     fwd: Callable
     bwd: Callable
@@ -715,8 +714,8 @@ _OPS: dict[str, OpRules] = {
     "layernorm": OpRules(_fwd_layernorm, _bwd_layernorm, (1,), 3, _check_layernorm,
                          rebuild=_layernorm_affine, rebuild_reads=(1, 2)),
     "softmax-rows": OpRules(_fwd_softmax_rows, _bwd_softmax_rows, (), 1, _check_softmax_rows),
-    "softmax-ce": OpRules(_fwd_softmax_ce, _bwd_softmax_ce, (0,), 1),
-    "soft-dice": OpRules(_fwd_soft_dice, _bwd_soft_dice, (), 1),
+    "softmax-ce": OpRules(_fwd_softmax_ce, _bwd_softmax_ce, (0,), 1, _check_softmax_ce),
+    "soft-dice": OpRules(_fwd_soft_dice, _bwd_soft_dice, (), 1, _check_soft_dice),
     "reshape": OpRules(_fwd_reshape, _bwd_reshape, (0,), 1, _check_reshape),
     "patchify": OpRules(_fwd_patchify, _bwd_patchify, (0,), 1, _check_patchify,
                         rebuild=_fwd_patchify, rebuild_reads=(0,)),

@@ -269,7 +269,7 @@ def test_random_graphs_match_the_naive_oracle_bitwise() -> None:
         seen |= {label for label, hit in [
             ("rebuild of a rebuild", any(set(re.findall(r"\bv\d+\b", call)) & rebuilt
                                          for call in re.findall(r"= rb_\w+\((.*)\)", source))),
-            ("val_gelu", "= val_gelu(" in source and "bwd_" in source),
+            ("val_gelu", "= val_gelu(" in source and "] = bwd_" in source),
             ("later contribution", re.search(r"(\S+) = \1 \+ t\d", source)),
             ("0-d read", any(first.values[i].ndim == 0 for i in reads))] if hit}
     rebuilds = {f"rb_{kind.replace('-', '_')}" for kind, r in msga.tape._OPS.items() if r.rebuild}

@@ -194,6 +194,57 @@ def test_replay_runs_the_label_range_check() -> None:
         plan.run([(_leaves(params, samples[0][0]), labels)])
 
 
+def test_a_training_replay_checks_its_labels_once_per_sample(monkeypatch) -> None:
+    # the replay checks the labels once per logits shape, before its forward, and no
+    # loss rule checks them again; a forward-only replay takes no labels and checks none
+    cfg = RunConfig(mode="medsaga", synthetic_count=20)
+    params, samples = _setup(cfg)
+    plan, _ = compile_loss_plan(params, *samples[0], cfg)
+    checked, original = [], msga.tape._check_labels
+
+    def check_labels_watched(op, *args):
+        checked.append(op)
+        return original(op, *args)
+
+    monkeypatch.setattr(msga.tape, "_check_labels", check_labels_watched)
+    plan.run([(_leaves(params, image), labels) for image, labels in samples])
+    assert len(samples) == 3 and checked == ["softmax-ce"] * 3
+    checked.clear()
+    forward(params, samples[0][0])
+    assert checked == []
+
+
+def test_every_check_sees_shapes_and_op_arguments_never_an_array(monkeypatch) -> None:
+    # each op kind's check, and the 2-D and label checks they share, take the inputs'
+    # shapes as tuples of ints, when an op is recorded and when a replay checks labels
+    handed = []   # (check, the arguments that are shapes)
+
+    def watched(name, check, shapes: slice):
+        def check_watched(*args):
+            handed.append((name, args[shapes]))
+            return check(*args)
+        return check_watched
+
+    for kind, rules in list(msga.tape._OPS.items()):
+        if rules.check:
+            monkeypatch.setitem(msga.tape._OPS, kind,
+                                replace(rules, check=watched(kind, rules.check, slice(-1))))
+    for name, shapes in (("_check_2d", slice(1, None)), ("_check_labels", slice(1, 2))):
+        monkeypatch.setattr(msga.tape, name, watched(name, getattr(msga.tape, name), shapes))
+    for op, graph in OP_GRAPHS.items():
+        tape = Tape()
+        graph(tape, [tape.leaf(p) for p in op_graph_params(op)])
+    cfg = RunConfig(mode="medsaga", synthetic_count=20)
+    params, samples = _setup(cfg)
+    plan, _ = compile_loss_plan(params, *samples[0], cfg)   # records the default loss tape
+    plan.run([(_leaves(params, samples[1][0]), samples[1][1])])
+    assert {name for name, _ in handed} == {"_check_2d", "_check_labels", *(
+        kind for kind, rules in msga.tape._OPS.items() if rules.check)}
+    for name, shapes in handed:
+        assert shapes and all(type(s) is tuple and all(type(d) is int for d in s)
+                              for s in shapes), (name, shapes)
+
+
 def test_tape_backward_leaves_the_tape_intact() -> None:
     # backward frees values in its own copy of the lists, not on the tape
     cfg = CONFIGS["medsaga"]

@@ -5,6 +5,7 @@ import inspect
 import tracemalloc
 import zlib
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -424,7 +425,14 @@ def _bad_patchify(shape: tuple, patch: int) -> tuple:
             f"patchify: image {shape[0]}x{shape[1]}")
 
 
-# op kind -> records its shape check rejects, each with the error's start
+def _bad_labels(op: str, rows: int, labels: list) -> Callable:
+    def build(t: Tape) -> int:
+        z, y = t.leaf(np.zeros((rows, 3))), np.array(labels, dtype=np.int64)
+        return t.softmax_ce(z, y) if op == "softmax-ce" else t.soft_dice(z, y, 1e-5)
+    return build
+
+
+# op kind -> records its check rejects, each with the error's start
 BAD_RECORDS = {
     "matmul": [(lambda t: t.matmul(t.leaf(np.zeros(3)), t.leaf(np.zeros((3, 2)))),
                 "matmul: expected 2-D")],
@@ -444,13 +452,18 @@ BAD_RECORDS = {
                  _bad_patchify((8, 8), -4)],
     "embed-lookup": [(lambda t: t.embed_lookup(t.leaf(np.zeros((3, 2))), np.array([0, 3])),
                       "embed-lookup: index outside")],
+    # a label equal to k, a negative one, one label too few, and no rows
+    **{op: [(_bad_labels(op, 3, [0, 3, 1]), f"{op}: label values outside 0..2"),
+            (_bad_labels(op, 3, [0, -1, 1]), f"{op}: label values outside 0..2"),
+            (_bad_labels(op, 3, [0, 1]), f"{op}: labels shape"),
+            (_bad_labels(op, 0, []), f"{op}: no rows")] for op in ("softmax-ce", "soft-dice")},
 }
 
 
 @pytest.mark.parametrize("op", sorted(BAD_RECORDS))
 def test_record_runs_each_shape_check_before_the_forward_rule(monkeypatch, op: str) -> None:
     # the checks run once, when the op is recorded: the forward rule never sees the
-    # bad shapes, the tape gains no node, and the error names the op
+    # bad shapes or labels, the tape gains no node, and the error names the op
     assert BAD_RECORDS.keys() == {kind for kind, rules in _OPS.items() if rules.check}
     ran = []
     monkeypatch.setitem(_OPS, op, replace(_OPS[op], fwd=lambda *args: ran.append(args)))
@@ -484,7 +497,7 @@ def test_a_replay_runs_no_shape_check_and_rejects_a_leaf_of_another_shape(monkey
             monkeypatch.setitem(_OPS, kind, replace(rules, check=watched(kind, rules.check)))
     scalars, grads = plan.run([(params, _OP_LABELS)])
     assert scalars == [] and grads.keys() == set(range(len(params)))
-    # only the label checks, which read the labels' values
+    # only the replay's one label check, which reads each sample's labels; no rule checks
     assert set(checked) == ({"_check_labels", "_check_2d"}
                             if op in ("softmax-ce", "soft-dice") else set()), checked
     for i in range(len(params)):
@@ -495,7 +508,7 @@ def test_a_replay_runs_no_shape_check_and_rejects_a_leaf_of_another_shape(monkey
 
 @pytest.mark.parametrize("op", ["softmax-ce", "soft-dice"])
 def test_a_replay_keeps_the_label_checks(op: str) -> None:
-    # labels change with every sample, so their checks stay in the rules a replay runs
+    # labels change with every sample, so a replay checks them once, before its forward
     tape = Tape()
     params = op_graph_params(op)
     plan = Plan(lower(tape, OP_GRAPHS[op](tape, [tape.leaf(p) for p in params])))
