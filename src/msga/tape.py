@@ -48,9 +48,10 @@ backward step reads runs the value-only forward its record may hold (gelu,
 without its derivative). Training records one tape per run and replays its
 plan once per step; Tape.backward compiles only the emitted backward and runs
 it on the tape's recorded values. A leaf may carry a name, which a replay
-error reports in place of its id. Gradients are fresh arrays, safe to hand
-elsewhere. A plan that wants nothing has an empty backward: evaluation replays
-one that reads the logits, so an image keeps only the values a later op reads.
+error reports in place of its id. Tape.backward and Plan.backward return fresh
+arrays, safe to hand elsewhere; Plan.run adds them into sums a caller may own. A
+plan that wants nothing has an empty backward: evaluation replays one that reads
+the logits, so an image keeps only the values a later op reads.
 """
 
 from __future__ import annotations
@@ -196,17 +197,22 @@ class Plan:
         forward, backward, consts, self.leaves, self.labelled = lowered
         self._forward, self._backward = _compile(forward, consts), _compile(backward, consts)
 
-    def run(self, samples: Iterable[tuple]) -> tuple[list[float], dict[int, np.ndarray]]:
+    def run(self, samples: Iterable[tuple], sums: dict[int, np.ndarray] | None = None
+            ) -> tuple[list[float], dict[int, np.ndarray]]:
         """Replay each `(leaves, labels)` sample in order (`leaves` float64 in tape order,
-        `labels` flat); returns the `reads` and the wanted leaves' adjoints, each summed
-        over the samples: the first enter fresh as `0.0 + g`, later ones add in place."""
-        reads, sums = [], {}
+        `labels` flat); returns the `reads` and `sums`, a float64 array per wanted leaf
+        (zeros to start, which give `0.0 + g`'s bits) into which each sample's adjoints
+        add in place; when None, zeros are allocated at the first sample."""
+        reads = []
         for leaves, labels in samples:
             scalars, kept = self.replay(leaves, labels)
             reads = [r + x for r, x in zip(reads or [0.0] * len(scalars), scalars)]
-            sums = {nid: np.add(sums[nid], g, out=sums[nid]) if nid in sums else 0.0 + g
-                    for nid, g in self.backward(kept).items()}
-        return reads, sums
+            grads = self.backward(kept)
+            sums = {nid: np.zeros(g.shape) for nid, g in grads.items()} if sums is None else sums
+            for nid in grads:
+                np.add(sums[nid], grads[nid], out=sums[nid])
+            del grads   # no adjoint of this sample lives into the next replay
+        return reads, {} if sums is None else sums
 
     def replay(self, leaves: list, labels: np.ndarray) -> tuple[list, list]:
         """One forward pass: the `reads` values, 0-d ones (loss terms) as floats, and the

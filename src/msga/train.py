@@ -8,8 +8,9 @@ same ramp normalized to the 1e-3 projection base lr and take no decay.
 
 Every trained group is a view of one flat weight vector, fully tuned groups
 first, then the projected groups side by side in shape classes (same shape and
-strategy). Each step takes one flat gradient in that layout: one `adamw_step` on
-the leading slice, then one `galore_step` per class on its (k, m, n) stack.
+strategy). Each step adds its samples' adjoints into views of one flat gradient in
+that layout, then one `adamw_step` steps the leading slice and one `galore_step`
+per class its (k, m, n) stack.
 
 Per-step logs carry only deterministic columns (step, both lrs, loss
 components); wall-clock timing goes to the console, never the log, so two
@@ -173,18 +174,21 @@ def train_model(cfg: RunConfig, train_ds: Dataset, params: ModelParams | None = 
     # flat_w written in place and frozen ones never rebind, so one weights list serves
     plan, ids = compile_loss_plan(params, images[0], labels[0], cfg)
     weights = [g.values for g in params.groups]
+    pieces = [(ids[g.name], spans[g.name], g.values.shape) for g in layout]
 
     log_rows: list[dict] = []
     batches = _batches(cfg.seed, len(train_ds), cfg.batch_size)
     for step, batch in zip(range(cfg.total_steps), batches):
-        (ce, dice, loss), grads = plan.run([([*weights, images[i]], labels[i]) for i in batch])
+        # each sample's adjoints add into views of one flat gradient, which goes at the
+        # step's end: no sum may outlive the step into the next replay
+        flat_g = np.zeros(flat_w.size)
+        ce, dice, loss = plan.run([([*weights, images[i]], labels[i]) for i in batch],
+                                  {nid: flat_g[span].reshape(shape)
+                                   for nid, span, shape in pieces})[0]
         if not np.isfinite(loss):
             raise FloatingPointError(f"training diverged at step {step}: loss is {loss}")
         inv = 1.0 / len(batch)
         lr_full, lr_galore = lr_at(full_sched, step), lr_at(galore_sched, step)
-        # the sums go into one flat gradient, which goes at the step's end: none of
-        # them may outlive the step into the next replay
-        flat_g = np.concatenate([grads.pop(ids[g.name]).ravel() for g in layout])
         flat_g *= inv
         if not np.isfinite(flat_g).all():
             name = next(g.name for g in trained if not np.isfinite(flat_g[spans[g.name]]).all())

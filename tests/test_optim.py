@@ -496,7 +496,7 @@ def test_training_records_one_tape_and_frees_each_sample_replay_before_the_next(
             return out
         return forward_rule_watched
 
-    def watched_run(self, samples):
+    def watched_run(self, samples, owned=None):
         def checked():
             for sample in samples:
                 alive = sum(ref() is not None for ref in live)
@@ -507,7 +507,7 @@ def test_training_records_one_tape_and_frees_each_sample_replay_before_the_next(
                 assert not alive, f"{alive} optimizer arrays of step {len(runs) - 1} alive"
                 replays.append(1)
                 yield sample
-        reads, grads = original_run(self, checked())
+        reads, grads = original_run(self, checked(), owned)
         runs.append(1)
         sums.extend(weakref.ref(g) for g in grads.values())
         return reads, grads
@@ -582,8 +582,8 @@ def test_divergence_names_the_first_non_finite_group_in_group_order(
     original_run = Plan.run
     runs: list[int] = []
 
-    def poisoning_run(self, samples):
-        reads, grads = original_run(self, samples)
+    def poisoning_run(self, samples, sums=None):
+        reads, grads = original_run(self, samples, sums)
         runs.append(1)
         if len(runs) == 2:
             nids = {name: nid for nid, _, name in self.leaves}
@@ -595,6 +595,42 @@ def test_divergence_names_the_first_non_finite_group_in_group_order(
     with pytest.raises(FloatingPointError) as err:
         train_model(cfg, train_ds)
     assert str(err.value) == f"training diverged at step 1: gradient of {named} is not finite"
+
+
+@pytest.mark.parametrize("mode", ["medsaga", "v2", "full-adamw"])
+def test_each_step_sums_its_adjoints_into_views_of_one_flat_gradient(
+        monkeypatch, mode: str) -> None:
+    # the sums Plan.run returns inside train_model are the arrays it was handed: views of
+    # one fresh flat array per step, each group's at its weights' offset in the flat
+    # weight vector, together covering the whole array
+    cfg = _small_cfg(mode=mode)
+    train_ds, _ = prepare_splits(cfg)
+    original_run = Plan.run
+    steps: list[tuple[np.ndarray, dict[str, int]]] = []
+
+    def viewing_run(self, samples, sums=None):
+        reads, grads = original_run(self, samples, sums)
+        assert grads is sums
+        names = {nid: name for nid, _, name in self.leaves}
+        flat = next(iter(grads.values())).base
+        assert flat.ndim == 1 and flat.size == sum(g.size for g in grads.values())
+        assert all(g.base is flat and np.shares_memory(g, flat) for g in grads.values())
+        steps.append((flat, {names[nid]: _offset(g, flat) for nid, g in grads.items()}))
+        return reads, grads
+
+    monkeypatch.setattr(Plan, "run", viewing_run)
+    result = train_model(cfg, train_ds)
+    trained = [g for g in result.params.groups if not isinstance(g.strategy, Frozen)]
+    flat_w = trained[0].values.base
+    layout = {g.name: _offset(g.values, flat_w) for g in trained}
+    assert len(steps) == cfg.total_steps
+    assert all(offsets == layout for _, offsets in steps)
+    assert not any(np.shares_memory(a, b) for (a, _), (b, _) in zip(steps, steps[1:]))
+
+
+def _offset(view: np.ndarray, base: np.ndarray) -> int:
+    """Where a view starts in its base, in elements."""
+    return (view.ctypes.data - base.ctypes.data) // base.itemsize
 
 
 def _train_group_by_group(cfg: RunConfig, train_ds) -> msga.train.TrainResult:

@@ -225,11 +225,18 @@ def assert_matches_the_oracle(tapes: list[Tape], loss: int, wanted, reads: tuple
                 for i, g in naive_adjoints(t, loss, wanted).items()}
         totals = [r + (float(t.values[i]) if t.values[i].ndim == 0 else t.values[i])
                   for r, i in zip(totals, reads)]
-    got_reads, got = Plan(lower(tape, loss, wanted, reads)).run(samples)
+    plan = Plan(lower(tape, loss, wanted, reads))
+    got_reads, got = plan.run(samples)
     assert sorted(got) == sorted(sums)
     assert [i for i in sums if _bytes(got[i]) != _bytes(sums[i])] == []
     assert [_bytes(r) for r in got_reads] == [_bytes(r) for r in totals]
     assert all(type(r) is float for r, i in zip(got_reads, reads) if tape.values[i].ndim == 0)
+    # sums the caller owns: the same arrays come back, written in place to the same bytes
+    owned = {i: np.zeros(tape.values[i].shape) for i in wanted}
+    got_reads, got = plan.run(samples, dict(owned))
+    assert sorted(got) == sorted(owned) and all(got[i] is owned[i] for i in owned)
+    assert [i for i in sums if _bytes(owned[i]) != _bytes(sums[i])] == []
+    assert [_bytes(r) for r in got_reads] == [_bytes(r) for r in totals]
     forward_only = Plan(lower(tape, loss, (), reads))
     for t, (values, labels) in zip(tapes, samples):
         got_reads, kept = forward_only.replay(values, labels)
@@ -294,3 +301,26 @@ def test_the_default_loss_tape_matches_the_naive_oracle_bitwise(mode: str) -> No
         tapes.append(tape)
     wanted = [ids[g.name] for g in params.groups if not isinstance(g.strategy, Frozen)]
     assert_matches_the_oracle(tapes, reads[-1], wanted, tuple(reads))
+
+
+def test_sums_from_zeros_turn_a_negative_zero_adjoint_positive_and_keep_unreached_leaves_zero(
+        ) -> None:
+    # a loss scaled by -0.0 hands x an adjoint of -0.0 everywhere, which a sum started at
+    # zeros makes +0.0, as `0.0 + g` does; the wanted leaf u feeds only a branch the loss
+    # does not read, and stays +0.0
+    tapes = []
+    for seed in range(2):
+        tape = Tape()
+        x = tape.leaf(np.random.default_rng(seed).normal(size=(2, 3)))
+        u = tape.leaf(np.ones((2, 2)))
+        tape.mean(u)
+        loss = tape.scale(tape.mean(x), -0.0)
+        tapes.append(tape)
+    assert all(np.signbit(naive_adjoints(t, loss, [x])[x]).all() for t in tapes)
+    assert_matches_the_oracle(tapes, loss, [x, u], (loss,))
+    plan = Plan(lower(tapes[0], loss, [x, u]))
+    samples = [([t.values[x], t.values[u]], _labels(t)) for t in tapes]
+    owned = {x: np.zeros((2, 3)), u: np.zeros((2, 2))}
+    zeros = [_bytes(np.zeros((2, 3))), _bytes(np.zeros((2, 2)))]
+    for got in plan.run(samples)[1], plan.run(samples, owned)[1]:
+        assert [_bytes(got[x]), _bytes(got[u])] == zeros

@@ -717,8 +717,8 @@ def test_forward_plan_keeps_its_checks() -> None:
 
 
 # tracemalloc peak of default medsaga over steps 3-7 when the bound was set
-# (x86_64, numpy 2.4, Python 3.11, run alone); 550,946 B inside the whole suite
-TRAIN_PEAK_BYTES = 556_242
+# (x86_64, numpy 2.4, Python 3.11, run alone); 550,426 B inside the whole suite
+TRAIN_PEAK_BYTES = 555_546
 
 
 def test_default_training_peak_after_step_2_stays_within_its_bound(monkeypatch) -> None:
@@ -750,9 +750,9 @@ def test_default_training_peak_after_step_2_stays_within_its_bound(monkeypatch) 
 
 
 # tracemalloc peak of a whole default 8-step medsaga train_model, compile included, after
-# a 1-step run (x86_64, numpy 2.4, Python 3.11, run alone; 731,053 B inside the whole suite;
+# a 1-step run (x86_64, numpy 2.4, Python 3.11, run alone; 722,416 B inside the whole suite;
 # 1,685,176 B while the recorded tape lived through one compile of both functions)
-RUN_PEAK_BYTES = 736_334
+RUN_PEAK_BYTES = 727_145
 
 
 def test_a_whole_default_training_run_peaks_within_its_bound() -> None:
