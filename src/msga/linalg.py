@@ -10,13 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def softmax_last_dim(t: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, with max-subtraction so large logits cannot overflow."""
+def softmax_last_dim(t: np.ndarray, pieces: bool = False):
+    """Softmax along the last axis, with max-subtraction so large logits cannot overflow;
+    with `pieces`, also the max it subtracts and the sum it divides by, keepdims."""
     t = np.asarray(t, dtype=np.float64)
-    e = np.subtract(t, t.max(axis=-1, keepdims=True))
+    e = np.subtract(t, top := t.max(axis=-1, keepdims=True))
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    e /= (sums := e.sum(axis=-1, keepdims=True))
+    return (e, top, sums) if pieces else e
 
 
 def truncated_svd(g: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -76,9 +76,9 @@ def dice_loss(m: np.ndarray, y: np.ndarray, smooth: float = DEFAULT_DICE_SMOOTH)
 
 
 def combined_loss(m: np.ndarray, y: np.ndarray, config: LossConfig) -> float:
-    """ce_weight * CE + (1 - ce_weight) * dice; the endpoints reduce exactly."""
-    lam = config.ce_weight
-    return lam * cross_entropy(m, y) + (1.0 - lam) * dice_loss(m, y, config.dice_smooth)
+    """ce_weight * CE + (1 - ce_weight) * dice: the tape's seg-loss forward, exact at the ends."""
+    tape, z, labels = _logits_leaf(m, y)
+    return float(tape.value(tape.seg_loss(z, labels, config.dice_smooth, config.ce_weight)))
 
 
 # ---------------------------------------------------------------------------

@@ -208,20 +208,17 @@ def build_loss_tape(
     image: np.ndarray,
     labels_grid: np.ndarray,
     loss_config: LossConfig,
-) -> tuple[Tape, dict[str, int], int, int, int]:
-    """Tape for one training example: forward plus the combined loss.
+) -> tuple[Tape, dict[str, int], tuple[int, str], tuple[int, str], int]:
+    """Tape for one training example: forward plus the combined loss, one seg-loss op.
 
-    `labels_grid` is the already-downsampled (h', w') label map. Returns
-    (tape, name->leaf id, ce id, dice id, loss id) so the caller can read the
-    logged loss components straight off the tape.
+    `labels_grid` is the already-downsampled (h', w') label map. Returns (tape,
+    name->leaf id, ce, dice, loss id): ce and dice are `(loss id, key)` reads of
+    the 0-d terms the loss op keeps, for the tape or a plan to read the log's terms.
     """
     tape, ids, logits = _record_forward(params, image)
-    flat_labels = np.asarray(labels_grid, dtype=np.int64).reshape(-1)
-    ce = tape.softmax_ce(logits, flat_labels)
-    dice = tape.soft_dice(logits, flat_labels, loss_config.dice_smooth)
-    lam = loss_config.ce_weight
-    loss = tape.add(tape.scale(ce, lam), tape.scale(dice, 1.0 - lam))
-    return tape, ids, ce, dice, loss
+    loss = tape.seg_loss(logits, np.asarray(labels_grid, dtype=np.int64).reshape(-1),
+                         loss_config.dice_smooth, loss_config.ce_weight)
+    return tape, ids, (loss, "ce"), (loss, "dice"), loss
 
 
 def postprocess(m: np.ndarray) -> np.ndarray:

@@ -3,13 +3,13 @@
 A Tape records forward values as ops are applied and replays the chain rule
 backwards from a scalar loss. The segmentation model and its training loss
 record matmul, add (same shape or a broadcast row), linear (`x @ w + b`),
-single-head attention (`softmax(q k^T c) v`), tanh-gelu, layernorm, fused
-softmax cross-entropy, fused soft dice, scalar scale and patchify. The fused
-linear and attention rules are compositions of the matmul, add, scale and
-row-softmax rules, so they share those ops' shape checks and derivatives
-and give the same bytes as the elementary chain. Row softmax, reshape, mean,
-embedding lookup and matmul's transpose_b flag remain only because the
-gradient-correctness acceptance check (C3) pins them. Values are float64
+single-head attention (`softmax(q k^T c) v`), tanh-gelu, layernorm, patchify
+and seg-loss (`w ce + (1 - w) dice` from one softmax). Linear, attention and
+seg-loss share the code of the matmul, add, scale, row-softmax, softmax-ce and
+soft-dice rules, so they give the elementary chain's bytes; every 2-D product is
+np.dot's. Row softmax, softmax-ce, soft dice, scale, reshape, mean, embedding
+lookup and matmul's transpose_b flag remain only because acceptance checks (C3,
+and C6 for the two loss terms) pin them. Values are float64
 ndarrays; losses are 0-d. Each op kind has one `OpRules` record in `_OPS`
 with all its rules. Tape.record runs the kind's check once, before its forward
 rule, on its inputs' shapes and its op arguments, and a check may add an op
@@ -19,13 +19,13 @@ labels, once per distinct logits shape; no rule checks anything.
 
 A forward rule may keep intermediates for its backward in the node's `aux`:
 row softmax and attention keep their probabilities, layernorm its normalized
-rows and row std, gelu its derivative, and soft dice its softmax, one-hot and
-class sums. Their backward rules read these instead of recomputing them. A
-forward rule is `fwd(*inputs, aux)` and a backward rule
-`bwd(g, *inputs, aux)`: the adjoint of the node's output, the node's inputs as
-positional arguments in order (None where not read) and its aux. A rule writes
-only into arrays it allocated, never into its inputs, adjoint or aux: the add
-backward hands one adjoint to both its inputs.
+rows and row std, gelu its derivative, soft dice and seg-loss their softmax,
+one-hot and class sums (seg-loss also its 0-d `ce` and `dice`, for plan reads).
+Backward rules read these instead of recomputing them. A forward rule is
+`fwd(*inputs, aux)` and a backward rule `bwd(g, *inputs, aux)`: the adjoint of
+the node's output, the node's inputs as positional arguments in order (None
+where not read) and its aux. A rule writes only into arrays it allocated, never
+into its inputs, adjoint or aux: the add backward hands one adjoint to both.
 
 `plan_source` writes a recorded tape as two texts of straight-line Python: a
 forward with one line per op to replay it on new leaves and labels, and a
@@ -51,7 +51,8 @@ it on the tape's recorded values. A leaf may carry a name, which a replay
 error reports in place of its id. Tape.backward and Plan.backward return fresh
 arrays, safe to hand elsewhere; Plan.run adds them into sums a caller may own. A
 plan that wants nothing has an empty backward: evaluation replays one that reads
-the logits, so an image keeps only the values a later op reads.
+the logits, so an image keeps only the values a later op reads. A read is a value
+id or a `(node id, aux key)` pair, as training reads seg-loss's `ce` and `dice`.
 """
 
 from __future__ import annotations
@@ -142,9 +143,12 @@ class Tape:
         return self.record("softmax-ce", (logits,), labels=np.asarray(labels, dtype=np.int64))
 
     def soft_dice(self, logits: int, labels: np.ndarray, smooth: float) -> int:
-        return self.record(
-            "soft-dice", (logits,), labels=np.asarray(labels, dtype=np.int64), smooth=float(smooth)
-        )
+        return self.record("soft-dice", (logits,), labels=np.asarray(labels, dtype=np.int64),
+                           smooth=float(smooth))
+
+    def seg_loss(self, logits: int, labels: np.ndarray, smooth: float, ce_weight: float) -> int:
+        return self.record("seg-loss", (logits,), labels=np.asarray(labels, dtype=np.int64),
+                           smooth=float(smooth), ce_weight=float(ce_weight))
 
     def reshape(self, a: int, shape: tuple[int, ...]) -> int:
         return self.record("reshape", (a,), shape=tuple(int(d) for d in shape))
@@ -160,8 +164,14 @@ class Tape:
 
     # -- evaluation --------------------------------------------------------
 
-    def value(self, vid: int) -> np.ndarray:
-        return self.values[vid]
+    def value(self, vid: int | tuple[int, str]) -> np.ndarray:
+        """A value by its id, or by `(node id, key)` the array that node's forward kept in aux."""
+        if not isinstance(vid, tuple):
+            return self.values[vid]
+        n, key = self.nodes[vid[0]], vid[1]   # a leaf's aux holds only its name
+        if key in n.args or not isinstance(n.aux.get(key), np.ndarray):
+            raise ValueError(f"read {vid}: node {vid[0]} ({n.op}) kept no array {key!r}")
+        return n.aux[key]
 
     def backward(self, loss_id: int) -> dict[int, np.ndarray]:
         """Adjoints of a scalar loss with respect to every leaf.
@@ -233,16 +243,19 @@ class Plan:
 
 
 def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
-                reads: tuple[int, ...] = ()) -> tuple[str, str, list[tuple[int, bool]], tuple]:
+                reads: tuple = ()) -> tuple[str, str, list[tuple[int, bool]], tuple]:
     """A tape as two Python texts, the same for the same tape; the entries of the kept
     list K, each `(id, is_aux)`: a node's value or its aux; and the op arguments A the
     texts read. Each text is a module whose `plan(np, A, <rules>)` factory returns one
     function: the first `forward(labels, *leaves)`, one local per value, one line per op,
-    a `del` after a value's last reader unless K keeps it, returning the `reads` and K;
-    the second `backward(K)`, one rule call per backward node, each rebuilt value's
-    rebuild just before its first reader, a rule or a rebuild (a step's rebuilds in node
-    order, so inputs first), returning the dict G of the wanted leaves' adjoints."""
+    a `del` after a value's last reader unless K keeps it, returning the `reads` (each
+    as `Tape.value` takes it, a ValueError here where it fails there) and K; the second
+    `backward(K)`, one rule call per backward node, each rebuilt value's rebuild just
+    before its first reader, a rule or a rebuild (a step's rebuilds in node order, so
+    inputs first), returning the dict G of the wanted leaves' adjoints."""
     nodes, values = tape.nodes, tape.values
+    returned = ", ".join(("float({})" if tape.value(r).ndim == 0 else "{}").format(
+        f"x{r[0]}[{r[1]!r}]" if isinstance(r, tuple) else f"v{r}") for r in reads)
     leaves = [nid for nid, n in enumerate(nodes) if n.op == "leaf"]
     wanted = set(leaves if wanted is None else wanted)
     if wanted and values[loss_id].size != 1:
@@ -302,14 +315,14 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
                 f"del {', '.join(gone)}"]
     zeros = ", ".join(f"{i}: np.zeros({values[i].shape!r})" for i in sorted(wanted - bound))
     last, fwd, keep = {s: nid for nid, n in ops for s in (nid, *n.inputs)}, [], set(kept)
-    for nid, n in ops:   # a node whose aux no backward step reads runs its value-only forward
+    keep |= {(r[0], True) for r in reads if isinstance(r, tuple)}   # an aux a read names
+    for nid, n in ops:   # a node whose aux nothing reads runs its value-only forward
         way = "fwd" if (nid, True) in keep or not _OPS[n.op].value else "val"
         fwd.append(f"v{nid} = {way}_{_name(n.op)}({''.join(f'v{i}, ' for i in n.inputs)}"
                    f"{f'x{nid} := ' * ((nid, True) in keep)}{auxes[nid]})")
         dead = sorted({f"v{s}" for s in (*n.inputs, nid)
                        if last[s] == nid and s not in reads and (s, False) not in keep})
         fwd += [f"del {', '.join(dead)}"] if dead else []
-    outs = ", ".join(f"float(v{i})" if values[i].ndim == 0 else f"v{i}" for i in reads)
     names = ", ".join(f"x{i}" if aux else f"v{i}" for i, aux in kept)
     rules = ", ".join(name for name, _ in _rules())
 
@@ -317,7 +330,7 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
         return (f"def plan(np, A, {rules}):\n    def {name}({params}):\n        "
                 + "\n        ".join(lines) + f"\n    return {name}\n")
     return (module("forward", ", ".join(["labels", *(f"v{i}" for i in leaves)]),
-                   [*fwd, f"return [{outs}], [{names}]"]),
+                   [*fwd, f"return [{returned}], [{names}]"]),
             module("backward", "K", [f"[{names}] = K", "K.clear()", f"G = {{{zeros}}}", *bwd,
                                      "return G"]), kept, tuple(consts))
 
@@ -397,12 +410,10 @@ def _check_labels(op: str, z: tuple, labels: np.ndarray) -> None:
         raise ValueError(f"{op}: label values outside 0..{z[1] - 1}")
 
 
-def _check_softmax_ce(z, aux):
-    _check_labels("softmax-ce", z, aux["labels"])
-
-
-def _check_soft_dice(z, aux):
-    _check_labels("soft-dice", z, aux["labels"])
+def _labels_check(op: str) -> Callable:
+    def check(z, aux):   # a loss kind's check: its labels against the logits' shape
+        _check_labels(op, z, aux["labels"])
+    return check
 
 
 def _check_reshape(a, aux):
@@ -431,8 +442,12 @@ def _check_embed_lookup(table, aux):
 # forward rules
 
 
+def _dot(a, b):   # np.dot skips @'s dispatch, but keeps a -0.0 of 1x1 by 1x1 that @ drops
+    return np.dot(a, b) if a.size > 1 or b.size > 1 else np.matmul(a, b)
+
+
 def _fwd_matmul(a, b, aux):
-    return a @ (b.T if aux["transpose_b"] else b)
+    return _dot(a, b.T if aux["transpose_b"] else b)
 
 
 _NN = {"transpose_b": False}
@@ -539,28 +554,39 @@ def _fwd_softmax_rows(x, aux):
     return p
 
 
+def _ce(z, y, top, sums):
+    """Mean over rows of logsumexp(z) - z[y], from the softmax's row max and sum, 0-d."""
+    return np.asarray(((top + np.log(sums)).ravel() - z[np.arange(len(y)), y]).mean())
+
+
 def _fwd_softmax_ce(z, aux):
-    y = aux["labels"]
-    zmax = z.max(axis=1)
-    logsumexp = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-    picked = z[np.arange(z.shape[0]), y]
-    return np.asarray((logsumexp - picked).mean())
+    return _ce(z, aux["labels"], *softmax_last_dim(z, pieces=True)[1:])
 
 
-def _dice_pieces(z, y, smooth):
-    n, k = z.shape
-    p = softmax_last_dim(z)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
+def _onehot(y, shape):
+    onehot = np.zeros(shape)
+    onehot[np.arange(shape[0]), y] = 1.0
+    return onehot
+
+
+def _dice(p, aux):
+    """One minus the mean per-class soft dice of the softmax p, 0-d; keeps its adjoint's pieces."""
+    smooth, onehot = aux["smooth"], _onehot(aux["labels"], p.shape)
     inter = (p * onehot).sum(axis=0)          # per-class soft intersection
     sums = p.sum(axis=0) + onehot.sum(axis=0)
-    terms = (2.0 * inter + smooth) / (sums + smooth)
-    return p, onehot, inter, sums, terms
+    aux["pieces"] = p, onehot, inter, sums
+    return np.asarray(1.0 - ((2.0 * inter + smooth) / (sums + smooth)).mean())
 
 
 def _fwd_soft_dice(z, aux):
-    aux["dice"] = pieces = _dice_pieces(z, aux["labels"], aux["smooth"])
-    return np.asarray(1.0 - pieces[-1].mean())
+    return _dice(softmax_last_dim(z), aux)
+
+
+def _fwd_seg_loss(z, aux):
+    # one softmax for both terms; the sum has the bits of add(scale(ce, w), scale(dice, 1 - w))
+    p, top, sums = softmax_last_dim(z, pieces=True)
+    aux["ce"], aux["dice"], w = _ce(z, aux["labels"], top, sums), _dice(p, aux), aux["ce_weight"]
+    return np.asarray(aux["ce"] * w + aux["dice"] * (1.0 - w))
 
 
 def _fwd_reshape(a, aux):
@@ -588,8 +614,8 @@ def _fwd_embed_lookup(table, aux):
 
 def _bwd_matmul(g, a, b, aux):
     if aux["transpose_b"]:
-        return g @ b, g.T @ a
-    return g @ b.T, a.T @ g
+        return _dot(g, b), _dot(g.T, a)
+    return _dot(g, b.T), _dot(a.T, g)
 
 
 def _bwd_add(g, a, b, aux):
@@ -643,24 +669,36 @@ def _bwd_softmax_rows(g, x, aux):
     return (_softmax_rows_adjoint(g, aux["probs"]),)
 
 
+def _ce_adjoint(p, onehot, c):
+    dz = p - onehot   # the mean CE's adjoint for c = g / rows
+    dz *= c
+    return dz
+
+
+def _dice_adjoint(pieces, smooth, c):
+    p, onehot, inter, sums = pieces
+    denom = sums + smooth
+    # d(loss)/d(p_jc) for the mean-over-classes soft dice
+    dp = -(2.0 * onehot * denom - (2.0 * inter + smooth)) / (p.shape[1] * denom**2)
+    dz = _softmax_rows_adjoint(dp, p, dp)
+    dz *= c
+    return dz
+
+
 def _bwd_softmax_ce(g, z, aux):
-    y = aux["labels"]
-    n = z.shape[0]
     p = softmax_last_dim(z)
-    p[np.arange(n), y] -= 1.0
-    p *= float(g) / n
-    return (p,)
+    return (_ce_adjoint(p, _onehot(aux["labels"], p.shape), float(g) / z.shape[0]),)
 
 
 def _bwd_soft_dice(g, z, aux):
-    smooth = aux["smooth"]
-    p, onehot, inter, sums, _ = aux["dice"]
-    k = p.shape[1]
-    denom = sums + smooth
-    # d(loss)/d(p_jc) for the mean-over-classes soft dice
-    dp = -(2.0 * onehot * denom - (2.0 * inter + smooth)) / (k * denom**2)
-    dz = _softmax_rows_adjoint(dp, p, dp)
-    dz *= float(g)
+    return (_dice_adjoint(aux["pieces"], aux["smooth"], float(g)),)
+
+
+def _bwd_seg_loss(g, z, aux):
+    # the two terms' adjoints scaled as scale's backward scales them, added dice first
+    pieces, w = aux["pieces"], aux["ce_weight"]
+    dz = _dice_adjoint(pieces, aux["smooth"], float(g * (1.0 - w)))
+    dz += _ce_adjoint(*pieces[:2], float(g * w) / pieces[0].shape[0])
     return (dz,)
 
 
@@ -720,8 +758,9 @@ _OPS: dict[str, OpRules] = {
     "layernorm": OpRules(_fwd_layernorm, _bwd_layernorm, (1,), 3, _check_layernorm,
                          rebuild=_layernorm_affine, rebuild_reads=(1, 2)),
     "softmax-rows": OpRules(_fwd_softmax_rows, _bwd_softmax_rows, (), 1, _check_softmax_rows),
-    "softmax-ce": OpRules(_fwd_softmax_ce, _bwd_softmax_ce, (0,), 1, _check_softmax_ce),
-    "soft-dice": OpRules(_fwd_soft_dice, _bwd_soft_dice, (), 1, _check_soft_dice),
+    "softmax-ce": OpRules(_fwd_softmax_ce, _bwd_softmax_ce, (0,), 1, _labels_check("softmax-ce")),
+    "soft-dice": OpRules(_fwd_soft_dice, _bwd_soft_dice, (), 1, _labels_check("soft-dice")),
+    "seg-loss": OpRules(_fwd_seg_loss, _bwd_seg_loss, (), 1, _labels_check("seg-loss")),
     "reshape": OpRules(_fwd_reshape, _bwd_reshape, (0,), 1, _check_reshape),
     "patchify": OpRules(_fwd_patchify, _bwd_patchify, (0,), 1, _check_patchify,
                         rebuild=_fwd_patchify, rebuild_reads=(0,)),

@@ -142,6 +142,8 @@ def random_graph(seed: int) -> tuple[Tape, list, int]:
         "softmax-rows": lambda: rec("softmax_rows", take(_two_d, pair)),
         "softmax-ce": lambda: rec("softmax_ce", logits(), LABELS),
         "soft-dice": lambda: rec("soft_dice", logits(), LABELS, float(rng.uniform(0.5, 1.5))),
+        "seg-loss": lambda: rec("seg_loss", logits(), LABELS, float(rng.uniform(0.5, 1.5)),
+                                float(rng.uniform(0.0, 1.0))),
         "reshape": reshape, "patchify": patchify,
         "mean": lambda: rec("mean", take(lambda s: True, pair)),
         "embed-lookup": embed_lookup, "block": block,
@@ -223,14 +225,14 @@ def assert_matches_the_oracle(tapes: list[Tape], loss: int, wanted, reads: tuple
     for t in tapes:   # what a batch gives: adjoints and reads summed in sample order
         sums = {i: sums[i] + g if i in sums else 0.0 + g
                 for i, g in naive_adjoints(t, loss, wanted).items()}
-        totals = [r + (float(t.values[i]) if t.values[i].ndim == 0 else t.values[i])
+        totals = [r + (float(t.value(i)) if t.value(i).ndim == 0 else t.value(i))
                   for r, i in zip(totals, reads)]
     plan = Plan(lower(tape, loss, wanted, reads))
     got_reads, got = plan.run(samples)
     assert sorted(got) == sorted(sums)
     assert [i for i in sums if _bytes(got[i]) != _bytes(sums[i])] == []
     assert [_bytes(r) for r in got_reads] == [_bytes(r) for r in totals]
-    assert all(type(r) is float for r, i in zip(got_reads, reads) if tape.values[i].ndim == 0)
+    assert all(type(r) is float for r, i in zip(got_reads, reads) if tape.value(i).ndim == 0)
     # sums the caller owns: the same arrays come back, written in place to the same bytes
     owned = {i: np.zeros(tape.values[i].shape) for i in wanted}
     got_reads, got = plan.run(samples, dict(owned))
@@ -242,7 +244,7 @@ def assert_matches_the_oracle(tapes: list[Tape], loss: int, wanted, reads: tuple
         got_reads, kept = forward_only.replay(values, labels)
         assert kept == []
         assert [_bytes(r) for r in got_reads] == [
-            _bytes(float(t.values[i]) if t.values[i].ndim == 0 else t.values[i]) for i in reads]
+            _bytes(float(t.value(i)) if t.value(i).ndim == 0 else t.value(i)) for i in reads]
     sources = {kind: plan_source(tape, loss, w, reads)[:2]
                for kind, w in (("training", wanted), ("forward-only", ()))}
     for source in sources.values():
@@ -256,7 +258,8 @@ SEEDS = range(120)
 def test_random_graphs_match_the_naive_oracle_bitwise() -> None:
     # over the seeds, the graphs record every op kind; the training plans run every
     # rebuild, a rebuild of a rebuilt value, value-only gelu, and adjoints with a later
-    # contribution; wanted sets are empty, partial and whole; some reads are 0-d
+    # contribution; wanted sets are empty, partial and whole; some reads are 0-d and some
+    # name a seg-loss aux
     seen: set[str] = set()
     for seed in SEEDS:
         first, steps, loss = random_graph(seed)
@@ -266,7 +269,9 @@ def test_random_graphs_match_the_naive_oracle_bitwise() -> None:
         pick = rng.random()
         wanted = (None if pick < 0.2 else () if pick < 0.3
                   else [i for i in leaves if rng.random() < 0.6])
-        reads = tuple(i for i in range(len(first.nodes)) if rng.random() < 0.2)
+        reads = tuple(i for i in range(len(first.nodes)) if rng.random() < 0.2) + tuple(
+            (i, key) for i, n in enumerate(first.nodes) if n.op == "seg-loss"
+            for key in ("ce", "dice") if rng.random() < 0.5)
         source = "".join(assert_matches_the_oracle([first, second], loss, wanted,
                                                    reads)["training"])
         rebuilt = set(re.findall(r"\b(v\d+) = rb_", source))
@@ -278,11 +283,12 @@ def test_random_graphs_match_the_naive_oracle_bitwise() -> None:
                                          for call in re.findall(r"= rb_\w+\((.*)\)", source))),
             ("val_gelu", "= val_gelu(" in source and "] = bwd_" in source),
             ("later contribution", re.search(r"(\S+) = \1 \+ t\d", source)),
-            ("0-d read", any(first.values[i].ndim == 0 for i in reads))] if hit}
+            ("0-d read", any(first.value(i).ndim == 0 for i in reads)),
+            ("aux read", any(isinstance(i, tuple) for i in reads))] if hit}
     rebuilds = {f"rb_{kind.replace('-', '_')}" for kind, r in msga.tape._OPS.items() if r.rebuild}
     assert seen >= {*OP_KINDS, *rebuilds, "rebuild of a rebuild", "val_gelu",
                     "later contribution", "wanted all", "wanted some", "wanted none",
-                    "0-d read"}, seen
+                    "0-d read", "aux read"}, seen
 
 
 @pytest.mark.parametrize("mode", ["medsaga", "v2", "full-adamw"])

@@ -39,6 +39,25 @@ def test_no_pow_with_integer_literal_exponent_in_src() -> None:
     assert found == []
 
 
+def test_tape_products_take_np_dot_and_no_other_module_calls_it() -> None:
+    # np.dot makes the BLAS call of a 2-D @ without matmul's ufunc dispatch, and every tape
+    # product is 2-D; the optimizer's (k, m, n) stacks need @, since np.dot on 3-D operands
+    # contracts other axes
+    src = os.path.dirname(msga.__file__)
+    found = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        name = os.path.basename(path)
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if (name == "tape.py" and isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)):
+                found.append(f"{name}:{node.lineno}: @")
+            if name != "tape.py" and "dot" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                found.append(f"{name}:{node.lineno}: dot")
+    assert found == []
+
+
 def test_every_name_the_benchmark_tracer_wraps_resolves_and_is_restored() -> None:
     # perfbench/tracer.py wraps program functions where they are looked up, by
     # name; a name that goes missing must fail here, not in a traced benchmark

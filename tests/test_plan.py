@@ -190,7 +190,7 @@ def test_replay_runs_the_label_range_check() -> None:
     plan, _ = compile_loss_plan(params, *samples[0], cfg)
     labels = samples[0][1].copy()
     labels[5] = cfg.classes
-    with pytest.raises(ValueError, match="softmax-ce: label values outside"):
+    with pytest.raises(ValueError, match="seg-loss: label values outside"):
         plan.run([(_leaves(params, samples[0][0]), labels)])
 
 
@@ -208,10 +208,31 @@ def test_a_training_replay_checks_its_labels_once_per_sample(monkeypatch) -> Non
 
     monkeypatch.setattr(msga.tape, "_check_labels", check_labels_watched)
     plan.run([(_leaves(params, image), labels) for image, labels in samples])
-    assert len(samples) == 3 and checked == ["softmax-ce"] * 3
+    assert len(samples) == 3 and checked == ["seg-loss"] * 3
     checked.clear()
     forward(params, samples[0][0])
     assert checked == []
+
+
+def test_a_default_training_replay_takes_the_logits_softmax_once_per_sample(monkeypatch) -> None:
+    # the loss head is one seg-loss op, whose forward takes the one softmax of the logits
+    # that its backward reads; the emitted backward runs its rule and then the logits'
+    # linear, with no scale or add rule between them
+    cfg = RunConfig(mode="medsaga", synthetic_count=20)
+    params, samples = _setup(cfg)
+    sources = _record_sources(monkeypatch)
+    plan, _ = compile_loss_plan(params, *samples[0], cfg)
+    shapes = []   # the shape of every softmax a rule takes
+    softmax = msga.tape.softmax_last_dim
+    monkeypatch.setattr(msga.tape, "softmax_last_dim", lambda t, *args, **kwargs: (
+        shapes.append(t.shape), softmax(t, *args, **kwargs))[1])
+    plan.run([(_leaves(params, image), labels) for image, labels in samples])
+    logits = (cfg.image_h * cfg.image_w // cfg.patch_size**2, cfg.classes)
+    assert len(samples) == 3 and shapes.count(logits) == 3 and len(set(shapes)) == 2
+    ((_, backward),) = sources
+    calls = re.findall(r"= (bwd_\w+)\(", backward)
+    assert calls[:2] == ["bwd_seg_loss", "bwd_linear"] and calls.count("bwd_seg_loss") == 1
+    assert not {"bwd_scale", "bwd_softmax_ce", "bwd_soft_dice"} & set(calls)
 
 
 def test_every_check_sees_shapes_and_op_arguments_never_an_array(monkeypatch) -> None:
@@ -412,6 +433,10 @@ def test_run_sums_a_batch_in_sample_order_into_fresh_arrays() -> None:
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
+# the aux entries a forward keeps for a plan's reads, not for its backward
+READ_ONLY_AUX = {("seg-loss", "ce"), ("seg-loss", "dice")}
+
+
 def test_a_rule_handed_none_for_a_slot_it_reads_raises(monkeypatch) -> None:
     # a backward rule reads its declared inputs and its aux, nothing else: the declared
     # inputs give the bits every input gives, and each of them is needed, as is each
@@ -454,13 +479,18 @@ def test_a_rule_handed_none_for_a_slot_it_reads_raises(monkeypatch) -> None:
                 with pytest.raises((TypeError, AttributeError, ValueError, IndexError)):
                     rule(g, *args[:j], None, *args[j + 1:], aux)
             for key in aux.keys() - set(n.args):
+                without = {k: v for k, v in aux.items() if k != key}
+                if (n.op, key) in READ_ONLY_AUX:   # kept for a plan's reads, 0-d
+                    assert aux[key].shape == () and all(map(np.array_equal, every, rule(
+                        g, *args, without))), (n.op, key)
+                    continue
                 with pytest.raises(KeyError, match=key):
-                    rule(g, *args, {k: v for k, v in aux.items() if k != key})
+                    rule(g, *args, without)
                 dropped.add((n.op, key))
             checked.add(n.op)
     assert checked == set(OP_KINDS)
     assert ("softmax-rows", "probs") in dropped and ("attention", "probs") in dropped
-    assert ("gelu", "deriv") in dropped
+    assert ("gelu", "deriv") in dropped and ("seg-loss", "pieces") in dropped
 
 
 @pytest.mark.parametrize("label", [3, 256])
@@ -477,12 +507,13 @@ def test_training_rejects_a_label_outside_the_classes_before_packing(label) -> N
 
 
 def test_every_recorded_and_replayed_value_of_the_loss_tape_is_an_ndarray(monkeypatch) -> None:
-    # the 0-d loss terms included: scale and add of 0-d values are arrays, not numpy scalars
+    # the 0-d loss and the terms its op keeps included: they are arrays, not numpy scalars
     cfg = CONFIGS["medsaga"]
     params, samples = _setup(cfg)
-    tape, *_ = build_loss_tape(params, *samples[0], cfg)
+    tape, _, ce, dice, loss = build_loss_tape(params, *samples[0], cfg)
     assert all(type(v) is np.ndarray for v in tape.values)
-    assert {v.shape for n, v in zip(tape.nodes, tape.values) if n.op in ("scale", "add")} >= {()}
+    assert [type(tape.value(i)) for i in (ce, dice)] == [np.ndarray] * 2
+    assert [tape.value(i).shape for i in (ce, dice, loss)] == [()] * 3
     outputs = []
 
     def watched(kind, rule):
@@ -498,6 +529,14 @@ def test_every_recorded_and_replayed_value_of_the_loss_tape_is_an_ndarray(monkey
     plan.run([(_leaves(params, image), labels) for image, labels in samples])
     ops = sum(n.op != "leaf" for n in tape.nodes)
     assert outputs == [np.ndarray] * ops * len(samples)
+    # scale and add of 0-d values, which the default loss tape no longer records
+    small = Tape()
+    term = small.mean(small.leaf(np.ones((2, 2))))
+    head = small.add(small.scale(term, 0.5), term)
+    assert [type(v) for v in small.values[1:]] == [np.ndarray] * 3 and small.value(head).shape == ()
+    outputs.clear()
+    Plan(lower(small, head)).run([([np.ones((2, 2))], ())])
+    assert outputs == [np.ndarray] * 3
 
 
 def test_a_plan_that_wants_nothing_has_no_backward_and_reads_its_output_as_an_array() -> None:
@@ -717,8 +756,8 @@ def test_forward_plan_keeps_its_checks() -> None:
 
 
 # tracemalloc peak of default medsaga over steps 3-7 when the bound was set
-# (x86_64, numpy 2.4, Python 3.11, run alone); 550,426 B inside the whole suite
-TRAIN_PEAK_BYTES = 555_546
+# (x86_64, numpy 2.4, Python 3.11, run alone); 548,091 B inside the whole suite
+TRAIN_PEAK_BYTES = 553_307
 
 
 def test_default_training_peak_after_step_2_stays_within_its_bound(monkeypatch) -> None:
@@ -750,9 +789,9 @@ def test_default_training_peak_after_step_2_stays_within_its_bound(monkeypatch) 
 
 
 # tracemalloc peak of a whole default 8-step medsaga train_model, compile included, after
-# a 1-step run (x86_64, numpy 2.4, Python 3.11, run alone; 722,416 B inside the whole suite;
+# a 1-step run (x86_64, numpy 2.4, Python 3.11, run alone; 701,180 B inside the whole suite;
 # 1,685,176 B while the recorded tape lived through one compile of both functions)
-RUN_PEAK_BYTES = 727_145
+RUN_PEAK_BYTES = 702_540
 
 
 def test_a_whole_default_training_run_peaks_within_its_bound() -> None:
@@ -889,7 +928,7 @@ def _kept_bytes(tape: Tape, kept: list[tuple[int, bool]]) -> int:
 
 # bytes default medsaga keeps per sample for its backward: a value or intermediate kept
 # past its last reader, or kept where it could be rebuilt, raises it
-KEPT_BYTES = 260_680
+KEPT_BYTES = 259_136
 
 
 def test_default_medsaga_keeps_its_pinned_bytes_per_sample(monkeypatch) -> None:

@@ -20,11 +20,13 @@ from msga.tape import (
     Tape,
     _bwd_gelu,
     _bwd_layernorm,
+    _bwd_matmul,
     _bwd_scale,
     _bwd_softmax_ce,
     _bwd_softmax_rows,
     _fwd_gelu,
     _fwd_layernorm,
+    _fwd_matmul,
     _fwd_softmax_rows,
     _gelu_inner,
     _gelu_value,
@@ -210,6 +212,7 @@ OP_GRAPHS = {
     "softmax-rows": lambda t, ids: t.mean(t.softmax_rows(ids[0])),
     "softmax-ce": lambda t, ids: t.softmax_ce(ids[0], _OP_LABELS),
     "soft-dice": lambda t, ids: t.soft_dice(ids[0], _OP_LABELS, 1e-5),
+    "seg-loss": lambda t, ids: t.seg_loss(ids[0], _OP_LABELS, 1e-5, 0.3),
     "reshape": lambda t, ids: t.mean(t.gelu(t.reshape(ids[0], (1, 9)))),
     "patchify": lambda t, ids: t.mean(t.gelu(t.patchify(ids[0], 1))),
     "mean": lambda t, ids: t.mean(t.gelu(ids[0])),
@@ -425,10 +428,15 @@ def _bad_patchify(shape: tuple, patch: int) -> tuple:
             f"patchify: image {shape[0]}x{shape[1]}")
 
 
+# the kinds that take labels -> their arguments after the labels
+_LOSS_ARGS = {"softmax-ce": (), "soft-dice": (1e-5,), "seg-loss": (1e-5, 0.2)}
+LOSS_KINDS = tuple(_LOSS_ARGS)
+
+
 def _bad_labels(op: str, rows: int, labels: list) -> Callable:
     def build(t: Tape) -> int:
         z, y = t.leaf(np.zeros((rows, 3))), np.array(labels, dtype=np.int64)
-        return t.softmax_ce(z, y) if op == "softmax-ce" else t.soft_dice(z, y, 1e-5)
+        return getattr(t, op.replace("-", "_"))(z, y, *_LOSS_ARGS[op])
     return build
 
 
@@ -456,7 +464,7 @@ BAD_RECORDS = {
     **{op: [(_bad_labels(op, 3, [0, 3, 1]), f"{op}: label values outside 0..2"),
             (_bad_labels(op, 3, [0, -1, 1]), f"{op}: label values outside 0..2"),
             (_bad_labels(op, 3, [0, 1]), f"{op}: labels shape"),
-            (_bad_labels(op, 0, []), f"{op}: no rows")] for op in ("softmax-ce", "soft-dice")},
+            (_bad_labels(op, 0, []), f"{op}: no rows")] for op in LOSS_KINDS},
 }
 
 
@@ -499,14 +507,14 @@ def test_a_replay_runs_no_shape_check_and_rejects_a_leaf_of_another_shape(monkey
     assert scalars == [] and grads.keys() == set(range(len(params)))
     # only the replay's one label check, which reads each sample's labels; no rule checks
     assert set(checked) == ({"_check_labels", "_check_2d"}
-                            if op in ("softmax-ce", "soft-dice") else set()), checked
+                            if op in LOSS_KINDS else set()), checked
     for i in range(len(params)):
         bad = [*params[:i], np.zeros((2, *params[i].shape)), *params[i + 1:]]
         with pytest.raises(ValueError, match=rf"^replay leaf {i}: expected float64 "):
             plan.run([(bad, _OP_LABELS)])
 
 
-@pytest.mark.parametrize("op", ["softmax-ce", "soft-dice"])
+@pytest.mark.parametrize("op", LOSS_KINDS)
 def test_a_replay_keeps_the_label_checks(op: str) -> None:
     # labels change with every sample, so a replay checks them once, before its forward
     tape = Tape()
@@ -516,6 +524,21 @@ def test_a_replay_keeps_the_label_checks(op: str) -> None:
                             (np.array([0, 1]), "labels shape")):
         with pytest.raises(ValueError, match=f"^{op}: {message}"):
             plan.run([(params, labels)])
+
+
+def test_a_read_names_an_array_a_forward_kept_or_fails_at_lower_time() -> None:
+    # a (node, key) read takes what the node's forward kept in its aux, as a float when
+    # 0-d, in a forward-only replay too; an op argument, a leaf's name, a tuple of pieces
+    # or a key the forward never set fails when the plan is lowered
+    tape = Tape()
+    z = tape.leaf(op_graph_params("seg-loss")[0])
+    loss = tape.seg_loss(z, _OP_LABELS, 1e-5, 0.3)
+    reads = ((loss, "dice"), (loss, "ce"))
+    plan = Plan(lower(tape, loss, (), reads))
+    assert plan.replay([tape.value(z)], _OP_LABELS)[0] == [float(tape.value(r)) for r in reads]
+    for bad in ((loss, "smooth"), (loss, "labels"), (z, "name"), (loss, "pieces"), (loss, "ce2")):
+        with pytest.raises(ValueError, match=rf"^read \({bad[0]}, '{bad[1]}'\): node {bad[0]} "):
+            lower(tape, loss, None, (loss, bad))
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +624,49 @@ def test_in_place_softmax_adjoints_keep_the_expressions_bits() -> None:
     q = softmax_last_dim(z)
     q[np.arange(9), y] -= 1.0
     assert dz.tobytes() == (q * (0.7 / 9)).tobytes()
+
+
+@pytest.mark.parametrize("rows,k,w", [(64, 3, 0.2), (5, 2, 0.0), (7, 4, 1.0), (1, 3, 0.5)])
+def test_seg_loss_gives_the_bytes_of_the_elementary_loss_head(rows: int, k: int, w: float) -> None:
+    # its value, the ce and dice it keeps and the logits' adjoint, under any loss adjoint,
+    # have the bits of add(scale(softmax-ce, w), scale(soft-dice, 1 - w))
+    rng = np.random.default_rng(rows * k)
+    z, y = rng.normal(0.0, 4.0, (rows, k)), rng.integers(0, k, rows)
+    for c in (1.0, -0.7, 3.1):
+        fused, chain = Tape(), Tape()
+        loss = fused.seg_loss(fused.leaf(z), y, 1e-5, w)
+        ce, dice = chain.softmax_ce(chain.leaf(z), y), chain.soft_dice(0, y, 1e-5)
+        head = chain.add(chain.scale(ce, w), chain.scale(dice, 1.0 - w))
+        assert _same([fused.value(loss), fused.value((loss, "ce")), fused.value((loss, "dice"))],
+                     [chain.value(head), chain.value(ce), chain.value(dice)])
+        assert _same(fused.backward(fused.scale(loss, c))[0],
+                     chain.backward(chain.scale(head, c))[0]), c
+
+
+def _signed_zeros(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    a = rng.standard_normal(shape)
+    a[rng.random(shape) < 0.25] = 0.0
+    a[rng.random(shape) < 0.25] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("n,k,m", [(1, 5, 4), (4, 5, 1), (1, 5, 1), (1, 1, 4), (4, 1, 1),
+                                   (1, 1, 1), (3, 1, 4), (2, 3, 2), (64, 16, 16)])
+def test_matmul_rules_give_the_bytes_of_the_matmul_operator(n: int, k: int, m: int) -> None:
+    # the rules' 2-D products go through np.dot; on row and column vectors, 1x1 operands,
+    # an operand with its own transpose and transposed views they keep @'s bytes, signed
+    # zeros included
+    rng = np.random.default_rng(n * 100 + k * 10 + m)
+    a, b = _signed_zeros(rng, (n, k)), _signed_zeros(rng, (k, m))
+    a_view, b_view = np.ascontiguousarray(a.T).T, np.ascontiguousarray(b.T).T
+    pairs = [(a, b), (a_view, b), (a, b_view), (a_view, b_view), (a, a.T), (a.T, a)]
+    for x, y in pairs:
+        g = _signed_zeros(rng, (x.shape[0], y.shape[1]))
+        got = [_fwd_matmul(x, y, {"transpose_b": False}), _fwd_matmul(x, y.T, {"transpose_b": True}),
+               *_bwd_matmul(g, x, y, {"transpose_b": False}),
+               *_bwd_matmul(g, x, y.T, {"transpose_b": True})]
+        want = [x @ y, x @ y, g @ y.T, x.T @ g, g @ y.T, g.T @ x]
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in want], (x.shape, y.shape)
 
 
 def test_gelu_adjoint_holds_at_most_three_buffers() -> None:
