@@ -9,13 +9,12 @@ seg-loss share the code of the matmul, add, scale, row-softmax, softmax-ce and
 soft-dice rules, so they give the elementary chain's bytes; every 2-D product is
 np.dot's. Row softmax, softmax-ce, soft dice, scale, reshape, mean, embedding
 lookup and matmul's transpose_b flag remain only because acceptance checks (C3,
-and C6 for the two loss terms) pin them. Values are float64
-ndarrays; losses are 0-d. Each op kind has one `OpRules` record in `_OPS`
-with all its rules. Tape.record runs the kind's check once, before its forward
-rule, on its inputs' shapes and its op arguments, and a check may add an op
-argument (add's and linear's `row`, whether the second summand is a broadcast
-row). A replay checks its leaves' shapes, which fix every value's, and its
-labels, once per distinct logits shape; no rule checks anything.
+C6) pin them. Values are float64 ndarrays; losses are 0-d. Each op kind has one
+`OpRules` record in `_OPS` with all its rules. Tape.record runs the kind's check
+once, before its forward rule, on its inputs' shapes and its op arguments, and a
+check may add an op argument (add's and linear's `row`, whether the second
+summand is a broadcast row). A replay checks its leaves' shapes, which fix every
+value's, and its labels, once per distinct logits shape; no rule checks anything.
 
 A forward rule may keep intermediates for its backward in the node's `aux`:
 row softmax and attention keep their probabilities, layernorm its normalized
@@ -248,11 +247,10 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
     list K, each `(id, is_aux)`: a node's value or its aux; and the op arguments A the
     texts read. Each text is a module whose `plan(np, A, <rules>)` factory returns one
     function: the first `forward(labels, *leaves)`, one local per value, one line per op,
-    a `del` after a value's last reader unless K keeps it, returning the `reads` (each
-    as `Tape.value` takes it, a ValueError here where it fails there) and K; the second
-    `backward(K)`, one rule call per backward node, each rebuilt value's rebuild just
-    before its first reader, a rule or a rebuild (a step's rebuilds in node order, so
-    inputs first), returning the dict G of the wanted leaves' adjoints."""
+    a `del` after a value's last reader unless K keeps it, returning the `reads` and K;
+    the second `backward(K)`, one rule call per backward node, each rebuilt value's
+    rebuild just before its first reader, a rule or a rebuild (a step's rebuilds in node
+    order, so inputs first), returning the dict G of the wanted leaves' adjoints."""
     nodes, values = tape.nodes, tape.values
     returned = ", ".join(("float({})" if tape.value(r).ndim == 0 else "{}").format(
         f"x{r[0]}[{r[1]!r}]" if isinstance(r, tuple) else f"v{r}") for r in reads)
@@ -671,8 +669,7 @@ def _bwd_softmax_rows(g, x, aux):
 
 def _ce_adjoint(p, onehot, c):
     dz = p - onehot   # the mean CE's adjoint for c = g / rows
-    dz *= c
-    return dz
+    return np.multiply(dz, c, out=dz)
 
 
 def _dice_adjoint(pieces, smooth, c):
@@ -680,14 +677,11 @@ def _dice_adjoint(pieces, smooth, c):
     denom = sums + smooth
     # d(loss)/d(p_jc) for the mean-over-classes soft dice
     dp = -(2.0 * onehot * denom - (2.0 * inter + smooth)) / (p.shape[1] * denom**2)
-    dz = _softmax_rows_adjoint(dp, p, dp)
-    dz *= c
-    return dz
+    return np.multiply(_softmax_rows_adjoint(dp, p, dp), c, out=dp)
 
 
 def _bwd_softmax_ce(g, z, aux):
-    p = softmax_last_dim(z)
-    return (_ce_adjoint(p, _onehot(aux["labels"], p.shape), float(g) / z.shape[0]),)
+    return (_ce_adjoint(softmax_last_dim(z), _onehot(aux["labels"], z.shape), float(g) / len(z)),)
 
 
 def _bwd_soft_dice(g, z, aux):
@@ -698,8 +692,7 @@ def _bwd_seg_loss(g, z, aux):
     # the two terms' adjoints scaled as scale's backward scales them, added dice first
     pieces, w = aux["pieces"], aux["ce_weight"]
     dz = _dice_adjoint(pieces, aux["smooth"], float(g * (1.0 - w)))
-    dz += _ce_adjoint(*pieces[:2], float(g * w) / pieces[0].shape[0])
-    return (dz,)
+    return (np.add(dz, _ce_adjoint(*pieces[:2], float(g * w) / len(pieces[0])), out=dz),)
 
 
 def _bwd_reshape(g, a, aux):
