@@ -1,57 +1,41 @@
 """Tape-based reverse-mode differentiation over a fixed op set.
 
-A Tape records forward values as ops are applied and replays the chain rule
-backwards from a scalar loss. The segmentation model and its training loss
-record matmul, add (same shape or a broadcast row), linear (`x @ w + b`),
-single-head attention (`softmax(q k^T c) v`), tanh-gelu, layernorm, patchify
-and seg-loss (`w ce + (1 - w) dice` from one softmax). Linear, attention and
-seg-loss share the code of the matmul, add, scale, row-softmax, softmax-ce and
-soft-dice rules, so they give the elementary chain's bytes; every 2-D product is
-np.dot's. Row softmax, softmax-ce, soft dice, scale, reshape, mean, embedding
-lookup and matmul's transpose_b flag remain only because acceptance checks (C3,
-C6) pin them. Values are float64 ndarrays; losses are 0-d. Each op kind has one
-`OpRules` record in `_OPS` with all its rules. Tape.record runs the kind's check
-once, before its forward rule, on its inputs' shapes and its op arguments, and a
-check may add an op argument (add's and linear's `row`, whether the second
-summand is a broadcast row). A replay checks its leaves' shapes, which fix every
-value's, and its labels, once per distinct logits shape; no rule checks anything.
+A Tape records a program: each op's kind, inputs, arguments and output shape,
+and each leaf's array. Recording computes no value; every value comes from
+replaying a plan compiled from the tape, whose backward runs the chain rule
+from a scalar loss; Tape.value and Tape.backward compile one per node count
+and reads. The model and its training loss record matmul, add (same shape or a
+broadcast row), linear (`x @ w + b`), single-head attention (`softmax(q k^T c)
+v`), tanh-gelu, layernorm, patchify and seg-loss (`w ce + (1 - w) dice` from one
+softmax), which share the code of the elementary rules and give their chains'
+bytes; every 2-D product is np.dot's. Row softmax, softmax-ce, soft dice,
+scale, reshape, mean, embedding lookup and matmul's transpose_b flag remain
+because acceptance checks (C3, C6) pin them. Values are float64 ndarrays;
+losses are 0-d. Each op kind has one `OpRules` record in `_OPS`. Tape.record
+runs only the kind's shape rule, which raises a ValueError naming the op,
+returns the output's shape and may add an op argument (add's and linear's
+`row`). A tape's labelled ops take one labels array, as a replay does, which
+checks its leaves' shapes (they fix every value's) and labels per logits shape.
 
-A forward rule may keep intermediates for its backward in the node's `aux`:
-row softmax and attention keep their probabilities, layernorm its normalized
-rows and row std, gelu its derivative, soft dice and seg-loss their softmax,
-one-hot and class sums (seg-loss also its 0-d `ce` and `dice`, for plan reads).
-Backward rules read these instead of recomputing them. A forward rule is
-`fwd(*inputs, aux)` and a backward rule `bwd(g, *inputs, aux)`: the adjoint of
-the node's output, the node's inputs as positional arguments in order (None
-where not read) and its aux. A rule writes only into arrays it allocated, never
-into its inputs, adjoint or aux: the add backward hands one adjoint to both.
+A forward rule `fwd(*inputs, aux)` gets a fresh dict of the node's op arguments
+and keeps in it, under the keys its record declares, what its backward
+`bwd(g, *inputs, aux)` reads: probabilities (row softmax, attention), the
+normalized rows and row std (layernorm), the derivative (gelu), the softmax,
+one-hot and class sums (soft dice, seg-loss; seg-loss also the 0-d terms `ce`
+and `dice`, which a plan may read). A backward rule gets the node's inputs in
+order, None where it reads none. No rule writes into its inputs, adjoint or aux.
 
-`plan_source` writes a recorded tape as two texts of straight-line Python: a
-forward with one line per op to replay it on new leaves and labels, and a
-backward with one rule call per node between the wanted leaves and the loss. A
-Plan is built only from `lower`'s output, which holds those texts and no array
-of the tape, so a caller may drop the tape before the compile; it compiles
-each function once, from its own text. An op kind's record declares the inputs
-its backward reads (others reach it as None). A node on the backward path
-keeps those inputs and its aux from its forward op until its own backward
-step; every other value is deleted after its last forward reader. A record may
-hold a rebuild rule, its forward's own code path, and the inputs it reads: the
-plan then keeps those inputs in place of a value, when they are leaves, kept
-anyway or rebuilt themselves and the node's aux is kept or holds only op
-arguments, and rebuilds the value just before its first reader, a backward
-rule or another rebuild (layernorm from its kept `xhat`, patchify from the
-image, matmul from its two inputs, attention from its kept probabilities and
-v). So an encoder block's q, k and v are rebuilt from the rebuilt layernorm
-output, and its attention output from the rebuilt v. A node whose aux no
-backward step reads runs the value-only forward its record may hold (gelu,
-without its derivative). Training records one tape per run and replays its
-plan once per step; Tape.backward compiles only the emitted backward and runs
-it on the tape's recorded values. A leaf may carry a name, which a replay
-error reports in place of its id. Tape.backward and Plan.backward return fresh
-arrays, safe to hand elsewhere; Plan.run adds them into sums a caller may own. A
-plan that wants nothing has an empty backward: evaluation replays one that reads
-the logits, so an image keeps only the values a later op reads. A read is a value
-id or a `(node id, aux key)` pair, as training reads seg-loss's `ce` and `dice`.
+`plan_source` writes a tape, from its shapes, op arguments and records, as two
+texts of straight-line Python: a forward with one line per op and a backward
+with one rule call per node between the wanted leaves and the loss. A Plan is
+built from `lower`'s output, which holds no array of the tape, and compiles
+each text once. A backward node keeps the inputs its rule reads and its aux
+until its step; every other value is deleted after its last forward reader. A
+value whose record has a rebuild rule (layernorm, patchify, matmul, attention)
+may be rebuilt just before its first backward reader from the rebuild's inputs,
+leaves, kept or rebuilt themselves. A node whose aux no backward step reads runs
+its record's value-only forward, if any (gelu). A read is a value id or a
+`(node id, term)` pair.
 """
 
 from __future__ import annotations
@@ -73,8 +57,8 @@ _F64 = np.dtype(np.float64)
 class TapeNode:
     op: str
     inputs: tuple[int, ...]
-    aux: dict                # the op's arguments, then what its forward rule kept
-    args: tuple[str, ...]    # the keys of aux that are the op's arguments
+    aux: dict                # the op's arguments, a shape rule's included; a leaf's name
+    shape: tuple[int, ...]   # the output's shape, from the kind's shape rule
 
 
 class Tape:
@@ -82,7 +66,9 @@ class Tape:
 
     def __init__(self) -> None:
         self.nodes: list[TapeNode] = []
-        self.values: list[np.ndarray] = []
+        self.leaves: dict[int, np.ndarray] = {}   # each leaf's array by its id, in tape order
+        self.labels = np.zeros(0, np.int64)        # the labels every labelled op takes
+        self._plans: dict[tuple, Plan] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -90,26 +76,25 @@ class Tape:
         """Register an input (parameter or data) and return its value id; a plan's
         errors name the leaf by `name`, or by that id when it has none."""
         nid = len(self.nodes)
-        self.nodes.append(TapeNode("leaf", (), {"name": nid if name is None else name}, ()))
-        self.values.append(np.asarray(value, dtype=np.float64))
+        self.leaves[nid] = value = np.asarray(value, dtype=np.float64)
+        self.nodes.append(TapeNode("leaf", (), {"name": nid if name is None else name},
+                                   value.shape))
         return nid
 
     def record(self, op: str, inputs: tuple[int, ...] | list[int], **aux) -> int:
-        """Apply `op` to already-recorded values, store the result, return its id."""
+        """Append `op` on already-recorded values after its shape rule; computes nothing."""
         if (rules := _OPS.get(op)) is None:
             raise ValueError(f"unknown op kind {op!r}")
         ids = tuple(int(i) for i in inputs)
         if len(ids) != rules.arity:
             raise ValueError(f"{op}: expected {rules.arity} inputs, got {len(ids)}")
-        for i in ids:
-            if not 0 <= i < len(self.nodes):
-                raise ValueError(f"{op}: input id {i} not on this tape")
-        values = [self.values[i] for i in ids]
-        if rules.check:
-            rules.check(*(v.shape for v in values), aux)
-        keys = tuple(aux)   # the op's arguments, a check's included
-        self.values.append(rules.fwd(*values, aux))
-        self.nodes.append(TapeNode(op, ids, aux, keys))
+        if off := [i for i in ids if not 0 <= i < len(self.nodes)]:
+            raise ValueError(f"{op}: input id {off[0]} not on this tape")
+        shape = rules.shape(*(self.nodes[i].shape for i in ids), aux)
+        if "labels" in aux and self.labels.size and not np.array_equal(self.labels, aux["labels"]):
+            raise ValueError(f"{op}: labels differ from the tape's first labelled op's")
+        self.labels = aux.get("labels", self.labels)   # a shape rule let them: not empty
+        self.nodes.append(TapeNode(op, ids, aux, shape))
         return len(self.nodes) - 1
 
     # typed wrappers, one per op kind
@@ -164,13 +149,9 @@ class Tape:
     # -- evaluation --------------------------------------------------------
 
     def value(self, vid: int | tuple[int, str]) -> np.ndarray:
-        """A value by its id, or by `(node id, key)` the array that node's forward kept in aux."""
-        if not isinstance(vid, tuple):
-            return self.values[vid]
-        n, key = self.nodes[vid[0]], vid[1]   # a leaf's aux holds only its name
-        if key in n.args or not isinstance(n.aux.get(key), np.ndarray):
-            raise ValueError(f"read {vid}: node {vid[0]} ({n.op}) kept no array {key!r}")
-        return n.aux[key]
+        """A value by its id, or by `(node id, term)` a 0-d term its node's forward keeps."""
+        _, (out,), _ = self._replay(vid[0] if isinstance(vid, tuple) else vid, (), (vid,))
+        return np.asarray(out)
 
     def backward(self, loss_id: int) -> dict[int, np.ndarray]:
         """Adjoints of a scalar loss with respect to every leaf.
@@ -178,9 +159,16 @@ class Tape:
         Leaves with no path to the loss get exactly-zero gradients of their
         own shape. Identical tapes produce bitwise-identical results: the
         traversal order and accumulation order are fixed by node order."""
-        _, backward, kept, consts = plan_source(self, loss_id)
-        return _compile(backward, consts)([self.nodes[i].aux if aux else self.values[i]
-                                           for i, aux in kept])
+        plan, _, kept = self._replay(loss_id, None, ())
+        return plan.backward(kept)
+
+    def _replay(self, loss_id: int, wanted, reads: tuple) -> tuple[Plan, list, list]:
+        """The tape's plan, compiled once per node count, loss, wanted leaves and reads,
+        with the reads and kept list of its replay on the tape's leaves and labels."""
+        key = (len(self.nodes), loss_id, wanted, reads)
+        if key not in self._plans:
+            self._plans[key] = Plan(lower(self, loss_id, wanted, reads))
+        return self._plans[key], *self._plans[key].replay(list(self.leaves.values()), self.labels)
 
 
 def lower(tape: Tape, loss_id: int, wanted=None, reads=()) -> tuple[str, str, tuple, list, dict]:
@@ -189,10 +177,10 @@ def lower(tape: Tape, loss_id: int, wanted=None, reads=()) -> tuple[str, str, tu
     forward, backward, _, consts = plan_source(tape, loss_id, wanted, reads)
     shapes = {}   # one tuple per distinct leaf shape
     return forward, backward, consts, [
-        (nid, shapes.setdefault(v.shape, v.shape), n.aux["name"])
-        for nid, (n, v) in enumerate(zip(tape.nodes, tape.values)) if n.op == "leaf"
-    ], {tape.values[n.inputs[0]].shape: n.op   # reversed: a shape's first op is set last
-        for n in reversed(tape.nodes) if "labels" in n.args}
+        (nid, shapes.setdefault(n.shape, n.shape), n.aux["name"])
+        for nid, n in enumerate(tape.nodes) if n.op == "leaf"
+    ], {tape.nodes[n.inputs[0]].shape: n.op   # reversed: a shape's first op is set last
+        for n in reversed(tape.nodes) if "labels" in n.aux}
 
 
 class Plan:
@@ -251,13 +239,16 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
     the second `backward(K)`, one rule call per backward node, each rebuilt value's
     rebuild just before its first reader, a rule or a rebuild (a step's rebuilds in node
     order, so inputs first), returning the dict G of the wanted leaves' adjoints."""
-    nodes, values = tape.nodes, tape.values
-    returned = ", ".join(("float({})" if tape.value(r).ndim == 0 else "{}").format(
-        f"x{r[0]}[{r[1]!r}]" if isinstance(r, tuple) else f"v{r}") for r in reads)
+    nodes = tape.nodes
+    for r in (r for r in reads if isinstance(r, tuple)):   # a term the node's forward keeps
+        if (n := nodes[r[0]]).op == "leaf" or r[1] not in _OPS[n.op].terms:
+            raise ValueError(f"read {r}: node {r[0]} ({n.op}) keeps no term {r[1]!r}")
+    returned = ", ".join(f"float(x{r[0]}[{r[1]!r}])" if isinstance(r, tuple) else
+                         f"float(v{r})" if nodes[r].shape == () else f"v{r}" for r in reads)
     leaves = [nid for nid, n in enumerate(nodes) if n.op == "leaf"]
     wanted = set(leaves if wanted is None else wanted)
-    if wanted and values[loss_id].size != 1:
-        raise ValueError(f"backward needs a scalar loss, got shape {values[loss_id].shape}")
+    if wanted and np.prod(nodes[loss_id].shape) != 1:
+        raise ValueError(f"backward needs a scalar loss, got shape {nodes[loss_id].shape}")
     reaches: list[bool] = []
     for nid, n in enumerate(nodes):
         reaches.append(nid in wanted if n.op == "leaf" else any(reaches[i] for i in n.inputs))
@@ -271,7 +262,7 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
     ops, consts, auxes = [(nid, n) for nid, n in enumerate(nodes) if n.op != "leaf"], [], {}
     for nid, n in ops:   # labels are passed in; every other op argument is an item of A
         items = []
-        for key in n.args:
+        for key in n.aux:
             consts += [] if key == "labels" else [n.aux[key]]
             items.append(f"{key!r}: " + ("labels" if key == "labels" else f"A[{len(consts) - 1}]"))
         auxes[nid] = f"{{{', '.join(items)}}}"
@@ -279,7 +270,7 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
     rebuilt = {}   # a read value the backward rebuilds -> its rebuild's inputs, None if unread
     for i in sorted(read):   # in node order, so a step emits a rebuild's inputs first
         n, rules = nodes[i], _OPS.get(nodes[i].op)   # a leaf has no rules
-        if rules and rules.rebuild and (i in live or n.aux.keys() == set(n.args)):
+        if rules and rules.rebuild and (i in live or not rules.keeps):
             ins = [j if k in rules.rebuild_reads else None for k, j in enumerate(n.inputs)]
             if all(j is None or nodes[j].op == "leaf" or j in read for j in ins):
                 rebuilt[i] = ins
@@ -295,7 +286,7 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
     last = {i: k for k, u in enumerate(uses) for i in u}   # a kept value's last reader
     bound = {loss_id} & live   # the nodes whose adjoint has its first contribution
     adj = [f"G[{i}]" if i in wanted else f"g{i}" for i in range(len(nodes))]   # G: returned
-    bwd = [f"{adj[loss_id]} = np.ones({values[loss_id].shape!r})"] if bound else []
+    bwd = [f"{adj[loss_id]} = np.ones({nodes[loss_id].shape!r})"] if bound else []
     for k, (nid, args) in enumerate(steps):
         for i in (i for i in rebuilt if first[i] == k):   # just before its first reader
             handed = "".join("None, " if j is None else f"v{j}, " for j in rebuilt[i])
@@ -311,7 +302,7 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
         bwd += [f"[{', '.join(outs)}] = bwd_{_name(n.op)}(g{nid}, {handed}x{nid})",
                 *(f"{adj[i]} = {adj[i]} + {o}" for o, i in zip(outs, n.inputs) if o[0] == "t"),
                 f"del {', '.join(gone)}"]
-    zeros = ", ".join(f"{i}: np.zeros({values[i].shape!r})" for i in sorted(wanted - bound))
+    zeros = ", ".join(f"{i}: np.zeros({nodes[i].shape!r})" for i in sorted(wanted - bound))
     last, fwd, keep = {s: nid for nid, n in ops for s in (nid, *n.inputs)}, [], set(kept)
     keep |= {(r[0], True) for r in reads if isinstance(r, tuple)}   # an aux a read names
     for nid, n in ops:   # a node whose aux nothing reads runs its value-only forward
@@ -353,9 +344,8 @@ def _compile(text: str, consts: tuple) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# checks of the inputs' shapes and the op arguments, run once when an op is recorded:
-# a replay's leaves have the recorded shapes, and those fix every value's. A check may
-# add an op argument
+# shape rules, run once, when an op is recorded: a replay's leaves have the recorded
+# shapes, and those fix every value's
 
 
 def _check_2d(op: str, *shapes: tuple) -> None:
@@ -364,38 +354,40 @@ def _check_2d(op: str, *shapes: tuple) -> None:
             raise ValueError(f"{op}: expected 2-D value, got shape {shape}")
 
 
-def _check_matmul(a, b, aux):
+def _shape_matmul(a, b, aux):
     _check_2d("matmul", a, b)
     b_eff = b[::-1] if aux["transpose_b"] else b
     if a[1] != b_eff[0]:
         raise ValueError(f"matmul: inner dimensions disagree, {a} @ {b_eff} "
                          f"(transpose_b={aux['transpose_b']})")
+    return a[0], b_eff[1]
 
 
-def _check_add(a, b, aux):
+def _shape_add(a, b, aux):
     aux["row"] = a != b   # whether b is a broadcast row; the backward reads no shape
     if not (a == b or len(a) == 2 and b == (1, a[1])):
         raise ValueError(f"add: shapes {a} and {b} are neither equal nor row-broadcast")
+    return a
 
 
-def _check_linear(x, w, b, aux):
-    _check_matmul(x, w, _NN)
-    _check_add((x[0], w[1]), b, aux)
+def _shape_linear(x, w, b, aux):
+    return _shape_add(_shape_matmul(x, w, _NN), b, aux)
 
 
-def _check_attention(q, k, v, aux):
-    _check_matmul(q, k, _NT)   # the scores; then probs v
-    _check_matmul((q[0], k[0]), v, _NN)
+def _shape_attention(q, k, v, aux):
+    return _shape_matmul(_shape_matmul(q, k, _NT), v, _NN)   # the scores; then probs v
 
 
-def _check_layernorm(x, gain, bias, aux):
+def _shape_layernorm(x, gain, bias, aux):
     _check_2d("layernorm", x, gain, bias)
     if gain != (1, x[1]) or bias != (1, x[1]):
         raise ValueError(f"layernorm: gain/bias must be (1, {x[1]}), got {gain} and {bias}")
+    return x
 
 
-def _check_softmax_rows(x, aux):
+def _shape_softmax_rows(x, aux):
     _check_2d("softmax-rows", x)
+    return x
 
 
 def _check_labels(op: str, z: tuple, labels: np.ndarray) -> None:
@@ -408,32 +400,36 @@ def _check_labels(op: str, z: tuple, labels: np.ndarray) -> None:
         raise ValueError(f"{op}: label values outside 0..{z[1] - 1}")
 
 
-def _labels_check(op: str) -> Callable:
-    def check(z, aux):   # a loss kind's check: its labels against the logits' shape
+def _labels_shape(op: str) -> Callable:
+    def shape(z, aux):   # a loss kind's: its labels against the logits' shape, a 0-d loss
         _check_labels(op, z, aux["labels"])
-    return check
+        return ()
+    return shape
 
 
-def _check_reshape(a, aux):
+def _shape_reshape(a, aux):
     if any(d < 0 for d in aux["shape"]) or np.prod(aux["shape"]) != np.prod(a):
         raise ValueError(f"reshape: cannot view {a} as {aux['shape']}")
+    return aux["shape"]
 
 
-def _check_patchify(img, aux):
+def _shape_patchify(img, aux):
     p = aux["patch"]
     _check_2d("patchify", img)
     h, w = img
     if p < 1 or h % p or w % p:
         raise ValueError(f"patchify: image {h}x{w} not divisible by patch {p}")
+    return h // p * (w // p), p * p
 
 
-def _check_embed_lookup(table, aux):
+def _shape_embed_lookup(table, aux):
     idx = aux["indices"]
     _check_2d("embed-lookup", table)
     if idx.ndim != 1:
         raise ValueError(f"embed-lookup: indices must be 1-D, got {idx.shape}")
     if idx.min(initial=0) < 0 or idx.max(initial=0) >= table[0]:
         raise ValueError(f"embed-lookup: index outside 0..{table[0] - 1}")
+    return len(idx), table[1]
 
 
 # ---------------------------------------------------------------------------
@@ -718,47 +714,50 @@ def _bwd_embed_lookup(g, table, aux):
 
 @dataclass(frozen=True)
 class OpRules:
-    """All the rules of one op kind. `fwd(*inputs, aux)` is the forward rule and
-    `bwd(g, *inputs, aux)` the backward, which returns one adjoint per input, matching
-    the inputs' shapes. `reads` are the positions of the inputs the backward reads by
-    value; the other slots get None, and all else it reads is in its aux. `arity` is
-    the input count, the forward rule's parameters before the aux, fixed here so a
-    wrapped rule keeps it. `check` takes the inputs' shapes and the aux: Tape.record
-    runs it before the forward rule and a replay never does; no rule checks anything.
-    `value` is a forward that keeps nothing in aux, for a node no backward step reads.
-    `rebuild` rebuilds the output in the backward from the inputs at `rebuild_reads`,
-    read by value, and the aux, by the forward's own code path."""
+    """All the rules of one op kind: the forward `fwd(*inputs, aux)`; the backward
+    `bwd(g, *inputs, aux)`, one adjoint per input, handed by value only the inputs at
+    `reads` (None elsewhere); `arity`, the input count, fixed here so a wrapped rule
+    keeps it; the shape rule `shape`, on the inputs' shapes and the aux, which only
+    Tape.record runs; `keeps`, the aux keys the forward sets, and `terms`, the 0-d ones
+    a plan may read; `value`, a forward keeping nothing, for a node no backward step
+    reads; `rebuild`, the forward's own code path for the output from the inputs at
+    `rebuild_reads` and the aux."""
 
     fwd: Callable
     bwd: Callable
     reads: tuple[int, ...]
     arity: int
-    check: Callable | None = None
+    shape: Callable
+    keeps: tuple[str, ...] = ()
+    terms: tuple[str, ...] = ()
     value: Callable | None = None
     rebuild: Callable | None = None
     rebuild_reads: tuple[int, ...] = ()
 
 
 _OPS: dict[str, OpRules] = {
-    "matmul": OpRules(_fwd_matmul, _bwd_matmul, (0, 1), 2, _check_matmul,
+    "matmul": OpRules(_fwd_matmul, _bwd_matmul, (0, 1), 2, _shape_matmul,
                       rebuild=_fwd_matmul, rebuild_reads=(0, 1)),
-    "add": OpRules(_fwd_add, _bwd_add, (), 2, _check_add),
-    "linear": OpRules(_fwd_linear, _bwd_linear, (0, 1), 3, _check_linear),
-    "scale": OpRules(_fwd_scale, _bwd_scale, (), 1),
-    "attention": OpRules(_fwd_attention, _bwd_attention, (0, 1, 2), 3, _check_attention,
-                         rebuild=_attention_output, rebuild_reads=(2,)),
-    "gelu": OpRules(_fwd_gelu, _bwd_gelu, (), 1, value=_gelu_value),
-    "layernorm": OpRules(_fwd_layernorm, _bwd_layernorm, (1,), 3, _check_layernorm,
-                         rebuild=_layernorm_affine, rebuild_reads=(1, 2)),
-    "softmax-rows": OpRules(_fwd_softmax_rows, _bwd_softmax_rows, (), 1, _check_softmax_rows),
-    "softmax-ce": OpRules(_fwd_softmax_ce, _bwd_softmax_ce, (0,), 1, _labels_check("softmax-ce")),
-    "soft-dice": OpRules(_fwd_soft_dice, _bwd_soft_dice, (), 1, _labels_check("soft-dice")),
-    "seg-loss": OpRules(_fwd_seg_loss, _bwd_seg_loss, (), 1, _labels_check("seg-loss")),
-    "reshape": OpRules(_fwd_reshape, _bwd_reshape, (0,), 1, _check_reshape),
-    "patchify": OpRules(_fwd_patchify, _bwd_patchify, (0,), 1, _check_patchify,
+    "add": OpRules(_fwd_add, _bwd_add, (), 2, _shape_add),
+    "linear": OpRules(_fwd_linear, _bwd_linear, (0, 1), 3, _shape_linear),
+    "scale": OpRules(_fwd_scale, _bwd_scale, (), 1, lambda a, aux: a),
+    "attention": OpRules(_fwd_attention, _bwd_attention, (0, 1, 2), 3, _shape_attention,
+                         ("probs",), rebuild=_attention_output, rebuild_reads=(2,)),
+    "gelu": OpRules(_fwd_gelu, _bwd_gelu, (), 1, lambda x, aux: x, ("deriv",), value=_gelu_value),
+    "layernorm": OpRules(_fwd_layernorm, _bwd_layernorm, (1,), 3, _shape_layernorm,
+                         ("xhat", "std"), rebuild=_layernorm_affine, rebuild_reads=(1, 2)),
+    "softmax-rows": OpRules(_fwd_softmax_rows, _bwd_softmax_rows, (), 1, _shape_softmax_rows,
+                            ("probs",)),
+    "softmax-ce": OpRules(_fwd_softmax_ce, _bwd_softmax_ce, (0,), 1, _labels_shape("softmax-ce")),
+    "soft-dice": OpRules(_fwd_soft_dice, _bwd_soft_dice, (), 1, _labels_shape("soft-dice"),
+                         ("pieces",)),
+    "seg-loss": OpRules(_fwd_seg_loss, _bwd_seg_loss, (), 1, _labels_shape("seg-loss"),
+                        ("ce", "dice", "pieces"), ("ce", "dice")),
+    "reshape": OpRules(_fwd_reshape, _bwd_reshape, (0,), 1, _shape_reshape),
+    "patchify": OpRules(_fwd_patchify, _bwd_patchify, (0,), 1, _shape_patchify,
                         rebuild=_fwd_patchify, rebuild_reads=(0,)),
-    "mean": OpRules(_fwd_mean, _bwd_mean, (0,), 1),
-    "embed-lookup": OpRules(_fwd_embed_lookup, _bwd_embed_lookup, (0,), 1, _check_embed_lookup),
+    "mean": OpRules(_fwd_mean, _bwd_mean, (0,), 1, lambda a, aux: ()),
+    "embed-lookup": OpRules(_fwd_embed_lookup, _bwd_embed_lookup, (0,), 1, _shape_embed_lookup),
 }
 
 OP_KINDS = tuple(_OPS)
@@ -771,31 +770,31 @@ def finite_diff_check(
 ) -> float:
     """Max relative error between tape gradients and central finite differences.
 
-    `build` receives a fresh tape plus the leaf ids of `params` and must
-    return the id of a scalar loss. The error at each parameter entry is
-    |analytic - numeric| / max(1, |numeric|).
+    `build` receives a fresh tape plus the leaf ids of `params` and must return the
+    id of a scalar loss; its plan is compiled once and replayed per perturbation. The
+    error at each parameter entry is |analytic - numeric| / max(1, |numeric|); a
+    non-finite analytic or numeric entry raises FloatingPointError.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     tape = Tape()
     ids = [tape.leaf(p) for p in params]
-    grads = tape.backward(build(tape, ids))
-
-    def loss_at(arrays: list[np.ndarray]) -> float:
-        t = Tape()
-        lids = [t.leaf(a) for a in arrays]
-        return float(t.value(build(t, lids)))
-
+    loss = build(tape, ids)
+    plan, leaves = Plan(lower(tape, loss, ids, (loss,))), tape.leaves
+    grads = plan.backward(plan.replay(list(leaves.values()), tape.labels)[1])
     worst = 0.0
-    for i, p in enumerate(params):
-        analytic = grads[ids[i]]
+    for i, nid in enumerate(ids):
+        bumped = dict(leaves)
+        p = bumped[nid] = leaves[nid].copy()
         for idx in np.ndindex(p.shape):
-            bumped = [a.copy() for a in params]
-            bumped[i][idx] += epsilon
-            hi = loss_at(bumped)
-            bumped[i][idx] -= 2.0 * epsilon
-            lo = loss_at(bumped)
-            numeric = (hi - lo) / (2.0 * epsilon)
-            err = abs(analytic[idx] - numeric) / max(1.0, abs(numeric))
-            worst = max(worst, err)
+            ends = []   # the loss at +epsilon, then at -epsilon
+            for step in (epsilon, -2.0 * epsilon):
+                p[idx] += step
+                ends.append(float(plan.replay(list(bumped.values()), tape.labels)[0][0]))
+            p[idx] = leaves[nid][idx]
+            numeric, analytic = (ends[0] - ends[1]) / (2.0 * epsilon), grads[nid][idx]
+            if not (np.isfinite(analytic) and np.isfinite(numeric)):
+                raise FloatingPointError(f"parameter {i} entry {idx}: analytic gradient "
+                                         f"{analytic}, central difference {numeric}")
+            worst = max(worst, abs(analytic - numeric) / max(1.0, abs(numeric)))
     return worst

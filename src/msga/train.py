@@ -114,7 +114,7 @@ def compile_loss_plan(
     tape, ids, ce, dice, loss = build_loss_tape(params, image, labels_grid, cfg)
     trained = [ids[g.name] for g in params.groups if not isinstance(g.strategy, Frozen)]
     lowered = lower(tape, loss, trained, (ce, dice, loss))
-    del tape   # its values and aux go before the compile
+    del tape   # its nodes go before the compile
     return Plan(lowered), ids
 
 

@@ -1,8 +1,9 @@
-"""Compiled plans against an independent reference: a naive reverse-mode
-interpreter that keeps every value and aux of a recorded tape, frees, rebuilds
-and prunes nothing, and calls each node's backward rule with all its inputs.
-`Plan.run`, `Tape.backward` and forward-only replays must give its bytes, on
-seeded random graphs over every op kind and on the default loss tape."""
+"""Compiled plans against an independent reference: a naive eager forward that
+calls each record's forward rule in node order and keeps every value and aux,
+and a naive reverse-mode interpreter over them that frees, rebuilds and prunes
+nothing and calls each node's backward rule with all its inputs. `Plan.run`,
+`Tape.backward` and forward-only replays must give their bytes, on seeded
+random graphs over every op kind and on the default loss tape."""
 
 from __future__ import annotations
 
@@ -21,18 +22,45 @@ from msga.tape import OP_KINDS, Plan, Tape, lower, plan_source
 from msga.train import model_config, prepare_splits
 
 
-def naive_adjoints(tape: Tape, loss: int, wanted) -> dict[int, np.ndarray]:
-    """Reverse mode with every value and aux kept: one backward rule call per node the
-    loss depends on, in reverse node order, handed all its inputs and its recorded aux;
-    a first contribution binds and later ones add. Zeros for a leaf the loss misses."""
-    adj = {loss: np.ones(tape.values[loss].shape)}
+def naive_forward(tape: Tape) -> tuple[list[np.ndarray], list[dict]]:
+    """Every value and aux of the tape: the leaves' arrays, then each record's forward
+    rule called in node order on its inputs' values and a copy of its op arguments.
+    Each value has its node's recorded shape, and each forward sets the aux keys its
+    record declares, no others."""
+    values, auxes = [], []
+    for nid, n in enumerate(tape.nodes):
+        auxes.append(aux := dict(n.aux))
+        if n.op == "leaf":
+            values.append(tape.leaves[nid])
+        else:
+            rules = msga.tape._OPS[n.op]
+            values.append(rules.fwd(*(values[i] for i in n.inputs), aux))
+            assert aux.keys() - n.aux.keys() == set(rules.keeps), n.op
+        assert values[nid].shape == n.shape, (nid, n.op)
+    return values, auxes
+
+
+def naive_read(forward: tuple[list, list], read):
+    """A read of a naive forward as a replay returns it, a 0-d one as a float."""
+    values, auxes = forward
+    v = auxes[read[0]][read[1]] if isinstance(read, tuple) else values[read]
+    return float(v) if v.ndim == 0 else v
+
+
+def naive_adjoints(tape: Tape, forward: tuple[list, list], loss: int, wanted
+                   ) -> dict[int, np.ndarray]:
+    """Reverse mode over the tape's naive forward: one backward rule call per node the
+    loss depends on, in reverse node order, handed all its inputs and the aux its forward
+    kept; a first contribution binds and later ones add. Zeros for a leaf the loss misses."""
+    values, auxes = forward
+    adj = {loss: np.ones(values[loss].shape)}
     for nid in range(loss, -1, -1):
         n = tape.nodes[nid]
         if n.op != "leaf" and nid in adj:
-            grads = msga.tape._OPS[n.op].bwd(adj[nid], *(tape.values[i] for i in n.inputs), n.aux)
+            grads = msga.tape._OPS[n.op].bwd(adj[nid], *(values[i] for i in n.inputs), auxes[nid])
             for i, g in zip(n.inputs, grads, strict=True):
                 adj[i] = adj[i] + g if i in adj else g
-    return {i: adj[i] if i in adj else np.zeros(tape.values[i].shape) for i in wanted}
+    return {i: adj[i] if i in adj else np.zeros(values[i].shape) for i in wanted}
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +92,7 @@ def random_graph(seed: int) -> tuple[Tape, list, int]:
         return tape.leaf(rng.standard_normal(shape))
 
     def take(ok, shape) -> int:   # an earlier value whose shape is ok, or a fresh leaf
-        found = [i for i, v in enumerate(tape.values) if ok(v.shape)]
+        found = [i for i, n in enumerate(tape.nodes) if ok(n.shape)]
         return int(rng.choice(found)) if found and rng.random() < 0.7 else leaf(shape())
 
     def rec(method: str, *args, **kw) -> int:
@@ -72,7 +100,7 @@ def random_graph(seed: int) -> tuple[Tape, list, int]:
         return getattr(tape, method)(*(labels if a is LABELS else a for a in args), **kw)
 
     def shape(i: int) -> tuple:
-        return tape.values[i].shape
+        return tape.nodes[i].shape
 
     def pair() -> tuple:
         return dim(), dim()
@@ -114,7 +142,7 @@ def random_graph(seed: int) -> tuple[Tape, list, int]:
 
     def reshape():
         a = take(lambda s: True, pair)
-        s, size = shape(a), tape.values[a].size
+        s, size = shape(a), int(np.prod(shape(a)))
         options = [(size,), (1, size), (size, 1), s[::-1], *([()] if size == 1 else [])]
         return rec("reshape", a, options[int(rng.integers(len(options)))])
 
@@ -155,7 +183,7 @@ def random_graph(seed: int) -> tuple[Tape, list, int]:
     sinks = [i for i, n in enumerate(tape.nodes) if n.op != "leaf" and i not in read]
     if len(sinks) > 1 and rng.random() < 0.5:   # a branch the loss does not read
         sinks.pop(int(rng.integers(len(sinks))))
-    terms = [i if tape.values[i].ndim == 0 else rec("mean", i) for i in sinks]
+    terms = [i if shape(i) == () else rec("mean", i) for i in sinks]
     loss = terms[0]
     for t in terms[1:]:
         loss = rec("add", loss, rec("scale", t, float(rng.uniform(0.5, 1.5))))
@@ -182,9 +210,8 @@ def _bytes(x) -> tuple:
     return a.dtype, a.shape, a.tobytes()
 
 
-def _labels(tape: Tape) -> np.ndarray:
-    return next((n.aux["labels"] for n in tape.nodes if "labels" in n.args),
-                np.zeros(0, np.int64))
+def _is_0d(tape: Tape, read) -> bool:   # a term read, or a read of a 0-d value
+    return isinstance(read, tuple) or tape.nodes[read].shape == ()
 
 
 def _assert_freed_at_last_use(texts: tuple[str, str]) -> None:
@@ -210,41 +237,40 @@ def _assert_freed_at_last_use(texts: tuple[str, str]) -> None:
 def assert_matches_the_oracle(tapes: list[Tape], loss: int, wanted, reads: tuple) -> dict:
     """`tapes` record one graph on each sample of a batch. Checks `Tape.backward` on each,
     and `Plan.run` over the batch and a forward-only replay of each against the naive
-    interpreter and the recorded values, byte for byte, and both plans' liveness.
+    forward and interpreter, byte for byte, and both plans' liveness.
     Returns each plan's forward and backward text."""
     tape = tapes[0]
     leaves = [i for i, n in enumerate(tape.nodes) if n.op == "leaf"]
     wanted = leaves if wanted is None else list(wanted)
-    samples = [([t.values[i] for i in leaves], _labels(t)) for t in tapes]
-    for t in tapes:
-        want = naive_adjoints(t, loss, leaves)
+    samples = [([t.leaves[i] for i in leaves], t.labels) for t in tapes]
+    forwards = [naive_forward(t) for t in tapes]
+    for t, forward in zip(tapes, forwards):
+        want = naive_adjoints(t, forward, loss, leaves)
         got = t.backward(loss)
         assert sorted(got) == leaves
         assert [i for i in leaves if _bytes(got[i]) != _bytes(want[i])] == []
     sums, totals = {}, [0.0] * len(reads)
-    for t in tapes:   # what a batch gives: adjoints and reads summed in sample order
+    for t, forward in zip(tapes, forwards):   # what a batch gives: sums in sample order
         sums = {i: sums[i] + g if i in sums else 0.0 + g
-                for i, g in naive_adjoints(t, loss, wanted).items()}
-        totals = [r + (float(t.value(i)) if t.value(i).ndim == 0 else t.value(i))
-                  for r, i in zip(totals, reads)]
+                for i, g in naive_adjoints(t, forward, loss, wanted).items()}
+        totals = [r + naive_read(forward, i) for r, i in zip(totals, reads)]
     plan = Plan(lower(tape, loss, wanted, reads))
     got_reads, got = plan.run(samples)
     assert sorted(got) == sorted(sums)
     assert [i for i in sums if _bytes(got[i]) != _bytes(sums[i])] == []
     assert [_bytes(r) for r in got_reads] == [_bytes(r) for r in totals]
-    assert all(type(r) is float for r, i in zip(got_reads, reads) if tape.value(i).ndim == 0)
+    assert all(type(r) is float for r, i in zip(got_reads, reads) if _is_0d(tape, i))
     # sums the caller owns: the same arrays come back, written in place to the same bytes
-    owned = {i: np.zeros(tape.values[i].shape) for i in wanted}
+    owned = {i: np.zeros(tape.nodes[i].shape) for i in wanted}
     got_reads, got = plan.run(samples, dict(owned))
     assert sorted(got) == sorted(owned) and all(got[i] is owned[i] for i in owned)
     assert [i for i in sums if _bytes(owned[i]) != _bytes(sums[i])] == []
     assert [_bytes(r) for r in got_reads] == [_bytes(r) for r in totals]
     forward_only = Plan(lower(tape, loss, (), reads))
-    for t, (values, labels) in zip(tapes, samples):
+    for forward, (values, labels) in zip(forwards, samples):
         got_reads, kept = forward_only.replay(values, labels)
         assert kept == []
-        assert [_bytes(r) for r in got_reads] == [
-            _bytes(float(t.value(i)) if t.value(i).ndim == 0 else t.value(i)) for i in reads]
+        assert [_bytes(r) for r in got_reads] == [_bytes(naive_read(forward, i)) for i in reads]
     sources = {kind: plan_source(tape, loss, w, reads)[:2]
                for kind, w in (("training", wanted), ("forward-only", ()))}
     for source in sources.values():
@@ -264,7 +290,7 @@ def test_random_graphs_match_the_naive_oracle_bitwise() -> None:
     for seed in SEEDS:
         first, steps, loss = random_graph(seed)
         rng = np.random.default_rng([seed, 1])
-        second = record_graph(steps, rng, rng.integers(0, 2, len(_labels(first))))
+        second = record_graph(steps, rng, rng.integers(0, 2, len(first.labels)))
         leaves = [i for i, n in enumerate(first.nodes) if n.op == "leaf"]
         pick = rng.random()
         wanted = (None if pick < 0.2 else () if pick < 0.3
@@ -283,7 +309,7 @@ def test_random_graphs_match_the_naive_oracle_bitwise() -> None:
                                          for call in re.findall(r"= rb_\w+\((.*)\)", source))),
             ("val_gelu", "= val_gelu(" in source and "] = bwd_" in source),
             ("later contribution", re.search(r"(\S+) = \1 \+ t\d", source)),
-            ("0-d read", any(first.value(i).ndim == 0 for i in reads)),
+            ("0-d read", any(_is_0d(first, i) for i in reads)),
             ("aux read", any(isinstance(i, tuple) for i in reads))] if hit}
     rebuilds = {f"rb_{kind.replace('-', '_')}" for kind, r in msga.tape._OPS.items() if r.rebuild}
     assert seen >= {*OP_KINDS, *rebuilds, "rebuild of a rebuild", "val_gelu",
@@ -322,10 +348,10 @@ def test_sums_from_zeros_turn_a_negative_zero_adjoint_positive_and_keep_unreache
         tape.mean(u)
         loss = tape.scale(tape.mean(x), -0.0)
         tapes.append(tape)
-    assert all(np.signbit(naive_adjoints(t, loss, [x])[x]).all() for t in tapes)
+    assert all(np.signbit(naive_adjoints(t, naive_forward(t), loss, [x])[x]).all() for t in tapes)
     assert_matches_the_oracle(tapes, loss, [x, u], (loss,))
     plan = Plan(lower(tapes[0], loss, [x, u]))
-    samples = [([t.values[x], t.values[u]], _labels(t)) for t in tapes]
+    samples = [([t.leaves[x], t.leaves[u]], t.labels) for t in tapes]
     owned = {x: np.zeros((2, 3)), u: np.zeros((2, 2))}
     zeros = [_bytes(np.zeros((2, 3))), _bytes(np.zeros((2, 2)))]
     for got in plan.run(samples)[1], plan.run(samples, owned)[1]:

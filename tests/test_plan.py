@@ -26,6 +26,7 @@ from msga.model import ModelConfig, _record_forward, build_loss_tape, forward, i
 from msga.optim import Frozen, assign_strategies
 from msga.tape import OP_KINDS, Plan, Tape, lower, plan_source
 from msga.train import compile_loss_plan, model_config, prepare_splits, train_model
+from test_oracle import naive_forward, naive_read
 from test_tape import OP_GRAPHS, op_graph_params
 
 SMALL = dict(synthetic_count=20, image_h=16, image_w=16, embed_dim=8, blocks=1,
@@ -99,7 +100,8 @@ def test_plan_replay_equals_tape_backward(name) -> None:
         assert tape_ids == ids
         want = tape.backward(loss)
         scalars, got = plan.run([(_leaves(params, image), labels)])
-        assert scalars == [float(tape.value(i)) for i in (ce, dice, loss)]
+        eager = naive_forward(tape)
+        assert scalars == [naive_read(eager, i) for i in (ce, dice, loss)]
         assert sorted(got) == sorted(ids[g.name] for g in trained)
         for g in trained:
             assert np.array_equal(got[ids[g.name]], want[ids[g.name]]), g.name
@@ -236,7 +238,7 @@ def test_a_default_training_replay_takes_the_logits_softmax_once_per_sample(monk
 
 
 def test_every_check_sees_shapes_and_op_arguments_never_an_array(monkeypatch) -> None:
-    # each op kind's check, and the 2-D and label checks they share, take the inputs'
+    # each op kind's shape rule, and the 2-D and label checks they share, take the inputs'
     # shapes as tuples of ints, when an op is recorded and when a replay checks labels
     handed = []   # (check, the arguments that are shapes)
 
@@ -247,9 +249,8 @@ def test_every_check_sees_shapes_and_op_arguments_never_an_array(monkeypatch) ->
         return check_watched
 
     for kind, rules in list(msga.tape._OPS.items()):
-        if rules.check:
-            monkeypatch.setitem(msga.tape._OPS, kind,
-                                replace(rules, check=watched(kind, rules.check, slice(-1))))
+        monkeypatch.setitem(msga.tape._OPS, kind,
+                            replace(rules, shape=watched(kind, rules.shape, slice(-1))))
     for name, shapes in (("_check_2d", slice(1, None)), ("_check_labels", slice(1, 2))):
         monkeypatch.setattr(msga.tape, name, watched(name, getattr(msga.tape, name), shapes))
     for op, graph in OP_GRAPHS.items():
@@ -259,20 +260,20 @@ def test_every_check_sees_shapes_and_op_arguments_never_an_array(monkeypatch) ->
     params, samples = _setup(cfg)
     plan, _ = compile_loss_plan(params, *samples[0], cfg)   # records the default loss tape
     plan.run([(_leaves(params, samples[1][0]), samples[1][1])])
-    assert {name for name, _ in handed} == {"_check_2d", "_check_labels", *(
-        kind for kind, rules in msga.tape._OPS.items() if rules.check)}
+    assert {name for name, _ in handed} == {"_check_2d", "_check_labels", *msga.tape._OPS}
     for name, shapes in handed:
         assert shapes and all(type(s) is tuple and all(type(d) is int for d in s)
                               for s in shapes), (name, shapes)
 
 
 def test_tape_backward_leaves_the_tape_intact() -> None:
-    # backward frees values in its own copy of the lists, not on the tape
+    # backward replays the tape's own leaves and frees only what its replay made
     cfg = CONFIGS["medsaga"]
     params, samples = _setup(cfg)
     tape, _, _, _, loss = build_loss_tape(params, *samples[0], cfg)
+    leaves = list(tape.leaves.items())
     first = tape.backward(loss)
-    assert all(v is not None for v in tape.values)
+    assert [(i, id(v)) for i, v in tape.leaves.items()] == [(i, id(v)) for i, v in leaves]
     second = tape.backward(loss)
     assert all(np.array_equal(first[i], second[i]) for i in first)
 
@@ -285,7 +286,7 @@ def test_backward_frees_each_value_and_its_aux_after_the_last_reader(monkeypatch
     tape, _, _, _, loss = build_loss_tape(params, *samples[0], cfg)
     leaves = [nid for nid, n in enumerate(tape.nodes) if n.op == "leaf"]
     op_ids = iter([nid for nid, n in enumerate(tape.nodes) if n.op != "leaf"])
-    copies = [tape.values[i].copy() for i in leaves]   # the replay's leaves, held by it alone
+    copies = [tape.leaves[i].copy() for i in leaves]   # the replay's leaves, held by it alone
     values = {i: weakref.ref(v) for i, v in zip(leaves, copies)}   # slot -> its replayed value
     markers: dict[int, weakref.ref] = {}  # op id -> an array only its aux holds
     seen: list[tuple[int, set[int], list, set[int]]] = []
@@ -315,7 +316,7 @@ def test_backward_frees_each_value_and_its_aux_after_the_last_reader(monkeypatch
     def watched_rebuild(kind, rule):
         def rebuild_watched(*args):
             out = rule(*args)
-            assert out is not tape.values[args[-1]["nid"]]   # a fresh array, in its slot
+            assert values[args[-1]["nid"]]() is None   # the forward's value went; a fresh one
             values[args[-1]["nid"]] = weakref.ref(out)
             return out
         return rebuild_watched
@@ -449,6 +450,13 @@ def test_a_rule_handed_none_for_a_slot_it_reads_raises(monkeypatch) -> None:
         tape = Tape()
         graphs.append((tape, build(tape, [tape.leaf(p) for p in op_graph_params(op)])))
     calls: list[tuple] = []   # each backward rule call: the rule, its inputs and its aux
+    auxes: list[dict] = []    # each forward rule call's aux, in node order
+
+    def watched_forward(kind, rule):
+        def forward_rule_watched(*args):
+            auxes.append(args[-1])
+            return rule(*args)
+        return forward_rule_watched
 
     def watched(kind, rule):
         def backward_rule_watched(g, *inputs):
@@ -457,28 +465,29 @@ def test_a_rule_handed_none_for_a_slot_it_reads_raises(monkeypatch) -> None:
             return rule(g, *inputs)
         return backward_rule_watched
 
-    _wrap_rules(monkeypatch, backward=watched)
+    _wrap_rules(monkeypatch, forward=watched_forward, backward=watched)
     rng = np.random.default_rng(8)
     checked, dropped = set(), set()
     for tape, loss in graphs:
         calls.clear()
-        tape.backward(loss)   # whole entries go through, the tape's own aux included
-        kept = {i for i, aux in plan_source(tape, loss)[2] if not aux}
-        node_of = {id(n.aux): nid for nid, n in enumerate(tape.nodes)}
+        auxes.clear()
+        tape.backward(loss)   # whole entries go through
+        node_of = {id(aux): nid for nid, aux in zip(
+            (nid for nid, n in enumerate(tape.nodes) if n.op != "leaf"), auxes, strict=True)}
+        values = naive_forward(tape)[0]
         for rule, args, aux in calls:
             nid = node_of[id(aux)]
             n = tape.nodes[nid]
             slots = _declared(tape, nid)   # the plan hands these values, None elsewhere
-            for i, a in zip(slots, args, strict=True):   # a rebuilt value: fresh, same bytes
-                assert a is (None if i is None else tape.values[i]) or i not in kept and (
-                    a.tobytes() == tape.values[i].tobytes()), nid
-            g = rng.standard_normal(tape.values[nid].shape)
-            every = rule(g, *(tape.values[i] for i in n.inputs), aux)
+            for i, a in zip(slots, args, strict=True):   # kept or rebuilt: the same bytes
+                assert a is None if i is None else a.tobytes() == values[i].tobytes(), nid
+            g = rng.standard_normal(n.shape)
+            every = rule(g, *(values[i] for i in n.inputs), aux)
             assert [a.tobytes() for a in rule(g, *args, aux)] == [a.tobytes() for a in every]
             for j in (j for j, s in enumerate(slots) if s is not None):
                 with pytest.raises((TypeError, AttributeError, ValueError, IndexError)):
                     rule(g, *args[:j], None, *args[j + 1:], aux)
-            for key in aux.keys() - set(n.args):
+            for key in aux.keys() - n.aux.keys():
                 without = {k: v for k, v in aux.items() if k != key}
                 if (n.op, key) in READ_ONLY_AUX:   # kept for a plan's reads, 0-d
                     assert aux[key].shape == () and all(map(np.array_equal, every, rule(
@@ -511,7 +520,7 @@ def test_every_recorded_and_replayed_value_of_the_loss_tape_is_an_ndarray(monkey
     cfg = CONFIGS["medsaga"]
     params, samples = _setup(cfg)
     tape, _, ce, dice, loss = build_loss_tape(params, *samples[0], cfg)
-    assert all(type(v) is np.ndarray for v in tape.values)
+    assert all(type(v) is np.ndarray for v in naive_forward(tape)[0])
     assert [type(tape.value(i)) for i in (ce, dice)] == [np.ndarray] * 2
     assert [tape.value(i).shape for i in (ce, dice, loss)] == [()] * 3
     outputs = []
@@ -525,7 +534,6 @@ def test_every_recorded_and_replayed_value_of_the_loss_tape_is_an_ndarray(monkey
 
     _wrap_rules(monkeypatch, forward=watched)
     plan, _ = compile_loss_plan(params, *samples[0], cfg)
-    outputs.clear()   # the compile recorded its own tape
     plan.run([(_leaves(params, image), labels) for image, labels in samples])
     ops = sum(n.op != "leaf" for n in tape.nodes)
     assert outputs == [np.ndarray] * ops * len(samples)
@@ -533,7 +541,8 @@ def test_every_recorded_and_replayed_value_of_the_loss_tape_is_an_ndarray(monkey
     small = Tape()
     term = small.mean(small.leaf(np.ones((2, 2))))
     head = small.add(small.scale(term, 0.5), term)
-    assert [type(v) for v in small.values[1:]] == [np.ndarray] * 3 and small.value(head).shape == ()
+    assert [type(v) for v in naive_forward(small)[0][1:]] == [np.ndarray] * 3
+    assert small.value(head).shape == ()
     outputs.clear()
     Plan(lower(small, head)).run([([np.ones((2, 2))], ())])
     assert outputs == [np.ndarray] * 3
@@ -548,7 +557,8 @@ def test_a_plan_that_wants_nothing_has_no_backward_and_reads_its_output_as_an_ar
     backward = source[source.index("def backward(K):"):]
     assert "bwd_" not in backward and "G = {}" in backward   # no rule call, no adjoint
     (logits,), kept = plan.replay([*(g.values for g in params.groups), image], ())
-    assert kept == [] and plan.backward(kept) == {} and np.array_equal(logits, tape.value(out))
+    assert kept == [] and plan.backward(kept) == {}
+    assert np.array_equal(logits, naive_forward(tape)[0][out])
     with pytest.raises(ValueError, match="scalar loss"):
         tape.backward(out)
 
@@ -572,7 +582,7 @@ def test_forward_equals_the_recorded_tape(case) -> None:
     for _ in range(3):
         image = rng.normal(size=(cfg.image_h, cfg.image_w))
         tape, _, out = _record_forward(params, image)
-        want = tape.value(out).reshape(cfg.grid_h, cfg.grid_w, cfg.classes)
+        want = naive_forward(tape)[0][out].reshape(cfg.grid_h, cfg.grid_w, cfg.classes)
         assert np.array_equal(forward(params, image), want)
         assert np.unique(want).size > cfg.classes
 
@@ -656,15 +666,16 @@ def test_forward_peak_stays_under_half_of_the_recorded_tape() -> None:
 
 
 # tracemalloc peak of one first-call default forward, compile included, after an earlier
-# forward for the same key was dropped (x86_64, numpy 2.4, Python 3.11, run alone; 561,949 B
-# inside the whole suite; 887,798 B while the recorded tape lived through one compile of both
-# functions)
-FIRST_FORWARD_PEAK_BYTES = 561_389
+# forward for the same key was dropped (x86_64, numpy 2.4, Python 3.11, run alone; 341,512 B
+# inside the whole suite; 561,389 B while the record computed the image eagerly; 887,798 B
+# while that recorded tape lived through one compile of both functions)
+FIRST_FORWARD_PEAK_BYTES = 345_120
 
 
 def test_a_first_forward_call_peaks_within_its_bound(monkeypatch) -> None:
-    # a first call records the tape, lowers it, lets it go and compiles the forward-only
-    # plan's two texts one at a time; the bound is 2% over the peak measured when it was set
+    # a first call records shapes, lowers them, lets the tape go and compiles the
+    # forward-only plan's two texts one at a time; the bound is 2% over the peak measured
+    # when it was set
     params = init_model(ModelConfig(), 0)
     image = np.random.default_rng(4).normal(size=(32, 32))
     forward(params, image)   # first-call allocations stay out
@@ -688,61 +699,56 @@ def _watch_compile(monkeypatch, watch) -> None:
     monkeypatch.setattr(msga.tape, "compile", watched_compile, raising=False)
 
 
-def _compiles_seeing_the_recorded_arrays(monkeypatch, build, *args) -> list[int]:
-    """For each `compile()` of a plan text that `build(*args)` runs: how many arrays the
-    recorded forward rules made or kept, its labels included, are alive at that call."""
-    recorded: list[weakref.ref] = []
-    alive_at_compile: list[int] = []
-
-    def watched(kind, rule):
-        def forward_rule_watched(*args):
-            out = rule(*args)
-            if not alive_at_compile:   # a replay after the compile records nothing
-                aux = args[-1]
-                recorded.extend(weakref.ref(a) for a in (
-                    out, *(x for v in aux.values() for x in (v if isinstance(v, tuple) else (v,))))
-                    if isinstance(a, np.ndarray))
-            return out
-        return forward_rule_watched
-
-    _wrap_rules(monkeypatch, forward=watched)
-    _watch_compile(monkeypatch, lambda _: alive_at_compile.append(
-        sum(ref() is not None for ref in recorded)))
-    build(*args)
-    assert len(recorded) > 30   # every value, aux array and the labels were watched
-    return alive_at_compile
-
-
 @pytest.mark.parametrize("kind", ["training", "forward-only"])
-def test_no_array_of_the_recorded_tape_is_alive_when_a_plan_compiles(monkeypatch, kind) -> None:
-    # compile_loss_plan and forward's first call lower the tape, let it go, and only then
-    # compile the plan's two texts, each with its own compile() call
+def test_no_rule_runs_before_a_plans_first_replay(monkeypatch, kind) -> None:
+    # compile_loss_plan and forward's first call record shapes and op arguments, lower
+    # and compile: no forward, value-only or rebuild rule runs before the first replay
+    ran, at_replay = [], []   # every rule call; how many had run when each replay began
+
+    def counted(kind, rule):
+        def rule_counted(*args):
+            ran.append(kind)
+            return rule(*args)
+        return rule_counted
+
+    _wrap_rules(monkeypatch, forward=counted, rebuild=counted)
+    replay = Plan.replay
+    monkeypatch.setattr(Plan, "replay", lambda self, *args: (
+        at_replay.append(len(ran)), replay(self, *args))[1])
     if kind == "training":
         cfg = CONFIGS["medsaga"]
         params, samples = _setup(cfg)
-        build, args = compile_loss_plan, (params, *samples[0], cfg)
+        plan, _ = compile_loss_plan(params, *samples[0], cfg)
+        plan.run([(_leaves(params, samples[0][0]), samples[0][1])])
     else:
         monkeypatch.setattr(msga.model, "_forward_plan", {})
-        build, args = forward, (init_model(ModelConfig(), 0), np.ones((32, 32)))
-    assert _compiles_seeing_the_recorded_arrays(monkeypatch, build, *args) == [0, 0]
+        forward(init_model(ModelConfig(), 0), np.ones((32, 32)))
+    assert at_replay == [0] and ran
 
 
-def test_each_compile_makes_one_function_and_tape_backward_compiles_only_its_backward(
-        monkeypatch) -> None:
-    # a Plan compiles its forward and its backward, each from its own text; Tape.backward
-    # compiles the backward alone, since it never runs a forward
+def test_each_compile_makes_one_function_and_a_tape_compiles_each_plan_once(monkeypatch) -> None:
+    # a Plan compiles its forward and its backward, each from its own text; a tape
+    # compiles the plan of Tape.backward, and of a Tape.value read, once per node count
     cfg = CONFIGS["medsaga"]
     params, samples = _setup(cfg)
     tape, _, _, _, loss = build_loss_tape(params, *samples[0], cfg)
     texts: list[str] = []
     _watch_compile(monkeypatch, texts.append)
-    tape.backward(loss)
-    (text,) = texts
-    assert "def backward(K):" in text and "def forward(" not in text
-    texts.clear()
+
+    def compiled() -> list[tuple[bool, bool]]:
+        kinds = [("def forward(" in t, "def backward(K):" in t) for t in texts]
+        texts.clear()
+        return kinds
+
+    both = [(True, False), (False, True)]
+    for _ in range(2):
+        tape.backward(loss)
+        tape.value(loss)
+    assert compiled() == both * 2
+    tape.value(tape.scale(loss, 2.0))   # one more node: a new plan
+    assert compiled() == both
     Plan(lower(tape, loss))
-    assert [("def forward(" in t, "def backward(K):" in t) for t in texts] == [(True, False),
-                                                                            (False, True)]
+    assert compiled() == both
 
 
 def test_forward_plan_keeps_its_checks() -> None:
@@ -789,9 +795,10 @@ def test_default_training_peak_after_step_2_stays_within_its_bound(monkeypatch) 
 
 
 # tracemalloc peak of a whole default 8-step medsaga train_model, compile included, after
-# a 1-step run (x86_64, numpy 2.4, Python 3.11, run alone; 701,180 B inside the whole suite;
-# 1,685,176 B while the recorded tape lived through one compile of both functions)
-RUN_PEAK_BYTES = 702_540
+# a 1-step run (x86_64, numpy 2.4, Python 3.11, run alone; 693,654 B inside the whole
+# suite; 702,540 B while the record computed one sample eagerly; 1,685,176 B while that
+# recorded tape lived through one compile of both functions)
+RUN_PEAK_BYTES = 699_230
 
 
 def test_a_whole_default_training_run_peaks_within_its_bound() -> None:
@@ -808,6 +815,29 @@ def test_a_whole_default_training_run_peaks_within_its_bound() -> None:
     finally:
         tracemalloc.stop()
     assert peak <= RUN_PEAK_BYTES * 1.02, peak
+
+
+# tracemalloc peak of recording the default medsaga loss tape and lowering it after a warm
+# compile (x86_64, numpy 2.4, Python 3.11, run alone; 68,211 B inside the whole suite;
+# 598,251 B, above TRAIN_PEAK_BYTES, while the record computed one sample eagerly)
+RECORD_PEAK_BYTES = 69_243
+
+
+def test_recording_and_lowering_the_loss_tape_peaks_within_its_bound() -> None:
+    # the record keeps shapes and op arguments, which is all the lowering reads: no value
+    # of the sample is computed. The bound is 2% over the peak measured when it was set
+    cfg = RunConfig()
+    params, samples = _setup(cfg)
+    compile_loss_plan(params, *samples[0], cfg)   # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        tape, ids, ce, dice, loss = build_loss_tape(params, *samples[0], cfg)
+        lower(tape, loss, [ids[g.name] for g in params.groups
+                           if not isinstance(g.strategy, Frozen)], (ce, dice, loss))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= RECORD_PEAK_BYTES * 1.02, peak
 
 
 def _bindings_and_dels(lines: list[str]) -> tuple[Counter, Counter]:
@@ -914,16 +944,17 @@ def test_a_forward_only_plan_runs_value_only_gelu_and_a_training_plan_rebuilds_l
                for i in re.findall(r"\bv\d+\b", lines[bound_at[value]].split("=", 1)[1]))
 
 
-def _kept_bytes(tape: Tape, kept: list[tuple[int, bool]]) -> int:
+def _kept_bytes(tape: Tape, entries: list[tuple[int, bool]], kept: list) -> int:
     """Bytes of the non-leaf values and of the arrays their forwards kept in aux that a
-    kept list holds; leaves and op arguments are held elsewhere."""
+    replay's kept list holds, its entries as `plan_source` gives them; leaves and op
+    arguments are held elsewhere."""
     def size(x) -> int:
         return x.nbytes if isinstance(x, np.ndarray) else sum(map(size, x)) if isinstance(
             x, tuple) else 0
 
     nodes = tape.nodes
-    return sum(size(tuple(v for k, v in nodes[i].aux.items() if k not in nodes[i].args))
-               if aux else tape.values[i].nbytes for i, aux in kept if nodes[i].op != "leaf")
+    return sum(size(tuple(x[k] for k in msga.tape._OPS[nodes[i].op].keeps)) if aux else x.nbytes
+               for (i, aux), x in zip(entries, kept, strict=True) if nodes[i].op != "leaf")
 
 
 # bytes default medsaga keeps per sample for its backward: a value or intermediate kept
@@ -937,13 +968,15 @@ def test_default_medsaga_keeps_its_pinned_bytes_per_sample(monkeypatch) -> None:
     seen, original = [], msga.tape.plan_source
 
     def recording(tape, *args):
-        forward, backward, kept, consts = original(tape, *args)
-        seen.append(_kept_bytes(tape, kept))
-        return forward, backward, kept, consts
+        forward, backward, entries, consts = original(tape, *args)
+        seen.append((tape, entries))
+        return forward, backward, entries, consts
 
     monkeypatch.setattr(msga.tape, "plan_source", recording)
-    compile_loss_plan(params, *samples[0], cfg)
-    assert seen == [KEPT_BYTES]
+    plan, _ = compile_loss_plan(params, *samples[0], cfg)
+    ((tape, entries),) = seen
+    kept = plan.replay(_leaves(params, samples[0][0]), samples[0][1])[1]
+    assert _kept_bytes(tape, entries, kept) == KEPT_BYTES
 
 
 # tracemalloc current bytes that compile_loss_plan's result held at default medsaga

@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 import msga.tape
+from msga.config import RunConfig
 from msga.linalg import softmax_last_dim
+from msga.losses import downsample_labels
+from msga.model import build_loss_tape, init_model
 from msga.tape import (
     GELU_COEF,
     LAYERNORM_EPS,
@@ -35,6 +38,8 @@ from msga.tape import (
     finite_diff_check,
     lower,
 )
+from msga.train import model_config, prepare_splits
+from test_oracle import naive_forward, random_graph
 
 
 def test_record_add_identity() -> None:
@@ -260,12 +265,13 @@ def test_rules_leave_their_inputs_adjoint_and_aux_unchanged(op: str) -> None:
     assert nodes
     forward, backward = _OPS[op].fwd, _OPS[op].bwd
     rng = np.random.default_rng(43)
+    values = naive_forward(tape)[0]
     for node in nodes:
-        args = [tape.value(i) for i in node.inputs]
-        aux = {k: node.aux[k] for k in node.args}
+        args = [values[i] for i in node.inputs]
+        aux = dict(node.aux)
         before = copy.deepcopy((args, aux))
         out = forward(*args, aux)
-        assert _same((args, {k: aux[k] for k in node.args}), before), "forward"
+        assert _same((args, {k: aux[k] for k in node.aux}), before), "forward"
         g = np.asarray(rng.standard_normal(np.shape(out)))
         before = copy.deepcopy((g, args, aux))
         backward(g, *args, aux)
@@ -275,7 +281,7 @@ def test_rules_leave_their_inputs_adjoint_and_aux_unchanged(op: str) -> None:
 def test_every_backward_rule_takes_the_adjoint_then_the_forward_rules_parameters() -> None:
     # a forward rule is fwd(*inputs, aux) and its backward bwd(g, *inputs, aux): one plain
     # positional parameter per node input, the same names in the same order, no list;
-    # the record's arity counts them, and a shape check, a value-only forward and a
+    # the record's arity counts them, and a shape rule, a value-only forward and a
     # rebuild take the forward rule's parameters
     for op, rules in _OPS.items():
         tape = Tape()
@@ -286,29 +292,39 @@ def test_every_backward_rule_takes_the_adjoint_then_the_forward_rules_parameters
         assert [p.name for p in bwd] == ["g", *(p.name for p in fwd)], op
         assert len(fwd) == count + 1 == rules.arity + 1 and fwd[-1].name == "aux", op
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in bwd), op
-        for rule in (r for r in (rules.check, rules.value, rules.rebuild) if r):
+        for rule in (r for r in (rules.shape, rules.value, rules.rebuild) if r):
             assert list(inspect.signature(rule).parameters) == [p.name for p in fwd], op
 
 
-def test_record_hands_each_rule_the_recorded_values_positionally(monkeypatch) -> None:
-    calls: list[tuple[str, tuple]] = []
+def test_record_runs_no_forward_rule_and_a_replay_hands_each_its_values_positionally(
+        monkeypatch) -> None:
+    # a replay calls one forward rule per op in node order, handed the values of the
+    # node's inputs, a leaf's own array, and a fresh dict of its op arguments
+    calls: list[tuple[str, tuple, np.ndarray]] = []
 
     def watched(op, rule):
         def forward_rule_watched(*args):
-            calls.append((op, args))
-            return rule(*args)
+            out = rule(*args)
+            calls.append((op, args, out))
+            return out
         return forward_rule_watched
 
     for op, rules in list(_OPS.items()):
-        monkeypatch.setitem(_OPS, op, replace(rules, fwd=watched(op, rules.fwd)))
+        monkeypatch.setitem(_OPS, op, replace(rules, fwd=watched(op, rules.fwd),
+                                              value=rules.value and watched(op, rules.value)))
     for op in OP_KINDS:
         calls.clear()
         tape = Tape()
-        OP_GRAPHS[op](tape, [tape.leaf(p) for p in op_graph_params(op)])
-        nodes = [n for n in tape.nodes if n.op != "leaf"]
-        assert [kind for kind, _ in calls] == [n.op for n in nodes]
-        for n, (_, args) in zip(nodes, calls):
-            assert list(map(id, args)) == [*(id(tape.values[i]) for i in n.inputs), id(n.aux)]
+        loss = OP_GRAPHS[op](tape, [tape.leaf(p) for p in op_graph_params(op)])
+        assert calls == []
+        tape.backward(loss)
+        nodes = [(nid, n) for nid, n in enumerate(tape.nodes) if n.op != "leaf"]
+        assert [kind for kind, *_ in calls] == [n.op for _, n in nodes]
+        values = dict(tape.leaves)   # each call's output, by its node's id
+        for (nid, n), (_, (*args, aux), out) in zip(nodes, calls):
+            assert list(map(id, args)) == [id(values[i]) for i in n.inputs]
+            assert aux is not n.aux and _same({k: aux[k] for k in n.aux}, n.aux)
+            values[nid] = out
 
 
 @pytest.mark.parametrize("op", OP_KINDS)
@@ -319,7 +335,7 @@ def test_record_rejects_a_wrong_input_count_naming_the_op(op: str) -> None:
     count = len(node.inputs)
     for wrong in (count - 1, count + 1):
         with pytest.raises(ValueError, match=f"^{op}: expected {count} inputs, got {wrong}$"):
-            tape.record(op, (0,) * wrong, **{k: node.aux[k] for k in node.args})
+            tape.record(op, (0,) * wrong, **node.aux)
 
 
 def test_softmax_ce_finite_diff_at_uniform_logits() -> None:
@@ -341,6 +357,20 @@ def test_finite_diff_check_exact_for_linear_loss() -> None:
 def test_finite_diff_check_rejects_bad_epsilon() -> None:
     with pytest.raises(ValueError, match="epsilon"):
         finite_diff_check(lambda t, ids: t.mean(ids[0]), [np.ones((2, 2))], epsilon=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+def test_finite_diff_check_rejects_a_non_finite_epsilon(epsilon: float) -> None:
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        finite_diff_check(lambda t, ids: t.mean(ids[0]), [np.ones((2, 2))], epsilon=epsilon)
+
+
+def test_finite_diff_check_raises_on_a_non_finite_entry() -> None:
+    # a NaN leaf makes every central difference NaN, which max() would pass over as 0.0
+    x = np.ones((2, 2))
+    x[1, 0] = np.nan
+    with pytest.raises(FloatingPointError, match=r"^parameter 0 entry \(0, 0\): analytic "):
+        finite_diff_check(lambda t, ids: t.mean(t.gelu(ids[0])), [x])
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +470,14 @@ def _bad_labels(op: str, rows: int, labels: list) -> Callable:
     return build
 
 
-# op kind -> records its check rejects, each with the error's start
+def _other_labels(op: str) -> Callable:
+    def build(t: Tape) -> int:
+        t.softmax_ce(t.leaf(np.zeros((3, 3))), np.array([0, 1, 2]))
+        return _bad_labels(op, 3, [2, 1, 0])(t)
+    return build
+
+
+# op kind -> records its shape rule or Tape.record rejects, each with the error's start
 BAD_RECORDS = {
     "matmul": [(lambda t: t.matmul(t.leaf(np.zeros(3)), t.leaf(np.zeros((3, 2)))),
                 "matmul: expected 2-D")],
@@ -460,26 +497,29 @@ BAD_RECORDS = {
                  _bad_patchify((8, 8), -4)],
     "embed-lookup": [(lambda t: t.embed_lookup(t.leaf(np.zeros((3, 2))), np.array([0, 3])),
                       "embed-lookup: index outside")],
-    # a label equal to k, a negative one, one label too few, and no rows
+    # a label equal to k, a negative one, one label too few, no rows, and labels unlike
+    # those of the tape's first labelled op, since a replay takes one labels array
     **{op: [(_bad_labels(op, 3, [0, 3, 1]), f"{op}: label values outside 0..2"),
             (_bad_labels(op, 3, [0, -1, 1]), f"{op}: label values outside 0..2"),
             (_bad_labels(op, 3, [0, 1]), f"{op}: labels shape"),
-            (_bad_labels(op, 0, []), f"{op}: no rows")] for op in LOSS_KINDS},
+            (_bad_labels(op, 0, []), f"{op}: no rows"),
+            (_other_labels(op), f"{op}: labels differ")] for op in LOSS_KINDS},
 }
 
 
 @pytest.mark.parametrize("op", sorted(BAD_RECORDS))
 def test_record_runs_each_shape_check_before_the_forward_rule(monkeypatch, op: str) -> None:
-    # the checks run once, when the op is recorded: the forward rule never sees the
-    # bad shapes or labels, the tape gains no node, and the error names the op
-    assert BAD_RECORDS.keys() == {kind for kind, rules in _OPS.items() if rules.check}
+    # the shape rules run once, when the op is recorded, and no forward rule runs then:
+    # the tape gains no node after the rejected op's input leaves, and the error names
+    # the op. Only scale, gelu and mean take any shape
+    assert BAD_RECORDS.keys() == set(OP_KINDS) - {"scale", "gelu", "mean"}
     ran = []
     monkeypatch.setitem(_OPS, op, replace(_OPS[op], fwd=lambda *args: ran.append(args)))
     for build, message in BAD_RECORDS[op]:
         tape = Tape()
         with pytest.raises(ValueError, match=f"^{message}"):
             build(tape)
-        assert not ran and all(n.op == "leaf" for n in tape.nodes)
+        assert not ran and tape.nodes[-1].op == "leaf"
 
 
 @pytest.mark.parametrize("op", OP_KINDS)
@@ -498,11 +538,10 @@ def test_a_replay_runs_no_shape_check_and_rejects_a_leaf_of_another_shape(monkey
             return check(*args)
         return check_watched
 
-    for name in [name for name in vars(msga.tape) if name.startswith("_check_")]:
+    for name in [name for name in vars(msga.tape) if name.startswith(("_check_", "_shape_"))]:
         monkeypatch.setattr(msga.tape, name, watched(name, getattr(msga.tape, name)))
     for kind, rules in list(_OPS.items()):
-        if rules.check:
-            monkeypatch.setitem(_OPS, kind, replace(rules, check=watched(kind, rules.check)))
+        monkeypatch.setitem(_OPS, kind, replace(rules, shape=watched(kind, rules.shape)))
     scalars, grads = plan.run([(params, _OP_LABELS)])
     assert scalars == [] and grads.keys() == set(range(len(params)))
     # only the replay's one label check, which reads each sample's labels; no rule checks
@@ -723,21 +762,22 @@ def _rebuild_graphs(op: str, rng: np.random.Generator) -> list[tuple]:
 @pytest.mark.parametrize("op", sorted(kind for kind, rules in _OPS.items() if rules.rebuild))
 def test_each_rebuild_returns_its_forwards_output_bytes(op: str) -> None:
     # a rebuild runs the forward's own code path on the inputs it declares (None
-    # elsewhere) and the recorded aux: on the C3 graph's values, on random ones and on
-    # values that are rebuilt themselves, as a plan's chained rebuilds are
+    # elsewhere) and the aux its forward kept: on the C3 graph's values, on random ones
+    # and on values that are rebuilt themselves, as a plan's chained rebuilds are
     rng = np.random.default_rng(53)
     for build, params in _rebuild_graphs(op, rng):
         tape = Tape()
         build(tape, [tape.leaf(p) for p in params])
         assert any(n.op == op for n in tape.nodes)
+        values, auxes = naive_forward(tape)
         rebuilt: dict[int, np.ndarray] = {}   # every rebuildable value, in node order
         for nid, n in enumerate(tape.nodes):
             rules = _OPS.get(n.op)   # a leaf has no rules
             if rules and rules.rebuild:
-                args = [rebuilt.get(i, tape.value(i)) if k in rules.rebuild_reads else None
+                args = [rebuilt.get(i, values[i]) if k in rules.rebuild_reads else None
                         for k, i in enumerate(n.inputs)]
-                rebuilt[nid] = out = rules.rebuild(*args, n.aux)
-                want = tape.value(nid)
+                rebuilt[nid] = out = rules.rebuild(*args, auxes[nid])
+                want = values[nid]
                 assert out is not want and out.dtype == want.dtype and out.shape == want.shape
                 assert out.tobytes() == want.tobytes(), (n.op, nid)
 
@@ -748,3 +788,36 @@ def test_scale_adjoint_is_an_ndarray_with_the_products_bits() -> None:
         (dg,) = _bwd_scale(g, None, {"c": 0.2})
         assert type(dg) is np.ndarray and dg.shape == g.shape
         assert dg.tobytes() == np.asarray(g * 0.2).tobytes()
+
+
+def test_each_shape_rule_gives_the_shape_its_forward_replays(monkeypatch) -> None:
+    # on the C3 graphs, the default loss tape and the oracle's random graphs, each forward
+    # or value-only rule a replay calls returns the shape its op's shape rule recorded
+    produced = []
+
+    def watched(rule):
+        def forward_rule_watched(*args):
+            out = rule(*args)
+            produced.append(out.shape)
+            return out
+        return forward_rule_watched
+
+    for kind, rules in list(_OPS.items()):
+        monkeypatch.setitem(_OPS, kind, replace(rules, fwd=watched(rules.fwd),
+                                                value=rules.value and watched(rules.value)))
+    graphs = []
+    for op, build in OP_GRAPHS.items():
+        tape = Tape()
+        graphs.append((tape, build(tape, [tape.leaf(p) for p in op_graph_params(op)])))
+    cfg = RunConfig()
+    sample = prepare_splits(cfg)[0].samples[0]
+    tape, *_, loss = build_loss_tape(init_model(model_config(cfg), cfg.seed), sample.image,
+                                     downsample_labels(sample.mask, cfg.patch_size), cfg)
+    graphs.append((tape, loss))
+    for seed in range(120):
+        tape, _, loss = random_graph(seed)
+        graphs.append((tape, loss))
+    for tape, loss in graphs:
+        produced.clear()
+        tape.value(loss)
+        assert produced == [n.shape for n in tape.nodes if n.op != "leaf"]
