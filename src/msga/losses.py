@@ -37,6 +37,8 @@ def downsample_labels(labels: np.ndarray, factor: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ValueError(f"label map must be 2-D, got shape {labels.shape}")
+    if labels.dtype.kind not in "biu":   # fractions would be truncated, or fail in bincount
+        raise ValueError(f"downsample_labels: labels must be integers, got dtype {labels.dtype}")
     h, w = labels.shape
     if factor < 1 or h % factor or w % factor:
         raise ValueError(f"label map {h}x{w} not divisible by factor {factor}")
@@ -51,8 +53,8 @@ def downsample_labels(labels: np.ndarray, factor: int) -> np.ndarray:
     return np.argmax(counts, axis=-1).astype(labels.dtype)
 
 
-def _logits_leaf(m: np.ndarray, y: np.ndarray) -> tuple[Tape, int, np.ndarray]:
-    """(h, w, k) logits as the (pixels, k) leaf of a fresh tape, and (h, w) labels flat."""
+def _seg_loss(m: np.ndarray, y: np.ndarray, smooth: float, ce_weight: float) -> float:
+    """The tape's seg-loss of (h, w, k) logits, as a (pixels, k) leaf, and (h, w) labels."""
     m = np.asarray(m, dtype=np.float64)
     y = np.asarray(y)
     if m.ndim != 3:
@@ -60,25 +62,23 @@ def _logits_leaf(m: np.ndarray, y: np.ndarray) -> tuple[Tape, int, np.ndarray]:
     if y.shape != m.shape[:2]:
         raise ValueError(f"label map {y.shape} does not match logits grid {m.shape[:2]}")
     tape = Tape()
-    return tape, tape.leaf(m.reshape(-1, m.shape[2])), y.reshape(-1)
+    z = tape.leaf(m.reshape(-1, m.shape[2]))
+    return float(tape.value(tape.seg_loss(z, y.reshape(-1), smooth, ce_weight)))
 
 
 def cross_entropy(m: np.ndarray, y: np.ndarray) -> float:
-    """Mean over pixels of -log softmax(m)[y]: the tape's softmax-ce forward."""
-    tape, z, labels = _logits_leaf(m, y)
-    return float(tape.value(tape.softmax_ce(z, labels)))
+    """Mean over pixels of -log softmax(m)[y]: seg-loss at ce_weight 1."""
+    return _seg_loss(m, y, 1.0, 1.0)
 
 
 def dice_loss(m: np.ndarray, y: np.ndarray, smooth: float = DEFAULT_DICE_SMOOTH) -> float:
-    """One minus the mean per-class soft dice: the tape's soft-dice forward."""
-    tape, z, labels = _logits_leaf(m, y)
-    return float(tape.value(tape.soft_dice(z, labels, smooth)))
+    """One minus the mean per-class soft dice: seg-loss at ce_weight 0."""
+    return _seg_loss(m, y, smooth, 0.0)
 
 
 def combined_loss(m: np.ndarray, y: np.ndarray, config: LossConfig) -> float:
-    """ce_weight * CE + (1 - ce_weight) * dice: the tape's seg-loss forward, exact at the ends."""
-    tape, z, labels = _logits_leaf(m, y)
-    return float(tape.value(tape.seg_loss(z, labels, config.dice_smooth, config.ce_weight)))
+    """ce_weight * CE + (1 - ce_weight) * dice: seg-loss, exact at the ends."""
+    return _seg_loss(m, y, config.dice_smooth, config.ce_weight)
 
 
 # ---------------------------------------------------------------------------

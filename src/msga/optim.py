@@ -101,8 +101,7 @@ def adamw_step(
     """
     if w.shape != g.shape or w.shape != state.m.shape:
         raise ValueError(f"shape mismatch: w {w.shape}, g {g.shape}, state {state.m.shape}")
-    if lr < 0.0:
-        raise ValueError(f"lr must be non-negative, got {lr}")
+    _check_lr(lr)
     # w - lr * m_hat / denom - lr * weight_decay * w, in the two arrays the moments made
     out, denom = _adamw_moments(state, g, beta1, beta2, eps)
     out *= lr
@@ -110,6 +109,11 @@ def adamw_step(
     np.subtract(w, out, out=out)
     out -= np.multiply(lr * weight_decay, w, out=denom)
     return out
+
+
+def _check_lr(lr: float) -> None:
+    if not 0.0 <= lr < math.inf:   # a NaN fails both comparisons
+        raise ValueError(f"lr must be non-negative and finite, got {lr}")
 
 
 def _adamw_moments(
@@ -193,6 +197,7 @@ def galore_step(
     """
     if w.shape != g.shape:
         raise ValueError(f"shape mismatch: w {w.shape}, g {g.shape}")
+    _check_lr(lr)
     if state.step % state.refresh_period == 0:
         state.p, state.q = refresh_subspace(g, state.rank, state.sided)
         state.refresh_steps.append(state.step)

@@ -8,22 +8,24 @@ and reads. The model and its training loss record matmul, add (same shape or a
 broadcast row), linear (`x @ w + b`), single-head attention (`softmax(q k^T c)
 v`), tanh-gelu, layernorm, patchify and seg-loss (`w ce + (1 - w) dice` from one
 softmax), which share the code of the elementary rules and give their chains'
-bytes; every 2-D product is np.dot's. Row softmax, softmax-ce, soft dice,
-scale, reshape, mean, embedding lookup and matmul's transpose_b flag remain
-because acceptance checks (C3, C6) pin them. Values are float64 ndarrays;
-losses are 0-d. Each op kind has one `OpRules` record in `_OPS`. Tape.record
-runs only the kind's shape rule, which raises a ValueError naming the op,
-returns the output's shape and may add an op argument (add's and linear's
-`row`). A tape's labelled ops take one labels array, as a replay does, which
-checks its leaves' shapes (they fix every value's) and labels per logits shape.
+bytes; every 2-D product is np.dot's. Row softmax, scale, reshape, mean,
+embedding lookup and matmul's transpose_b flag remain because acceptance checks
+(C3, C6) pin them; their softmax_ce and soft_dice record seg-loss at ce_weight 1
+and 0, which give each term's bits. Values are float64 ndarrays; losses are 0-d.
+Each op kind has one `OpRules` record in `_OPS`. Tape.record runs only the
+kind's shape rule, which raises a ValueError naming the op, returns the output's
+shape and may add an op argument (add's and linear's `row`; seg-loss's integer
+labels become int64). A tape's seg-loss nodes take one labels array, as a replay
+does, which checks its leaves' shapes (they fix every value's) and the labels
+per logits shape.
 
 A forward rule `fwd(*inputs, aux)` gets a fresh dict of the node's op arguments
 and keeps in it, under the keys its record declares, what its backward
 `bwd(g, *inputs, aux)` reads: probabilities (row softmax, attention), the
 normalized rows and row std (layernorm), the derivative (gelu), the softmax,
-one-hot and class sums (soft dice, seg-loss; seg-loss also the 0-d terms `ce`
-and `dice`, which a plan may read). A backward rule gets the node's inputs in
-order, None where it reads none. No rule writes into its inputs, adjoint or aux.
+one-hot and class sums and the 0-d terms `ce` and `dice`, which a plan may read
+(seg-loss). A backward rule gets the node's inputs in order, None where it reads
+none. No rule writes into its inputs, adjoint or aux.
 
 `plan_source` writes a tape, from its shapes, op arguments and records, as two
 texts of straight-line Python: a forward with one line per op and a backward
@@ -124,15 +126,14 @@ class Tape:
         return self.record("softmax-rows", (a,))
 
     def softmax_ce(self, logits: int, labels: np.ndarray) -> int:
-        return self.record("softmax-ce", (logits,), labels=np.asarray(labels, dtype=np.int64))
+        return self.seg_loss(logits, labels, 1.0, 1.0)   # ce 1 + dice 0: ce's bits
 
     def soft_dice(self, logits: int, labels: np.ndarray, smooth: float) -> int:
-        return self.record("soft-dice", (logits,), labels=np.asarray(labels, dtype=np.int64),
-                           smooth=float(smooth))
+        return self.seg_loss(logits, labels, smooth, 0.0)   # ce 0 + dice 1: dice's bits
 
     def seg_loss(self, logits: int, labels: np.ndarray, smooth: float, ce_weight: float) -> int:
-        return self.record("seg-loss", (logits,), labels=np.asarray(labels, dtype=np.int64),
-                           smooth=float(smooth), ce_weight=float(ce_weight))
+        return self.record("seg-loss", (logits,), labels=labels, smooth=float(smooth),
+                           ce_weight=float(ce_weight))
 
     def reshape(self, a: int, shape: tuple[int, ...]) -> int:
         return self.record("reshape", (a,), shape=tuple(int(d) for d in shape))
@@ -171,16 +172,16 @@ class Tape:
         return self._plans[key], *self._plans[key].replay(list(self.leaves.values()), self.labels)
 
 
-def lower(tape: Tape, loss_id: int, wanted=None, reads=()) -> tuple[str, str, tuple, list, dict]:
+def lower(tape: Tape, loss_id: int, wanted=None, reads=()) -> tuple[str, str, tuple, list, tuple]:
     """What a Plan is built from, holding no array of the tape: `plan_source`'s texts and
-    op arguments, each leaf's id, shape and name, and each logits shape's first label op."""
+    op arguments, each leaf's id, shape and name, and the logits shapes seg-loss nodes take."""
     forward, backward, _, consts = plan_source(tape, loss_id, wanted, reads)
     shapes = {}   # one tuple per distinct leaf shape
     return forward, backward, consts, [
         (nid, shapes.setdefault(n.shape, n.shape), n.aux["name"])
         for nid, n in enumerate(tape.nodes) if n.op == "leaf"
-    ], {tape.nodes[n.inputs[0]].shape: n.op   # reversed: a shape's first op is set last
-        for n in reversed(tape.nodes) if "labels" in n.aux}
+    ], tuple(dict.fromkeys(tape.nodes[n.inputs[0]].shape
+                           for n in tape.nodes if n.op == "seg-loss"))
 
 
 class Plan:
@@ -218,10 +219,9 @@ class Plan:
             if not isinstance(v, np.ndarray) or v.dtype != _F64 or v.shape != shape:
                 raise ValueError(f"replay leaf {name!r}: expected float64 {shape}, "
                                  f"got {np.asarray(v).dtype} {np.shape(v)}")
-        labels = np.asarray(labels, dtype=np.int64)
-        for shape, op in self.labelled.items():
-            _check_labels(op, shape, labels)
-        return self._forward(labels, *leaves)
+        for shape in self.labelled:   # before the int64 cast, which truncates fractions
+            labels = _check_labels(shape, labels)
+        return self._forward(np.asarray(labels, dtype=np.int64), *leaves)
 
     def backward(self, kept: list) -> dict[int, np.ndarray]:
         """Wanted leaves' adjoints from one replay's kept list, which it empties; exact
@@ -390,21 +390,23 @@ def _shape_softmax_rows(x, aux):
     return x
 
 
-def _check_labels(op: str, z: tuple, labels: np.ndarray) -> None:
-    _check_2d(op, z)
+def _check_labels(z: tuple, labels) -> np.ndarray:
+    """Integer or bool labels, one per row of the (rows, classes) logits z, as int64."""
+    _check_2d("seg-loss", z)
+    if (labels := np.asarray(labels)).dtype.kind not in "biu":
+        raise ValueError(f"seg-loss: labels must be integers, got dtype {labels.dtype}")
     if labels.shape != (z[0],):
-        raise ValueError(f"{op}: labels shape {labels.shape} does not match {z[0]} rows")
+        raise ValueError(f"seg-loss: labels shape {labels.shape} does not match {z[0]} rows")
     if z[0] == 0:
-        raise ValueError(f"{op}: no rows to average over")
+        raise ValueError("seg-loss: no rows to average over")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= z[1]:
-        raise ValueError(f"{op}: label values outside 0..{z[1] - 1}")
+        raise ValueError(f"seg-loss: label values outside 0..{z[1] - 1}")
+    return labels.astype(np.int64, copy=False)
 
 
-def _labels_shape(op: str) -> Callable:
-    def shape(z, aux):   # a loss kind's: its labels against the logits' shape, a 0-d loss
-        _check_labels(op, z, aux["labels"])
-        return ()
-    return shape
+def _shape_seg_loss(z, aux):
+    aux["labels"] = _check_labels(z, aux["labels"])
+    return ()
 
 
 def _shape_reshape(a, aux):
@@ -548,38 +550,20 @@ def _fwd_softmax_rows(x, aux):
     return p
 
 
-def _ce(z, y, top, sums):
-    """Mean over rows of logsumexp(z) - z[y], from the softmax's row max and sum, 0-d."""
-    return np.asarray(((top + np.log(sums)).ravel() - z[np.arange(len(y)), y]).mean())
-
-
-def _fwd_softmax_ce(z, aux):
-    return _ce(z, aux["labels"], *softmax_last_dim(z, pieces=True)[1:])
-
-
-def _onehot(y, shape):
-    onehot = np.zeros(shape)
-    onehot[np.arange(shape[0]), y] = 1.0
-    return onehot
-
-
-def _dice(p, aux):
-    """One minus the mean per-class soft dice of the softmax p, 0-d; keeps its adjoint's pieces."""
-    smooth, onehot = aux["smooth"], _onehot(aux["labels"], p.shape)
-    inter = (p * onehot).sum(axis=0)          # per-class soft intersection
+def _fwd_seg_loss(z, aux):
+    # w ce + (1 - w) dice from one softmax, the sum with the bits of add(scale(ce, w),
+    # scale(dice, 1 - w)); at w = 1 it is ce's bits and at w = 0, for a finite ce, dice's
+    p, top, row_sums = softmax_last_dim(z, pieces=True)
+    y, smooth, w = aux["labels"], aux["smooth"], aux["ce_weight"]
+    rows = np.arange(len(y))
+    # ce: the mean over rows of logsumexp(z) - z[y], from the softmax's row max and sum
+    aux["ce"] = np.asarray(((top + np.log(row_sums)).ravel() - z[rows, y]).mean())
+    onehot = np.zeros(p.shape)
+    onehot[rows, y] = 1.0
+    inter = (p * onehot).sum(axis=0)   # dice: one minus the mean per-class soft dice
     sums = p.sum(axis=0) + onehot.sum(axis=0)
     aux["pieces"] = p, onehot, inter, sums
-    return np.asarray(1.0 - ((2.0 * inter + smooth) / (sums + smooth)).mean())
-
-
-def _fwd_soft_dice(z, aux):
-    return _dice(softmax_last_dim(z), aux)
-
-
-def _fwd_seg_loss(z, aux):
-    # one softmax for both terms; the sum has the bits of add(scale(ce, w), scale(dice, 1 - w))
-    p, top, sums = softmax_last_dim(z, pieces=True)
-    aux["ce"], aux["dice"], w = _ce(z, aux["labels"], top, sums), _dice(p, aux), aux["ce_weight"]
+    aux["dice"] = np.asarray(1.0 - ((2.0 * inter + smooth) / (sums + smooth)).mean())
     return np.asarray(aux["ce"] * w + aux["dice"] * (1.0 - w))
 
 
@@ -663,32 +647,15 @@ def _bwd_softmax_rows(g, x, aux):
     return (_softmax_rows_adjoint(g, aux["probs"]),)
 
 
-def _ce_adjoint(p, onehot, c):
-    dz = p - onehot   # the mean CE's adjoint for c = g / rows
-    return np.multiply(dz, c, out=dz)
-
-
-def _dice_adjoint(pieces, smooth, c):
-    p, onehot, inter, sums = pieces
-    denom = sums + smooth
-    # d(loss)/d(p_jc) for the mean-over-classes soft dice
-    dp = -(2.0 * onehot * denom - (2.0 * inter + smooth)) / (p.shape[1] * denom**2)
-    return np.multiply(_softmax_rows_adjoint(dp, p, dp), c, out=dp)
-
-
-def _bwd_softmax_ce(g, z, aux):
-    return (_ce_adjoint(softmax_last_dim(z), _onehot(aux["labels"], z.shape), float(g) / len(z)),)
-
-
-def _bwd_soft_dice(g, z, aux):
-    return (_dice_adjoint(aux["pieces"], aux["smooth"], float(g)),)
-
-
 def _bwd_seg_loss(g, z, aux):
     # the two terms' adjoints scaled as scale's backward scales them, added dice first
-    pieces, w = aux["pieces"], aux["ce_weight"]
-    dz = _dice_adjoint(pieces, aux["smooth"], float(g * (1.0 - w)))
-    return (np.add(dz, _ce_adjoint(*pieces[:2], float(g * w) / len(pieces[0])), out=dz),)
+    (p, onehot, inter, sums), smooth, w = aux["pieces"], aux["smooth"], aux["ce_weight"]
+    denom = sums + smooth
+    # d(dice)/d(p_jc) for the mean-over-classes soft dice, then through the softmax
+    dp = -(2.0 * onehot * denom - (2.0 * inter + smooth)) / (p.shape[1] * denom**2)
+    dz = np.multiply(_softmax_rows_adjoint(dp, p, dp), float(g * (1.0 - w)), out=dp)
+    dce = p - onehot   # the mean ce's adjoint, times g w / rows
+    return (np.add(dz, np.multiply(dce, float(g * w) / len(p), out=dce), out=dz),)
 
 
 def _bwd_reshape(g, a, aux):
@@ -748,10 +715,7 @@ _OPS: dict[str, OpRules] = {
                          ("xhat", "std"), rebuild=_layernorm_affine, rebuild_reads=(1, 2)),
     "softmax-rows": OpRules(_fwd_softmax_rows, _bwd_softmax_rows, (), 1, _shape_softmax_rows,
                             ("probs",)),
-    "softmax-ce": OpRules(_fwd_softmax_ce, _bwd_softmax_ce, (0,), 1, _labels_shape("softmax-ce")),
-    "soft-dice": OpRules(_fwd_soft_dice, _bwd_soft_dice, (), 1, _labels_shape("soft-dice"),
-                         ("pieces",)),
-    "seg-loss": OpRules(_fwd_seg_loss, _bwd_seg_loss, (), 1, _labels_shape("seg-loss"),
+    "seg-loss": OpRules(_fwd_seg_loss, _bwd_seg_loss, (), 1, _shape_seg_loss,
                         ("ce", "dice", "pieces"), ("ce", "dice")),
     "reshape": OpRules(_fwd_reshape, _bwd_reshape, (0,), 1, _shape_reshape),
     "patchify": OpRules(_fwd_patchify, _bwd_patchify, (0,), 1, _shape_patchify,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -146,6 +147,13 @@ def test_downsample_rejects_negative_labels() -> None:
         downsample_labels(labels, 2)
 
 
+def test_downsample_rejects_fractional_labels_with_a_value_error() -> None:
+    # bincount would raise a TypeError on float codes, which the CLI does not map to exit 2
+    with pytest.raises(ValueError, match="^downsample_labels: labels must be integers, "
+                                         "got dtype float64"):
+        downsample_labels(np.full((4, 4), 1.5), 2)
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64, np.uint64])
 def test_downsample_keeps_each_integer_dtype(dtype) -> None:
     labels = np.random.default_rng(29).integers(0, 4, (8, 8))
@@ -196,13 +204,67 @@ def test_cross_entropy_rejects_shape_mismatch() -> None:
 
 
 def test_losses_reject_out_of_range_labels_and_empty_grid() -> None:
-    for loss, op in ((cross_entropy, "softmax-ce"), (dice_loss, "soft-dice")):
-        with pytest.raises(ValueError, match=f"{op}: label values outside 0..2"):
+    for loss in (cross_entropy, dice_loss):
+        with pytest.raises(ValueError, match="seg-loss: label values outside 0..2"):
             loss(np.zeros((2, 2, 3)), np.full((2, 2), 3))
-        with pytest.raises(ValueError, match=f"{op}: label values outside 0..2"):
+        with pytest.raises(ValueError, match="seg-loss: label values outside 0..2"):
             loss(np.zeros((2, 2, 3)), np.full((2, 2), -1))
-        with pytest.raises(ValueError, match=f"{op}: no rows"):
+        with pytest.raises(ValueError, match="seg-loss: no rows"):
             loss(np.zeros((0, 2, 3)), np.zeros((0, 2), dtype=int))
+
+
+def test_losses_reject_fractional_labels_rather_than_truncate_them() -> None:
+    # 1.5 would score as label 1 after an int64 cast
+    for loss in (cross_entropy, dice_loss, lambda m, y: combined_loss(m, y, LossConfig())):
+        with pytest.raises(ValueError, match="^seg-loss: labels must be integers, got dtype float64"):
+            loss(np.zeros((2, 2, 3)), np.full((2, 2), 1.5))
+    assert cross_entropy(np.zeros((2, 2, 3)), np.full((2, 2), True)) == cross_entropy(
+        np.zeros((2, 2, 3)), np.ones((2, 2), dtype=np.uint8))
+
+
+def _c6_inputs() -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(106)   # acceptance check C6's logits and labels
+    return rng.standard_normal((4, 4, 3)), rng.integers(0, 3, (4, 4))
+
+
+def _saturated_inputs() -> tuple[np.ndarray, np.ndarray]:
+    """C6's labels; logits of -60 but 60 at the label, at the next class on every third pixel."""
+    _, y = _c6_inputs()
+    top = np.where(np.arange(16).reshape(4, 4) % 3 == 0, (y + 1) % 3, y)
+    m = np.full((4, 4, 3), -60.0)
+    np.put_along_axis(m, top[..., None], 60.0, axis=-1)
+    return m, y
+
+
+# inputs -> float.hex of cross_entropy, dice_loss at smooths 1e-5 and 1.0 and combined_loss
+# at the default config, then the sha256 prefixes of Tape.softmax_ce's and Tape.soft_dice's
+# logits adjoints, as computed when cross-entropy and soft dice were op kinds of their own,
+# with rules apart from seg-loss's
+PINNED_LOSS_BITS = {
+    _c6_inputs: ("0x1.6ba2a9189499ep+0", "0x1.661d6c291d7bep-1", "0x1.4641fb466b93ep-1",
+                 "0x1.aff233c453072p-1", "eb48ad27a10bdcea", "78690742b64f41d8"),
+    _saturated_inputs: ("0x1.6800000000000p+5", "0x1.c16bf175164b6p-2",
+                        "0x1.8f7b88d54cfd4p-2", "0x1.2b3c4c6fba285p+3",
+                        "4acb735e7c6757af", "991d840b7a33a8f2"),
+}
+
+
+@pytest.mark.parametrize("inputs", PINNED_LOSS_BITS, ids=["c6", "saturated"])
+def test_losses_and_the_seg_loss_ends_keep_the_pinned_bits(inputs) -> None:
+    m, y = inputs()
+    *bits, ce_grad, dice_grad = PINNED_LOSS_BITS[inputs]
+    ce, dice, dice_at_1, combined = map(float.fromhex, bits)
+    assert [cross_entropy(m, y), dice_loss(m, y), dice_loss(m, y, 1.0),
+            combined_loss(m, y, LossConfig())] == [ce, dice, dice_at_1, combined]
+    tape = Tape()
+    z = tape.leaf(m.reshape(-1, 3))
+    # Tape.softmax_ce is seg-loss at ce_weight 1 and smooth 1.0, Tape.soft_dice at ce_weight 0
+    ce_id, dice_id = tape.softmax_ce(z, y.reshape(-1)), tape.soft_dice(z, y.reshape(-1), 1e-5)
+    assert [float(tape.value(v)) for v in (ce_id, (ce_id, "ce"), (ce_id, "dice"), dice_id,
+                                           (dice_id, "ce"), (dice_id, "dice"))] == [
+        ce, ce, dice_at_1, dice, ce, dice]
+    assert [hashlib.sha256(tape.backward(loss)[z].tobytes()).hexdigest()[:16]
+            for loss in (ce_id, dice_id)] == [ce_grad, dice_grad]
 
 
 def test_dice_loss_perfect_prediction_near_zero() -> None:

@@ -105,6 +105,17 @@ def test_adamw_rejects_shape_mismatch() -> None:
         adamw_step(np.zeros((2, 2)), np.zeros((2, 3)), AdamWState.zeros((2, 2)), lr=0.1)
 
 
+@pytest.mark.parametrize("lr", [-0.1, float("nan"), float("inf")])
+def test_both_steps_reject_a_negative_or_non_finite_lr(lr: float) -> None:
+    # a negative lr steps uphill; NaN fails `lr < 0.0` too, and both give non-finite weights
+    w, g = np.ones((4, 4)), np.eye(4)
+    adam, galore = AdamWState.zeros(w.shape), GaLoreState(rank=2, refresh_period=5)
+    for step, state in ((adamw_step, adam), (galore_step, galore)):
+        with pytest.raises(ValueError, match=f"^lr must be non-negative and finite, got {lr}$"):
+            step(w, g, state, lr)
+    assert adam.step == 0 and galore.step == 0 and galore.p is None
+
+
 # ---------------------------------------------------------------------------
 # subspace refresh
 

@@ -119,3 +119,28 @@ def module_boundary_breaches(src: str) -> list[str]:
 
 def test_every_name_has_one_public_home() -> None:
     assert module_boundary_breaches(os.path.dirname(msga.__file__)) == []
+
+
+def orphaned_private_names(src: str) -> list[str]:
+    """`module:line: name` for each top-level `_` function or class in `src` whose name
+    no code in `src` reads outside its own definition, as a rule or helper left over
+    once the last of its callers is gone."""
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)[:-3]] = ast.parse(fh.read(), path)
+
+    def reads(tree: ast.AST) -> list[str]:
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    every = [name for tree in trees.values() for name in reads(tree)]
+    return [f"{module}:{node.lineno}: {node.name}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and every.count(node.name) == reads(node).count(node.name)]
+
+
+def test_no_private_name_in_src_lacks_a_caller() -> None:
+    assert orphaned_private_names(os.path.dirname(msga.__file__)) == []

@@ -204,13 +204,14 @@ def test_a_training_replay_checks_its_labels_once_per_sample(monkeypatch) -> Non
     plan, _ = compile_loss_plan(params, *samples[0], cfg)
     checked, original = [], msga.tape._check_labels
 
-    def check_labels_watched(op, *args):
-        checked.append(op)
-        return original(op, *args)
+    def check_labels_watched(z, labels):
+        checked.append(z)
+        return original(z, labels)
 
     monkeypatch.setattr(msga.tape, "_check_labels", check_labels_watched)
     plan.run([(_leaves(params, image), labels) for image, labels in samples])
-    assert len(samples) == 3 and checked == ["seg-loss"] * 3
+    logits = (cfg.image_h * cfg.image_w // cfg.patch_size**2, cfg.classes)
+    assert len(samples) == 3 and checked == [logits] * 3
     checked.clear()
     forward(params, samples[0][0])
     assert checked == []
@@ -234,7 +235,7 @@ def test_a_default_training_replay_takes_the_logits_softmax_once_per_sample(monk
     ((_, backward),) = sources
     calls = re.findall(r"= (bwd_\w+)\(", backward)
     assert calls[:2] == ["bwd_seg_loss", "bwd_linear"] and calls.count("bwd_seg_loss") == 1
-    assert not {"bwd_scale", "bwd_softmax_ce", "bwd_soft_dice"} & set(calls)
+    assert "bwd_scale" not in calls
 
 
 def test_every_check_sees_shapes_and_op_arguments_never_an_array(monkeypatch) -> None:
@@ -251,7 +252,7 @@ def test_every_check_sees_shapes_and_op_arguments_never_an_array(monkeypatch) ->
     for kind, rules in list(msga.tape._OPS.items()):
         monkeypatch.setitem(msga.tape._OPS, kind,
                             replace(rules, shape=watched(kind, rules.shape, slice(-1))))
-    for name, shapes in (("_check_2d", slice(1, None)), ("_check_labels", slice(1, 2))):
+    for name, shapes in (("_check_2d", slice(1, None)), ("_check_labels", slice(0, 1))):
         monkeypatch.setattr(msga.tape, name, watched(name, getattr(msga.tape, name), shapes))
     for op, graph in OP_GRAPHS.items():
         tape = Tape()

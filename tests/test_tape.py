@@ -25,11 +25,12 @@ from msga.tape import (
     _bwd_layernorm,
     _bwd_matmul,
     _bwd_scale,
-    _bwd_softmax_ce,
+    _bwd_seg_loss,
     _bwd_softmax_rows,
     _fwd_gelu,
     _fwd_layernorm,
     _fwd_matmul,
+    _fwd_seg_loss,
     _fwd_softmax_rows,
     _gelu_inner,
     _gelu_value,
@@ -205,7 +206,8 @@ def test_softmax_ce_uniform_logits_value() -> None:
 
 _OP_LABELS = np.array([0, 2, 1])
 
-# op kind -> a scalar loss that runs its backward, over the leaves of op_graph_params
+# op kind -> a scalar loss that runs its backward, over the leaves of op_graph_params;
+# "softmax-ce" and "soft-dice" are the seg-loss ends Tape.softmax_ce and Tape.soft_dice record
 OP_GRAPHS = {
     "matmul": lambda t, ids: t.mean(t.matmul(ids[0], ids[1], transpose_b=True)),
     "add": lambda t, ids: t.mean(t.add(ids[0], ids[2])),
@@ -237,7 +239,7 @@ def op_graph_params(op: str) -> list[np.ndarray]:
     ]
 
 
-@pytest.mark.parametrize("op", sorted(set(OP_KINDS) - {"leaf"}))
+@pytest.mark.parametrize("op", sorted(OP_GRAPHS))
 def test_finite_differences_per_op(op: str) -> None:
     err = finite_diff_check(OP_GRAPHS[op], op_graph_params(op), epsilon=1e-5)
     assert err < 1e-6, f"{op}: finite-difference error {err:.3e}"
@@ -458,14 +460,14 @@ def _bad_patchify(shape: tuple, patch: int) -> tuple:
             f"patchify: image {shape[0]}x{shape[1]}")
 
 
-# the kinds that take labels -> their arguments after the labels
+# the graphs whose Tape method records seg-loss -> its arguments after the labels
 _LOSS_ARGS = {"softmax-ce": (), "soft-dice": (1e-5,), "seg-loss": (1e-5, 0.2)}
-LOSS_KINDS = tuple(_LOSS_ARGS)
+LOSS_GRAPHS = tuple(_LOSS_ARGS)
 
 
-def _bad_labels(op: str, rows: int, labels: list) -> Callable:
+def _bad_labels(op: str, rows: int, labels: list, dtype=np.int64) -> Callable:
     def build(t: Tape) -> int:
-        z, y = t.leaf(np.zeros((rows, 3))), np.array(labels, dtype=np.int64)
+        z, y = t.leaf(np.zeros((rows, 3))), np.array(labels, dtype=dtype)
         return getattr(t, op.replace("-", "_"))(z, y, *_LOSS_ARGS[op])
     return build
 
@@ -497,13 +499,16 @@ BAD_RECORDS = {
                  _bad_patchify((8, 8), -4)],
     "embed-lookup": [(lambda t: t.embed_lookup(t.leaf(np.zeros((3, 2))), np.array([0, 3])),
                       "embed-lookup: index outside")],
-    # a label equal to k, a negative one, one label too few, no rows, and labels unlike
-    # those of the tape's first labelled op, since a replay takes one labels array
-    **{op: [(_bad_labels(op, 3, [0, 3, 1]), f"{op}: label values outside 0..2"),
-            (_bad_labels(op, 3, [0, -1, 1]), f"{op}: label values outside 0..2"),
-            (_bad_labels(op, 3, [0, 1]), f"{op}: labels shape"),
-            (_bad_labels(op, 0, []), f"{op}: no rows"),
-            (_other_labels(op), f"{op}: labels differ")] for op in LOSS_KINDS},
+    # through each method that records seg-loss: a label equal to k, a negative one,
+    # fractional ones, which a cast would truncate, one label too few, no rows, and labels
+    # unlike those of the tape's first seg-loss, since a replay takes one labels array
+    **{op: [(_bad_labels(op, 3, [0, 3, 1]), "seg-loss: label values outside 0..2"),
+            (_bad_labels(op, 3, [0, -1, 1]), "seg-loss: label values outside 0..2"),
+            (_bad_labels(op, 3, [0.9, 1.9, 0.0], np.float64),
+             "seg-loss: labels must be integers, got dtype float64"),
+            (_bad_labels(op, 3, [0, 1]), "seg-loss: labels shape"),
+            (_bad_labels(op, 0, []), "seg-loss: no rows"),
+            (_other_labels(op), "seg-loss: labels differ")] for op in LOSS_GRAPHS},
 }
 
 
@@ -512,9 +517,9 @@ def test_record_runs_each_shape_check_before_the_forward_rule(monkeypatch, op: s
     # the shape rules run once, when the op is recorded, and no forward rule runs then:
     # the tape gains no node after the rejected op's input leaves, and the error names
     # the op. Only scale, gelu and mean take any shape
-    assert BAD_RECORDS.keys() == set(OP_KINDS) - {"scale", "gelu", "mean"}
-    ran = []
-    monkeypatch.setitem(_OPS, op, replace(_OPS[op], fwd=lambda *args: ran.append(args)))
+    assert BAD_RECORDS.keys() == set(OP_KINDS) - {"scale", "gelu", "mean"} | {*LOSS_GRAPHS}
+    ran, kind = [], "seg-loss" if op in LOSS_GRAPHS else op
+    monkeypatch.setitem(_OPS, kind, replace(_OPS[kind], fwd=lambda *args: ran.append(args)))
     for build, message in BAD_RECORDS[op]:
         tape = Tape()
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -522,7 +527,7 @@ def test_record_runs_each_shape_check_before_the_forward_rule(monkeypatch, op: s
         assert not ran and tape.nodes[-1].op == "leaf"
 
 
-@pytest.mark.parametrize("op", OP_KINDS)
+@pytest.mark.parametrize("op", sorted(OP_GRAPHS))
 def test_a_replay_runs_no_shape_check_and_rejects_a_leaf_of_another_shape(monkeypatch, op) -> None:
     # the plan's forward calls the unchecked rules: its own leaf check stands for the
     # shape checks, so a leaf of another shape fails there, naming the leaf
@@ -546,22 +551,24 @@ def test_a_replay_runs_no_shape_check_and_rejects_a_leaf_of_another_shape(monkey
     assert scalars == [] and grads.keys() == set(range(len(params)))
     # only the replay's one label check, which reads each sample's labels; no rule checks
     assert set(checked) == ({"_check_labels", "_check_2d"}
-                            if op in LOSS_KINDS else set()), checked
+                            if op in LOSS_GRAPHS else set()), checked
     for i in range(len(params)):
         bad = [*params[:i], np.zeros((2, *params[i].shape)), *params[i + 1:]]
         with pytest.raises(ValueError, match=rf"^replay leaf {i}: expected float64 "):
             plan.run([(bad, _OP_LABELS)])
 
 
-@pytest.mark.parametrize("op", LOSS_KINDS)
+@pytest.mark.parametrize("op", LOSS_GRAPHS)
 def test_a_replay_keeps_the_label_checks(op: str) -> None:
-    # labels change with every sample, so a replay checks them once, before its forward
+    # labels change with every sample, so a replay checks them once, before its forward;
+    # fractional labels fail there and are not truncated by its int64 cast
     tape = Tape()
     params = op_graph_params(op)
     plan = Plan(lower(tape, OP_GRAPHS[op](tape, [tape.leaf(p) for p in params])))
     for labels, message in ((np.array([0, 3, 1]), "label values outside 0..2"),
+                            (np.array([0.9, 1.9, 2.9]), "labels must be integers"),
                             (np.array([0, 1]), "labels shape")):
-        with pytest.raises(ValueError, match=f"^{op}: {message}"):
+        with pytest.raises(ValueError, match=f"^seg-loss: {message}"):
             plan.run([(params, labels)])
 
 
@@ -659,7 +666,10 @@ def test_in_place_softmax_adjoints_keep_the_expressions_bits() -> None:
     p = _fwd_softmax_rows(z, aux)
     (gs,) = _bwd_softmax_rows(g, None, aux)
     assert gs.tobytes() == (p * (g - (g * p).sum(axis=1, keepdims=True))).tobytes()
-    (dz,) = _bwd_softmax_ce(np.asarray(0.7), z, {"labels": y})
+    # the cross-entropy's adjoint, through seg-loss's backward at ce_weight 1
+    aux = {"labels": y, "smooth": 1.0, "ce_weight": 1.0}
+    _fwd_seg_loss(z, aux)
+    (dz,) = _bwd_seg_loss(np.asarray(0.7), None, aux)
     q = softmax_last_dim(z)
     q[np.arange(9), y] -= 1.0
     assert dz.tobytes() == (q * (0.7 / 9)).tobytes()
@@ -668,7 +678,8 @@ def test_in_place_softmax_adjoints_keep_the_expressions_bits() -> None:
 @pytest.mark.parametrize("rows,k,w", [(64, 3, 0.2), (5, 2, 0.0), (7, 4, 1.0), (1, 3, 0.5)])
 def test_seg_loss_gives_the_bytes_of_the_elementary_loss_head(rows: int, k: int, w: float) -> None:
     # its value, the ce and dice it keeps and the logits' adjoint, under any loss adjoint,
-    # have the bits of add(scale(softmax-ce, w), scale(soft-dice, 1 - w))
+    # have the bits of add(scale(softmax_ce, w), scale(soft_dice, 1 - w)), a chain of the
+    # seg-loss ends at ce_weight 1 and 0
     rng = np.random.default_rng(rows * k)
     z, y = rng.normal(0.0, 4.0, (rows, k)), rng.integers(0, k, rows)
     for c in (1.0, -0.7, 3.1):
