@@ -20,29 +20,20 @@ does, which checks its leaves' shapes (they fix every value's) and the labels
 per logits shape.
 
 A forward rule `fwd(*inputs, aux)` gets a fresh dict of the node's op arguments
-and keeps in it, under the keys its record declares, what its backward
-`bwd(g, *inputs, aux)` reads: probabilities (row softmax, attention), the
-normalized rows and row std (layernorm), the derivative (gelu), the softmax,
-one-hot and class sums and the 0-d terms `ce` and `dice`, which a plan may read
-(seg-loss). A backward rule gets the node's inputs in order, None where it reads
-none. No rule writes into its inputs, adjoint or aux.
+and keeps in it what its backward `bwd(g, *inputs, aux)` reads, under the keys
+its record's `keeps` maps to their shapes; a backward rule gets the node's inputs
+in order, None where it reads none. No rule writes into its inputs, adjoint or aux.
 
-`plan_source` writes a tape, from its shapes, op arguments and records, as two
-texts of straight-line Python: a forward with one line per op and a backward
-with one rule call per node between the wanted leaves and the loss. A Plan is
-built from `lower`'s output, which holds no array of the tape, and compiles
-each text once. A backward node keeps the inputs its rule reads and its aux
-until its step; every other value is deleted after its last forward reader. A
-value whose record has a rebuild rule (layernorm, patchify, matmul, attention)
-may be rebuilt just before its first backward reader from the rebuild's inputs,
-leaves, kept or rebuilt themselves. A node whose aux no backward step reads runs
-its record's value-only forward, if any (gelu). A read is a value id or a
-`(node id, term)` pair.
+`schedule` works out a tape's plan as data, from its shapes, op arguments and
+records, before anything runs; `emit` writes that `Schedule` as two texts of
+straight-line Python, which a Plan, built from `lower`'s output with no array of
+the tape, compiles once each. A read is a value id or a `(node id, term)` pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -173,9 +164,10 @@ class Tape:
 
 
 def lower(tape: Tape, loss_id: int, wanted=None, reads=()) -> tuple[str, str, tuple, list, tuple]:
-    """What a Plan is built from, holding no array of the tape: `plan_source`'s texts and
-    op arguments, each leaf's id, shape and name, and the logits shapes seg-loss nodes take."""
-    forward, backward, _, consts = plan_source(tape, loss_id, wanted, reads)
+    """What a Plan is built from, holding no array of the tape: the texts and op arguments
+    `emit` writes from the tape's `schedule`, each leaf's id, shape and name, and the logits
+    shapes seg-loss nodes take."""
+    forward, backward, consts = emit(tape, schedule(tape, loss_id, wanted, reads))
     shapes = {}   # one tuple per distinct leaf shape
     return forward, backward, consts, [
         (nid, shapes.setdefault(n.shape, n.shape), n.aux["name"])
@@ -185,11 +177,11 @@ def lower(tape: Tape, loss_id: int, wanted=None, reads=()) -> tuple[str, str, tu
 
 
 class Plan:
-    """`lower`'s output compiled once, each function from its own text: a forward that
-    replays every op on new leaves and labels, and a backward over the nodes on a path
-    from a wanted leaf to the loss, accumulating adjoints in reverse node order as the
-    whole tape would. It keeps the two functions, each leaf's id, shape and name and the
-    label checks, not the texts."""
+    """`lower`'s output compiled once, each function from the text `emit` wrote: a forward
+    that replays every op on new leaves and labels, and a backward over the schedule's
+    steps, the nodes on a path from a wanted leaf to the loss, accumulating adjoints in
+    reverse node order as the whole tape would. It keeps the two functions, each leaf's
+    id, shape and name and the label checks, not the texts."""
 
     def __init__(self, lowered: tuple):
         forward, backward, consts, self.leaves, self.labelled = lowered
@@ -229,22 +221,38 @@ class Plan:
         return self._backward(kept)
 
 
-def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
-                reads: tuple = ()) -> tuple[str, str, list[tuple[int, bool]], tuple]:
-    """A tape as two Python texts, the same for the same tape; the entries of the kept
-    list K, each `(id, is_aux)`: a node's value or its aux; and the op arguments A the
-    texts read. Each text is a module whose `plan(np, A, <rules>)` factory returns one
-    function: the first `forward(labels, *leaves)`, one local per value, one line per op,
-    a `del` after a value's last reader unless K keeps it, returning the `reads` and K;
-    the second `backward(K)`, one rule call per backward node, each rebuilt value's
-    rebuild just before its first reader, a rule or a rebuild (a step's rebuilds in node
-    order, so inputs first), returning the dict G of the wanted leaves' adjoints."""
+@dataclass(frozen=True)
+class Schedule:
+    """A tape's plan as ints and tuples, worked out from its records before anything runs."""
+
+    loss: int
+    reads: tuple
+    wanted: tuple[int, ...]   # the leaves whose adjoints the backward returns
+    zeros: tuple[int, ...]    # those of them no step gives an adjoint: exact zeros
+    seeded: bool              # whether the loss reaches a wanted leaf
+    # per op in node order: (node, whether it runs its value-only forward, whether it binds
+    # its aux, kept or read, the values freed after its line)
+    forward: tuple[tuple, ...]
+    # per backward node in reverse node order: (node, the rebuilds that run just before its
+    # rule, each (value, its rebuild's input ids), the input ids its rule is handed, None where
+    # it reads none, per input None if no wanted leaf needs its adjoint and else whether it
+    # adds to an earlier contribution, the values no later step reads)
+    steps: tuple[tuple, ...]
+    kept: tuple[tuple[int, bool], ...]   # the kept list K: (id, is_aux), a value or its aux
+    kept_bytes: int                      # of K's non-leaf entries, from their shapes
+
+
+def schedule(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
+             reads: tuple = ()) -> Schedule:
+    """The tape's Schedule, the same for the same tape. A backward node keeps the inputs its
+    rule reads and its aux until its step; a value whose record has a rebuild rule is rebuilt
+    instead, just before its first reader, a rule or a rebuild, from the rebuild's inputs,
+    leaves, kept or rebuilt themselves (a step's rebuilds in node order, so inputs first).
+    Any other value is freed after its last forward reader unless a read names it."""
     nodes = tape.nodes
-    for r in (r for r in reads if isinstance(r, tuple)):   # a term the node's forward keeps
-        if (n := nodes[r[0]]).op == "leaf" or r[1] not in _OPS[n.op].terms:
+    for r in (r for r in reads if isinstance(r, tuple)):   # a 0-d term the node's forward keeps
+        if (n := nodes[r[0]]).op == "leaf" or _aux_shapes(nodes, r[0]).get(r[1], 0) != ():
             raise ValueError(f"read {r}: node {r[0]} ({n.op}) keeps no term {r[1]!r}")
-    returned = ", ".join(f"float(x{r[0]}[{r[1]!r}])" if isinstance(r, tuple) else
-                         f"float(v{r})" if nodes[r].shape == () else f"v{r}" for r in reads)
     leaves = [nid for nid, n in enumerate(nodes) if n.op == "leaf"]
     wanted = set(leaves if wanted is None else wanted)
     if wanted and np.prod(nodes[loss_id].shape) != 1:
@@ -253,75 +261,107 @@ def plan_source(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
     for nid, n in enumerate(nodes):
         reaches.append(nid in wanted if n.op == "leaf" else any(reaches[i] for i in n.inputs))
     live, steps = {loss_id} if reaches[loss_id] else set(), []
+    bound = set(live)   # the nodes whose adjoint has its first contribution
     for nid in range(loss_id, -1, -1):   # the backward nodes, each with the inputs it reads
         n = nodes[nid]
         if nid in live and n.op != "leaf":
             live.update(i for i in n.inputs if reaches[i])
-            declared = _OPS[n.op].reads
-            steps.append((nid, [i if k in declared else None for k, i in enumerate(n.inputs)]))
-    ops, consts, auxes = [(nid, n) for nid, n in enumerate(nodes) if n.op != "leaf"], [], {}
-    for nid, n in ops:   # labels are passed in; every other op argument is an item of A
-        items = []
-        for key in n.aux:
-            consts += [] if key == "labels" else [n.aux[key]]
-            items.append(f"{key!r}: " + ("labels" if key == "labels" else f"A[{len(consts) - 1}]"))
-        auxes[nid] = f"{{{', '.join(items)}}}"
-    read = {i for _, args in steps for i in args if i is not None}
+            adjoints = []
+            for i in n.inputs:   # a first contribution binds; a later one adds
+                adjoints.append(i in bound if reaches[i] else None)
+                bound.update([i] if reaches[i] else [])
+            steps.append((nid, tuple(i if k in _OPS[n.op].reads else None
+                                     for k, i in enumerate(n.inputs)), tuple(adjoints)))
+    read = {i for _, args, _ in steps for i in args if i is not None}
     rebuilt = {}   # a read value the backward rebuilds -> its rebuild's inputs, None if unread
-    for i in sorted(read):   # in node order, so a step emits a rebuild's inputs first
+    for i in sorted(read):   # in node order, so a step runs a rebuild's inputs first
         n, rules = nodes[i], _OPS.get(nodes[i].op)   # a leaf has no rules
         if rules and rules.rebuild and (i in live or not rules.keeps):
-            ins = [j if k in rules.rebuild_reads else None for k, j in enumerate(n.inputs)]
+            ins = tuple(j if k in rules.rebuild_reads else None for k, j in enumerate(n.inputs))
             if all(j is None or nodes[j].op == "leaf" or j in read for j in ins):
                 rebuilt[i] = ins
     first = {}   # the step a rebuild runs at: its first reader's, a rule's or a rebuild's
     for i in sorted(rebuilt, reverse=True):   # each rebuild that reads it is settled first
-        first[i] = min([*(k for k, (_, args) in enumerate(steps) if i in args),
+        first[i] = min([*(k for k, (_, args, _) in enumerate(steps) if i in args),
                         *(first[d] for d in first if i in rebuilt[d])])
     # uses[k]: the values read at backward step k, by its rebuilds and then by its rule
     uses = [[*(j for i in rebuilt if first[i] == k for j in rebuilt[i] if j is not None),
-             *(i for i in args if i is not None)] for k, (_, args) in enumerate(steps)]
-    kept = list(dict.fromkeys(e for k, (nid, _) in enumerate(steps) for e in (
+             *(i for i in args if i is not None)] for k, (_, args, _) in enumerate(steps)]
+    kept = tuple(dict.fromkeys(e for k, (nid, *_) in enumerate(steps) for e in (
         *((i, False) for i in uses[k] if i not in rebuilt), (nid, True))))
     last = {i: k for k, u in enumerate(uses) for i in u}   # a kept value's last reader
-    bound = {loss_id} & live   # the nodes whose adjoint has its first contribution
+    auxes = {i for i, aux in kept if aux} | {r[0] for r in reads if isinstance(r, tuple)}
+    ops = [(nid, n) for nid, n in enumerate(nodes) if n.op != "leaf"]
+    ends = {s: nid for nid, n in ops for s in (nid, *n.inputs)}   # a value's last forward reader
+    return Schedule(
+        loss_id, tuple(reads), tuple(sorted(wanted)), tuple(sorted(wanted - bound)),
+        reaches[loss_id],
+        tuple((nid, nid not in auxes and bool(_OPS[n.op].value), nid in auxes, tuple(sorted({
+            s for s in (*n.inputs, nid) if ends[s] == nid and s not in reads
+            and (s, False) not in kept}))) for nid, n in ops),
+        tuple((nid, tuple((i, rebuilt[i]) for i in rebuilt if first[i] == k), args, adjoints,
+               tuple(sorted({i for i in uses[k] if last[i] == k})))
+              for k, (nid, args, adjoints) in enumerate(steps)), kept,
+        sum(sum(map(_nbytes, _aux_shapes(nodes, i).values())) if aux else _nbytes(nodes[i].shape)
+            for i, aux in kept if nodes[i].op != "leaf"))
+
+
+def _aux_shapes(nodes: list[TapeNode], nid: int) -> dict:
+    """The shape of each aux entry node `nid`'s forward keeps, from its inputs' shapes."""
+    return {key: shape(*(nodes[i].shape for i in nodes[nid].inputs))
+            for key, shape in _OPS[nodes[nid].op].keeps.items()}
+
+
+def _nbytes(shape: tuple) -> int:   # of a float64 array, or of a tuple of them (pieces)
+    return (sum(map(_nbytes, shape)) if shape and isinstance(shape[0], tuple)
+            else _F64.itemsize * math.prod(shape))
+
+
+def emit(tape: Tape, s: Schedule) -> tuple[str, str, tuple]:
+    """A schedule as two Python texts and the op arguments A they read, each a module whose
+    `plan(np, A, <rules>)` factory returns one function: `forward(labels, *leaves)`, one
+    line per op and a `del` of what it frees, returning the `reads` and K; `backward(K)`,
+    one rule call per step after its rebuilds, returning the dict G of wanted adjoints."""
+    nodes, fwd, consts, auxes = tape.nodes, [], [], {}
+    for nid, value_only, binds, frees in s.forward:
+        n, items = nodes[nid], []
+        for key in n.aux:   # labels are passed in; every other op argument is an item of A
+            consts += [] if key == "labels" else [n.aux[key]]
+            items.append(f"{key!r}: " + ("labels" if key == "labels" else f"A[{len(consts) - 1}]"))
+        auxes[nid] = f"{{{', '.join(items)}}}"
+        fwd.append(f"v{nid} = {'val' if value_only else 'fwd'}_{_name(n.op)}("
+                   f"{''.join(f'v{i}, ' for i in n.inputs)}{f'x{nid} := ' * binds}{auxes[nid]})")
+        fwd += [f"del {', '.join(sorted(f'v{i}' for i in frees))}"] if frees else []
+    returned = ", ".join(f"float(x{r[0]}[{r[1]!r}])" if isinstance(r, tuple) else
+                         f"float(v{r})" if nodes[r].shape == () else f"v{r}" for r in s.reads)
+    kept, wanted = set(s.kept), set(s.wanted)
     adj = [f"G[{i}]" if i in wanted else f"g{i}" for i in range(len(nodes))]   # G: returned
-    bwd = [f"{adj[loss_id]} = np.ones({nodes[loss_id].shape!r})"] if bound else []
-    for k, (nid, args) in enumerate(steps):
-        for i in (i for i in rebuilt if first[i] == k):   # just before its first reader
-            handed = "".join("None, " if j is None else f"v{j}, " for j in rebuilt[i])
+    bwd = [f"{adj[s.loss]} = np.ones({nodes[s.loss].shape!r})"] if s.seeded else []
+    for nid, rebuilds, args, adjoints, frees in s.steps:
+        for i, ins in rebuilds:
+            handed = "".join("None, " if j is None else f"v{j}, " for j in ins)
             bwd.append(f"v{i} = rb_{_name(nodes[i].op)}({handed}"
-                       f"{f'x{i}' if i in live else auxes[i]})")
-        n, outs = nodes[nid], []
-        for j, i in enumerate(n.inputs):   # a first contribution binds; a later one adds
-            outs.append(f"t{j}" if i in bound else adj[i] if reaches[i] else "_")
-            bound.update([i] if reaches[i] else [])
+                       f"{f'x{i}' if (i, True) in kept else auxes[i]})")
+        n = nodes[nid]
+        outs = ["_" if a is None else f"t{j}" if a else adj[i]
+                for j, (i, a) in enumerate(zip(n.inputs, adjoints))]
         gone = sorted({f"g{nid}", f"x{nid}", *(o for o in outs if o[0] in "t_"),
-                       *(f"v{i}" for i in uses[k] if last[i] == k)})
+                       *(f"v{i}" for i in frees)})
         handed = "".join("None, " if i is None else f"v{i}, " for i in args)
         bwd += [f"[{', '.join(outs)}] = bwd_{_name(n.op)}(g{nid}, {handed}x{nid})",
                 *(f"{adj[i]} = {adj[i]} + {o}" for o, i in zip(outs, n.inputs) if o[0] == "t"),
                 f"del {', '.join(gone)}"]
-    zeros = ", ".join(f"{i}: np.zeros({nodes[i].shape!r})" for i in sorted(wanted - bound))
-    last, fwd, keep = {s: nid for nid, n in ops for s in (nid, *n.inputs)}, [], set(kept)
-    keep |= {(r[0], True) for r in reads if isinstance(r, tuple)}   # an aux a read names
-    for nid, n in ops:   # a node whose aux nothing reads runs its value-only forward
-        way = "fwd" if (nid, True) in keep or not _OPS[n.op].value else "val"
-        fwd.append(f"v{nid} = {way}_{_name(n.op)}({''.join(f'v{i}, ' for i in n.inputs)}"
-                   f"{f'x{nid} := ' * ((nid, True) in keep)}{auxes[nid]})")
-        dead = sorted({f"v{s}" for s in (*n.inputs, nid)
-                       if last[s] == nid and s not in reads and (s, False) not in keep})
-        fwd += [f"del {', '.join(dead)}"] if dead else []
-    names = ", ".join(f"x{i}" if aux else f"v{i}" for i, aux in kept)
+    zeros = ", ".join(f"{i}: np.zeros({nodes[i].shape!r})" for i in s.zeros)
+    names = ", ".join(f"x{i}" if aux else f"v{i}" for i, aux in s.kept)
     rules = ", ".join(name for name, _ in _rules())
 
     def module(name: str, params: str, lines: list[str]) -> str:   # a factory of one function
         return (f"def plan(np, A, {rules}):\n    def {name}({params}):\n        "
                 + "\n        ".join(lines) + f"\n    return {name}\n")
-    return (module("forward", ", ".join(["labels", *(f"v{i}" for i in leaves)]),
-                   [*fwd, f"return [{returned}], [{names}]"]),
+    leaves = ", ".join(["labels", *(f"v{nid}" for nid, n in enumerate(nodes) if n.op == "leaf")])
+    return (module("forward", leaves, [*fwd, f"return [{returned}], [{names}]"]),
             module("backward", "K", [f"[{names}] = K", "K.clear()", f"G = {{{zeros}}}", *bwd,
-                                     "return G"]), kept, tuple(consts))
+                                     "return G"]), tuple(consts))
 
 
 def _name(op: str) -> str:
@@ -336,7 +376,7 @@ def _rules() -> list[tuple[str, Callable]]:
 
 
 def _compile(text: str, consts: tuple) -> Callable:
-    """The one function of one of `plan_source`'s texts, closed over numpy, the op
+    """The one function of one of `emit`'s texts, closed over numpy, the op
     arguments and the rules, so each is a cell and not a global lookup."""
     scope = {}   # outlives the exec as the function's globals
     exec(compile(text, "<plan>", "exec"), scope)
@@ -552,7 +592,8 @@ def _fwd_softmax_rows(x, aux):
 
 def _fwd_seg_loss(z, aux):
     # w ce + (1 - w) dice from one softmax, the sum with the bits of add(scale(ce, w),
-    # scale(dice, 1 - w)); at w = 1 it is ce's bits and at w = 0, for a finite ce, dice's
+    # scale(dice, 1 - w)); at w = 1 and w = 0 the term itself, which has the sum's bits
+    # when the other term is finite and stays finite when it is not
     p, top, row_sums = softmax_last_dim(z, pieces=True)
     y, smooth, w = aux["labels"], aux["smooth"], aux["ce_weight"]
     rows = np.arange(len(y))
@@ -564,7 +605,8 @@ def _fwd_seg_loss(z, aux):
     sums = p.sum(axis=0) + onehot.sum(axis=0)
     aux["pieces"] = p, onehot, inter, sums
     aux["dice"] = np.asarray(1.0 - ((2.0 * inter + smooth) / (sums + smooth)).mean())
-    return np.asarray(aux["ce"] * w + aux["dice"] * (1.0 - w))
+    return np.array(aux["ce"] if w == 1.0 else aux["dice"] if w == 0.0
+                    else aux["ce"] * w + aux["dice"] * (1.0 - w))
 
 
 def _fwd_reshape(a, aux):
@@ -685,18 +727,17 @@ class OpRules:
     `bwd(g, *inputs, aux)`, one adjoint per input, handed by value only the inputs at
     `reads` (None elsewhere); `arity`, the input count, fixed here so a wrapped rule
     keeps it; the shape rule `shape`, on the inputs' shapes and the aux, which only
-    Tape.record runs; `keeps`, the aux keys the forward sets, and `terms`, the 0-d ones
-    a plan may read; `value`, a forward keeping nothing, for a node no backward step
-    reads; `rebuild`, the forward's own code path for the output from the inputs at
-    `rebuild_reads` and the aux."""
+    Tape.record runs; `keeps`, each aux key the forward sets and its shape from the
+    inputs' shapes, a 0-d one a term a plan may read; `value`, a forward keeping nothing,
+    for a node no backward step reads; `rebuild`, the forward's own code path for the
+    output from the inputs at `rebuild_reads` and the aux."""
 
     fwd: Callable
     bwd: Callable
     reads: tuple[int, ...]
     arity: int
     shape: Callable
-    keeps: tuple[str, ...] = ()
-    terms: tuple[str, ...] = ()
+    keeps: dict[str, Callable] = field(default_factory=dict)
     value: Callable | None = None
     rebuild: Callable | None = None
     rebuild_reads: tuple[int, ...] = ()
@@ -709,14 +750,18 @@ _OPS: dict[str, OpRules] = {
     "linear": OpRules(_fwd_linear, _bwd_linear, (0, 1), 3, _shape_linear),
     "scale": OpRules(_fwd_scale, _bwd_scale, (), 1, lambda a, aux: a),
     "attention": OpRules(_fwd_attention, _bwd_attention, (0, 1, 2), 3, _shape_attention,
-                         ("probs",), rebuild=_attention_output, rebuild_reads=(2,)),
-    "gelu": OpRules(_fwd_gelu, _bwd_gelu, (), 1, lambda x, aux: x, ("deriv",), value=_gelu_value),
+                         {"probs": lambda q, k, v: (q[0], k[0])}, rebuild=_attention_output,
+                         rebuild_reads=(2,)),
+    "gelu": OpRules(_fwd_gelu, _bwd_gelu, (), 1, lambda x, aux: x, {"deriv": lambda x: x},
+                    value=_gelu_value),
     "layernorm": OpRules(_fwd_layernorm, _bwd_layernorm, (1,), 3, _shape_layernorm,
-                         ("xhat", "std"), rebuild=_layernorm_affine, rebuild_reads=(1, 2)),
+                         {"xhat": lambda x, gain, bias: x, "std": lambda x, gain, bias: (x[0], 1)},
+                         rebuild=_layernorm_affine, rebuild_reads=(1, 2)),
     "softmax-rows": OpRules(_fwd_softmax_rows, _bwd_softmax_rows, (), 1, _shape_softmax_rows,
-                            ("probs",)),
+                            {"probs": lambda x: x}),
     "seg-loss": OpRules(_fwd_seg_loss, _bwd_seg_loss, (), 1, _shape_seg_loss,
-                        ("ce", "dice", "pieces"), ("ce", "dice")),
+                        {"ce": lambda z: (), "dice": lambda z: (),
+                         "pieces": lambda z: (z, z, z[1:], z[1:])}),   # p, onehot, inter, sums
     "reshape": OpRules(_fwd_reshape, _bwd_reshape, (0,), 1, _shape_reshape),
     "patchify": OpRules(_fwd_patchify, _bwd_patchify, (0,), 1, _shape_patchify,
                         rebuild=_fwd_patchify, rebuild_reads=(0,)),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from msga.losses import (
+    DEFAULT_DICE_SMOOTH,
     LossConfig,
     combined_loss,
     cross_entropy,
@@ -17,6 +18,7 @@ from msga.losses import (
     image_metrics,
 )
 from msga.tape import Tape, finite_diff_check
+from test_plan import _watch_compile
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +290,44 @@ def test_dice_loss_matches_enumeration_oracle() -> None:
     m = rng.standard_normal((2, 2, 2))
     y = rng.integers(0, 2, (2, 2))
     assert abs(dice_loss(m, y, 1e-5) - dice_enumeration_oracle(m, y, 1e-5)) < 1e-12
+
+
+def test_dice_loss_stays_finite_where_the_cross_entropy_is_infinite() -> None:
+    # each pixel puts all its mass on the class it is not labelled: ce is inf, and ce
+    # times a weight of 0 would be NaN
+    m = np.array([[[1e308, -1e308], [-1e308, 1e308]]])
+    y = np.array([[1, 0]])
+    with np.errstate(over="ignore"):
+        assert cross_entropy(m, y) == math.inf
+        got = dice_loss(m, y)
+        z = m.reshape(-1, 2)
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    onehot = np.eye(2)[y.reshape(-1)]
+    smooth = DEFAULT_DICE_SMOOTH
+    ratios = (2.0 * (p * onehot).sum(axis=0) + smooth) / (p.sum(axis=0) + onehot.sum(axis=0)
+                                                         + smooth)
+    assert math.isfinite(got) and got == 1.0 - ratios.mean()
+
+
+def test_a_loss_call_on_the_last_shape_and_settings_compiles_nothing(monkeypatch) -> None:
+    # one plan per (logits shape, smooth, ce_weight), the last one only, as model.forward
+    # keeps its own; a replay gives what a freshly recorded tape gives
+    texts = []
+    _watch_compile(monkeypatch, texts.append)
+    m, y = _c6_inputs()
+    cross_entropy(m, y)
+    texts.clear()
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        m, y = rng.standard_normal((4, 4, 3)), rng.integers(0, 3, (4, 4))
+        tape = Tape()
+        want = tape.value(tape.softmax_ce(tape.leaf(m.reshape(-1, 3)), y.reshape(-1)))
+        texts.clear()
+        assert cross_entropy(m, y) == float(want) and texts == []
+    dice_loss(m, y)   # other settings: a new plan, which replaces cross_entropy's
+    cross_entropy(m, y)
+    assert len(texts) == 4
 
 
 def test_combined_loss_endpoints_exact() -> None:

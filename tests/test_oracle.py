@@ -18,7 +18,7 @@ from msga.config import RunConfig
 from msga.losses import downsample_labels
 from msga.model import build_loss_tape, init_model
 from msga.optim import Frozen, assign_strategies
-from msga.tape import OP_KINDS, Plan, Tape, lower, plan_source
+from msga.tape import OP_KINDS, Plan, Tape, emit, lower, schedule
 from msga.train import model_config, prepare_splits
 
 
@@ -271,7 +271,7 @@ def assert_matches_the_oracle(tapes: list[Tape], loss: int, wanted, reads: tuple
         got_reads, kept = forward_only.replay(values, labels)
         assert kept == []
         assert [_bytes(r) for r in got_reads] == [_bytes(naive_read(forward, i)) for i in reads]
-    sources = {kind: plan_source(tape, loss, w, reads)[:2]
+    sources = {kind: emit(tape, schedule(tape, loss, w, reads))[:2]
                for kind, w in (("training", wanted), ("forward-only", ()))}
     for source in sources.values():
         _assert_freed_at_last_use(source)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import hashlib
 import inspect
 import itertools
 import re
@@ -24,9 +25,9 @@ from msga.config import RunConfig
 from msga.losses import downsample_labels
 from msga.model import ModelConfig, _record_forward, build_loss_tape, forward, init_model
 from msga.optim import Frozen, assign_strategies
-from msga.tape import OP_KINDS, Plan, Tape, lower, plan_source
+from msga.tape import OP_KINDS, Plan, Tape, emit, lower, schedule
 from msga.train import compile_loss_plan, model_config, prepare_splits, train_model
-from test_oracle import naive_forward, naive_read
+from test_oracle import naive_forward, naive_read, random_graph
 from test_tape import OP_GRAPHS, op_graph_params
 
 SMALL = dict(synthetic_count=20, image_h=16, image_w=16, embed_dim=8, blocks=1,
@@ -61,15 +62,17 @@ def _wrap_rules(monkeypatch, forward=None, backward=None, rebuild=None) -> None:
 
 
 def _record_sources(monkeypatch) -> list[tuple[str, str]]:
-    """The forward and backward text of every plan compiled from here on, in order."""
-    sources, original = [], msga.tape.plan_source
+    """The forward and backward text of every plan compiled from here on, in order: a
+    Plan compiles its forward's text and then its backward's."""
+    sources, forward_text = [], []
 
-    def recording(*args):
-        forward, backward, *rest = original(*args)
-        sources.append((forward, backward))
-        return forward, backward, *rest
+    def pair(text):
+        if forward_text:
+            sources.append((forward_text.pop(), text))
+        else:
+            forward_text.append(text)
 
-    monkeypatch.setattr(msga.tape, "plan_source", recording)
+    _watch_compile(monkeypatch, pair)
     return sources
 
 
@@ -249,19 +252,23 @@ def test_every_check_sees_shapes_and_op_arguments_never_an_array(monkeypatch) ->
             return check(*args)
         return check_watched
 
-    for kind, rules in list(msga.tape._OPS.items()):
-        monkeypatch.setitem(msga.tape._OPS, kind,
-                            replace(rules, shape=watched(kind, rules.shape, slice(-1))))
+    kept_rules = {f"{kind} {key}" for kind, rules in msga.tape._OPS.items() for key in rules.keeps}
+    for kind, rules in list(msga.tape._OPS.items()):   # and each kept aux entry's shape rule
+        monkeypatch.setitem(msga.tape._OPS, kind, replace(
+            rules, shape=watched(kind, rules.shape, slice(-1)), keeps={
+                key: watched(f"{kind} {key}", shape, slice(None))
+                for key, shape in rules.keeps.items()}))
     for name, shapes in (("_check_2d", slice(1, None)), ("_check_labels", slice(0, 1))):
         monkeypatch.setattr(msga.tape, name, watched(name, getattr(msga.tape, name), shapes))
-    for op, graph in OP_GRAPHS.items():
+    for op, graph in OP_GRAPHS.items():   # each scheduled, so its kept bytes are counted
         tape = Tape()
-        graph(tape, [tape.leaf(p) for p in op_graph_params(op)])
+        schedule(tape, graph(tape, [tape.leaf(p) for p in op_graph_params(op)]))
     cfg = RunConfig(mode="medsaga", synthetic_count=20)
     params, samples = _setup(cfg)
     plan, _ = compile_loss_plan(params, *samples[0], cfg)   # records the default loss tape
     plan.run([(_leaves(params, samples[1][0]), samples[1][1])])
-    assert {name for name, _ in handed} == {"_check_2d", "_check_labels", *msga.tape._OPS}
+    assert {name for name, _ in handed} == {"_check_2d", "_check_labels", *msga.tape._OPS,
+                                            *kept_rules}
     for name, shapes in handed:
         assert shapes and all(type(s) is tuple and all(type(d) is int for d in s)
                               for s in shapes), (name, shapes)
@@ -281,7 +288,8 @@ def test_tape_backward_leaves_the_tape_intact() -> None:
 
 def test_backward_frees_each_value_and_its_aux_after_the_last_reader(monkeypatch) -> None:
     # at each backward rule a replayed value, leaves included, is alive only while this
-    # or a later rule reads it, and an aux only until its own rule has run
+    # or a later rule reads it, and an aux only until its own rule has run; the schedule's
+    # steps and rebuilds are those the replay runs
     cfg = CONFIGS["medsaga"]
     params, samples = _setup(cfg)
     tape, _, _, _, loss = build_loss_tape(params, *samples[0], cfg)
@@ -339,7 +347,8 @@ def test_backward_frees_each_value_and_its_aux_after_the_last_reader(monkeypatch
     # rebuilt, until the value's first reader, a rule or a rebuild, and it is alive from
     # the step of that reader on
     declared = {s for m in steps for s in _declared(tape, m) if s is not None}
-    kept_values = {i for i, aux in plan_source(tape, loss)[2] if not aux}
+    planned = schedule(tape, loss)
+    kept_values = {i for i, aux in planned.kept if not aux}
     rebuilt = {i: [tape.nodes[i].inputs[k]
                    for k in msga.tape._OPS[tape.nodes[i].op].rebuild_reads]
                for i in sorted(declared - kept_values)}   # each with its rebuild's inputs
@@ -350,6 +359,10 @@ def test_backward_frees_each_value_and_its_aux_after_the_last_reader(monkeypatch
     for i in reversed(rebuilt):
         first[i] = min([*(k for k, m in enumerate(steps) if i in _declared(tape, m)),
                         *(first[d] for d in first if i in rebuilt[d])])
+    assert [(nid, list(handed)) for nid, _, handed, *_ in planned.steps] == [
+        (nid, _declared(tape, nid)) for nid in steps]
+    assert {i: ([j for j in ins if j is not None], k) for k, (_, rebuilds, *_) in enumerate(
+        planned.steps) for i, ins in rebuilds} == {i: (rebuilt[i], first[i]) for i in rebuilt}
     for k, (nid, auxes, handed, held) in enumerate(seen):
         now = steps[k:]
         assert auxes == set(now), k
@@ -554,7 +567,7 @@ def test_a_plan_that_wants_nothing_has_no_backward_and_reads_its_output_as_an_ar
     image = np.random.default_rng(1).normal(size=(32, 32))
     tape, _, out = _record_forward(params, image)
     plan = Plan(lower(tape, out, (), (out,)))
-    source = plan_source(tape, out, (), (out,))[1]
+    source = emit(tape, schedule(tape, out, (), (out,)))[1]
     backward = source[source.index("def backward(K):"):]
     assert "bwd_" not in backward and "G = {}" in backward   # no rule call, no adjoint
     (logits,), kept = plan.replay([*(g.values for g in params.groups), image], ())
@@ -818,10 +831,11 @@ def test_a_whole_default_training_run_peaks_within_its_bound() -> None:
     assert peak <= RUN_PEAK_BYTES * 1.02, peak
 
 
-# tracemalloc peak of recording the default medsaga loss tape and lowering it after a warm
-# compile (x86_64, numpy 2.4, Python 3.11, run alone; 68,211 B inside the whole suite;
-# 598,251 B, above TRAIN_PEAK_BYTES, while the record computed one sample eagerly)
-RECORD_PEAK_BYTES = 69_243
+# tracemalloc peak of recording the default medsaga loss tape and lowering it, schedule and
+# texts, after a warm compile (x86_64, numpy 2.4, Python 3.11, run alone; 57,593 B inside
+# the whole suite; 69,243 B while one function worked out the liveness as it wrote the
+# texts; 598,251 B, above TRAIN_PEAK_BYTES, while the record computed one sample eagerly)
+RECORD_PEAK_BYTES = 57_961
 
 
 def test_recording_and_lowering_the_loss_tape_peaks_within_its_bound() -> None:
@@ -895,6 +909,32 @@ def test_plan_source_is_deterministic_and_shows_liveness(monkeypatch, kind) -> N
     assert ("bwd_" in body) == (kind == "training")
 
 
+# sha256 of the forward and backward texts of the default medsaga training plan and of the
+# default forward-only plan, as emitted when the schedule was split from the emitter; a
+# change to the schedule or the emitter that moves a text restates them here
+PLAN_TEXT_SHA256 = {
+    "training": ("e6002e4c57a295824d0faff3d922889931f848b67bdd351fd11266047baf5f0d",
+                 "9ea0df7aeba830e5880540dd573659874b20d8ffb8d9d905f1a4552c089e1d69"),
+    "forward-only": ("68db0b0e183223e232fa66b2a80949832c48c3423060bf83a5ad3cb2f13d95ba",
+                     "10c587f77a36ef611c08a0a6e9de6e3fb267cc098be8ee9974480b905c06e559"),
+}
+
+
+@pytest.mark.parametrize("kind", list(PLAN_TEXT_SHA256))
+def test_the_default_plans_compile_their_pinned_texts(monkeypatch, kind) -> None:
+    sources = _record_sources(monkeypatch)
+    if kind == "training":
+        cfg = RunConfig()
+        params, samples = _setup(cfg)
+        compile_loss_plan(params, *samples[0], cfg)
+    else:
+        monkeypatch.setattr(msga.model, "_forward_plan", {})
+        forward(init_model(ModelConfig(), 0), np.zeros((32, 32)))
+    ((forward_text, backward_text),) = sources
+    assert tuple(hashlib.sha256(text.encode()).hexdigest()
+                 for text in (forward_text, backward_text)) == PLAN_TEXT_SHA256[kind]
+
+
 @pytest.mark.parametrize("kind", ["training", "forward-only"])
 def test_plan_source_hands_each_rule_its_inputs_as_plain_arguments(monkeypatch, kind) -> None:
     # fwd_<op>(v.., aux) and bwd_<op>(g, v or None.., aux): one local or None per input,
@@ -947,7 +987,7 @@ def test_a_forward_only_plan_runs_value_only_gelu_and_a_training_plan_rebuilds_l
 
 def _kept_bytes(tape: Tape, entries: list[tuple[int, bool]], kept: list) -> int:
     """Bytes of the non-leaf values and of the arrays their forwards kept in aux that a
-    replay's kept list holds, its entries as `plan_source` gives them; leaves and op
+    replay's kept list holds, its entries as the schedule gives them; leaves and op
     arguments are held elsewhere."""
     def size(x) -> int:
         return x.nbytes if isinstance(x, np.ndarray) else sum(map(size, x)) if isinstance(
@@ -959,25 +999,48 @@ def _kept_bytes(tape: Tape, entries: list[tuple[int, bool]], kept: list) -> int:
 
 
 # bytes default medsaga keeps per sample for its backward: a value or intermediate kept
-# past its last reader, or kept where it could be rebuilt, raises it
+# past its last reader, or kept where it could be rebuilt, raises it. v2 and full-adamw
+# keep the same entries: v2's backward still reaches the frozen decoder's weights
 KEPT_BYTES = 259_136
 
 
-def test_default_medsaga_keeps_its_pinned_bytes_per_sample(monkeypatch) -> None:
-    cfg = RunConfig()
+@pytest.mark.parametrize("mode", ["medsaga", "v2", "full-adamw"])
+def test_default_medsaga_keeps_its_pinned_bytes_per_sample(mode) -> None:
+    # the schedule's kept bytes, from shapes alone, are the bytes a replay's kept list
+    # holds, for the schedule of the tape and arguments compile_loss_plan lowers
+    cfg = RunConfig(mode=mode)
     params, samples = _setup(cfg)
-    seen, original = [], msga.tape.plan_source
-
-    def recording(tape, *args):
-        forward, backward, entries, consts = original(tape, *args)
-        seen.append((tape, entries))
-        return forward, backward, entries, consts
-
-    monkeypatch.setattr(msga.tape, "plan_source", recording)
+    tape, ids, *reads = build_loss_tape(params, *samples[0], cfg)
+    planned = schedule(tape, reads[-1], [ids[g.name] for g in params.groups
+                                         if not isinstance(g.strategy, Frozen)], tuple(reads))
     plan, _ = compile_loss_plan(params, *samples[0], cfg)
-    ((tape, entries),) = seen
     kept = plan.replay(_leaves(params, samples[0][0]), samples[0][1])[1]
-    assert _kept_bytes(tape, entries, kept) == KEPT_BYTES
+    assert _kept_bytes(tape, planned.kept, kept) == planned.kept_bytes == KEPT_BYTES
+
+
+def test_a_replays_kept_arrays_have_the_shapes_the_schedule_gives_them() -> None:
+    # over seeded random graphs, whose attention and row softmax are not square, and one
+    # graph per op kind: each kept value and aux array has its shape rule's shape, so the
+    # schedule's kept bytes are the bytes a replay's kept list holds
+    def shape(x):   # an array's shape, or a tuple of arrays' shapes (seg-loss's pieces)
+        return x.shape if isinstance(x, np.ndarray) else tuple(map(shape, x))
+
+    graphs = [random_graph(seed)[::2] for seed in range(40)]
+    for op, build in OP_GRAPHS.items():
+        tape = Tape()
+        graphs.append((tape, build(tape, [tape.leaf(p) for p in op_graph_params(op)])))
+    seen = set()
+    for tape, loss in graphs:
+        planned, nodes = schedule(tape, loss), tape.nodes
+        kept = Plan(lower(tape, loss)).replay(list(tape.leaves.values()), tape.labels)[1]
+        for (i, aux), x in zip(planned.kept, kept, strict=True):
+            inputs = [nodes[j].shape for j in nodes[i].inputs]
+            want = ({key: rule(*inputs) for key, rule in msga.tape._OPS[nodes[i].op].keeps.items()}
+                    if aux else nodes[i].shape)
+            assert ({key: shape(x[key]) for key in want} if aux else x.shape) == want, nodes[i].op
+            seen |= {nodes[i].op} if aux and want else set()
+        assert _kept_bytes(tape, planned.kept, kept) == planned.kept_bytes
+    assert seen == {op for op, rules in msga.tape._OPS.items() if rules.keeps}
 
 
 # tracemalloc current bytes that compile_loss_plan's result held at default medsaga

@@ -284,7 +284,8 @@ def test_every_backward_rule_takes_the_adjoint_then_the_forward_rules_parameters
     # a forward rule is fwd(*inputs, aux) and its backward bwd(g, *inputs, aux): one plain
     # positional parameter per node input, the same names in the same order, no list;
     # the record's arity counts them, and a shape rule, a value-only forward and a
-    # rebuild take the forward rule's parameters
+    # rebuild take the forward rule's parameters, and each kept aux entry's shape rule
+    # its inputs'
     for op, rules in _OPS.items():
         tape = Tape()
         OP_GRAPHS[op](tape, [tape.leaf(p) for p in op_graph_params(op)])
@@ -296,6 +297,8 @@ def test_every_backward_rule_takes_the_adjoint_then_the_forward_rules_parameters
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in bwd), op
         for rule in (r for r in (rules.shape, rules.value, rules.rebuild) if r):
             assert list(inspect.signature(rule).parameters) == [p.name for p in fwd], op
+        for rule in rules.keeps.values():
+            assert list(inspect.signature(rule).parameters) == [p.name for p in fwd[:-1]], op
 
 
 def test_record_runs_no_forward_rule_and_a_replay_hands_each_its_values_positionally(
