@@ -2,10 +2,10 @@
 splitting, and few-shot subsetting.
 
 Synthetic samples carry k-1 non-overlapping filled shapes (axis-aligned
-rectangles and discs) on a noisy dark background, one shape per foreground
-class, with pixel intensity correlated to the class index. Ten consecutive
-samples share a patient id so the patient-wise split has something to bite
-on. Datasets are immutable after construction.
+rectangles and discs), each placed straight into the mask, on a noisy dark
+background, one shape per foreground class, with pixel intensity correlated to
+the class index. Ten consecutive samples share a patient id so the patient-wise
+split has something to bite on. Datasets are immutable after construction.
 
 On disk, images and masks are binary PGM ("P5"); mask pixel values are raw
 class indices, held in memory in the smallest unsigned dtype: uint8 for k <= 256,
@@ -45,15 +45,11 @@ SLICES_PER_PATIENT = 10
 LAYOUT_ATTEMPTS = 1000   # per synthetic sample; classes <= 8 at 16x16 and 32x32 took <= 80
 
 
-def _disc(h: int, w: int, cy: int, cx: int, radius: int) -> np.ndarray:
-    yy, xx = np.ogrid[:h, :w]
-    return (yy - cy) ** 2 + (xx - cx) ** 2 <= radius**2
-
-
 def _place_shapes(rng: np.random.Generator, h: int, w: int, k: int) -> np.ndarray | None:
-    """One attempt at a mask with k-1 disjoint shapes; None if placement fails."""
+    """One attempt at a mask with k-1 disjoint shapes; None if placement fails. The
+    mask is its own occupancy map: placed classes are >= 1, so zeros are free."""
     mask = np.zeros((h, w), dtype=np.min_scalar_type(k - 1))
-    occupied = np.zeros((h, w), dtype=bool)
+    yy, xx = np.ogrid[:h, :w]
     short = min(h, w)   # shapes fit the shorter side, so a tall image places them too
     side_lo, side_hi = max(4, short // 4), max(5, short // 3)
     rad_lo, rad_hi = max(2, short // 6), max(3, short // 4)
@@ -64,15 +60,13 @@ def _place_shapes(rng: np.random.Generator, h: int, w: int, k: int) -> np.ndarra
                 sw = int(rng.integers(side_lo, side_hi + 1))
                 top = int(rng.integers(0, h - sh + 1))
                 left = int(rng.integers(0, w - sw + 1))
-                shape = np.zeros((h, w), dtype=bool)
-                shape[top : top + sh, left : left + sw] = True
+                shape = np.s_[top : top + sh, left : left + sw]
             else:
                 radius = int(rng.integers(rad_lo, rad_hi + 1))
                 cy = int(rng.integers(radius, h - radius))
                 cx = int(rng.integers(radius, w - radius))
-                shape = _disc(h, w, cy, cx, radius)
-            if not (shape & occupied).any():
-                occupied |= shape
+                shape = (yy - cy) ** 2 + (xx - cx) ** 2 <= radius**2
+            if not mask[shape].any():
                 mask[shape] = c
                 break
         else:
@@ -104,7 +98,7 @@ def generate_synthetic(seed: int, count: int, h: int, w: int, k: int) -> Dataset
             level = 0.35 + 0.55 * (c - 1) / max(1, k - 2)
             region = mask == c
             image[region] = level + rng.normal(0.0, 0.02, size=int(region.sum()))
-        image = np.clip(image, 0.0, 1.0)
+        np.clip(image, 0.0, 1.0, out=image)
         samples.append(Sample(image=image, mask=mask, patient_id=idx // SLICES_PER_PATIENT))
     return Dataset(tuple(samples), classes=k, provenance=f"synthetic(seed={seed})")
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,27 @@ def test_synthetic_tall_image_places_every_class(h: int, w: int) -> None:
     for s in ds.samples:
         assert s.image.shape == s.mask.shape == (h, w)
         assert set(np.unique(s.mask)) == {0, 1, 2}
+
+
+# sha256 over each sample's float64 image bytes, mask bytes and patient id, in
+# order; the 8-class settings re-draw layouts whose shapes found no room
+SYNTHETIC_RAW_SHA256 = {
+    (5, 3, 32, 32): "1d556d4b43c121313444858fdb0dbbf05332b1a58dce150be056ea36decd7a22",
+    (7, 5, 32, 32): "c8d811de13ae4d8e7367d6450eaa86e5972aff8e95d8c63238a96e53dcd4197a",
+    (9, 3, 16, 32): "8a9ed8d916d216489e642b8179fe580791a2e77593dd775fed0a581dfa40638a",
+    (11, 8, 32, 32): "3218d0d49c6f6bb3e202a5b12599e06bca62ec1cad7aa29961109afa1793d9d9",
+    (13, 8, 16, 16): "15e704a6c1a417551058490d52096c0a07340b652a79123c03ead50ee5f927c3",
+}
+
+
+@pytest.mark.parametrize("seed, k, h, w", list(SYNTHETIC_RAW_SHA256))
+def test_synthetic_samples_keep_their_pinned_raw_bytes(seed: int, k: int, h: int, w: int) -> None:
+    digest = hashlib.sha256()
+    for s in generate_synthetic(seed, 200, h, w, k).samples:
+        digest.update(s.image.tobytes())
+        digest.update(s.mask.tobytes())
+        digest.update(b"%d;" % s.patient_id)
+    assert digest.hexdigest() == SYNTHETIC_RAW_SHA256[seed, k, h, w]
 
 
 def test_synthetic_rejects_bad_args() -> None:
