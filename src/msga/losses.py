@@ -10,14 +10,13 @@ foreground classes only by callers.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from msga.data import check_fields
-from msga.tape import Plan, Tape, lower
+from msga.tape import seg_loss_value
 
 DEFAULT_CE_WEIGHT = 0.2   # weight on cross-entropy; dice gets the complement
 DEFAULT_DICE_SMOOTH = 1e-5
@@ -54,24 +53,15 @@ def downsample_labels(labels: np.ndarray, factor: int) -> np.ndarray:
     return np.argmax(counts, axis=-1).astype(labels.dtype)
 
 
-@functools.lru_cache(maxsize=1)   # the last plan only, as model.forward keeps its own
-def _loss_plan(shape: tuple[int, int], smooth: float, ce_weight: float) -> Plan:
-    tape = Tape()   # labels of the logits' row count: each replay takes and checks its own
-    z = tape.leaf(np.zeros(shape))
-    loss = tape.seg_loss(z, np.zeros(shape[0], np.int64), smooth, ce_weight)
-    return Plan(lower(tape, loss, (), (loss,)))
-
-
 def _seg_loss(m: np.ndarray, y: np.ndarray, smooth: float, ce_weight: float) -> float:
-    """The tape's seg-loss of (h, w, k) logits, as a (pixels, k) leaf, and (h, w) labels."""
+    """The tape's seg-loss rule on (h, w, k) logits, as (pixels, k), and (h, w) labels."""
     m = np.asarray(m, dtype=np.float64)
     y = np.asarray(y)
     if m.ndim != 3:
         raise ValueError(f"mask logits must be (h, w, k), got shape {m.shape}")
     if y.shape != m.shape[:2]:
         raise ValueError(f"label map {y.shape} does not match logits grid {m.shape[:2]}")
-    z = m.reshape(-1, m.shape[2])
-    return _loss_plan(z.shape, float(smooth), float(ce_weight)).replay([z], y.reshape(-1))[0][0]
+    return seg_loss_value(m.reshape(-1, m.shape[2]), y.reshape(-1), smooth, ce_weight)
 
 
 def cross_entropy(m: np.ndarray, y: np.ndarray) -> float:

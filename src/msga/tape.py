@@ -25,9 +25,10 @@ its record's `keeps` maps to their shapes; a backward rule gets the node's input
 in order, None where it reads none. No rule writes into its inputs, adjoint or aux.
 
 `schedule` works out a tape's plan as data, from its shapes, op arguments and
-records, before anything runs; `emit` writes that `Schedule` as two texts of
-straight-line Python, which a Plan, built from `lower`'s output with no array of
-the tape, compiles once each. A read is a value id or a `(node id, term)` pair.
+records, before anything runs; `emit` writes that `Schedule` as two texts, each one
+function of straight-line Python, which a Plan, built from `lower`'s output with no
+array of the tape, compiles once each into one scope of numpy, the op arguments and
+the rules. A read is a value id or a `(node id, term)` pair.
 """
 
 from __future__ import annotations
@@ -185,7 +186,12 @@ class Plan:
 
     def __init__(self, lowered: tuple):
         forward, backward, consts, self.leaves, self.labelled = lowered
-        self._forward, self._backward = _compile(forward, consts), _compile(backward, consts)
+        scope = {"np": np, "A": consts, **{   # every rule, by the name a text calls it
+            f"{way}_{_name(kind)}": rule for kind, r in _OPS.items() for way, rule in (
+                ("fwd", r.fwd), ("bwd", r.bwd), ("val", r.value), ("rb", r.rebuild)) if rule}}
+        for text in (forward, backward):   # one at a time, into the functions' globals
+            exec(compile(text, "<plan>", "exec"), scope)
+        self._forward, self._backward = scope["forward"], scope["backward"]
 
     def run(self, samples: Iterable[tuple], sums: dict[int, np.ndarray] | None = None
             ) -> tuple[list[float], dict[int, np.ndarray]]:
@@ -318,10 +324,10 @@ def _nbytes(shape: tuple) -> int:   # of a float64 array, or of a tuple of them 
 
 
 def emit(tape: Tape, s: Schedule) -> tuple[str, str, tuple]:
-    """A schedule as two Python texts and the op arguments A they read, each a module whose
-    `plan(np, A, <rules>)` factory returns one function: `forward(labels, *leaves)`, one
-    line per op and a `del` of what it frees, returning the `reads` and K; `backward(K)`,
-    one rule call per step after its rebuilds, returning the dict G of wanted adjoints."""
+    """A schedule as two Python texts and the op arguments A they read, each one function
+    that reads `np`, A and the rules by name: `forward(labels, *leaves)`, one line per op
+    and a `del` of what it frees, returning the `reads` and K; `backward(K)`, one rule
+    call per step after its rebuilds, returning the dict G of wanted adjoints."""
     nodes, fwd, consts, auxes = tape.nodes, [], [], {}
     for nid, value_only, binds, frees in s.forward:
         n, items = nodes[nid], []
@@ -353,34 +359,17 @@ def emit(tape: Tape, s: Schedule) -> tuple[str, str, tuple]:
                 f"del {', '.join(gone)}"]
     zeros = ", ".join(f"{i}: np.zeros({nodes[i].shape!r})" for i in s.zeros)
     names = ", ".join(f"x{i}" if aux else f"v{i}" for i, aux in s.kept)
-    rules = ", ".join(name for name, _ in _rules())
 
-    def module(name: str, params: str, lines: list[str]) -> str:   # a factory of one function
-        return (f"def plan(np, A, {rules}):\n    def {name}({params}):\n        "
-                + "\n        ".join(lines) + f"\n    return {name}\n")
+    def function(header: str, lines: list[str]) -> str:
+        return f"def {header}:\n    " + "\n    ".join(lines) + "\n"
     leaves = ", ".join(["labels", *(f"v{nid}" for nid, n in enumerate(nodes) if n.op == "leaf")])
-    return (module("forward", leaves, [*fwd, f"return [{returned}], [{names}]"]),
-            module("backward", "K", [f"[{names}] = K", "K.clear()", f"G = {{{zeros}}}", *bwd,
-                                     "return G"]), tuple(consts))
+    return (function(f"forward({leaves})", [*fwd, f"return [{returned}], [{names}]"]),
+            function("backward(K)", [f"[{names}] = K", "K.clear()", f"G = {{{zeros}}}", *bwd,
+                                    "return G"]), tuple(consts))
 
 
 def _name(op: str) -> str:
     return op.replace("-", "_")
-
-
-def _rules() -> list[tuple[str, Callable]]:
-    """Every rule a plan's text may call, by the name it calls it: each op kind's
-    forward, backward, value-only forward and rebuild, where it has them."""
-    return [(f"{way}_{_name(kind)}", rule) for kind, r in _OPS.items() for way, rule in (
-        ("fwd", r.fwd), ("bwd", r.bwd), ("val", r.value), ("rb", r.rebuild)) if rule]
-
-
-def _compile(text: str, consts: tuple) -> Callable:
-    """The one function of one of `emit`'s texts, closed over numpy, the op
-    arguments and the rules, so each is a cell and not a global lookup."""
-    scope = {}   # outlives the exec as the function's globals
-    exec(compile(text, "<plan>", "exec"), scope)
-    return scope.pop("plan")(np, consts, *(rule for _, rule in _rules()))
 
 
 # ---------------------------------------------------------------------------
@@ -770,6 +759,13 @@ _OPS: dict[str, OpRules] = {
 }
 
 OP_KINDS = tuple(_OPS)
+
+
+def seg_loss_value(z: np.ndarray, labels, smooth: float, ce_weight: float) -> float:
+    """The seg-loss of float64 (rows, classes) logits z: the forward rule a plan's seg-loss
+    line runs, on the labels a replay checks and hands it."""
+    return float(_fwd_seg_loss(z, {"labels": _check_labels(z.shape, labels),
+                                   "smooth": float(smooth), "ce_weight": float(ce_weight)}))
 
 
 def finite_diff_check(

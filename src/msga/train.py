@@ -246,6 +246,8 @@ def evaluate(
     cfg = params.config
     if ds.classes != cfg.classes:
         raise ValueError(f"dataset has {ds.classes} classes, model expects {cfg.classes}")
+    if not ds.samples:
+        raise ValueError("evaluation dataset is empty")
     scores = []
     for sample in ds.samples:
         gt = downsample_labels(sample.mask, cfg.patch_size)

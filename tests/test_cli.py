@@ -23,6 +23,7 @@ from msga.config import (
 )
 from msga.model import init_model, load_checkpoint, save_checkpoint
 from msga.train import model_config
+from test_data import BAD_PGM_HEADERS
 
 FAST = [
     "--image-h", "16", "--image-w", "16", "--embed-dim", "8", "--blocks", "1",
@@ -253,6 +254,25 @@ def test_cli_classes_that_find_no_room_exit_2_instead_of_looping(tmp_path) -> No
     assert run.stderr.startswith("error: config field 'classes': 11 disjoint shapes"), run.stderr
 
 
+def test_cli_config_file_line_without_equals_exits_2_naming_its_line(tmp_path, capsys) -> None:
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("# comment\nseed 3\n")
+    assert main(["train", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"error: config field '<file>': {bad}:2: expected "
+                                       "key=value, got 'seed 3'\n")
+
+
+def test_cli_classes_that_find_no_room_exit_2_naming_classes_in_process(tmp_path, capsys) -> None:
+    # the generator's give-up branch in this process; the subprocess test above keeps a
+    # timeout in case generation loops
+    assert main(["train", "--image-h", "16", "--image-w", "16", "--classes", "40",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'classes': 39 disjoint shapes found no room "
+                          "in a 16x16 image in "), err
+    assert err.endswith(" layouts (sample 0)\n") and len(err.splitlines()) == 1, err
+
+
 def test_cli_exit_code_2_on_unknown_config_key(tmp_path) -> None:
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense=1\n")
@@ -327,6 +347,15 @@ def test_train_divergence_exits_4_naming_step_and_writes_no_checkpoint(tmp_path)
     assert "Traceback" not in run.stderr
     assert not os.path.exists(os.path.join(out, "model.msga"))
     assert not os.path.exists(os.path.join(out, "train_log.csv"))
+
+
+def test_train_non_finite_loss_exits_4_naming_the_step(tmp_path, capsys) -> None:
+    # a full-model lr of 1e300 overflows the weights at step 0: step 1's loss is nan,
+    # caught before its gradient is checked
+    out = str(tmp_path / "run")
+    assert main(["train", *FAST, "--full-lr", "1e300", "--out", out]) == 4
+    assert capsys.readouterr().err == "error: training diverged at step 1: loss is nan\n"
+    assert not os.path.exists(os.path.join(out, "model.msga"))
 
 
 def test_train_divergence_prints_only_its_error_line(tmp_path) -> None:
@@ -436,6 +465,40 @@ def test_manifest_errors_name_config_key(tmp_path, capsys) -> None:
     assert "config field 'manifest'" in capsys.readouterr().err
 
 
+def _break_manifest(directory, case: str | bytes) -> str:
+    """A two-sample manifest in `directory`, broken as `case` names or with the PGM
+    header `case` as its first image; returns its path."""
+    from msga.data import generate_synthetic, save_dataset, save_labels_pgm
+
+    manifest = save_dataset(generate_synthetic(3, 2, 16, 16, 3), str(directory))
+    lines = _read(manifest).splitlines()
+    if case == "two fields":
+        lines[1] = lines[1].rsplit("\t", 1)[0]
+    elif case == "mask shape":
+        save_labels_pgm(np.zeros((16, 32), np.uint8), os.path.join(directory, "mask_0001.pgm"))
+    elif case == "no samples":
+        lines = ["", "  "]
+    else:
+        with open(os.path.join(directory, "image_0000.pgm"), "wb") as fh:
+            fh.write(case)
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return manifest
+
+
+@pytest.mark.parametrize("case, message", [
+    ("two fields", "manifest line needs 3 tab-separated fields: 'image_0001.pgm\\tmask_0001.pgm'"),
+    ("mask shape", "image/mask shape mismatch for image_0001.pgm"),
+    ("no samples", "manifest {manifest} lists no samples"),
+    *((data, f"{message} (byte offset {offset})") for data, message, offset in BAD_PGM_HEADERS),
+])
+def test_a_bad_manifest_exits_2_naming_the_manifest(tmp_path, capsys, case, message) -> None:
+    manifest = _break_manifest(tmp_path / "data", case)
+    assert main(["train", *FAST, "--manifest", manifest, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (f"error: config field 'manifest': "
+                                       f"{message.format(manifest=manifest)}\n")
+
+
 # ---------------------------------------------------------------------------
 # memreport
 
@@ -477,6 +540,12 @@ def test_sweep_single_budget_matches_eval(tmp_path) -> None:
     mean_row = metrics[-1].split(",")
     assert float(mean_row[1]) == float(dice)
     assert float(mean_row[2]) == float(hd)
+
+
+def test_sweep_without_budgets_exits_2(tmp_path, capsys) -> None:
+    assert main(["sweep", *FAST, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("error: config field 'budgets': sweep needs --budgets, "
+                                       "e.g. 25,50,100\n")
 
 
 def test_sweep_rejects_oversized_budget(tmp_path) -> None:

@@ -151,6 +151,23 @@ def test_pgm_truncated_payload_reports_offset() -> None:
     assert info.value.offset > 0
 
 
+# malformed PGM headers, each with its message and the byte offset it names: the
+# comment's '#', then the byte after maxval's last digit
+BAD_PGM_HEADERS = [
+    (b"P5\n# a comment that runs to the end", "comment reaches end of file", 3),
+    (b"P5\n0 2\n255\n", "degenerate dimensions 0x2", 10),
+    (b"P5\n2 2\n255", "missing single whitespace after maxval", 10),
+]
+
+
+@pytest.mark.parametrize("data, message, offset", BAD_PGM_HEADERS)
+def test_pgm_header_errors_give_their_byte_offsets(data, message, offset) -> None:
+    with pytest.raises(PgmError) as info:
+        load_pgm_bytes(data)
+    assert str(info.value) == f"{message} (byte offset {offset})"
+    assert info.value.offset == offset
+
+
 def test_pgm_unsupported_maxval() -> None:
     with pytest.raises(PgmError, match="maxval"):
         load_pgm_bytes(b"P5\n2 2\n16383\n" + bytes(8))

@@ -310,24 +310,23 @@ def test_dice_loss_stays_finite_where_the_cross_entropy_is_infinite() -> None:
     assert math.isfinite(got) and got == 1.0 - ratios.mean()
 
 
-def test_a_loss_call_on_the_last_shape_and_settings_compiles_nothing(monkeypatch) -> None:
-    # one plan per (logits shape, smooth, ce_weight), the last one only, as model.forward
-    # keeps its own; a replay gives what a freshly recorded tape gives
+def test_a_loss_call_compiles_nothing_and_gives_a_recorded_tapes_bits(monkeypatch) -> None:
+    # each C6 function runs the seg-loss forward rule on its inputs, as a plan's forward
+    # line does: no text is compiled, and each gives what a freshly recorded tape gives
     texts = []
     _watch_compile(monkeypatch, texts.append)
-    m, y = _c6_inputs()
-    cross_entropy(m, y)
-    texts.clear()
     rng = np.random.default_rng(7)
+    config = LossConfig()
     for _ in range(3):
         m, y = rng.standard_normal((4, 4, 3)), rng.integers(0, 3, (4, 4))
         tape = Tape()
-        want = tape.value(tape.softmax_ce(tape.leaf(m.reshape(-1, 3)), y.reshape(-1)))
+        z, labels = tape.leaf(m.reshape(-1, 3)), y.reshape(-1)
+        want = [tape.value(tape.softmax_ce(z, labels)),
+                tape.value(tape.soft_dice(z, labels, DEFAULT_DICE_SMOOTH)),
+                tape.value(tape.seg_loss(z, labels, config.dice_smooth, config.ce_weight))]
         texts.clear()
-        assert cross_entropy(m, y) == float(want) and texts == []
-    dice_loss(m, y)   # other settings: a new plan, which replaces cross_entropy's
-    cross_entropy(m, y)
-    assert len(texts) == 4
+        got = [cross_entropy(m, y), dice_loss(m, y), combined_loss(m, y, config)]
+        assert got == [float(w) for w in want] and texts == []
 
 
 def test_combined_loss_endpoints_exact() -> None:

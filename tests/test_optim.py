@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from msga.config import ConfigError, RunConfig
+from msga.data import Dataset
 from msga.model import ModelConfig, init_model
 from msga.optim import (
     AdamWState,
@@ -753,6 +754,12 @@ def _per_class_evaluate(params, ds, boundary: bool, oracle: bool) -> list[ClassM
                          dice=float(np.mean([p[0] for p in per_class[c]])),
                          hd95=float(np.mean([p[1] for p in per_class[c]])))
             for c in range(1, cfg.classes)]
+
+
+def test_evaluate_rejects_an_empty_dataset() -> None:
+    # a mean over no images is nan for every class; the run stops with an error instead
+    with pytest.raises(ValueError, match="^evaluation dataset is empty$"):
+        evaluate(init_model(ModelConfig(), 0), Dataset((), 3, "x"))
 
 
 def test_evaluate_equals_the_per_class_loop_and_memoises_only_distance_tables() -> None:

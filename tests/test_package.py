@@ -121,26 +121,50 @@ def test_every_name_has_one_public_home() -> None:
     assert module_boundary_breaches(os.path.dirname(msga.__file__)) == []
 
 
-def orphaned_private_names(src: str) -> list[str]:
-    """`module:line: name` for each top-level `_` function or class in `src` whose name
-    no code in `src` reads outside its own definition, as a rule or helper left over
-    once the last of its callers is gone."""
+def unread_names(src: str, private: bool) -> list[str]:
+    """`module:line: name` for each top-level name in `src` whose name no code in `src`
+    reads outside its own definition: a `_` function or class when `private`, else a
+    public function, class or assigned constant."""
     trees = {}
     for path in sorted(glob.glob(os.path.join(src, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             trees[os.path.basename(path)[:-3]] = ast.parse(fh.read(), path)
 
-    def reads(tree: ast.AST) -> list[str]:
-        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
-                if isinstance(n, (ast.Name, ast.Attribute))]
+    def reads(tree: ast.AST) -> list[str]:   # a load by name or attribute, or an import
+        return [*(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                  if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)),
+                *(a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                  for a in n.names)]
 
     every = [name for tree in trees.values() for name in reads(tree)]
-    return [f"{module}:{node.lineno}: {node.name}"
-            for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and every.count(node.name) == reads(node).count(node.name)]
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and not private:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{module}:{node.lineno}: {name}" for name in names
+                      if name.startswith("_") == private and not name.startswith("__")
+                      and every.count(name) == reads(node).count(name)]
+    return found
 
 
 def test_no_private_name_in_src_lacks_a_caller() -> None:
-    assert orphaned_private_names(os.path.dirname(msga.__file__)) == []
+    # a rule or helper left over once the last of its callers is gone
+    assert unread_names(os.path.dirname(msga.__file__), private=True) == []
+
+
+# public names no src/ code reads, each kept as a surface the acceptance checks and unit
+# tests call: save_dataset writes the digests' manifests, C6 calls the three losses, and
+# C3 and the tape tests call finite_diff_check and enumerate OP_KINDS
+TEST_SURFACE = {"save_dataset", "cross_entropy", "dice_loss", "combined_loss", "OP_KINDS",
+                "finite_diff_check"}
+
+
+def test_every_public_name_in_src_has_a_caller_or_is_test_surface() -> None:
+    unread = unread_names(os.path.dirname(msga.__file__), private=False)
+    assert [entry for entry in unread if entry.rsplit(" ", 1)[1] not in TEST_SURFACE] == []

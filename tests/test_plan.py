@@ -680,10 +680,11 @@ def test_forward_peak_stays_under_half_of_the_recorded_tape() -> None:
 
 
 # tracemalloc peak of one first-call default forward, compile included, after an earlier
-# forward for the same key was dropped (x86_64, numpy 2.4, Python 3.11, run alone; 341,512 B
-# inside the whole suite; 561,389 B while the record computed the image eagerly; 887,798 B
-# while that recorded tape lived through one compile of both functions)
-FIRST_FORWARD_PEAK_BYTES = 345_120
+# forward for the same key was dropped (x86_64, numpy 2.4, Python 3.11, run alone; 313,385 B
+# inside the whole suite; 340,759 B while each text was a factory closing over the rules;
+# 561,389 B while the record computed the image eagerly; 887,798 B while that recorded
+# tape lived through one compile of both functions)
+FIRST_FORWARD_PEAK_BYTES = 312_825
 
 
 def test_a_first_forward_call_peaks_within_its_bound(monkeypatch) -> None:
@@ -809,10 +810,11 @@ def test_default_training_peak_after_step_2_stays_within_its_bound(monkeypatch) 
 
 
 # tracemalloc peak of a whole default 8-step medsaga train_model, compile included, after
-# a 1-step run (x86_64, numpy 2.4, Python 3.11, run alone; 693,654 B inside the whole
-# suite; 702,540 B while the record computed one sample eagerly; 1,685,176 B while that
-# recorded tape lived through one compile of both functions)
-RUN_PEAK_BYTES = 699_230
+# a 1-step run (x86_64, numpy 2.4, Python 3.11, run alone; 663,825 B inside the whole
+# suite; 693,745 B while each text was a factory closing over the rules; 702,540 B while
+# the record computed one sample eagerly; 1,685,176 B while that recorded tape lived
+# through one compile of both functions)
+RUN_PEAK_BYTES = 665_273
 
 
 def test_a_whole_default_training_run_peaks_within_its_bound() -> None:
@@ -905,18 +907,17 @@ def test_plan_source_is_deterministic_and_shows_liveness(monkeypatch, kind) -> N
         assert deleted.keys() <= bound.keys()
     assert _bindings_and_dels(forward_text.splitlines())[1]   # the forward frees values
     # a forward-only plan emits no backward step; a training plan one per backward node
-    body = backward_text[backward_text.index("def backward(K):"):]   # past the rule names
-    assert ("bwd_" in body) == (kind == "training")
+    assert ("bwd_" in backward_text) == (kind == "training")
 
 
 # sha256 of the forward and backward texts of the default medsaga training plan and of the
-# default forward-only plan, as emitted when the schedule was split from the emitter; a
+# default forward-only plan, as emitted once each text became one plain function; a
 # change to the schedule or the emitter that moves a text restates them here
 PLAN_TEXT_SHA256 = {
-    "training": ("e6002e4c57a295824d0faff3d922889931f848b67bdd351fd11266047baf5f0d",
-                 "9ea0df7aeba830e5880540dd573659874b20d8ffb8d9d905f1a4552c089e1d69"),
-    "forward-only": ("68db0b0e183223e232fa66b2a80949832c48c3423060bf83a5ad3cb2f13d95ba",
-                     "10c587f77a36ef611c08a0a6e9de6e3fb267cc098be8ee9974480b905c06e559"),
+    "training": ("54f7f3b43b8c74e9e9c3f5d2c7b9eeab34886bb11ed4378b288391c202f4df6a",
+                 "531b00a8150a4440413fee100ce1bd9fa3ed2888162a14af795b469287eabf82"),
+    "forward-only": ("7748640324ce749ae2f762a5e56c2f9114ca1f07a6b1f10387a5b5003e60569d",
+                     "5738d9664ca392e23f557904381865965ea48fb35d85df7e4b60a9db2201f3de"),
 }
 
 
