@@ -21,8 +21,9 @@ per logits shape.
 
 A forward rule `fwd(*inputs, aux)` gets a fresh dict of the node's op arguments
 and keeps in it what its backward `bwd(g, *inputs, aux)` reads, under the keys
-its record's `keeps` maps to their shapes; a backward rule gets the node's inputs
-in order, None where it reads none. No rule writes into its inputs, adjoint or aux.
+its record's `keeps` maps to their shapes; a backward rule gets the node's inputs in order,
+None where no wanted adjoint reads one, and gives None for an adjoint whose read inputs
+are None. No rule writes into its inputs, adjoint or aux.
 
 `schedule` works out a tape's plan as data, from its shapes, op arguments and
 records, before anything runs; `emit` writes that `Schedule` as two texts, each one
@@ -241,8 +242,8 @@ class Schedule:
     forward: tuple[tuple, ...]
     # per backward node in reverse node order: (node, the rebuilds that run just before its
     # rule, each (value, its rebuild's input ids), the input ids its rule is handed, None where
-    # it reads none, per input None if no wanted leaf needs its adjoint and else whether it
-    # adds to an earlier contribution, the values no later step reads)
+    # no wanted adjoint reads one, per input None if no wanted leaf needs its adjoint and else
+    # whether it adds to an earlier contribution, the values no later step reads)
     steps: tuple[tuple, ...]
     kept: tuple[tuple[int, bool], ...]   # the kept list K: (id, is_aux), a value or its aux
     kept_bytes: int                      # of K's non-leaf entries, from their shapes
@@ -251,7 +252,7 @@ class Schedule:
 def schedule(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
              reads: tuple = ()) -> Schedule:
     """The tape's Schedule, the same for the same tape. A backward node keeps the inputs its
-    rule reads and its aux until its step; a value whose record has a rebuild rule is rebuilt
+    wanted adjoints read and its aux until its step; a value with a rebuild rule is rebuilt
     instead, just before its first reader, a rule or a rebuild, from the rebuild's inputs,
     leaves, kept or rebuilt themselves (a step's rebuilds in node order, so inputs first).
     Any other value is freed after its last forward reader unless a read names it."""
@@ -276,8 +277,9 @@ def schedule(tape: Tape, loss_id: int, wanted: Iterable[int] | None = None,
             for i in n.inputs:   # a first contribution binds; a later one adds
                 adjoints.append(i in bound if reaches[i] else None)
                 bound.update([i] if reaches[i] else [])
-            steps.append((nid, tuple(i if k in _OPS[n.op].reads else None
-                                     for k, i in enumerate(n.inputs)), tuple(adjoints)))
+            need = {k for j, i in enumerate(n.inputs) if reaches[i] for k in _OPS[n.op].reads[j]}
+            steps.append((nid, tuple(i if k in need else None for k, i in enumerate(n.inputs)),
+                          tuple(adjoints)))
     read = {i for _, args, _ in steps for i in args if i is not None}
     rebuilt = {}   # a read value the backward rebuilds -> its rebuild's inputs, None if unread
     for i in sorted(read):   # in node order, so a step runs a rebuild's inputs first
@@ -621,10 +623,10 @@ def _fwd_embed_lookup(table, aux):
 # backward rules; each returns one adjoint per input, matching input shapes
 
 
-def _bwd_matmul(g, a, b, aux):
-    if aux["transpose_b"]:
-        return _dot(g, b), _dot(g.T, a)
-    return _dot(g, b.T), _dot(a.T, g)
+def _bwd_matmul(g, a, b, aux):   # a's adjoint reads b, b's reads a: None without it
+    nt = aux["transpose_b"]
+    return (None if b is None else _dot(g, b if nt else b.T),
+            None if a is None else _dot(g.T, a) if nt else _dot(a.T, g))
 
 
 def _bwd_add(g, a, b, aux):
@@ -642,6 +644,8 @@ def _bwd_scale(g, a, aux):
 
 def _bwd_attention(g, q, k, v, aux):
     gp, gv = _bwd_matmul(g, aux["probs"], v, _NN)
+    if gp is None:   # v not handed: neither q's adjoint nor k's is wanted
+        return None, None, gv
     gs = _softmax_rows_adjoint(gp, aux["probs"], gp)   # gp is this rule's own
     gs *= aux["c"]
     gq, gk = _bwd_matmul(gs, q, k, _NT)
@@ -659,6 +663,8 @@ def _bwd_layernorm(g, x, gain, bias, aux):
     t = g * xhat
     dgain = t.sum(axis=0, keepdims=True)
     dbias = g.sum(axis=0, keepdims=True)
+    if gain is None:   # x's adjoint is not wanted
+        return None, dgain, dbias
     dx = g * gain
     proj = np.multiply(dx, xhat, out=t).sum(axis=1, keepdims=True) / n
     dx -= dx.sum(axis=1, keepdims=True) / n
@@ -713,13 +719,13 @@ def _bwd_embed_lookup(g, table, aux):
 @dataclass(frozen=True)
 class OpRules:
     """All the rules of one op kind: the forward `fwd(*inputs, aux)`; the backward
-    `bwd(g, *inputs, aux)`, one adjoint per input, handed by value only the inputs at
-    `reads` (None elsewhere); `arity`, the input count, fixed here so a wrapped rule
-    keeps it; the shape rule `shape`, on the inputs' shapes and the aux, which only
-    Tape.record runs; `keeps`, each aux key the forward sets and its shape from the
-    inputs' shapes, a 0-d one a term a plan may read; `value`, a forward keeping nothing,
-    for a node no backward step reads; `rebuild`, the forward's own code path for the
-    output from the inputs at `rebuild_reads` and the aux."""
+    `bwd(g, *inputs, aux)`, one adjoint per input, the j-th None when an input `reads[j]`
+    names is None; `arity`, the input count, fixed here so a wrapped rule keeps it; the
+    shape rule `shape`, on the inputs' shapes and the aux, which only Tape.record runs;
+    `keeps`, each aux key the forward sets and its shape from the inputs' shapes, a 0-d
+    one a term a plan may read; `value`, a forward keeping nothing, for a node no
+    backward step reads; `rebuild`, the forward's own code path for the output from the
+    inputs at `rebuild_reads` and the aux."""
 
     fwd: Callable
     bwd: Callable
@@ -733,29 +739,29 @@ class OpRules:
 
 
 _OPS: dict[str, OpRules] = {
-    "matmul": OpRules(_fwd_matmul, _bwd_matmul, (0, 1), 2, _shape_matmul,
+    "matmul": OpRules(_fwd_matmul, _bwd_matmul, ((1,), (0,)), 2, _shape_matmul,
                       rebuild=_fwd_matmul, rebuild_reads=(0, 1)),
-    "add": OpRules(_fwd_add, _bwd_add, (), 2, _shape_add),
-    "linear": OpRules(_fwd_linear, _bwd_linear, (0, 1), 3, _shape_linear),
-    "scale": OpRules(_fwd_scale, _bwd_scale, (), 1, lambda a, aux: a),
-    "attention": OpRules(_fwd_attention, _bwd_attention, (0, 1, 2), 3, _shape_attention,
+    "add": OpRules(_fwd_add, _bwd_add, ((), ()), 2, _shape_add),
+    "linear": OpRules(_fwd_linear, _bwd_linear, ((1,), (0,), ()), 3, _shape_linear),
+    "scale": OpRules(_fwd_scale, _bwd_scale, ((),), 1, lambda a, aux: a),
+    "attention": OpRules(_fwd_attention, _bwd_attention, ((1, 2), (0, 2), ()), 3, _shape_attention,
                          {"probs": lambda q, k, v: (q[0], k[0])}, rebuild=_attention_output,
                          rebuild_reads=(2,)),
-    "gelu": OpRules(_fwd_gelu, _bwd_gelu, (), 1, lambda x, aux: x, {"deriv": lambda x: x},
+    "gelu": OpRules(_fwd_gelu, _bwd_gelu, ((),), 1, lambda x, aux: x, {"deriv": lambda x: x},
                     value=_gelu_value),
-    "layernorm": OpRules(_fwd_layernorm, _bwd_layernorm, (1,), 3, _shape_layernorm,
+    "layernorm": OpRules(_fwd_layernorm, _bwd_layernorm, ((1,), (), ()), 3, _shape_layernorm,
                          {"xhat": lambda x, gain, bias: x, "std": lambda x, gain, bias: (x[0], 1)},
                          rebuild=_layernorm_affine, rebuild_reads=(1, 2)),
-    "softmax-rows": OpRules(_fwd_softmax_rows, _bwd_softmax_rows, (), 1, _shape_softmax_rows,
+    "softmax-rows": OpRules(_fwd_softmax_rows, _bwd_softmax_rows, ((),), 1, _shape_softmax_rows,
                             {"probs": lambda x: x}),
-    "seg-loss": OpRules(_fwd_seg_loss, _bwd_seg_loss, (), 1, _shape_seg_loss,
+    "seg-loss": OpRules(_fwd_seg_loss, _bwd_seg_loss, ((),), 1, _shape_seg_loss,
                         {"ce": lambda z: (), "dice": lambda z: (),
                          "pieces": lambda z: (z, z, z[1:], z[1:])}),   # p, onehot, inter, sums
-    "reshape": OpRules(_fwd_reshape, _bwd_reshape, (0,), 1, _shape_reshape),
-    "patchify": OpRules(_fwd_patchify, _bwd_patchify, (0,), 1, _shape_patchify,
+    "reshape": OpRules(_fwd_reshape, _bwd_reshape, ((0,),), 1, _shape_reshape),
+    "patchify": OpRules(_fwd_patchify, _bwd_patchify, ((0,),), 1, _shape_patchify,
                         rebuild=_fwd_patchify, rebuild_reads=(0,)),
-    "mean": OpRules(_fwd_mean, _bwd_mean, (0,), 1, lambda a, aux: ()),
-    "embed-lookup": OpRules(_fwd_embed_lookup, _bwd_embed_lookup, (0,), 1, _shape_embed_lookup),
+    "mean": OpRules(_fwd_mean, _bwd_mean, ((0,),), 1, lambda a, aux: ()),
+    "embed-lookup": OpRules(_fwd_embed_lookup, _bwd_embed_lookup, ((0,),), 1, _shape_embed_lookup),
 }
 
 OP_KINDS = tuple(_OPS)

@@ -428,12 +428,17 @@ def test_eval_requires_checkpoint_or_oracle(tmp_path) -> None:
     assert main(["eval", *FAST, "--out", str(tmp_path)]) == 2
 
 
-def test_eval_rejects_class_mismatch(tmp_path) -> None:
+def test_eval_rejects_class_mismatch(tmp_path, capsys) -> None:
+    # the checkpoint's 3-class head fails its restore before evaluate compares the class
+    # counts, whose own error test_optim's direct evaluate test pins
     out = str(tmp_path / "run")
     assert main(["train", *FAST, "--total-steps", "0", "--out", out]) == 0
-    code = main(["eval", *FAST, "--classes", "4",
-                 "--checkpoint", os.path.join(out, "model.msga"), "--out", out])
+    capsys.readouterr()
+    checkpoint = os.path.join(out, "model.msga")
+    code = main(["eval", *FAST, "--classes", "4", "--checkpoint", checkpoint, "--out", out])
     assert code == 2
+    assert capsys.readouterr().err == (f"error: {checkpoint}: decoder/fc2/weight has shape "
+                                       "(8, 3), expected (8, 4)\n")
 
 
 def test_train_from_manifest_and_eval_via_echo(tmp_path) -> None:

@@ -92,6 +92,8 @@ def test_synthetic_rejects_bad_args() -> None:
         generate_synthetic(0, 5, 32, 32, 1)
     with pytest.raises(ValueError):
         generate_synthetic(0, 5, 8, 32, 2)
+    with pytest.raises(ValueError, match="^count must be positive, got 0$"):
+        generate_synthetic(0, 0, 16, 16, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +198,19 @@ def test_pgm_fuzzed_headers_never_crash() -> None:
             pass
 
 
+@pytest.mark.parametrize("save, array, message", [
+    (save_pgm, np.zeros((2, 2, 2)), r"image must be 2-D, got shape \(2, 2, 2\)"),
+    (save_labels_pgm, np.zeros((2, 2, 2), dtype=int),
+     r"label map must be 2-D, got shape \(2, 2, 2\)"),
+    (save_labels_pgm, np.array([[0, 256]]), r"label values must fit 8-bit PGM \(0\.\.255\)"),
+], ids=["image-3d", "labels-3d", "label-256"])
+def test_pgm_writers_reject_what_8_bit_pgm_cannot_hold(tmp_path, save, array, message) -> None:
+    path = tmp_path / "x.pgm"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        save(array, str(path))
+    assert not path.exists()
+
+
 def test_labels_pgm_round_trip(tmp_path) -> None:
     labels = np.random.default_rng(1).integers(0, 5, (8, 8))
     path = str(tmp_path / "mask.pgm")
@@ -261,6 +276,13 @@ def test_split_needs_two_patients() -> None:
     ds = generate_synthetic(29, 5, 16, 16, 2)  # single patient
     with pytest.raises(ValueError, match="patients"):
         split_by_patient(ds, 0.5, seed=0)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0])
+def test_split_rejects_a_test_fraction_outside_the_open_unit_interval(fraction) -> None:
+    ds = generate_synthetic(0, 10, 16, 16, 2)
+    with pytest.raises(ValueError, match=rf"^test_fraction must be in \(0, 1\), got {fraction}$"):
+        split_by_patient(ds, fraction, seed=0)
 
 
 def test_few_shot_full_budget_is_permutation() -> None:

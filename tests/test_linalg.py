@@ -175,6 +175,11 @@ def test_truncated_svd_rank_out_of_range() -> None:
         truncated_svd(g, 0)
 
 
+def test_truncated_svd_rejects_a_non_matrix() -> None:
+    with pytest.raises(ValueError, match=r"^truncated_svd expects a matrix, got shape \(4,\)$"):
+        truncated_svd(np.ones(4), 1)
+
+
 def test_softmax_symmetric_fiber() -> None:
     t = np.zeros((1, 1, 2))
     assert np.allclose(softmax_last_dim(t), 0.5)

@@ -17,6 +17,7 @@ from msga.losses import (
     hd95,
     image_metrics,
 )
+from msga.model import postprocess
 from msga.tape import Tape, finite_diff_check
 from test_plan import _watch_compile
 
@@ -198,6 +199,19 @@ def test_cross_entropy_matches_enumeration_oracle() -> None:
     m = rng.standard_normal((2, 2, 3))
     y = rng.integers(0, 3, (2, 2))
     assert abs(cross_entropy(m, y) - ce_enumeration_oracle(m, y)) < 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: downsample_labels(np.zeros((2, 2, 2), dtype=int), 1),
+     r"label map must be 2-D, got shape \(2, 2, 2\)"),
+    (lambda: cross_entropy(np.zeros((4, 3)), np.zeros((2, 2), dtype=int)),
+     r"mask logits must be \(h, w, k\), got shape \(4, 3\)"),
+    (lambda: postprocess(np.zeros((4, 3))),
+     r"mask logits must be \(h, w, k\), got shape \(4, 3\)"),
+], ids=["downsample_labels", "cross_entropy", "postprocess"])
+def test_label_maps_and_mask_logits_of_another_rank_are_rejected(call, message) -> None:
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_cross_entropy_rejects_shape_mismatch() -> None:

@@ -61,6 +61,12 @@ def test_account_group_requires_strategy() -> None:
         account_group(_group((4, 4), None))
 
 
+def test_account_group_rejects_an_unknown_strategy() -> None:
+    strategy = object()
+    with pytest.raises(TypeError, match=f"^unknown strategy {strategy!r}$"):
+        account_group(_group((4, 4), strategy))
+
+
 def test_rank_condition_holds_for_every_projected_default_group() -> None:
     params = init_model(ModelConfig(), seed=0)
     report = report_for_mode(params, "medsaga")

@@ -87,6 +87,11 @@ def test_forward_deterministic() -> None:
     assert np.array_equal(forward(params, img), forward(params, img))
 
 
+def test_group_lookup_raises_a_key_error_naming_an_unknown_group() -> None:
+    with pytest.raises(KeyError, match="^'decoder/fc3/weight'$"):
+        init_model(SMALL, seed=6).group("decoder/fc3/weight")
+
+
 def test_forward_rejects_wrong_image_shape() -> None:
     params = init_model(SMALL, seed=6)
     with pytest.raises(ValueError, match="image shape"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from msga.config import ConfigError, RunConfig
-from msga.data import Dataset
+from msga.data import Dataset, generate_synthetic
 from msga.model import ModelConfig, init_model
 from msga.optim import (
     AdamWState,
@@ -104,6 +104,13 @@ def test_adamw_step_keeps_the_bits_of_its_expressions() -> None:
 def test_adamw_rejects_shape_mismatch() -> None:
     with pytest.raises(ValueError, match="shape"):
         adamw_step(np.zeros((2, 2)), np.zeros((2, 3)), AdamWState.zeros((2, 2)), lr=0.1)
+
+
+def test_galore_step_rejects_shape_mismatch_before_it_steps() -> None:
+    state = GaLoreState(rank=1, refresh_period=5)
+    with pytest.raises(ValueError, match=r"^shape mismatch: w \(2, 2\), g \(2, 3\)$"):
+        galore_step(np.zeros((2, 2)), np.zeros((2, 3)), state, lr=0.1)
+    assert state.step == 0 and state.p is None
 
 
 @pytest.mark.parametrize("lr", [-0.1, float("nan"), float("inf")])
@@ -337,6 +344,21 @@ def test_two_sided_training_keeps_both_projectors() -> None:
 
 # ---------------------------------------------------------------------------
 # schedule
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-0.1, 1, 2), "base_lr must be non-negative, got -0.1"),
+    ((0.1, 0, 2), "need 1 <= warmup_steps <= total_steps, got 0 and 2"),
+    ((0.1, 3, 2), "need 1 <= warmup_steps <= total_steps, got 3 and 2"),
+], ids=["negative-rate", "no-warmup", "warmup-past-total"])
+def test_warmup_schedule_rejects_a_bad_rate_or_step_counts(args, message) -> None:
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        WarmupSchedule(*args)
+
+
+def test_lr_at_rejects_a_negative_step() -> None:
+    with pytest.raises(ValueError, match="^step must be non-negative, got -1$"):
+        lr_at(WarmupSchedule(0.1, 1, 2), -1)
 
 
 def test_lr_midpoint_of_ramp() -> None:
@@ -760,6 +782,17 @@ def test_evaluate_rejects_an_empty_dataset() -> None:
     # a mean over no images is nan for every class; the run stops with an error instead
     with pytest.raises(ValueError, match="^evaluation dataset is empty$"):
         evaluate(init_model(ModelConfig(), 0), Dataset((), 3, "x"))
+
+
+def test_evaluate_rejects_a_dataset_of_another_class_count() -> None:
+    params = init_model(ModelConfig(image_h=16, image_w=16, classes=3), 0)
+    with pytest.raises(ValueError, match="^dataset has 4 classes, model expects 3$"):
+        evaluate(params, generate_synthetic(0, 2, 16, 16, 4))
+
+
+def test_training_rejects_an_empty_dataset() -> None:
+    with pytest.raises(ValueError, match="^training dataset is empty$"):
+        train_model(RunConfig(), Dataset((), 3, "x"))
 
 
 def test_evaluate_equals_the_per_class_loop_and_memoises_only_distance_tables() -> None:

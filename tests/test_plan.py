@@ -27,7 +27,7 @@ from msga.model import ModelConfig, _record_forward, build_loss_tape, forward, i
 from msga.optim import Frozen, assign_strategies
 from msga.tape import OP_KINDS, Plan, Tape, emit, lower, schedule
 from msga.train import compile_loss_plan, model_config, prepare_splits, train_model
-from test_oracle import naive_forward, naive_read, random_graph
+from test_oracle import SEEDS, naive_forward, naive_read, random_graph
 from test_tape import OP_GRAPHS, op_graph_params
 
 SMALL = dict(synthetic_count=20, image_h=16, image_w=16, embed_dim=8, blocks=1,
@@ -77,9 +77,11 @@ def _record_sources(monkeypatch) -> list[tuple[str, str]]:
 
 
 def _declared(tape: Tape, nid: int) -> list[int | None]:
-    """A node's input ids where its backward rule reads them by value, None elsewhere."""
+    """A node's input ids where its backward rule reads them by value when every adjoint
+    is wanted, None elsewhere: the inputs some adjoint's reads name."""
     n = tape.nodes[nid]
-    return [i if k in msga.tape._OPS[n.op].reads else None for k, i in enumerate(n.inputs)]
+    read = {k for reads in msga.tape._OPS[n.op].reads for k in reads}
+    return [i if k in read else None for k, i in enumerate(n.inputs)]
 
 
 CONFIGS = {
@@ -452,10 +454,12 @@ def test_run_sums_a_batch_in_sample_order_into_fresh_arrays() -> None:
 READ_ONLY_AUX = {("seg-loss", "ce"), ("seg-loss", "dice")}
 
 
-def test_a_rule_handed_none_for_a_slot_it_reads_raises(monkeypatch) -> None:
-    # a backward rule reads its declared inputs and its aux, nothing else: the declared
-    # inputs give the bits every input gives, and each of them is needed, as is each
-    # aux entry its forward kept; over the training graph and one graph per op kind
+def test_a_rule_handed_none_for_a_slot_an_adjoint_reads_gives_that_adjoint_no_bytes(
+        monkeypatch) -> None:
+    # adjoint j of a backward rule reads the inputs its record's reads[j] names and the aux,
+    # nothing else: handed only those inputs it has the bits every input gives, and handed
+    # None for one of them it is None or the rule raises. Each aux entry its forward kept is
+    # needed; over the training graph and one graph per op kind
     cfg = CONFIGS["medsaga"]
     params, samples = _setup(cfg)
     tape, _, _, _, loss = build_loss_tape(params, *samples[0], cfg)
@@ -481,7 +485,7 @@ def test_a_rule_handed_none_for_a_slot_it_reads_raises(monkeypatch) -> None:
 
     _wrap_rules(monkeypatch, forward=watched_forward, backward=watched)
     rng = np.random.default_rng(8)
-    checked, dropped = set(), set()
+    checked, dropped, skipped = set(), set(), set()
     for tape, loss in graphs:
         calls.clear()
         auxes.clear()
@@ -496,11 +500,19 @@ def test_a_rule_handed_none_for_a_slot_it_reads_raises(monkeypatch) -> None:
             for i, a in zip(slots, args, strict=True):   # kept or rebuilt: the same bytes
                 assert a is None if i is None else a.tobytes() == values[i].tobytes(), nid
             g = rng.standard_normal(n.shape)
-            every = rule(g, *(values[i] for i in n.inputs), aux)
+            inputs = [values[i] for i in n.inputs]
+            every = rule(g, *inputs, aux)
             assert [a.tobytes() for a in rule(g, *args, aux)] == [a.tobytes() for a in every]
-            for j in (j for j, s in enumerate(slots) if s is not None):
-                with pytest.raises((TypeError, AttributeError, ValueError, IndexError)):
-                    rule(g, *args[:j], None, *args[j + 1:], aux)
+            for j, reads in enumerate(msga.tape._OPS[n.op].reads):
+                only = [x if k in reads else None for k, x in enumerate(inputs)]
+                assert rule(g, *only, aux)[j].tobytes() == every[j].tobytes(), (n.op, j)
+                for k in reads:   # every input but one that adjoint j reads
+                    try:
+                        without = rule(g, *inputs[:k], None, *inputs[k + 1:], aux)
+                    except (TypeError, AttributeError, ValueError, IndexError):
+                        continue
+                    assert without[j] is None, (n.op, j, k)
+                    skipped.add((n.op, j))
             for key in aux.keys() - n.aux.keys():
                 without = {k: v for k, v in aux.items() if k != key}
                 if (n.op, key) in READ_ONLY_AUX:   # kept for a plan's reads, 0-d
@@ -512,8 +524,77 @@ def test_a_rule_handed_none_for_a_slot_it_reads_raises(monkeypatch) -> None:
                 dropped.add((n.op, key))
             checked.add(n.op)
     assert checked == set(OP_KINDS)
+    assert skipped == {("matmul", 0), ("matmul", 1), ("linear", 0), ("linear", 1),
+                       ("attention", 0), ("attention", 1), ("layernorm", 0)}
     assert ("softmax-rows", "probs") in dropped and ("attention", "probs") in dropped
     assert ("gelu", "deriv") in dropped and ("seg-loss", "pieces") in dropped
+
+
+def _unwanted_adjoints(monkeypatch, graphs: list[tuple]) -> tuple[set, set]:
+    """Each `(tape, loss, wanted, reads)` graph's plan run once on its tape's leaves, each
+    backward rule call against its schedule step: the (op kind, input slot) of every
+    adjoint no wanted leaf needs that the rule returned as None, and of every one it
+    computed anyway, which must read no input."""
+    outs: list[tuple] = []   # each backward rule call's adjoints, in call order
+
+    def watched(kind, rule):
+        def backward_rule_watched(g, *inputs):
+            outs.append(rule(g, *inputs))
+            return outs[-1]
+        return backward_rule_watched
+
+    _wrap_rules(monkeypatch, backward=watched)
+    skipped, computed = set(), set()
+    for tape, loss, wanted, reads in graphs:
+        outs.clear()
+        planned = schedule(tape, loss, wanted, reads)
+        Plan(lower(tape, loss, wanted, reads)).run([(list(tape.leaves.values()), tape.labels)])
+        for (nid, _, _, adjoints, _), out in zip(planned.steps, outs, strict=True):
+            n = tape.nodes[nid]
+            for j, (a, read, g) in enumerate(zip(adjoints, msga.tape._OPS[n.op].reads, out,
+                                                 strict=True)):
+                if a is None:
+                    assert g is None or not read, (n.op, nid, j)
+                    (skipped if g is None else computed).add((n.op, j))
+    return skipped, computed
+
+
+# each default plan's unwanted adjoints, those its rules skip and those they still compute.
+# The patch-embed linear skips the patches' adjoint in every mode, and v2's frozen decoder
+# linears skip their weights'. Those linears still give their biases' adjoints, and the
+# add of the frozen prompt embedding row its adjoint: each the incoming adjoint's column
+# sums, which read no input, and the plan drops them
+UNWANTED = {"medsaga": ({("linear", 0)}, set()), "v1": ({("linear", 0)}, set()),
+            "v2": ({("linear", 0), ("linear", 1)}, {("linear", 2), ("add", 1)}),
+            "full-adamw": ({("linear", 0)}, set())}
+
+
+@pytest.mark.parametrize("mode", list(UNWANTED))
+def test_no_default_plan_computes_an_adjoint_that_reads_an_input_only_to_drop_it(
+        monkeypatch, mode) -> None:
+    cfg = CONFIGS[mode]
+    params, samples = _setup(cfg)
+    tape, ids, *reads = build_loss_tape(params, *samples[0], cfg)
+    wanted = [ids[g.name] for g in params.groups if not isinstance(g.strategy, Frozen)]
+    skipped, computed = _unwanted_adjoints(monkeypatch, [(tape, reads[-1], wanted,
+                                                          tuple(reads))])
+    assert (skipped, computed) == UNWANTED[mode]
+
+
+def test_no_random_graph_plan_computes_an_adjoint_that_reads_an_input_only_to_drop_it(
+        monkeypatch) -> None:
+    # the oracle's seeded random graphs, each wanting a seeded part of its leaves: every
+    # adjoint that reads an input is skipped somewhere when unwanted
+    graphs = []
+    for seed in SEEDS:
+        tape, _, loss = random_graph(seed)
+        rng = np.random.default_rng([seed, 2])
+        wanted = [i for i, n in enumerate(tape.nodes) if n.op == "leaf" and rng.random() < 0.5]
+        graphs.append((tape, loss, wanted, (loss,)))
+    skipped = _unwanted_adjoints(monkeypatch, graphs)[0]
+    assert {s for s in skipped if msga.tape._OPS[s[0]].reads[s[1]]} == {
+        (kind, j) for kind, rules in msga.tape._OPS.items()
+        for j, read in enumerate(rules.reads) if read and rules.arity > 1}
 
 
 @pytest.mark.parametrize("label", [3, 256])
@@ -914,8 +995,8 @@ def test_plan_source_is_deterministic_and_shows_liveness(monkeypatch, kind) -> N
 # default forward-only plan, as emitted once each text became one plain function; a
 # change to the schedule or the emitter that moves a text restates them here
 PLAN_TEXT_SHA256 = {
-    "training": ("54f7f3b43b8c74e9e9c3f5d2c7b9eeab34886bb11ed4378b288391c202f4df6a",
-                 "531b00a8150a4440413fee100ce1bd9fa3ed2888162a14af795b469287eabf82"),
+    "training": ("6d90777d00ec840730bb8690b3330f2d1bce45862d76ec4cb817df4ed2d9943a",
+                 "a4bd7b35abf9d9569a9e0115945afd3959c20bb9b120dba0323ab529959de1a3"),
     "forward-only": ("7748640324ce749ae2f762a5e56c2f9114ca1f07a6b1f10387a5b5003e60569d",
                      "5738d9664ca392e23f557904381865965ea48fb35d85df7e4b60a9db2201f3de"),
 }
@@ -999,13 +1080,14 @@ def _kept_bytes(tape: Tape, entries: list[tuple[int, bool]], kept: list) -> int:
                for (i, aux), x in zip(entries, kept, strict=True) if nodes[i].op != "leaf")
 
 
-# bytes default medsaga keeps per sample for its backward: a value or intermediate kept
-# past its last reader, or kept where it could be rebuilt, raises it. v2 and full-adamw
-# keep the same entries: v2's backward still reaches the frozen decoder's weights
-KEPT_BYTES = 259_136
+# bytes each default mode keeps per sample for its backward: a value or intermediate kept
+# past its last reader, kept where it could be rebuilt, or kept for an adjoint no wanted
+# leaf needs raises it. medsaga, v1 and full-adamw keep the same entries; v2 keeps neither
+# of its two frozen decoder linears' 64x16 inputs, which only their weights' adjoints read
+KEPT_BYTES = {"medsaga": 259_136, "v1": 259_136, "v2": 242_752, "full-adamw": 259_136}
 
 
-@pytest.mark.parametrize("mode", ["medsaga", "v2", "full-adamw"])
+@pytest.mark.parametrize("mode", list(KEPT_BYTES))
 def test_default_medsaga_keeps_its_pinned_bytes_per_sample(mode) -> None:
     # the schedule's kept bytes, from shapes alone, are the bytes a replay's kept list
     # holds, for the schedule of the tape and arguments compile_loss_plan lowers
@@ -1016,7 +1098,7 @@ def test_default_medsaga_keeps_its_pinned_bytes_per_sample(mode) -> None:
                                          if not isinstance(g.strategy, Frozen)], tuple(reads))
     plan, _ = compile_loss_plan(params, *samples[0], cfg)
     kept = plan.replay(_leaves(params, samples[0][0]), samples[0][1])[1]
-    assert _kept_bytes(tape, planned.kept, kept) == planned.kept_bytes == KEPT_BYTES
+    assert _kept_bytes(tape, planned.kept, kept) == planned.kept_bytes == KEPT_BYTES[mode]
 
 
 def test_a_replays_kept_arrays_have_the_shapes_the_schedule_gives_them() -> None:

@@ -332,6 +332,19 @@ def test_record_runs_no_forward_rule_and_a_replay_hands_each_its_values_position
             values[nid] = out
 
 
+@pytest.mark.parametrize("op, inputs, message", [
+    ("conv", (0,), "unknown op kind 'conv'"),
+    ("mean", (1,), "mean: input id 1 not on this tape"),
+    ("add", (0, -1), "add: input id -1 not on this tape"),
+], ids=["unknown-kind", "id-past-the-end", "negative-id"])
+def test_record_rejects_an_unknown_kind_and_an_input_not_on_the_tape(op, inputs, message):
+    tape = Tape()
+    tape.leaf(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tape.record(op, inputs)
+    assert len(tape.nodes) == 1
+
+
 @pytest.mark.parametrize("op", OP_KINDS)
 def test_record_rejects_a_wrong_input_count_naming_the_op(op: str) -> None:
     tape = Tape()
@@ -501,7 +514,9 @@ BAD_RECORDS = {
     "patchify": [_bad_patchify((6, 8), 4), _bad_patchify((6, 8), 0),
                  _bad_patchify((8, 8), -4)],
     "embed-lookup": [(lambda t: t.embed_lookup(t.leaf(np.zeros((3, 2))), np.array([0, 3])),
-                      "embed-lookup: index outside")],
+                      "embed-lookup: index outside"),
+                     (lambda t: t.embed_lookup(t.leaf(np.zeros((3, 2))), np.zeros((2, 1))),
+                      r"embed-lookup: indices must be 1-D, got \(2, 1\)$")],
     # through each method that records seg-loss: a label equal to k, a negative one,
     # fractional ones, which a cast would truncate, one label too few, no rows, and labels
     # unlike those of the tape's first seg-loss, since a replay takes one labels array
